@@ -27,19 +27,18 @@ from ..errors import GraphValidationError
 __all__ = ["BipartiteGraph"]
 
 
-def _build_csr(n_src: int, n_dst: int, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Build (indptr, indices) for src→dst adjacency from an edge array.
+def _index_array(values, what: str, validate: bool) -> np.ndarray:
+    """``values`` as a contiguous int64 array.
 
-    ``pairs`` is an ``(m, 2)`` int array of (src, dst).  Neighbor lists
-    come out sorted by dst index, which makes tape-replay order
-    deterministic and binary-searchable.
+    With ``validate`` a non-empty array of any non-integer dtype is
+    rejected rather than truncated: a float endpoint such as 0.7 would
+    otherwise silently become the edge to node 0.  An empty array of any
+    dtype (``[]`` reads as float64) is accepted.
     """
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    srt = pairs[order]
-    counts = np.bincount(srt[:, 0], minlength=n_src)
-    indptr = np.zeros(n_src + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, np.ascontiguousarray(srt[:, 1].astype(np.int64))
+    arr = np.asarray(values)
+    if validate and arr.size and not np.issubdtype(arr.dtype, np.integer):
+        raise GraphValidationError(f"{what} must be integers; got dtype {arr.dtype}")
+    return np.ascontiguousarray(arr, dtype=np.int64)
 
 
 def _rows_strictly_sorted(indptr: np.ndarray, indices: np.ndarray) -> bool:
@@ -113,14 +112,17 @@ class BipartiteGraph:
         name: str = "bipartite",
         validate: bool = True,
     ) -> "BipartiteGraph":
-        """Build a graph from (client, server) pairs.
+        """Build a graph from (client, server) pairs, in any order.
 
-        Raises :class:`GraphValidationError` on out-of-range endpoints or
-        duplicate edges.
+        Raises :class:`GraphValidationError` on non-integer or
+        out-of-range endpoints and on duplicate edges.  With
+        ``validate=False`` the caller guarantees none of these.
         """
         if n_clients < 0 or n_servers < 0:
             raise GraphValidationError("side sizes must be non-negative")
-        arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges, dtype=np.int64)
+        arr = _index_array(
+            edges if isinstance(edges, np.ndarray) else list(edges), "edge endpoints", validate
+        )
         if arr.size == 0:
             arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:
@@ -130,19 +132,18 @@ class BipartiteGraph:
                 raise GraphValidationError("client index out of range")
             if arr[:, 1].min() < 0 or arr[:, 1].max() >= n_servers:
                 raise GraphValidationError("server index out of range")
-            keys = arr[:, 0].astype(np.int64) * np.int64(max(n_servers, 1)) + arr[:, 1]
-            if np.unique(keys).size != keys.size:
-                raise GraphValidationError("duplicate edges are not allowed (sampling bias)")
-        c_indptr, c_indices = _build_csr(n_clients, n_servers, arr)
-        s_indptr, s_indices = _build_csr(n_servers, n_clients, arr[:, ::-1])
-        return BipartiteGraph(
-            n_clients=n_clients,
-            n_servers=n_servers,
-            client_indptr=c_indptr,
-            client_indices=c_indices,
-            server_indptr=s_indptr,
-            server_indices=s_indices,
-            name=name,
+        # One sort by (client, server) gives the forward CSR; duplicates
+        # sit next to each other in it.
+        width = np.int64(max(n_servers, 1))
+        keys = arr[:, 0] * width + arr[:, 1]
+        keys.sort()
+        if validate and np.any(keys[1:] == keys[:-1]):
+            raise GraphValidationError("duplicate edges are not allowed (sampling bias)")
+        indptr = np.zeros(n_clients + 1, dtype=np.int64)
+        np.cumsum(np.bincount(arr[:, 0], minlength=n_clients), out=indptr[1:])
+        keys -= np.repeat(np.arange(n_clients, dtype=np.int64) * width, np.diff(indptr))
+        return BipartiteGraph.from_csr(
+            n_clients, n_servers, indptr, keys, name=name, validate=False
         )
 
     @staticmethod
@@ -160,12 +161,13 @@ class BipartiteGraph:
         The fast path for vectorized generators: rows must already be
         strictly sorted (sorted neighbor ids, no parallel edges), so no
         edge-list round-trip and no re-sort of the forward direction is
-        needed — only the reverse adjacency is derived (one stable
-        argsort).  With ``validate=True`` the CSR invariants are checked
-        with whole-array operations (still no Python loop).
+        needed — only the reverse adjacency is derived (an O(m) counting
+        sort).  With ``validate=True`` the CSR invariants, integer dtypes
+        included, are checked with whole-array operations (still no
+        Python loop).
         """
-        indptr = np.ascontiguousarray(client_indptr, dtype=np.int64)
-        indices = np.ascontiguousarray(client_indices, dtype=np.int64)
+        indptr = _index_array(client_indptr, "client_indptr", validate)
+        indices = _index_array(client_indices, "client_indices", validate)
         if n_clients < 0 or n_servers < 0:
             raise GraphValidationError("side sizes must be non-negative")
         if indptr.shape != (n_clients + 1,):

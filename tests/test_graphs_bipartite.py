@@ -63,6 +63,17 @@ class TestConstruction:
         with pytest.raises(GraphValidationError):
             BipartiteGraph.from_edges(-1, 2, [])
 
+    @pytest.mark.parametrize(
+        "edges", [[(0.7, 1.9)], np.array([[0.0, 1.0]]), np.array([[True, False]])]
+    )
+    def test_non_integer_endpoints_rejected(self, edges):
+        with pytest.raises(GraphValidationError, match="integers"):
+            BipartiteGraph.from_edges(2, 2, edges)
+
+    def test_empty_float_edges_accepted(self):
+        for edges in (np.empty(0), np.empty((0, 2))):
+            assert BipartiteGraph.from_edges(2, 2, edges).n_edges == 0
+
 
 class TestInvariants:
     def test_validate_passes_on_good_graph(self):
@@ -170,6 +181,12 @@ class TestFromCsr:
             BipartiteGraph.from_csr(1, 3, np.array([0, 1]), np.array([5]))
         with pytest.raises(GraphValidationError):
             BipartiteGraph.from_csr(2, 3, np.array([0, 1]), np.array([0]))
+
+    def test_rejects_non_integer_arrays(self):
+        with pytest.raises(GraphValidationError, match="client_indices"):
+            BipartiteGraph.from_csr(1, 3, np.array([0, 1]), np.array([1.9]))
+        with pytest.raises(GraphValidationError, match="client_indptr"):
+            BipartiteGraph.from_csr(1, 3, np.array([0.0, 1.0]), np.array([1]))
 
     def test_rejects_bad_indptr(self):
         with pytest.raises(GraphValidationError):

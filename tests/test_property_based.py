@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core import TraceLevel, run_coupled, run_raes, run_saer
 from repro.core.config import RunOptions
+from repro.errors import GraphValidationError
 from repro.graphs import BipartiteGraph, random_regular_bipartite, trust_subsets
 from repro.rng import RandomTape
 from repro.theory import alpha_for, gamma_products, gamma_sequence
@@ -69,14 +70,25 @@ class TestGraphProperties:
             st.tuples(st.integers(0, 7), st.integers(0, 7)),
             min_size=0,
             max_size=40,
-            unique=True,
-        )
+        ).flatmap(st.permutations)
     )
     def test_from_edges_roundtrip(self, edges):
+        """Shuffled edge lists, duplicates allowed: a duplicate is
+        rejected, and otherwise all four CSR arrays match a naive
+        ``sorted()`` reference."""
+        if len(set(edges)) < len(edges):
+            with pytest.raises(GraphValidationError, match="duplicate"):
+                BipartiteGraph.from_edges(8, 8, edges)
+            return
         g = BipartiteGraph.from_edges(8, 8, edges)
-        assert g.n_edges == len(edges)
-        back = {(int(v), int(u)) for v, u in g.edges()}
-        assert back == set(edges)
+        by_client = sorted(edges)
+        by_server = sorted((u, v) for v, u in edges)
+        assert g.client_indptr.tolist() == [sum(v < c for v, _ in edges) for c in range(9)]
+        assert g.client_indices.tolist() == [u for _, u in by_client]
+        assert g.server_indptr.tolist() == [sum(u < s for _, u in edges) for s in range(9)]
+        assert g.server_indices.tolist() == [v for _, v in by_server]
+        assert {a.dtype for a in (g.client_indptr, g.client_indices,
+                                  g.server_indptr, g.server_indices)} == {np.dtype(np.int64)}
         g.validate()
 
 
