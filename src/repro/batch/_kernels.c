@@ -1,6 +1,6 @@
 /* Fused round kernels for the trial-batched engine (repro.batch).
  *
- * One call executes one protocol round for every active trial:
+ * A round runs three phases for every active trial:
  *
  *   phase 1  client-blocked destination gather — a block of CSR rows is
  *            processed for *all* trials before moving to the next
@@ -21,45 +21,35 @@
  *
  * Two entries are instantiated per state width:
  *
- *   repro_round_*     the sequential fused kernel — one pass over all
- *                     active trials with one shared scratch set;
- *   repro_round_mt_*  the trial-partitioned threaded variant — trials
- *                     are split into explicit chunks (chunk_starts),
- *                     each chunk runs phases 1-3 independently on its
- *                     own scratch row, and survivors land first in the
- *                     trial's own input region of out_key; a prefix-sum
- *                     left-pack epilogue then copies each trial's
- *                     survivor run to its packed offset in ball_key —
- *                     the (dead after phase 3) input buffer — so the
- *                     copies are between disjoint arrays and run in
- *                     parallel.  The caller reads the packed survivors
- *                     from ball_key (NOT out_key) and must not swap its
- *                     ping-pong buffers.  Because the chunk boundaries,
- *                     the per-trial uniforms, and the output offsets
- *                     are all data (not scheduling), the results are
- *                     byte-identical for ANY chunk count and ANY
- *                     OpenMP thread count — including a build without
- *                     OpenMP at all, where the pragma is ignored and
- *                     the chunks simply run in order.
+ *   repro_round_*  one sequential round over a caller-filled uniform
+ *                  slab (the serving layer routes each of its rounds
+ *                  through it);
+ *   repro_run_*    a whole engine run — every round of every trial in
+ *                  one call.  Each trial's uniforms are drawn inside
+ *                  phase 1, a 512-slot chunk at a time, from its own
+ *                  numpy PCG64 state (stepped in place and handed back,
+ *                  so the caller's Generators end exactly after the
+ *                  draws served) or from the counter-based Philox4x32-10
+ *                  lineage of repro/rng.py.  Each round splits the
+ *                  active trials into balanced chunks that run phases
+ *                  1-3 independently on their own scratch rows (OpenMP
+ *                  in the threaded build); chunk boundaries, per-trial
+ *                  streams and output offsets are data, not scheduling,
+ *                  so the results are byte-identical for ANY thread
+ *                  count — including a build without OpenMP, where the
+ *                  pragma is ignored and the chunks run in order.
  *
- * The philox twins (repro_round_ph_*, repro_round_ph_mt_*, and the
- * standalone repro_philox_fill) replace the uniform *input* with the
- * counter-based Philox4x32-10 lineage of repro/rng.py: ball slot s of
- * round r in a trial with words (k0, k1, c2, c3) reads counter
- * (s >> 1, r, c2, c3) under key (k0, k1) — two doubles per counter
- * block.  The fused entries generate each uniform inline at the point
- * of consumption in phase 1, so no uniform slab is ever written or
- * read; the standalone fill serves the gates that still consume a
- * slab.  Both are bit-identical to philox_uniforms() in rng.py (pure
- * integer arithmetic plus one exact double scale).
+ * The standalone repro_philox_fill serves the gates that still consume
+ * a uniform slab.  Philox draws are bit-identical to philox_uniforms()
+ * in rng.py, PCG64 draws to Generator.random() (pure integer
+ * arithmetic plus one exact double scale in both).
  *
  * Two state widths are instantiated via self-inclusion: int32 when
  * every cumulative counter provably fits, int64 otherwise.  The engine
  * guarantees: n_edges < 2^31 (ball keys and CSR offsets are int32),
  * uniforms in [0, 1), ball segments sorted by client within each trial,
- * and count/acc scratch arriving zeroed (every call re-zeroes what it
- * touched before returning; the mt entry guarantees this per scratch
- * row).
+ * and count/acc scratch arriving zeroed (every round re-zeroes what it
+ * touched).
  */
 
 #ifndef REPRO_KERNELS_PASS
@@ -500,6 +490,84 @@ void repro_philox_fill(
     }
 }
 
+/* ---- PCG64: numpy's np.random.PCG64, stepped in place ----
+ *
+ * A trial's state row is [state_hi, state_lo, inc_hi, inc_lo].  Each
+ * draw steps the 128-bit LCG s <- s*M + inc and emits XSL-RR of the
+ * stepped state, rotr64(hi(s) ^ lo(s), s >> 122); the double is the top
+ * 53 bits times 2^-53 — exactly Generator.random(), so the caller's
+ * Generator resumes in step once the row is written back.  The
+ * has_uint32 buffer of numpy's state is never touched by double draws. */
+
+typedef unsigned __int128 repro_u128;
+#define REPRO_PCG_MULT \
+    (((repro_u128)2549297995355413924ULL << 64) | 4865540595714422341ULL)
+
+static inline double repro_pcg64_double(repro_u128 *s, repro_u128 inc)
+{
+    *s = *s * REPRO_PCG_MULT + inc;
+    uint64_t x = (uint64_t)(*s >> 64) ^ (uint64_t)*s;
+    unsigned rot = (unsigned)(*s >> 122);
+    x = (x >> rot) | (x << ((64 - rot) & 63));
+    return (double)(x >> 11) * REPRO_SCALE_53;
+}
+
+static void repro_pcg64_fill(double *dst, int64_t n, uint64_t *st)
+{
+    repro_u128 s = ((repro_u128)st[0] << 64) | st[1];
+    const repro_u128 inc = ((repro_u128)st[2] << 64) | st[3];
+    for (int64_t j = 0; j < n; j++) dst[j] = repro_pcg64_double(&s, inc);
+    st[0] = (uint64_t)(s >> 64);
+    st[1] = (uint64_t)s;
+}
+
+/* Regular-graph twin: int32 CSR offsets min((int)(u * deg), deg - 1). */
+static void repro_pcg64_fill_off(
+    int32_t *dst, int64_t n, uint64_t *st, int64_t deg)
+{
+    repro_u128 s = ((repro_u128)st[0] << 64) | st[1];
+    const repro_u128 inc = ((repro_u128)st[2] << 64) | st[3];
+    const double degd = (double)deg;
+    const int32_t dmax = (int32_t)(deg - 1);
+    for (int64_t j = 0; j < n; j++) {
+        int32_t off = (int32_t)(repro_pcg64_double(&s, inc) * degd);
+        dst[j] = off > dmax ? dmax : off;
+    }
+    st[0] = (uint64_t)(s >> 64);
+    st[1] = (uint64_t)s;
+}
+
+/* Where the fused gathers draw from: per-trial PCG64 state rows when
+ * pcg is non-NULL, else the Philox words of round rnd.  Both are
+ * indexed by global trial id. */
+typedef struct {
+    uint64_t *pcg;
+    const uint32_t *words;
+    uint32_t rnd;
+} repro_src;
+
+/* Draw slots [slot, slot + n) of trial t's current round into one
+ * chunk row, as doubles or (deg > 0) as CSR offsets.  PCG64 is a
+ * sequential stream, so this is only ever called with the trial's
+ * slots in order — which the walk below guarantees. */
+static inline void repro_src_fill(
+    const repro_src *src, int64_t t, double *row, int64_t slot, int64_t n,
+    int64_t deg)
+{
+    if (src->pcg) {
+        if (deg > 0)
+            repro_pcg64_fill_off((int32_t *)row, n, src->pcg + 4 * t, deg);
+        else
+            repro_pcg64_fill(row, n, src->pcg + 4 * t);
+    } else {
+        if (deg > 0)
+            repro_philox_fill_off((int32_t *)row, slot, n, src->rnd,
+                                  src->words + 4 * t, deg);
+        else
+            repro_philox_fill_seg(row, slot, n, src->rnd, src->words + 4 * t);
+    }
+}
+
 /* Destination gather for Δ-regular graphs: ball_key holds each ball's
  * CSR row start (client · Δ), so a block covers keys < block_end.
  * Covers the trial range [a0, a1) — the sequential entry passes the
@@ -552,46 +620,43 @@ static void phase1_irregular(
     }
 }
 
-/* Fused philox gathers: identical traversal to phase1_regular /
- * phase1_irregular, but the uniforms are generated just in time — when
- * the walk first reaches a 512-slot chunk boundary of a trial's
- * segment, the whole chunk is bulk-generated (SIMD fill_seg) into the
- * trial's own 512-double row of the uchunk scratch and then consumed
- * from there.  Per-trial consumption is strictly sequential, so each
- * chunk is generated exactly once (the trigger sits after the
- * block-end check: a walk suspended mid-chunk resumes on the same row
- * without re-triggering, and one suspended exactly at a boundary
- * generates the next chunk on re-entry, its first visit).  uchunk is
- * n_active × 512 doubles — a quarter-megabyte at 64 trials, so the
- * uniforms never leave L2: versus a separate fill pass this removes
- * BOTH full-slab memory sweeps, while keeping bits independent of the
- * client blocking and the chunking (draws are pure counter
- * functions). */
+/* Fused gathers: identical traversal to phase1_regular /
+ * phase1_irregular, but the uniforms are drawn just in time — when the
+ * walk first reaches a 512-slot chunk boundary of a trial's segment,
+ * the whole chunk is drawn into the trial's own row of the uchunk
+ * scratch and then consumed from there.  Per-trial consumption is
+ * strictly sequential, so each chunk is drawn exactly once and in slot
+ * order (the trigger sits after the block-end check: a walk suspended
+ * mid-chunk resumes on the same row without re-triggering, and one
+ * suspended exactly at a boundary draws the next chunk on re-entry,
+ * its first visit) — which is what lets a sequential PCG64 stream feed
+ * it as well as the counter-based Philox one.  uchunk is n_active ×
+ * 512 doubles — a quarter-megabyte at 64 trials, so the uniforms never
+ * leave L2 and no full-size uniform slab is ever written or read. */
 
-static void phase1_regular_ph(
-    const uint32_t *words, uint32_t rnd, double *uchunk,
-    const int32_t *ball_key,
-    int32_t *dest, int64_t a0, int64_t a1, const int64_t *seg_start,
-    const int64_t *seg_end, int64_t *cur, int64_t reg_deg,
-    const int32_t *indices, int64_t n_clients, int64_t block_clients)
+static void phase1_regular_fused(
+    const repro_src *src, double *uchunk, const int32_t *ball_key,
+    int32_t *dest, int64_t a0, int64_t a1, const int64_t *trial_ids,
+    const int64_t *seg_start, const int64_t *seg_end, int64_t *cur,
+    int64_t reg_deg, const int32_t *indices, int64_t n_clients,
+    int64_t block_clients)
 {
     for (int64_t a = a0; a < a1; a++) cur[a] = seg_start[a];
     for (int64_t v0 = 0; v0 < n_clients; v0 += block_clients) {
         int64_t block_end = (v0 + block_clients) * reg_deg;
         for (int64_t a = a0; a < a1; a++) {
             int64_t i = cur[a], e = seg_end[a], s0 = seg_start[a];
-            const uint32_t *w = words + 4 * a;
-            /* with a fixed degree the chunk is generated directly as
-             * int32 CSR offsets (multiply-truncate-clip folded into
-             * the SIMD epilogue) — the uniform doubles never exist in
-             * memory; the trial's chunk row is reused as int32 space */
-            int32_t *oc = (int32_t *)(uchunk + a * REPRO_PH_CHUNK);
+            /* with a fixed degree the chunk is drawn directly as int32
+             * CSR offsets — the uniform doubles never exist in memory;
+             * the trial's chunk row is reused as int32 space */
+            double *row = uchunk + a * REPRO_PH_CHUNK;
+            const int32_t *oc = (const int32_t *)row;
             while (i < e && ball_key[i] < block_end) {
                 int64_t slot = i - s0;
                 if ((slot & (REPRO_PH_CHUNK - 1)) == 0) {
                     int64_t len = e - i;
                     if (len > REPRO_PH_CHUNK) len = REPRO_PH_CHUNK;
-                    repro_philox_fill_off(oc, slot, len, rnd, w, reg_deg);
+                    repro_src_fill(src, trial_ids[a], row, slot, len, reg_deg);
                 }
                 /* ball_key is sorted, so the block's run ends at the
                  * first key >= block_end: binary-search it (bounded by
@@ -631,27 +696,25 @@ static void phase1_regular_ph(
     }
 }
 
-static void phase1_irregular_ph(
-    const uint32_t *words, uint32_t rnd, double *uchunk,
-    const int32_t *ball_key,
-    int32_t *dest, int64_t a0, int64_t a1, const int64_t *seg_start,
-    const int64_t *seg_end, int64_t *cur, const int32_t *indptr,
-    const int32_t *degrees, const int32_t *indices, int64_t n_clients,
-    int64_t block_clients)
+static void phase1_irregular_fused(
+    const repro_src *src, double *uchunk, const int32_t *ball_key,
+    int32_t *dest, int64_t a0, int64_t a1, const int64_t *trial_ids,
+    const int64_t *seg_start, const int64_t *seg_end, int64_t *cur,
+    const int32_t *indptr, const int32_t *degrees, const int32_t *indices,
+    int64_t n_clients, int64_t block_clients)
 {
     for (int64_t a = a0; a < a1; a++) cur[a] = seg_start[a];
     for (int64_t v0 = 0; v0 < n_clients; v0 += block_clients) {
         int64_t block_end = v0 + block_clients;
         for (int64_t a = a0; a < a1; a++) {
             int64_t i = cur[a], e = seg_end[a], s0 = seg_start[a];
-            const uint32_t *w = words + 4 * a;
             double *ub = uchunk + a * REPRO_PH_CHUNK;
             while (i < e && ball_key[i] < block_end) {
                 int64_t slot = i - s0;
                 if ((slot & (REPRO_PH_CHUNK - 1)) == 0) {
                     int64_t len = e - i;
                     if (len > REPRO_PH_CHUNK) len = REPRO_PH_CHUNK;
-                    repro_philox_fill_seg(ub, slot, len, rnd, w);
+                    repro_src_fill(src, trial_ids[a], ub, slot, len, 0);
                 }
                 int32_t v = ball_key[i];
                 int64_t dg = degrees[v];
@@ -682,9 +745,9 @@ static void phase1_irregular_ph(
 
 /* Phase 2 + 3 for one trial: batch counts and the accept rule on ball
  * range [i0, i1), then (when do_compact) the trial's survivors written
- * base-relative at `out` — the sequential entry packs trials
- * contiguously, the threaded entry writes into the trial's own input
- * region for the later left-pack.  Writes the accepted-ball count to
+ * base-relative at `out` — repro_round packs all trials contiguously,
+ * repro_run each chunk's trials from the chunk's first ball slot for
+ * the later left-pack.  Writes the accepted-ball count to
  * *acc_balls_out and returns the survivor count.  count/touched/acc
  * must arrive zeroed and are re-zeroed before returning. */
 static int64_t REPRO_NAME(round_trial)(
@@ -795,185 +858,128 @@ int64_t REPRO_NAME(repro_round)(
     return out;
 }
 
-/* The fused philox sequential round: repro_round with the uniforms
- * generated chunk-at-a-time in phase 1 from (words, round_ctr);
- * uchunk is n_active × REPRO_PH_CHUNK doubles of scratch the caller
- * never reads (it only ever holds the cache-hot chunks in flight).
- * words holds 4 uint32 per ACTIVE trial (indexed by position in the
- * active list, not by global trial id). */
-int64_t REPRO_NAME(repro_round_ph)(
-    const uint32_t *words, uint32_t round_ctr, double *uchunk,
-    const int32_t *ball_key, int64_t n_active,
-    const int64_t *trial_ids, const int64_t *sent,
+/* A whole engine run: every round of every trial in one call.
+ *
+ * pcg (R x 4 PCG64 state rows, stepped in place) or, when pcg is NULL,
+ * words (R x 4 Philox words) supplies each trial's uniforms, drawn in
+ * phase 1 into its row of uchunk (R x REPRO_PH_CHUNK doubles).
+ * ball_key arrives holding every trial's initial balls (R segments of
+ * total_balls); ball_key, alt_key and dest are R * total_balls int32
+ * each and are scratch from then on.  counts/toucheds/accs are
+ * n_threads x n_s scratch rows (counts and accs zeroed).  ws is
+ * 7R + n_threads + 1 int64 of scratch.  rounds, work, assigned and
+ * alive_total (R each, alive_total preset to total_balls) are updated
+ * per trial.
+ *
+ * Each round splits the active trials into min(n_threads, active)
+ * balanced chunks (the trial_chunks rule of kernels.py).  A chunk runs
+ * phases 1-3 for its trials on its own scratch row and packs its
+ * survivors contiguously from its first ball slot in alt_key; the
+ * sequential left-pack then moves each chunk's run down to its
+ * canonical offset (destination <= source, chunks in order, so the
+ * in-place moves never overwrite a run not yet moved).  Trials with no
+ * ball left drop out.  The round that reaches cap stops the run with
+ * the remaining trials un-finished, as in the numpy engine. */
+void REPRO_NAME(repro_run)(
+    uint64_t *pcg, const uint32_t *words, double *uchunk,
+    int32_t *ball_key, int32_t *alt_key, int32_t *dest,
+    int64_t R, int64_t total_balls, int64_t cap,
     int64_t reg_deg, const int32_t *indptr, const int32_t *degrees,
     const int32_t *indices, int64_t n_clients, int64_t block_clients,
     REPRO_STATE *state1, REPRO_STATE *state2,
     int64_t n_s, int64_t capacity, int64_t is_raes,
-    int32_t *dest, REPRO_STATE *count, int32_t *touched, uint8_t *acc,
-    int64_t *n_acc, int32_t *out_key, int64_t do_compact,
-    int64_t *cur, int64_t *seg_start, int64_t *seg_end)
+    REPRO_STATE *counts, int32_t *toucheds, uint8_t *accs,
+    int64_t n_threads, int64_t *ws,
+    int64_t *rounds, int64_t *work, int64_t *assigned, int64_t *alive_total)
 {
-    int64_t pos = 0;
-    for (int64_t a = 0; a < n_active; a++) {
-        seg_start[a] = pos;
-        pos += sent[a];
-        seg_end[a] = pos;
-    }
-    if (reg_deg > 0)
-        phase1_regular_ph(words, round_ctr, uchunk, ball_key, dest, 0,
-                          n_active, seg_start, seg_end, cur, reg_deg,
-                          indices, n_clients, block_clients);
-    else
-        phase1_irregular_ph(words, round_ctr, uchunk, ball_key, dest, 0,
-                            n_active, seg_start, seg_end, cur, indptr,
-                            degrees, indices, n_clients, block_clients);
-
-    int64_t out = 0;
-    for (int64_t a = 0; a < n_active; a++)
-        out += REPRO_NAME(round_trial)(
-            ball_key, dest, seg_start[a], seg_end[a], trial_ids[a],
-            state1, state2, n_s, capacity, is_raes, count, touched, acc,
-            out_key + out, do_compact, n_acc + a);
-    return out;
-}
-
-/* The trial-partitioned threaded round.  chunk_starts has n_chunks + 1
- * entries partitioning [0, n_active) (chunks may be empty); chunk c
- * runs phases 1-3 for its trials on scratch row c of counts/toucheds/
- * accs (each n_chunks × n_s, C-contiguous) and records each trial's
- * survivor count in n_keep.  Survivors are first written into the
- * trial's own input region of out_key; the prefix-sum epilogue then
- * copies each run to its packed offset in ball_key (dead input, so the
- * per-trial copies are disjoint and parallel) — callers read survivors
- * from ball_key and must not swap their ping-pong buffers.
- * Deterministic for any n_chunks / n_threads by construction. */
-int64_t REPRO_NAME(repro_round_mt)(
-    const double *u, int32_t *ball_key, int64_t n_active,
-    const int64_t *trial_ids, const int64_t *sent,
-    int64_t reg_deg, const int32_t *indptr, const int32_t *degrees,
-    const int32_t *indices, int64_t n_clients, int64_t block_clients,
-    REPRO_STATE *state1, REPRO_STATE *state2,
-    int64_t n_s, int64_t capacity, int64_t is_raes,
-    int32_t *dest, REPRO_STATE *counts, int32_t *toucheds, uint8_t *accs,
-    int64_t *n_acc, int32_t *out_key, int64_t do_compact,
-    int64_t *cur, int64_t *seg_start, int64_t *seg_end,
-    int64_t n_chunks, const int64_t *chunk_starts, int64_t *n_keep,
-    int64_t n_threads)
-{
-    int64_t pos = 0;
-    for (int64_t a = 0; a < n_active; a++) {
-        seg_start[a] = pos;
-        pos += sent[a];
-        seg_end[a] = pos;
-    }
-
-    int nthr = (int)(n_threads < 1 ? 1 : n_threads);
+    int64_t *active = ws, *sent = ws + R, *n_acc = ws + 2 * R;
+    int64_t *cur = ws + 3 * R, *seg_start = ws + 4 * R, *seg_end = ws + 5 * R;
+    int64_t *n_keep = ws + 6 * R, *chunk_starts = ws + 7 * R;
+    int64_t T = n_threads < 1 ? 1 : n_threads;
+    int nthr = (int)T;
     (void)nthr; /* unused when built without OpenMP */
+
+    int64_t A = total_balls > 0 ? R : 0;
+    for (int64_t a = 0; a < A; a++) {
+        active[a] = a;
+        sent[a] = total_balls;
+    }
+    for (int64_t round_no = 1; A > 0; round_no++) {
+        int64_t do_compact = round_no < cap;
+        int64_t pos = 0;
+        for (int64_t a = 0; a < A; a++) {
+            int64_t t = active[a];
+            rounds[t] += 1;
+            work[t] += 2 * sent[a];
+            seg_start[a] = pos;
+            pos += sent[a];
+            seg_end[a] = pos;
+        }
+        int64_t nc = T < A ? T : A, base = A / nc, rem = A % nc;
+        chunk_starts[0] = 0;
+        for (int64_t ci = 0; ci < nc; ci++)
+            chunk_starts[ci + 1] = chunk_starts[ci] + base + (ci < rem);
+        const repro_src src = {pcg, words, (uint32_t)round_no};
+
 #ifdef _OPENMP
 #pragma omp parallel for schedule(static) num_threads(nthr)
 #endif
-    for (int64_t ci = 0; ci < n_chunks; ci++) {
-        int64_t a0 = chunk_starts[ci], a1 = chunk_starts[ci + 1];
-        if (a0 >= a1) continue;
-        REPRO_STATE *count = counts + ci * n_s;
-        int32_t *touched = toucheds + ci * n_s;
-        uint8_t *acc = accs + ci * n_s;
-        if (reg_deg > 0)
-            phase1_regular(u, ball_key, dest, a0, a1, seg_start, seg_end,
-                           cur, reg_deg, indices, n_clients, block_clients);
-        else
-            phase1_irregular(u, ball_key, dest, a0, a1, seg_start, seg_end,
-                             cur, indptr, degrees, indices, n_clients,
-                             block_clients);
-        for (int64_t a = a0; a < a1; a++)
-            n_keep[a] = REPRO_NAME(round_trial)(
-                ball_key, dest, seg_start[a], seg_end[a], trial_ids[a],
-                state1, state2, n_s, capacity, is_raes, count, touched, acc,
-                out_key + seg_start[a], do_compact, n_acc + a);
-    }
+        for (int64_t ci = 0; ci < nc; ci++) {
+            int64_t a0 = chunk_starts[ci], a1 = chunk_starts[ci + 1];
+            REPRO_STATE *count = counts + ci * n_s;
+            int32_t *touched = toucheds + ci * n_s;
+            uint8_t *acc = accs + ci * n_s;
+            if (reg_deg > 0)
+                phase1_regular_fused(&src, uchunk, ball_key, dest, a0, a1,
+                                     active, seg_start, seg_end, cur,
+                                     reg_deg, indices, n_clients,
+                                     block_clients);
+            else
+                phase1_irregular_fused(&src, uchunk, ball_key, dest, a0, a1,
+                                       active, seg_start, seg_end, cur,
+                                       indptr, degrees, indices, n_clients,
+                                       block_clients);
+            int32_t *out = alt_key + seg_start[a0];
+            for (int64_t a = a0; a < a1; a++) {
+                n_keep[a] = REPRO_NAME(round_trial)(
+                    ball_key, dest, seg_start[a], seg_end[a], active[a],
+                    state1, state2, n_s, capacity, is_raes, count, touched,
+                    acc, out, do_compact, n_acc + a);
+                out += n_keep[a];
+            }
+        }
 
-    /* prefix-sum left-pack: offsets first (cur is dead after phase 1),
-     * then each trial's survivor run copies out_key -> ball_key at its
-     * packed offset — disjoint arrays, disjoint destinations, so the
-     * copies run in parallel and the bits cannot depend on scheduling */
-    int64_t out = 0;
-    for (int64_t a = 0; a < n_active; a++) {
-        cur[a] = out;
-        out += n_keep[a];
-    }
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) num_threads(nthr)
-#endif
-    for (int64_t a = 0; a < n_active; a++)
-        if (n_keep[a])
-            memcpy(ball_key + cur[a], out_key + seg_start[a],
-                   (size_t)n_keep[a] * sizeof(int32_t));
-    return out;
-}
+        for (int64_t a = 0; a < A; a++) {
+            int64_t t = active[a];
+            assigned[t] += n_acc[a];
+            alive_total[t] -= n_acc[a];
+            sent[a] -= n_acc[a];
+        }
+        if (!do_compact) break; /* the cap round: no survivors written */
 
-/* The fused philox threaded round: repro_round_mt with inline uniform
- * generation (see repro_round_ph).  Same packed-into-ball_key contract. */
-int64_t REPRO_NAME(repro_round_ph_mt)(
-    const uint32_t *words, uint32_t round_ctr, double *uchunk,
-    int32_t *ball_key, int64_t n_active,
-    const int64_t *trial_ids, const int64_t *sent,
-    int64_t reg_deg, const int32_t *indptr, const int32_t *degrees,
-    const int32_t *indices, int64_t n_clients, int64_t block_clients,
-    REPRO_STATE *state1, REPRO_STATE *state2,
-    int64_t n_s, int64_t capacity, int64_t is_raes,
-    int32_t *dest, REPRO_STATE *counts, int32_t *toucheds, uint8_t *accs,
-    int64_t *n_acc, int32_t *out_key, int64_t do_compact,
-    int64_t *cur, int64_t *seg_start, int64_t *seg_end,
-    int64_t n_chunks, const int64_t *chunk_starts, int64_t *n_keep,
-    int64_t n_threads)
-{
-    int64_t pos = 0;
-    for (int64_t a = 0; a < n_active; a++) {
-        seg_start[a] = pos;
-        pos += sent[a];
-        seg_end[a] = pos;
-    }
+        int64_t out = 0;
+        for (int64_t ci = 0; ci < nc; ci++) {
+            int64_t a0 = chunk_starts[ci], a1 = chunk_starts[ci + 1];
+            int64_t kept = 0;
+            for (int64_t a = a0; a < a1; a++) kept += n_keep[a];
+            if (kept && out != seg_start[a0])
+                memmove(alt_key + out, alt_key + seg_start[a0],
+                        (size_t)kept * sizeof(int32_t));
+            out += kept;
+        }
+        int32_t *tmp = ball_key;
+        ball_key = alt_key;
+        alt_key = tmp;
 
-    int nthr = (int)(n_threads < 1 ? 1 : n_threads);
-    (void)nthr;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) num_threads(nthr)
-#endif
-    for (int64_t ci = 0; ci < n_chunks; ci++) {
-        int64_t a0 = chunk_starts[ci], a1 = chunk_starts[ci + 1];
-        if (a0 >= a1) continue;
-        REPRO_STATE *count = counts + ci * n_s;
-        int32_t *touched = toucheds + ci * n_s;
-        uint8_t *acc = accs + ci * n_s;
-        if (reg_deg > 0)
-            phase1_regular_ph(words, round_ctr, uchunk, ball_key, dest,
-                              a0, a1, seg_start, seg_end, cur, reg_deg,
-                              indices, n_clients, block_clients);
-        else
-            phase1_irregular_ph(words, round_ctr, uchunk, ball_key, dest,
-                                a0, a1, seg_start, seg_end, cur, indptr,
-                                degrees, indices, n_clients,
-                                block_clients);
-        for (int64_t a = a0; a < a1; a++)
-            n_keep[a] = REPRO_NAME(round_trial)(
-                ball_key, dest, seg_start[a], seg_end[a], trial_ids[a],
-                state1, state2, n_s, capacity, is_raes, count, touched, acc,
-                out_key + seg_start[a], do_compact, n_acc + a);
+        int64_t live = 0;
+        for (int64_t a = 0; a < A; a++)
+            if (sent[a] > 0) {
+                active[live] = active[a];
+                sent[live] = sent[a];
+                live++;
+            }
+        A = live;
     }
-
-    int64_t out = 0;
-    for (int64_t a = 0; a < n_active; a++) {
-        cur[a] = out;
-        out += n_keep[a];
-    }
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) num_threads(nthr)
-#endif
-    for (int64_t a = 0; a < n_active; a++)
-        if (n_keep[a])
-            memcpy(ball_key + cur[a], out_key + seg_start[a],
-                   (size_t)n_keep[a] * sizeof(int32_t));
-    return out;
 }
 
 #endif /* REPRO_KERNELS_PASS */

@@ -18,8 +18,9 @@ same canonical order in which the reference engine consumes its random
 tape.  Per round:
 
 * per-trial uniforms are drawn from per-trial generators through a
-  fixed-block read-ahead (:func:`repro.batch.kernels.fill_uniforms`),
-  so trial ``r`` consumes *exactly* the stream that
+  fixed-block read-ahead (:func:`repro.batch.kernels.fill_uniforms`;
+  the ``cext`` gate draws them inside its C round instead), so trial
+  ``r`` consumes *exactly* the stream that
   ``run_protocol(seed=seeds[r])`` would;
 * destinations come from the shared CSR graph exactly as in
   :func:`repro.core.engine.draw_destinations`;
@@ -36,11 +37,15 @@ Compiled kernels
 The whole per-round chain also exists as a fused, cache-blocked
 compiled kernel (:mod:`repro.batch.kernels`): pass ``kernel="cext"`` /
 ``"numba"`` (or set ``REPRO_KERNELS``) to run the gather → count →
-decide → compact pipeline as one C or numba call per round.  The
-compiled path is **bit-identical** to the numpy path — it is selected
-per call and silently falls back to numpy whenever a run shape it does
-not support appears (custom policy subclasses, degree-0 clients with
-demand, ≥ 2³¹ edges).  ``buffers=`` accepts an
+decide → compact pipeline compiled.  ``cext`` runs all rounds of a call
+as one C call and draws the uniforms inside it (PCG64 states go in and
+come back out, so caller-supplied Generators end exactly after the
+draws they served); ``numba`` makes one call per round.  The compiled
+path is **bit-identical** to the numpy path — it is selected per call
+and silently falls back to numpy whenever a run shape it does not
+support appears (custom policy subclasses, degree-0 clients with
+demand, ≥ 2³¹ edges, trials without a Generator of their own on a
+``PCG64``).  ``buffers=`` accepts an
 :class:`~repro.batch.kernels.EngineBuffers` so sweep workers can keep
 one scratch set (staging arrays, received slab, RNG read-ahead) alive
 across grid points instead of reallocating per task.
@@ -294,7 +299,7 @@ def run_trials_batched(
 
     n_threads = resolve_threads(threads)
     kern = resolve_kernel(kernel, threads=n_threads)
-    if kern.name == "cupy" and _compiled_supported(kern, graph, pol, dem, n_c, n_s):
+    if kern.name == "cupy" and _compiled_supported(kern, graph, pol, dem, n_c, n_s, gens):
         from .device import run_rounds_device
 
         pol.astype_state(state_dtype, state_dtype)
@@ -302,7 +307,7 @@ def run_trials_batched(
             kern.module(), graph, pol, dem, total_balls, n_c, n_s, cap, R,
             params.capacity, words, state_dtype,
         )
-    elif kern.compiled and _compiled_supported(kern, graph, pol, dem, n_c, n_s):
+    elif kern.compiled and _compiled_supported(kern, graph, pol, dem, n_c, n_s, gens):
         pol.astype_state(state_dtype, state_dtype)
         rounds, work, assigned, alive_total = _run_rounds_compiled(
             kern, graph, pol, dem, total_balls, n_c, n_s, cap, R,
@@ -342,7 +347,8 @@ def run_trials_batched(
 
 
 def _compiled_supported(
-    kern: Kernel, graph: BipartiteGraph, pol: BatchedServerPolicy, dem, n_c, n_s
+    kern: Kernel, graph: BipartiteGraph, pol: BatchedServerPolicy, dem, n_c, n_s,
+    gens=None,
 ) -> bool:
     """Whether this run's shape fits the fused compiled kernels.
 
@@ -350,11 +356,19 @@ def _compiled_supported(
     (a policy subclass may override ``decide_*``, so only the exact
     types qualify), needs int32-addressable CSR tables, and does not
     reproduce the numpy path's clip semantics for degree-0 clients
-    that somehow carry demand.  Anything else falls back to numpy —
-    same results, just without the fusion.
+    that somehow carry demand.  The ``cext`` run entry steps each
+    trial's PCG64 state in C, so PCG64-lineage trials must each own a
+    ``np.random.PCG64`` (one rule for every compiled gate).  Anything
+    else falls back to numpy — same results, just without the fusion.
     """
     if type(pol) not in (BatchedSaerPolicy, BatchedRaesPolicy):
         return False
+    if gens is not None:
+        bitgens = [g.bit_generator for g in gens]
+        if len({id(b) for b in bitgens}) < len(bitgens):
+            return False
+        if any(type(b) is not np.random.PCG64 for b in bitgens):
+            return False
     if n_c <= 0 or n_s <= 0 or graph.n_edges <= 0:
         return False
     if graph.n_edges >= 2**31 - 1 or n_s >= 2**31 - 1:
@@ -365,37 +379,61 @@ def _compiled_supported(
     return True
 
 
+_U64 = (1 << 64) - 1
+
+
+def _pcg64_load(gens, rows) -> None:
+    """Copy each trial's PCG64 state into ``rows[t]`` as
+    ``(state_hi, state_lo, inc_hi, inc_lo)`` — numpy's documented
+    ``bit_generator.state`` dict, split into 64-bit words."""
+    for t, g in enumerate(gens):
+        st = g.bit_generator.state["state"]
+        s, inc = st["state"], st["inc"]
+        rows[t] = (s >> 64, s & _U64, inc >> 64, inc & _U64)
+
+
+def _pcg64_store(gens, rows) -> None:
+    """Write the stepped states back (``inc`` and the ``has_uint32``
+    buffer are unchanged by double draws)."""
+    for t, g in enumerate(gens):
+        bg = g.bit_generator
+        st = bg.state
+        st["state"]["state"] = (int(rows[t, 0]) << 64) | int(rows[t, 1])
+        bg.state = st
+
+
 def _run_rounds_compiled(
     kern, graph, pol, dem, total_balls, n_c, n_s, cap, R, capacity, gens,
     bufs, state_dtype, threads=1, words=None,
 ):
-    """Round loop over the fused compiled kernel (one call per round).
+    """Rounds over the fused compiled kernel.
+
+    A gate with a whole-run entry (``cext``,
+    :meth:`~repro.batch.kernels.Kernel.run_round_fn`) runs every round
+    in one call and draws each trial's uniforms inside it: from its
+    PCG64 state, copied in before the call and written back after it,
+    or (``words is not None``) from its Philox words.  The other
+    compiled gates (``numba``, ``python``) take one call per round over
+    a uniform slab from :func:`fill_uniforms` or :func:`philox_fill`.
 
     With ``threads > 1`` the trial axis is partitioned into ``threads``
-    balanced chunks per round and dispatched through the kernel's
-    trial-partitioned entry on per-chunk scratch rows — bit-identical
-    to the sequential entry for any thread count (the partition and
-    the survivor left-pack are data, not scheduling).  Falls back to
-    the sequential entry (with a once-per-(gate, threads) warning)
-    when this install has no threaded path for the gate.
+    balanced chunks per round, each on its own scratch row —
+    bit-identical to the sequential entry for any thread count (the
+    partition and the survivor left-pack are data, not scheduling).  A
+    gate without a threaded path on this install warns once per (gate,
+    threads) and runs sequentially.
 
-    ``words is not None`` selects the philox lineage.  The ``cext``
-    gate then runs the *fused* philox entries — each uniform generated
-    inline in phase 1 from ``(trial words, round, slot)``, so the slab
-    fill pass and both of its memory sweeps disappear (this is the
-    lineage's perf story).  Gates that still consume a slab
-    (``numba`` / ``python``) take :func:`philox_fill`; with a thread
-    budget ≥ 2 the *next* round's slab is filled concurrently with the
-    current round's kernel call (the C fill releases the GIL) using the
-    current counts as an upper bound — counter draws are
-    location-independent, so the surviving prefix of an over-fill is
-    exactly what the next round needs, and the overlap cannot change a
-    single bit.
+    In philox mode the slab gates, given a thread budget ≥ 2, fill the
+    *next* round's slab concurrently with the current round's kernel
+    call (the C fill releases the GIL) using the current counts as an
+    upper bound — counter draws are location-independent, so the
+    surviving prefix of an over-fill is exactly what the next round
+    needs, and the overlap cannot change a single bit.
 
-    The trial-partitioned entries pack survivors back into ``ball_key``
-    (the input buffer, dead after phase 1 — that is what makes their
-    left-pack epilogue parallel), so this loop swaps the ping-pong
-    buffers only after sequential rounds.
+    The trial-partitioned per-round entries pack survivors back into
+    ``ball_key`` (the input buffer, dead after phase 1 — that is what
+    makes their left-pack epilogue parallel), so this loop swaps the
+    ping-pong buffers only after sequential rounds.
     """
     indptr, degrees, indices = _csr32(graph)
     reg_deg = 0
@@ -411,6 +449,39 @@ def _run_rounds_compiled(
     work = np.zeros(R, dtype=np.int64)
     assigned = np.zeros(R, dtype=np.int64)
     alive_total = np.full(R, total_balls, dtype=np.int64)
+
+    B0 = total_balls * R
+    dest_buf = bufs.get("cdest", B0, np.int32)
+    ball_key = bufs.get("cball", B0, np.int32)
+    alt_buf = bufs.get("calt", B0, np.int32)
+    if R:
+        ball_key.reshape(R, total_balls)[:] = template
+    if isinstance(pol, BatchedSaerPolicy):
+        state1, state2, is_raes = pol.cum_received, pol.loads, 0
+    else:
+        state1, state2, is_raes = pol.loads, pol.loads, 1
+
+    run_fn = kern.run_round_fn(threads if R > 1 else 1)
+    if run_fn is not None:
+        T = max(1, min(threads, R))
+        pcg = None
+        if words is None:
+            pcg = bufs.get("cpcg", (R, 4), np.uint64)
+            _pcg64_load(gens, pcg)
+        run_fn(
+            pcg, words, bufs.get("cuchunk", (R, PHILOX_CHUNK), np.float64),
+            ball_key, alt_buf, dest_buf, total_balls, cap, reg_deg, indptr,
+            degrees, indices, n_c, block_clients, state1, state2, capacity,
+            is_raes, bufs.get("ccount", (T, n_s), state_dtype, zero=True),
+            bufs.get("ctouched", (T, n_s), np.int32),
+            bufs.get("cacc", (T, n_s), np.uint8, zero=True),
+            bufs.get("cws", 7 * R + T + 1, np.int64),
+            rounds, work, assigned, alive_total,
+        )
+        if pcg is not None:
+            _pcg64_store(gens, pcg)
+        return rounds, work, assigned, alive_total
+
     if total_balls and R:
         active = np.arange(R, dtype=np.int64)
         sent = np.full(R, total_balls, dtype=np.int64)
@@ -426,32 +497,7 @@ def _run_rounds_compiled(
         mt_fn = resolve_threaded_round(kern, threads)
     T = min(threads, R) if mt_fn is not None else 1
 
-    philox = words is not None
-    # Fused philox entries (cext only): uniforms generated inline in
-    # phase 1, no slab at all.  The OpenMP twin exists iff the standard
-    # mt entry resolved (same compile probe).
-    fused_mt_fn = fused_fn = None
-    if philox:
-        if mt_fn is not None:
-            fused_mt_fn = kern.philox_threaded_round_fn(threads)
-        if fused_mt_fn is None:
-            fused_fn = kern.philox_round_fn()
-    use_fused = fused_mt_fn is not None or fused_fn is not None
-
-    B0 = total_balls * R
-    u_buf = None if use_fused else bufs.get("u", B0, np.float64)
-    # Fused entries take per-trial chunk rows instead of a slab: the
-    # uniforms in flight stay cache-resident (R × 4 KB total).
-    uchunk = (
-        bufs.get("cuchunk", (R, PHILOX_CHUNK), np.float64)
-        if use_fused
-        else None
-    )
-    dest_buf = bufs.get("cdest", B0, np.int32)
-    ball_key = bufs.get("cball", B0, np.int32)
-    alt_buf = bufs.get("calt", B0, np.int32)
-    if R:
-        ball_key.reshape(R, total_balls)[:] = template
+    u_buf = bufs.get("u", B0, np.float64)
     if mt_fn is not None:
         counts = bufs.get("ccount", (T, n_s), state_dtype, zero=True)
         toucheds = bufs.get("ctouched", (T, n_s), np.int32)
@@ -462,33 +508,20 @@ def _run_rounds_compiled(
         count = bufs.get("ccount", n_s, state_dtype, zero=True)
         touched = bufs.get("ctouched", n_s, np.int32)
         acc = bufs.get("cacc", n_s, np.uint8, zero=True)
+        round_fn = kern.round_fn()
     n_acc_buf = bufs.get("cnacc", R, np.int64)
     cur = bufs.get("ccur", R, np.int64)
     seg_start = bufs.get("cseg0", R, np.int64)
     seg_end = bufs.get("cseg1", R, np.int64)
-    if philox:
-        w_buf = bufs.get("cwords", (R, 4), np.uint32)
-    else:
+    philox = words is not None
+    if not philox:
         slab = bufs.get("rng_slab", (R, RNG_BLOCK), np.float64)
         slab_pos = bufs.get("rng_pos", R, np.int64)
         slab_pos[:] = RNG_BLOCK  # empty: streams are fresh per engine call
 
-    # Fill/kernel overlap for slab-consuming gates in philox mode: with
-    # a thread budget >= 2 the next round's slab is filled in a worker
-    # thread (the C fill drops the GIL) while the kernel runs.  The fill
-    # uses the *current* counts as an upper bound; after the round, the
-    # surviving trials' prefixes are the exact next-round streams.
-    use_stage = philox and not use_fused and threads >= 2
+    use_stage = philox and threads >= 2
     stage_buf = bufs.get("u_stage", B0, np.float64) if use_stage else None
     stage = None
-
-    if isinstance(pol, BatchedSaerPolicy):
-        state1, state2, is_raes = pol.cum_received, pol.loads, 0
-    else:
-        state1, state2, is_raes = pol.loads, pol.loads, 1
-    round_fn = None
-    if mt_fn is None and not use_fused:
-        round_fn = kern.round_fn()
 
     round_no = 0
     B = ball_key.size if active.size else 0
@@ -498,30 +531,26 @@ def _run_rounds_compiled(
         rounds[active] += 1
         work[active] += 2 * sent
         do_compact = 1 if round_no < cap else 0
-        if not use_fused:
-            u = u_buf[:B]
-            if philox:
-                if stage is not None:
-                    th, s_active, s_starts = stage
-                    th.join()
-                    stage = None
-                    # surviving trials keep their staged prefix (draws
-                    # are location-independent): compact-copy it to the
-                    # new packed offsets
-                    idx = np.searchsorted(s_active, active)
-                    pos = 0
-                    for j in range(A):
-                        k = int(sent[j])
-                        so = int(s_starts[idx[j]])
-                        u[pos : pos + k] = stage_buf[so : so + k]
-                        pos += k
-                else:
-                    philox_fill(u, active, sent, words, round_no)
-            else:
-                fill_uniforms(u, active, sent, gens, slab, slab_pos)
+        u = u_buf[:B]
         if philox:
-            w_act = w_buf[:A]
-            np.take(words, active, axis=0, out=w_act)
+            if stage is not None:
+                th, s_active, s_starts = stage
+                th.join()
+                stage = None
+                # surviving trials keep their staged prefix (draws are
+                # location-independent): compact-copy it to the new
+                # packed offsets
+                idx = np.searchsorted(s_active, active)
+                pos = 0
+                for j in range(A):
+                    k = int(sent[j])
+                    so = int(s_starts[idx[j]])
+                    u[pos : pos + k] = stage_buf[so : so + k]
+                    pos += k
+            else:
+                philox_fill(u, active, sent, words, round_no)
+        else:
+            fill_uniforms(u, active, sent, gens, slab, slab_pos)
         if use_stage and do_compact:
             s_active = active.copy()
             s_sent = sent.copy()
@@ -535,34 +564,7 @@ def _run_rounds_compiled(
             th.start()
             stage = (th, s_active, s_starts)
         n_acc = n_acc_buf[:A]
-        swap = False
-        if fused_mt_fn is not None:
-            Tr = min(T, A)
-            chunk_starts = trial_chunks(A, Tr, chunk_buf)
-            B_next = int(
-                fused_mt_fn(
-                    w_act, round_no, uchunk[:A], ball_key, active, sent,
-                    reg_deg, indptr,
-                    degrees, indices, n_c, block_clients, state1, state2,
-                    capacity, is_raes, dest_buf[:B], counts[:Tr],
-                    toucheds[:Tr], accs[:Tr], n_acc, alt_buf, do_compact,
-                    cur[:A], seg_start[:A], seg_end[:A], chunk_starts,
-                    n_keep[:A],
-                )
-            )
-        elif fused_fn is not None:
-            B_next = int(
-                fused_fn(
-                    w_act, round_no, uchunk[:A], ball_key, active, sent,
-                    reg_deg, indptr,
-                    degrees, indices, n_c, block_clients, state1, state2,
-                    capacity, is_raes, dest_buf[:B], count, touched, acc,
-                    n_acc, alt_buf, do_compact, cur[:A], seg_start[:A],
-                    seg_end[:A],
-                )
-            )
-            swap = True
-        elif mt_fn is not None:
+        if mt_fn is not None:
             Tr = min(T, A)
             chunk_starts = trial_chunks(A, Tr, chunk_buf)
             B_next = int(
@@ -583,17 +585,16 @@ def _run_rounds_compiled(
                     do_compact, cur[:A], seg_start[:A], seg_end[:A],
                 )
             )
-            swap = True
         assigned[active] += n_acc
         alive_total[active] -= n_acc
         sent = sent - n_acc
         if not do_compact:
             # Trials with balls left stop here with rounds == cap.
             break
-        if swap:
-            # Sequential entries pack survivors into out_key (alt_buf);
-            # the trial-partitioned entries pack them back into
-            # ball_key, so their rounds skip the ping-pong swap.
+        if mt_fn is None:
+            # The sequential entry packs survivors into out_key
+            # (alt_buf); the trial-partitioned entries pack them back
+            # into ball_key, so their rounds skip the ping-pong swap.
             ball_key, alt_buf = alt_buf, ball_key
         B = B_next
         still = sent > 0

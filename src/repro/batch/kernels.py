@@ -14,13 +14,15 @@ run it three ways:
     A fused, cache-blocked C implementation of the whole
     gather→count→decide→compact chain (``_kernels.c``), compiled on
     demand with the system C compiler and loaded via :mod:`ctypes`.
-    One call per round covers all active trials; the CSR adjacency
-    streams through cache once per round instead of once per trial.
+    One call runs a whole engine call — every round of every trial —
+    and draws each trial's uniforms inside the round, from its PCG64
+    state or its Philox words; the CSR adjacency streams through cache
+    once per round instead of once per trial.
 ``numba``
-    The same loop nest as the C kernel, JIT-compiled by numba when it
-    is installed.  :func:`_round_loops` is written in the nopython
-    subset and doubles as the interpreted specification of the
-    compiled algorithm.
+    The same loop nest as the C round, JIT-compiled by numba when it
+    is installed, one call per round over a uniform slab.
+    :func:`_round_loops` is written in the nopython subset and doubles
+    as the interpreted specification of the compiled algorithm.
 ``python``
     :func:`_round_loops` executed by the interpreter — far too slow
     for real workloads, but it lets the parity suite exercise the
@@ -54,9 +56,9 @@ including 1.  The thread budget is its own gate:
 ``threads=`` argument > ``REPRO_KERNEL_THREADS`` environment variable >
 1 (:func:`resolve_threads`); process-pool workers reset the environment
 half to 1 so threads never multiply into process oversubscription (see
-:mod:`repro.parallel.pool`).  The C twin comes from an OpenMP build of
-``_kernels.c`` (compile-probed; a failed probe warns once and falls
-back to the sequential object), the numba twin is a
+:mod:`repro.parallel.pool`).  The C run entry chunks each round in an
+OpenMP build of ``_kernels.c`` (compile-probed; a failed probe warns
+once and falls back to the sequential object), the numba twin is a
 ``numba.prange`` jit of the same chunked loops, and the ``python``
 kernel runs those loops interpreted — so the chunked algorithm is
 parity-testable on any install.
@@ -108,23 +110,25 @@ KERNELS_ENV = "REPRO_KERNELS"
 THREADS_ENV = "REPRO_KERNEL_THREADS"
 SEED_MODE_ENV = "REPRO_SEED_MODE"
 
-# Must mirror REPRO_PH_CHUNK in _kernels.c: the fused philox entries
-# take an [n_active, PHILOX_CHUNK] float64 scratch (one cache-resident
-# chunk row per trial; never read by the caller).
+# Must mirror REPRO_PH_CHUNK in _kernels.c: the C run entry takes an
+# [R, PHILOX_CHUNK] float64 scratch (one cache-resident chunk row of
+# draws per trial; never read by the caller).
 PHILOX_CHUNK = 512
 CACHE_ENV = "REPRO_KERNEL_CACHE"
 DEFAULT_KERNEL = "numpy"
 
 # Engine-level seed lineages.  "pair" and "direct" are synonyms here —
-# both mean per-trial PCG64 Generators consumed through fill_uniforms
-# (the distinction between them is a plan-level seed-derivation choice,
-# see repro.plan) — while "philox" switches the whole uniform supply to
+# both mean per-trial PCG64 Generators, stepped inside the C run entry
+# on cext and read through fill_uniforms on the other gates (the
+# distinction between them is a plan-level seed-derivation choice, see
+# repro.plan) — while "philox" switches the whole uniform supply to
 # the counter-based Philox4x32 lineage of repro.rng: a different
 # deterministic stream with its own goldens, NOT bit-parity with PCG64.
 SEED_MODES = ("pair", "direct", "philox")
 
-# Read-ahead block: uniforms are pre-drawn per trial in slabs of this
-# many doubles; rounds needing more draw straight into the staging
+# Read-ahead block of fill_uniforms (the gates without the C run
+# entry): uniforms are pre-drawn per trial in slabs of this many
+# doubles; rounds needing more draw straight into the staging
 # array (identical stream either way — numpy Generators produce the
 # same values regardless of how draws are batched into calls).
 RNG_BLOCK = 8192
@@ -483,12 +487,12 @@ def _round_loops_mt(
     region of ``out_key`` and its survivor count into ``n_keep``.  The
     prefix-sum left-pack epilogue then copies each trial's run to its
     packed offset in ``ball_key`` — the *input* buffer, dead after
-    phase 1, so the per-trial copies are disjoint and the C twin runs
-    them in parallel — byte-identical to :func:`_round_loops` for any
+    phase 1, so the per-trial copies are disjoint and run in parallel
+    under ``prange`` — byte-identical to :func:`_round_loops` for any
     partition and any thread count.  Callers read survivors from
     ``ball_key`` (NOT ``out_key``) and must not swap their ping-pong
-    buffers after a threaded round.  See ``repro_round_mt`` in
-    ``_kernels.c`` for the compiled spec.
+    buffers after a threaded round.  ``repro_run`` in ``_kernels.c``
+    chunks its rounds by the same rule.
     """
     n_active = trial_ids.shape[0]
     pos = 0
@@ -580,15 +584,11 @@ class Kernel:
         (gate, threads) and runs the sequential kernel)."""
         return None
 
-    def philox_round_fn(self) -> Callable | None:
-        """The fused philox round (uniforms generated inline from
-        counters), or ``None`` — gates without one consume a
-        :func:`philox_fill` slab through their standard entries
-        instead, with identical bits."""
-        return None
-
-    def philox_threaded_round_fn(self, threads: int) -> Callable | None:
-        """Trial-partitioned twin of :meth:`philox_round_fn`, or ``None``."""
+    def run_round_fn(self, threads: int) -> Callable | None:
+        """The whole-run entry — every round of an engine call in one
+        call, uniforms drawn inside the round — or ``None``: gates
+        without one run the engine's per-round loop over
+        :meth:`round_fn` with identical bits."""
         return None
 
 
@@ -713,11 +713,11 @@ class CextKernel(Kernel):
     """ctypes-loaded C implementation, compiled on demand from ``_kernels.c``.
 
     Two builds of the same source: the sequential object (the parity
-    baseline) and an OpenMP object for the trial-partitioned entry.
-    The OpenMP build is compile-probed on first threaded use; a failed
-    probe (compiler without ``-fopenmp``) makes
-    :meth:`threaded_round_fn` return ``None`` so the engine warns once
-    and runs the sequential object — same results, no threads.
+    baseline) and an OpenMP object for threaded runs.  The OpenMP build
+    is compile-probed on first threaded use; a failed probe (compiler
+    without ``-fopenmp``) makes :meth:`run_round_fn` warn once per
+    (gate, threads) and hand back the sequential object — same
+    results, no threads.
     """
 
     name = "cext"
@@ -773,88 +773,43 @@ class CextKernel(Kernel):
 
         return call
 
-    def threaded_round_fn(self, threads: int) -> Callable | None:
-        lib = self._load_mt()
-        if lib is None:
-            return None
+    def run_round_fn(self, threads: int) -> Callable | None:
+        """``repro_run``: every round of one engine call in one C call.
 
-        def call(u, ball_key, trial_ids, sent, reg_deg, indptr, degrees,
-                 indices, n_clients, block_clients, state1, state2, capacity,
-                 is_raes, dest, counts, toucheds, accs, n_acc, out_key,
-                 do_compact, cur, seg_start, seg_end, chunk_starts, n_keep):
-            fn = (
-                lib.repro_round_mt_i64
-                if state1.dtype == np.int64
-                else lib.repro_round_mt_i32
-            )
-            return fn(
-                u, ball_key, trial_ids.shape[0], trial_ids, sent,
-                reg_deg, indptr, degrees, indices, n_clients, block_clients,
-                state1, state2, state1.shape[1], capacity, is_raes,
-                dest, counts, toucheds, accs, n_acc, out_key, do_compact,
-                cur, seg_start, seg_end,
-                chunk_starts.shape[0] - 1, chunk_starts, n_keep, threads,
-            )
-
-        return call
-
-    def philox_round_fn(self) -> Callable | None:
-        """The fused philox sequential round, or ``None`` with no C lib.
-
-        Same contract as :meth:`round_fn` except the arguments are
-        prefixed with ``(words, round_ctr)`` and the slab argument
-        shrinks to an ``[n_active, PHILOX_CHUNK]`` scratch — phase 1
-        bulk-generates each trial's next 512 draws into its row just in
-        time and consumes them from L2.  This is the philox mode's perf
-        path: the full-size uniform slab is never written OR read.
+        Each trial's uniforms are drawn inside phase 1 from its row of
+        ``pcg`` (``[R, 4]`` uint64 PCG64 states as ``state_hi,
+        state_lo, inc_hi, inc_lo``, stepped in place) or, with
+        ``pcg=None``, from its row of the Philox ``words``.  Rounds are
+        split into trial chunks over the ``counts``/``toucheds``/``accs``
+        scratch rows — run in parallel by the OpenMP build when
+        ``threads > 1``; without it, warns once per (gate, threads) and
+        runs the sequential build on one row, with identical results.
+        ``rounds``/``work``/``assigned``/``alive_total`` are updated in
+        place.
         """
-        lib = self._load()
+        lib = self._load_mt() if threads > 1 else None
+        if lib is None:
+            if threads > 1:
+                _warn_sequential(self, threads)
+            lib = self._load()
         if lib is None:
             return None
+        threaded = lib is self._mt_lib
 
-        def call(words, round_ctr, u, ball_key, trial_ids, sent, reg_deg,
-                 indptr, degrees, indices, n_clients, block_clients,
-                 state1, state2, capacity, is_raes, dest, count, touched,
-                 acc, n_acc, out_key, do_compact, cur, seg_start, seg_end):
-            fn = (
-                lib.repro_round_ph_i64
-                if state1.dtype == np.int64
-                else lib.repro_round_ph_i32
-            )
-            return fn(
-                words, round_ctr, u, ball_key, trial_ids.shape[0],
-                trial_ids, sent, reg_deg, indptr, degrees, indices,
+        def call(pcg, words, uchunk, ball_key, alt_key, dest, total_balls,
+                 cap, reg_deg, indptr, degrees, indices, n_clients,
+                 block_clients, state1, state2, capacity, is_raes, counts,
+                 toucheds, accs, ws, rounds, work, assigned, alive_total):
+            fn = lib.repro_run_i64 if state1.dtype == np.int64 else lib.repro_run_i32
+            fn(
+                None if pcg is None else pcg.ctypes.data,
+                None if words is None else words.ctypes.data,
+                uchunk, ball_key, alt_key, dest, rounds.shape[0],
+                total_balls, cap, reg_deg, indptr, degrees, indices,
                 n_clients, block_clients, state1, state2, state1.shape[1],
-                capacity, is_raes, dest, count, touched, acc, n_acc,
-                out_key, do_compact, cur, seg_start, seg_end,
-            )
-
-        return call
-
-    def philox_threaded_round_fn(self, threads: int) -> Callable | None:
-        """The fused philox trial-partitioned round (OpenMP build), or
-        ``None``; survivors land in ``ball_key`` like the mt entry."""
-        lib = self._load_mt()
-        if lib is None:
-            return None
-
-        def call(words, round_ctr, u, ball_key, trial_ids, sent, reg_deg,
-                 indptr, degrees, indices, n_clients, block_clients,
-                 state1, state2, capacity, is_raes, dest, counts, toucheds,
-                 accs, n_acc, out_key, do_compact, cur, seg_start, seg_end,
-                 chunk_starts, n_keep):
-            fn = (
-                lib.repro_round_ph_mt_i64
-                if state1.dtype == np.int64
-                else lib.repro_round_ph_mt_i32
-            )
-            return fn(
-                words, round_ctr, u, ball_key, trial_ids.shape[0],
-                trial_ids, sent, reg_deg, indptr, degrees, indices,
-                n_clients, block_clients, state1, state2, state1.shape[1],
-                capacity, is_raes, dest, counts, toucheds, accs, n_acc,
-                out_key, do_compact, cur, seg_start, seg_end,
-                chunk_starts.shape[0] - 1, chunk_starts, n_keep, threads,
+                capacity, is_raes, counts, toucheds, accs,
+                counts.shape[0] if threaded else 1, ws,
+                rounds, work, assigned, alive_total,
             )
 
         return call
@@ -959,12 +914,8 @@ def _load_cext_library(openmp: bool = False):
     lib = ctypes.CDLL(str(so))
     _declare(lib.repro_round_i32, np.int32)
     _declare(lib.repro_round_i64, np.int64)
-    _declare_mt(lib.repro_round_mt_i32, np.int32)
-    _declare_mt(lib.repro_round_mt_i64, np.int64)
-    _declare_ph(lib.repro_round_ph_i32, np.int32)
-    _declare_ph(lib.repro_round_ph_i64, np.int64)
-    _declare_ph_mt(lib.repro_round_ph_mt_i32, np.int32)
-    _declare_ph_mt(lib.repro_round_ph_mt_i64, np.int64)
+    _declare_run(lib.repro_run_i32, np.int32)
+    _declare_run(lib.repro_run_i64, np.int64)
     _declare_fill(lib.repro_philox_fill)
     return lib
 
@@ -1004,17 +955,21 @@ def _declare(fn, state_dtype) -> None:
     ]
 
 
-def _declare_mt(fn, state_dtype) -> None:
+def _declare_run(fn, state_dtype) -> None:
     ptr = np.ctypeslib.ndpointer
     c = dict(flags="C_CONTIGUOUS")
     i64 = ctypes.c_int64
-    fn.restype = i64
+    fn.restype = None
     fn.argtypes = [
-        ptr(np.float64, **c),   # u
-        ptr(np.int32, **c),     # ball_key
-        i64,                    # n_active
-        ptr(np.int64, **c),     # trial_ids
-        ptr(np.int64, **c),     # sent
+        ctypes.c_void_p,        # pcg [R, 4] uint64, or NULL
+        ctypes.c_void_p,        # words [R, 4] uint32 (when pcg is NULL)
+        ptr(np.float64, **c),   # uchunk [R, PHILOX_CHUNK]
+        ptr(np.int32, **c),     # ball_key (initial balls)
+        ptr(np.int32, **c),     # alt_key
+        ptr(np.int32, **c),     # dest
+        i64,                    # R
+        i64,                    # total_balls (per trial)
+        i64,                    # cap (round cap)
         i64,                    # reg_deg
         ptr(np.int32, **c),     # indptr
         ptr(np.int32, **c),     # degrees
@@ -1026,40 +981,16 @@ def _declare_mt(fn, state_dtype) -> None:
         i64,                    # n_s
         i64,                    # capacity
         i64,                    # is_raes
-        ptr(np.int32, **c),     # dest
-        ptr(state_dtype, **c),  # counts  [n_chunks, n_s]
-        ptr(np.int32, **c),     # toucheds [n_chunks, n_s]
-        ptr(np.uint8, **c),     # accs     [n_chunks, n_s]
-        ptr(np.int64, **c),     # n_acc
-        ptr(np.int32, **c),     # out_key
-        i64,                    # do_compact
-        ptr(np.int64, **c),     # cur
-        ptr(np.int64, **c),     # seg_start
-        ptr(np.int64, **c),     # seg_end
-        i64,                    # n_chunks
-        ptr(np.int64, **c),     # chunk_starts [n_chunks + 1]
-        ptr(np.int64, **c),     # n_keep
+        ptr(state_dtype, **c),  # counts   [n_threads, n_s]
+        ptr(np.int32, **c),     # toucheds [n_threads, n_s]
+        ptr(np.uint8, **c),     # accs     [n_threads, n_s]
         i64,                    # n_threads
+        ptr(np.int64, **c),     # ws [7R + n_threads + 1]
+        ptr(np.int64, **c),     # rounds
+        ptr(np.int64, **c),     # work
+        ptr(np.int64, **c),     # assigned
+        ptr(np.int64, **c),     # alive_total
     ]
-
-
-def _declare_ph(fn, state_dtype) -> None:
-    # The fused philox sequential round: repro_round prefixed with
-    # (words, round_ctr); the u slab stays as chunk scratch.
-    _declare(fn, state_dtype)
-    fn.argtypes = [
-        np.ctypeslib.ndpointer(np.uint32, flags="C_CONTIGUOUS"),  # words
-        ctypes.c_uint32,                                          # round_ctr
-    ] + fn.argtypes
-
-
-def _declare_ph_mt(fn, state_dtype) -> None:
-    # The fused philox threaded round; same tail as _declare_mt.
-    _declare_mt(fn, state_dtype)
-    fn.argtypes = [
-        np.ctypeslib.ndpointer(np.uint32, flags="C_CONTIGUOUS"),  # words
-        ctypes.c_uint32,                                          # round_ctr
-    ] + fn.argtypes
 
 
 def _declare_fill(fn) -> None:
@@ -1180,22 +1111,25 @@ def resolve_seed_mode(mode: str | None = None) -> str:
 def resolve_threaded_round(kern: Kernel, threads: int) -> Callable | None:
     """``kern``'s trial-partitioned entry for ``threads`` > 1, or None.
 
-    When the kernel has no threaded path on this install (OpenMP
-    compile-probe failed, numba without a threaded build), warns once
-    per (gate, threads) — the run then proceeds on the sequential
-    kernel with identical results.
+    When the kernel has no threaded path on this install (numba
+    without a threaded build), warns once per (gate, threads) — the run
+    then proceeds on the sequential kernel with identical results.
     """
     fn = kern.threaded_round_fn(threads)
     if fn is None:
-        reason = getattr(kern, "_mt_error", None)
-        detail = f" ({reason})" if reason is not None else ""
-        _warn_once(
-            (kern.name, threads),
-            f"repro kernel {kern.name!r} has no threaded path on this "
-            f"install{detail}; running the threads={threads} request on "
-            f"the sequential kernel (identical results, no speedup)",
-        )
+        _warn_sequential(kern, threads)
     return fn
+
+
+def _warn_sequential(kern: Kernel, threads: int) -> None:
+    reason = getattr(kern, "_mt_error", None)
+    detail = f" ({reason})" if reason is not None else ""
+    _warn_once(
+        (kern.name, threads),
+        f"repro kernel {kern.name!r} has no threaded path on this "
+        f"install{detail}; running the threads={threads} request on "
+        f"the sequential kernel (identical results, no speedup)",
+    )
 
 
 def trial_chunks(n_active: int, n_chunks: int, out: np.ndarray) -> np.ndarray:

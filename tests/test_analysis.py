@@ -102,6 +102,43 @@ class TestStats:
         p, lo, hi = wilson_interval(0, 0)
         assert math.isnan(p) and (lo, hi) == (0.0, 1.0)
 
+    def test_ndtri_matches_norm_ppf(self):
+        """The intervals' normal quantile comes from ndtri; it must equal
+        norm.ppf bit for bit at every confidence level they could see."""
+        from scipy.special import ndtri
+        from scipy.stats import norm
+
+        q = 0.5 + np.linspace(0.5, 0.9995, 1000, endpoint=False) / 2.0
+        assert np.array_equal(ndtri(q), norm.ppf(q))
+        assert float(ndtri(0.975)).hex() == "0x1.f5c0331eeff84p+0"
+
+    def test_intervals_do_not_import_scipy_stats(self):
+        """scipy.stats costs about half a second to import; a fresh
+        interpreter computing both intervals must not load it."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        )}
+        code = (
+            "import sys\n"
+            "from repro.analysis.stats import mean_ci, wilson_interval\n"
+            "wilson_interval(3, 10)\n"
+            "mean_ci([1.0, 2.0, 4.0])\n"
+            "print('scipy.stats' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env=env,
+        )
+        assert out.stdout.strip() == "False"
+
 
 class TestTables:
     def test_format_basic(self):

@@ -29,6 +29,7 @@ from repro.batch import (
 )
 from repro.batch.kernels import (
     KERNELS_ENV,
+    PHILOX_CHUNK,
     RNG_BLOCK,
     THREADS_ENV,
     _round_loops,
@@ -53,6 +54,29 @@ RESULT_FIELDS = (
 # Kernels testable on this install: "python" always runs the compiled
 # algorithm interpreted; cext/numba join in when buildable/importable.
 COMPILED = [k for k in available_kernels() if k != "numpy"]
+
+THREAD_COUNTS = (1, 2, 4)
+
+# Per-trial ball counts at the edges of the 512-slot chunks in which the
+# cext run entry draws each trial's uniforms.
+CHUNK_EDGES = (PHILOX_CHUNK - 1, PHILOX_CHUNK, PHILOX_CHUNK + 1, 2 * PHILOX_CHUNK + 1)
+
+# A round cap this large makes total_balls * cap overflow int32, so the
+# engine keeps policy state in int64 (the other state width).
+WIDE_STATE = RunOptions(max_rounds=2**24)
+
+
+def edge_case(family, balls):
+    """A graph and a demand vector with exactly ``balls`` balls per trial."""
+    if family == "regular":
+        g = random_regular_bipartite(300, 12, seed=8)
+    else:
+        g = trust_subsets(300, 300, 12, seed=8)
+    demands = np.zeros(g.n_clients, dtype=np.int64)
+    demands[: balls // 4] = 4
+    demands[balls // 4] = balls % 4
+    assert int(demands.sum()) == balls
+    return g, demands
 
 
 def assert_kernels_match(
@@ -120,6 +144,17 @@ class TestKernelParity:
             options=RunOptions(max_rounds=3),
         )
         assert not ref.completed.all()
+
+    @pytest.mark.parametrize("family", ["regular", "trust"])
+    @pytest.mark.parametrize("balls", CHUNK_EDGES)
+    def test_chunk_edges(self, family, balls):
+        g, demands = edge_case(family, balls)
+        for options in (None, WIDE_STATE):
+            for seeds in (spawn_seeds(balls, 3), spawn_seeds(balls, 1)):
+                assert_kernels_match(
+                    g, ProtocolParams(c=1.5, d=4), "saer", seeds,
+                    demands=demands, options=options,
+                )
 
     def test_custom_demands(self, regular_graph):
         rng = np.random.default_rng(0)
@@ -341,13 +376,67 @@ class TestFillUniforms:
             assert np.array_equal(got, want), f"trial {t} stream diverged"
 
 
+@pytest.mark.skipif("cext" not in COMPILED, reason="needs a working C compiler")
+class TestRunEntry:
+    """The cext run entry steps each trial's PCG64 state in C and hands
+    it back: one C call per engine call, Generators left exactly where
+    the reference engine leaves them, other seeds routed to numpy."""
+
+    @pytest.mark.parametrize("threads", THREAD_COUNTS)
+    def test_caller_generators_end_after_served_draws(self, regular_graph, threads):
+        from repro.core.engine import run_protocol
+
+        params = ProtocolParams(c=1.5, d=4)
+        seeds = spawn_seeds(47, 4)
+        gens = [make_rng(s) for s in seeds]
+        run_trials_batched(
+            regular_graph, params, "saer", seeds=gens, kernel="cext", threads=threads
+        )
+        for g, s in zip(gens, seeds):
+            clone = make_rng(s)
+            run_protocol(regular_graph, params, "saer", seed=clone)
+            assert g.random() == clone.random()
+
+    def test_foreign_and_shared_generators_match_numpy(self, regular_graph):
+        params = ProtocolParams(c=1.5, d=4)
+        seeds = spawn_seeds(53, 3)
+
+        def mt19937():
+            return [np.random.Generator(np.random.MT19937(s)) for s in seeds]
+
+        def shared():
+            g = make_rng(seeds[0])
+            return [g, g, make_rng(seeds[1])]
+
+        for make in (mt19937, shared):
+            ref = run_trials_batched(regular_graph, params, "saer", seeds=make(), kernel="numpy")
+            got = run_trials_batched(regular_graph, params, "saer", seeds=make(), kernel="cext")
+            for f in RESULT_FIELDS:
+                assert np.array_equal(getattr(ref, f), getattr(got, f)), (make.__name__, f)
+            assert np.array_equal(ref.loads, got.loads), make.__name__
+
+    def test_one_call_per_engine_run(self, regular_graph, monkeypatch):
+        from repro.batch import kernels as kmod
+
+        calls = []
+        real = kmod.CextKernel.run_round_fn
+
+        def counting(self, threads):
+            fn = real(self, threads)
+            return lambda *args: calls.append(1) or fn(*args)
+
+        monkeypatch.setattr(kmod.CextKernel, "run_round_fn", counting)
+        res = run_trials_batched(
+            regular_graph, ProtocolParams(c=1.0, d=4), "saer", seeds=spawn_seeds(59, 4),
+            kernel="cext", options=RunOptions(max_rounds=12),
+        )
+        assert res.rounds.max() == 12 and len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # Threaded kernels: the trial-partitioned path must be bit-identical at
 # every gate × thread-count combination.
 # ---------------------------------------------------------------------------
-
-THREAD_COUNTS = (1, 2, 4)
-
 
 class TestThreadedParity:
     """Gate × threads ∈ {1, 2, 4} × graph-family bit-identity matrix.
@@ -409,6 +498,38 @@ class TestThreadedParity:
             g, ProtocolParams(c=1.5, d=4), "saer", spawn_seeds(5, 8),
             threads=threads,
         )
+
+    @pytest.mark.parametrize("threads", THREAD_COUNTS)
+    @pytest.mark.parametrize("balls", CHUNK_EDGES)
+    def test_chunk_edges(self, balls, threads):
+        for family in ("regular", "trust"):
+            g, demands = edge_case(family, balls)
+            for policy, options in (("saer", None), ("raes", WIDE_STATE)):
+                assert_kernels_match(
+                    g, ProtocolParams(c=1.5, d=4), policy, spawn_seeds(balls, 5),
+                    demands=demands, options=options, threads=threads,
+                )
+
+    @pytest.mark.parametrize("threads", THREAD_COUNTS)
+    def test_trials_finish_in_different_rounds(self, threads):
+        # finished trials drop out mid-run while others keep going, so the
+        # per-round chunking re-balances over a shrinking active set
+        g, demands = edge_case("trust", 1025)
+        ref = assert_kernels_match(
+            g, ProtocolParams(c=1.5, d=4), "saer", spawn_seeds(3, 7),
+            demands=demands, threads=threads,
+        )
+        assert np.unique(ref.rounds).size > 1
+
+    @pytest.mark.parametrize("threads", THREAD_COUNTS)
+    def test_cap_stops_live_trials_irregular(self, trust_graph, threads):
+        for seeds in (spawn_seeds(21, 5), spawn_seeds(21, 1)):
+            ref = assert_kernels_match(
+                trust_graph, ProtocolParams(c=1.0, d=4), "raes", seeds,
+                options=RunOptions(max_rounds=2), threads=threads,
+            )
+            assert not ref.completed.any()
+            assert (ref.rounds == 2).all()
 
     def test_threads_exceeding_trials(self, regular_graph):
         # more chunks requested than trials: clamped, still identical

@@ -34,7 +34,7 @@ from repro.batch.kernels import (
     philox_fill,
     resolve_seed_mode,
 )
-from repro.core.config import ProtocolParams
+from repro.core.config import ProtocolParams, RunOptions
 from repro.errors import PlanError, ProtocolConfigError, ResumeMismatchError
 from repro.experiments.runners import _saer_plan
 from repro.graphs import near_regular, random_regular_bipartite
@@ -230,6 +230,32 @@ class TestStreamIdentity:
             res = run_philox(graphs["near_regular"], "saer", kernel=kernel)
             assert np.asarray(res.rounds).tolist() == pin["rounds"], kernel
             assert np.asarray(res.work).tolist() == pin["work"], kernel
+
+    @pytest.mark.parametrize("threads", [None, 2, 4])
+    @pytest.mark.parametrize("balls", [PHILOX_CHUNK - 1, PHILOX_CHUNK,
+                                       PHILOX_CHUNK + 1, 2 * PHILOX_CHUNK + 1])
+    def test_chunk_edges_identical_across_gates(self, graphs, balls, threads):
+        """Per-trial ball counts at the edges of the 512-slot chunks the
+        cext run entry draws, on a regular and an irregular graph, in
+        both state widths (a huge round cap forces int64), R = 5 and 1."""
+        for graph in graphs.values():
+            demands = np.zeros(graph.n_clients, dtype=np.int64)
+            demands[: balls // 8] = 8
+            demands[balls // 8] = balls % 8
+            for options in (None, RunOptions(max_rounds=2**24)):
+                for seeds in (spawn_seeds(balls, 5), spawn_seeds(balls, 1)):
+                    runs = [
+                        run_trials_batched(
+                            graph, ProtocolParams(c=1.5, d=8), "saer",
+                            seeds=seeds, demands=demands, options=options,
+                            kernel=kernel, threads=threads, seed_mode="philox",
+                        )
+                        for kernel in available_kernels()
+                        if kernel != "cupy"
+                    ]
+                    assert all(r.completed.all() for r in runs)
+                    sigs = {signature(r) for r in runs}
+                    assert len(sigs) == 1, (graph.name, balls, options)
 
     def test_distinct_from_pcg64_lineage(self, graphs):
         ph = run_philox(graphs["regular"], "saer")
