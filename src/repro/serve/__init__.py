@@ -17,14 +17,17 @@ Layers, bottom up:
     table), with the round step routed through the batched engine's
     kernel gates.
 :mod:`~repro.serve.service`
-    :class:`SaerService` — asyncio micro-batching loop completing
-    per-ball futures; :func:`serve_tcp` — NDJSON-over-TCP front end
-    (stdlib only).
+    :class:`SaerService` — asyncio micro-batching loop over ball
+    batches: ``submit_many`` ingests arrays of requests and each round
+    publishes an :class:`Outcomes` record; per-ball futures exist only
+    for ``submit`` callers such as :func:`serve_tcp`, the
+    NDJSON-over-TCP front end (stdlib only).
 :mod:`~repro.serve.protocol`
     Wire types (:class:`AssignRequest`, :class:`Assigned`,
-    :class:`Retry`, :class:`Dropped`) and the NDJSON codec.
+    :class:`Retry`, :class:`Dropped`), the columnar
+    :class:`Outcomes` record, and the NDJSON codec.
 :mod:`~repro.serve.metrics`
-    Dependency-free counter/gauge/histogram registry with Prometheus
+    Counter/gauge/histogram registry with Prometheus
     text exposition and periodic snapshot hooks.
 :mod:`~repro.serve.loadgen`
     Open-loop load generator replaying arrival traces in-process or
@@ -78,6 +81,7 @@ from .protocol import (
     Assigned,
     AssignRequest,
     Dropped,
+    Outcomes,
     ProtocolError,
     Retry,
     decode_request,
@@ -100,6 +104,7 @@ __all__ = [
     "Assigned",
     "Retry",
     "Dropped",
+    "Outcomes",
     "ProtocolError",
     "decode_request",
     "decode_response",

@@ -12,14 +12,18 @@ while the parent only routes balls and merges outcomes.
 Round protocol (lock-step, one pipe per shard)::
 
     parent → worker : ("round", owners, tags, want_checkpoint)
-    worker → parent : ("ok", packed_outcomes, info, checkpoint|None)
+    worker → parent : ("ok", outcome_columns, info, checkpoint|None)
     parent → worker : ("metrics",)          → ("metrics", state_dict)
     parent → worker : ("stop",)             → ("stopped", state_dict)
 
-``packed_outcomes`` is ``{"a": (tags, servers, latencies), "r":
-{reason: tags}, "d": {reason: tags}}`` — parallel primitive lists, not
-per-ball objects, so a round's reply pickles in one pass and the fleet
-stays kernel-bound instead of pipe-bound on multi-core hosts.
+The worker ingests a round's balls with one
+:meth:`~repro.serve.service.SaerService.submit_many` call and replies
+with the five numpy columns of its round's
+:class:`~repro.serve.protocol.Outcomes`, re-tagged with the router's
+tags — no per-ball object on either side of the pipe.  The router
+exposes the same columnar surface as a single service
+(``submit_many`` + :attr:`FleetService.outcomes`), so the load
+generator drives either with one code path.
 
 Every live shard gets a ``round`` message every fleet round (an empty
 one when no balls landed there) so burn/heal clocks advance in step.
@@ -49,7 +53,6 @@ checkpoint.  Fleet metrics merge per-shard registries bucket-wise via
 from __future__ import annotations
 
 import asyncio
-import itertools
 import multiprocessing
 import os
 import signal
@@ -64,16 +67,25 @@ from ..graphs.bipartite import BipartiteGraph
 from ..parallel.shared import SharedGraph
 from .metrics import MetricsRegistry, merge_registry_states
 from .protocol import (
+    ASSIGNED,
+    DROPPED,
+    OUTCOMES,
     REASON_ISOLATED,
     REASON_SHUTDOWN,
     REASON_UNAVAILABLE,
-    Assigned,
-    Dropped,
-    Retry,
+    RETRY,
+    Outcomes,
 )
 from .router import ShardMap
 from .router import choose_shards as _choose_shards
-from .service import BallFuture, SaerService, ServeConfig
+from .service import (
+    BallFuture,
+    SaerService,
+    ServeConfig,
+    ServiceFront,
+    TagTable,
+    as_requests,
+)
 from .state import ServingState
 
 __all__ = ["FleetConfig", "FleetService", "shard_worker_main"]
@@ -217,30 +229,11 @@ def shard_worker_main(conn, spec: dict) -> None:  # pragma: no cover - subproces
         )
         service = SaerService(state, config)
 
-    def new_box():
-        return {"a": ([], [], []), "r": {}, "d": {}}
-
-    box = new_box()
-
-    def watch(fut, rtag):
-        # `box` is read at resolution time (a ball may wait several
-        # rounds), so the callback always lands in the current round's
-        # reply, never the one it was submitted in.
-        def cb(f):
-            out = f.result()
-            kind = out.outcome
-            if kind == "assigned":
-                a_tags, a_servers, a_lats = box["a"]
-                a_tags.append(rtag)
-                a_servers.append(out.server)
-                a_lats.append(out.latency_rounds)
-            elif kind == "retry":
-                box["r"].setdefault(out.reason, []).append(rtag)
-            else:
-                box["d"].setdefault(out.reason, []).append(rtag)
-
-        fut.add_done_callback(cb)
-
+    # Local tag -> router tag, for the balls this worker submitted.
+    # Balls a respawned worker inherited from its checkpoint were already
+    # resolved by the router as Retry("unavailable"); the table does not
+    # know them, so their rows stay out of the reply.
+    router_tags = TagTable(1)
     while True:
         try:
             msg = conn.recv()
@@ -250,18 +243,12 @@ def shard_worker_main(conn, spec: dict) -> None:  # pragma: no cover - subproces
         if op == "round":
             owners, tags, want_ckpt = msg[1], msg[2], msg[3]
             if owners.size:
-                # Group balls by owner so submit() is called once per
-                # (client, burst) instead of once per ball.
+                # One request per owner, in owner order: the shard's
+                # queue order (and so its RNG stream) is fixed by the
+                # router's batch alone.
                 order = np.argsort(owners, kind="stable")
-                so = owners[order]
-                st = tags[order]
-                cuts = np.flatnonzero(np.diff(so)) + 1
-                starts = np.concatenate(([0], cuts))
-                ends = np.concatenate((cuts, [so.size]))
-                for s, e in zip(starts.tolist(), ends.tolist()):
-                    futs = service.submit(int(so[s]), e - s)
-                    for fut, rtag in zip(futs, st[s:e].tolist()):
-                        watch(fut, int(rtag))
+                clients, counts = np.unique(owners, return_counts=True)
+                router_tags.add(service.submit_many(clients, counts), tags[order, None])
             service.run_round()
             state = service.state
             info = {
@@ -276,8 +263,10 @@ def shard_worker_main(conn, spec: dict) -> None:  # pragma: no cover - subproces
                 "kernel": state.kernel_name,
             }
             ckpt = service.checkpoint() if want_ckpt else None
-            sent, box = box, new_box()
-            conn.send(("ok", sent, info, ckpt))
+            rec = service.outcomes
+            rows, known = router_tags.take(rec.tags)
+            reply = (rows[:, 0], *(col[known] for col in rec.columns()[1:]))
+            conn.send(("ok", reply, info, ckpt))
         elif op == "metrics":
             conn.send(("metrics", service.metrics.state_dict()))
         elif op == "stop":
@@ -299,14 +288,15 @@ def _default_start_method() -> str | None:
     return "fork" if "fork" in methods else None
 
 
-class FleetService:
+class FleetService(ServiceFront):
     """Supervisor + consistent-hash router over ``workers`` shard processes.
 
-    Duck-types :class:`SaerService` (``submit`` / ``run_round`` /
-    ``pending`` / ``in_flight`` / ``start`` / ``drain`` / ``shutdown``
-    / ``stats``) so the TCP front end and the load generator drive
-    either interchangeably.  Additionally offers :meth:`close` (also a
-    context manager) — worker processes are real resources.
+    Duck-types :class:`SaerService` (``submit`` / ``submit_many`` /
+    ``run_round`` / ``outcomes`` / ``pending`` / ``in_flight`` /
+    ``start`` / ``drain`` / ``shutdown`` / ``stats``) so the TCP front
+    end and the load generator drive either interchangeably.
+    Additionally offers :meth:`close` (also a context manager) — worker
+    processes are real resources.
     """
 
     def __init__(
@@ -365,11 +355,9 @@ class FleetService:
             else None
         )
 
-        self._tags = itertools.count()
-        self._pending_owners: list[int] = []
-        self._pending_tags: list[int] = []
-        self._futures: dict[int, BallFuture] = {}
-        self._outstanding: list[set[int]] = [set() for _ in range(cfg.workers)]
+        self._init_front()
+        # Router tags each shard holds, ascending (tags only grow).
+        self._outstanding = [np.empty(0, dtype=np.int64) for _ in range(cfg.workers)]
         self._health = HealthTracker(cfg.shard_health, cfg.workers)
         self._round = 0
         self._assigned = 0
@@ -476,24 +464,23 @@ class FleetService:
         except (EOFError, OSError):
             return None
 
-    def _fail_shard(self, k: int) -> None:
+    def _fail_shard(self, k: int) -> Outcomes:
         """Resolve everything outstanding on a dead/stalled shard as
-        ``Retry("unavailable")`` (late outcomes are ignored — the tag is
-        gone from the futures table)."""
+        ``Retry("unavailable")`` (late outcomes are ignored — the tags
+        are no longer outstanding); returns those rows."""
         stranded = self._outstanding[k]
-        if stranded:
-            arr = np.fromiter(stranded, dtype=np.int64)
-            self._m_retried.inc(arr.size)
-            self._resolve(arr, Retry(REASON_UNAVAILABLE))
-            stranded.clear()
+        self._outstanding[k] = stranded[:0]
+        self._m_retried.inc(stranded.size)
         proc = self._procs[k]
         if proc is not None and proc.is_alive():
             proc.terminate()
+        return Outcomes.unserved(stranded, RETRY, REASON_UNAVAILABLE)
 
     def _quarantine(self, k: int) -> None:
+        # The only evidence against a shard is a missed reply, and
+        # run_round has already failed it (balls resolved, process stopped).
         self._live[k] = False
         self._m_q_events.inc()
-        self._fail_shard(k)
         proc = self._procs[k]
         if proc is not None:
             proc.join(timeout=1.0)
@@ -530,65 +517,50 @@ class FleetService:
 
     # -- submission --------------------------------------------------------
 
-    @property
-    def pending(self) -> int:
-        """Balls queued for the next fleet round."""
-        return len(self._pending_tags)
-
-    @property
-    def in_flight(self) -> int:
-        """Balls with unresolved futures (queued + on shards)."""
-        return len(self._futures)
-
     def submit(self, client: int, balls: int = 1) -> list[BallFuture]:
         """Queue ``balls`` at ``client``; one future per ball."""
-        if balls < 1:
-            raise ServeError(f"balls must be >= 1; got {balls}")
-        if not (0 <= client < self.n_clients):
-            raise ServeError(
-                f"client must be in [0, {self.n_clients}); got {client}"
-            )
-        self._m_requests.inc()
-        self._m_balls.inc(balls)
-        futs = [BallFuture() for _ in range(balls)]
-        if not self._accepting or self._closed:
-            self._m_retried.inc(balls)
-            for fut in futs:
-                fut.set_result(Retry(REASON_SHUTDOWN))
-            return futs
-        for fut in futs:
-            tag = next(self._tags)
-            self._pending_owners.append(client)
-            self._pending_tags.append(tag)
-            self._futures[tag] = fut
-        if len(self._pending_tags) >= self.config.max_batch:
-            self._kick.set()
-        return futs
+        return self._ball_futures(client, balls, self.n_clients)
 
-    def _resolve(self, tags: np.ndarray, outcome) -> None:
-        futures = self._futures
-        for tag in tags.tolist():
-            fut = futures.pop(int(tag), None)
-            if fut is not None and not fut.done():
-                fut.set_result(outcome)
+    def submit_many(self, clients, balls) -> int:
+        """Queue ``balls[i]`` at ``clients[i]`` for every i; returns the
+        first tag (the call's balls hold consecutive tags)."""
+        return self._ingest(*as_requests(clients, balls, self.n_clients))[0]
+
+    def _ingest(self, clients, balls, total: int) -> tuple[int, Outcomes | None]:
+        self._m_requests.inc(clients.size)
+        self._m_balls.inc(total)
+        first = self._next_tag
+        self._next_tag = first + total
+        tags = np.arange(first, first + total)
+        if not self._accepting or self._closed:
+            self._m_retried.inc(total)
+            rejected = Outcomes.unserved(tags, RETRY, REASON_SHUTDOWN)
+            self._rejected.append(rejected)
+            return first, rejected
+        if total:
+            self._queue(np.repeat(clients, balls), tags)
+        if self._n_pending >= self.config.max_batch:
+            self._kick.set()
+        return first, None
 
     # -- the fleet round ---------------------------------------------------
 
     def run_round(self) -> int:
         """Route the queued batch, advance every live shard one round.
 
-        Returns balls assigned this round (across all shards).
+        Returns balls assigned this round (across all shards); what the
+        round resolved lands in :attr:`outcomes`, in the order: router
+        drops, unroutable balls, each live shard's record, then the
+        balls of shards that failed to reply.
         """
         if self._closed:
             raise ServeError("FleetService is closed")
         t = self._round
         self._round += 1
         self._apply_process_faults(t)
-
-        owners = np.array(self._pending_owners, dtype=np.int64)
-        tags = np.array(self._pending_tags, dtype=np.int64)
-        self._pending_owners.clear()
-        self._pending_tags.clear()
+        parts, self._rejected = self._rejected, []
+        n_rejected = sum(len(p) for p in parts)
+        owners, tags = self._take_pending()
 
         # Router-side drop: isolated in the FULL graph — same rule as
         # single-process admit_balls, independent of shard liveness.
@@ -598,7 +570,7 @@ class FleetService:
                 n_iso = int(isolated.sum())
                 self._m_dropped.inc(n_iso)
                 self._dropped += n_iso
-                self._resolve(tags[isolated], Dropped(REASON_ISOLATED))
+                parts.append(Outcomes.unserved(tags[isolated], DROPPED, REASON_ISOLATED))
                 owners = owners[~isolated]
                 tags = tags[~isolated]
 
@@ -611,7 +583,9 @@ class FleetService:
                 n_u = int(unroutable.sum())
                 self._m_retried.inc(n_u)
                 self._m_unroutable.inc(n_u)
-                self._resolve(tags[unroutable], Retry(REASON_UNAVAILABLE))
+                parts.append(
+                    Outcomes.unserved(tags[unroutable], RETRY, REASON_UNAVAILABLE)
+                )
                 keep = ~unroutable
                 owners = owners[keep]
                 tags = tags[keep]
@@ -625,16 +599,13 @@ class FleetService:
         for k in live_idx:
             mask = shard == k
             k_tags = tags[mask]
+            # Outstanding first, so a failed send retries these balls.
+            self._outstanding[k] = np.concatenate([self._outstanding[k], k_tags])
             try:
                 self._conns[k].send(("round", owners[mask], k_tags, want_ckpt))
             except (OSError, ValueError, BrokenPipeError):
-                # Balls meant for k are still in outstanding accounting
-                # below via the k_tags update — add them first so the
-                # failure path retries them.
-                self._outstanding[k].update(k_tags.tolist())
                 continue
             sent_ok[k] = True
-            self._outstanding[k].update(k_tags.tolist())
 
         assigned = 0
         for k in live_idx:
@@ -643,37 +614,18 @@ class FleetService:
             reply = self._recv(k)
             if reply is None:
                 continue
-            _op, packed, info, ckpt = reply
+            _op, columns, info, ckpt = reply
             replied[k] = True
             self._info[k] = info
             if ckpt is not None:
                 self._ckpts[k] = ckpt
-            out_k = self._outstanding[k]
-            futures = self._futures
-            a_tags, a_servers, a_lats = packed["a"]
-            for rtag, server, lat in zip(a_tags, a_servers, a_lats):
-                out_k.discard(rtag)
-                fut = futures.pop(rtag, None)
-                if fut is not None and not fut.done():
-                    fut.set_result(Assigned(server, lat))
-            assigned += len(a_tags)
-            for reason, rtags in packed["r"].items():
-                outcome = Retry(reason)
-                self._m_retried.inc(len(rtags))
-                for rtag in rtags:
-                    out_k.discard(rtag)
-                    fut = futures.pop(rtag, None)
-                    if fut is not None and not fut.done():
-                        fut.set_result(outcome)
-            for reason, rtags in packed["d"].items():
-                outcome = Dropped(reason)
-                self._m_dropped.inc(len(rtags))
-                self._dropped += len(rtags)
-                for rtag in rtags:
-                    out_k.discard(rtag)
-                    fut = futures.pop(rtag, None)
-                    if fut is not None and not fut.done():
-                        fut.set_result(outcome)
+            rec = self._settle(k, Outcomes(*columns))
+            n = np.bincount(rec.outcome, minlength=len(OUTCOMES))
+            assigned += int(n[ASSIGNED])
+            self._m_retried.inc(int(n[RETRY]))
+            self._m_dropped.inc(int(n[DROPPED]))
+            self._dropped += int(n[DROPPED])
+            parts.append(rec)
 
         self._assigned += assigned
         if assigned:
@@ -682,7 +634,10 @@ class FleetService:
         for k in live_idx:
             if not replied[k]:
                 self._m_shard_failures.inc()
-                self._fail_shard(k)
+                parts.append(self._fail_shard(k))
+        record = Outcomes.concat(parts)
+        self._in_flight -= len(record) - n_rejected
+        self._publish(record)
 
         # Shard-granularity health: every live shard we messaged is one
         # unit of evidence; a reply is an accept.
@@ -698,6 +653,21 @@ class FleetService:
         self._m_pending.set(self.pending)
         self._m_live.set(int(self._live.sum()))
         return assigned
+
+    def _settle(self, k: int, rec: Outcomes) -> Outcomes:
+        """Shard ``k``'s reply rows whose tags are still outstanding
+        there (a reply that arrives after the shard was failed is
+        stale); those tags stop being outstanding."""
+        held = self._outstanding[k]
+        at = np.searchsorted(held, rec.tags)
+        known = at < held.size
+        known[known] = held[at[known]] == rec.tags[known]
+        if not known.all():
+            rec, at = rec[known], at[known]
+        keep = np.ones(held.size, dtype=bool)
+        keep[at] = False
+        self._outstanding[k] = held[keep]
+        return rec
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -721,7 +691,7 @@ class FleetService:
     async def drain(self, max_rounds: int = 10_000) -> int:
         """Run rounds back-to-back until no ball is in flight."""
         rounds = 0
-        while self._futures and rounds < max_rounds:
+        while self._in_flight and rounds < max_rounds:
             self.run_round()
             rounds += 1
             if rounds % 64 == 0:
@@ -739,7 +709,7 @@ class FleetService:
                 pass
             self._ticker = None
         for _ in range(final_rounds):
-            if not self._futures:
+            if not self._in_flight:
                 break
             self.run_round()
         self.close()
@@ -751,12 +721,16 @@ class FleetService:
             return
         self._closed = True
         self._accepting = False
-        if self._futures:
-            leftovers = np.fromiter(self._futures, dtype=np.int64)
-            self._m_retried.inc(leftovers.size)
-            self._resolve(leftovers, Retry(REASON_SHUTDOWN))
-        self._pending_owners.clear()
-        self._pending_tags.clear()
+        rejected, self._rejected = self._rejected, []
+        leftovers = np.sort(np.concatenate([self._take_pending()[1], *self._outstanding]))
+        self._outstanding = [leftovers[:0] for _ in range(self.workers)]
+        self._m_retried.inc(leftovers.size)
+        self._in_flight = 0
+        self._publish(
+            Outcomes.concat(
+                [*rejected, Outcomes.unserved(leftovers, RETRY, REASON_SHUTDOWN)]
+            )
+        )
         for k in range(self.workers):
             conn = self._conns[k]
             proc = self._procs[k]

@@ -12,15 +12,19 @@ Three modes:
 
 ``inprocess``
     Drives a service in the same process with **no ticker and no
-    sleeps**: submit one round's arrivals, call the synchronous
-    :meth:`~repro.serve.service.SaerService.run_round` directly, repeat,
-    then drain.  This measures the serving stack's real per-round cost
-    (submission + micro-batch + kernel + future resolution) at full
-    speed — the throughput figure ``BENCH_serve.json`` records.  With
-    ``--workers N`` the service is a multi-process
-    :class:`~repro.serve.fleet.FleetService` sharding the servers
-    across N workers; ``--check-conservation`` then gates on the
-    fleet-level accounting identity.
+    sleeps**: submit one round's arrivals as one
+    :meth:`~repro.serve.service.SaerService.submit_many` call, call the
+    synchronous :meth:`~repro.serve.service.SaerService.run_round`
+    directly, tally the round's
+    :class:`~repro.serve.protocol.Outcomes` record, repeat, then drain.
+    No per-ball object is made, so this measures the serving stack's
+    own per-round cost (ingest + micro-batch + kernel + resolution) at
+    full speed.  The repository's throughput figures come from
+    ``perfbench`` (the ``serve-poisson`` and ``serve-hotspot``
+    workloads), which drives this mode.  With ``--workers N`` the
+    service is a multi-process :class:`~repro.serve.fleet.FleetService`
+    sharding the servers across N workers; ``--check-conservation``
+    then gates on the fleet-level accounting identity.
 ``tcp``
     Open-loop NDJSON client against a running ``repro-lb serve``:
     writes each round's requests, sleeps one tick, never waits for
@@ -69,8 +73,8 @@ from ..faults import FaultSchedule, FaultSpec, HealthPolicy
 from ..graphs.families import build_point_graph
 from ..rng import make_rng
 from .fleet import FleetConfig, FleetService
-from .protocol import decode_response, encode_response
-from .service import SaerService, ServeConfig, serve_tcp
+from .protocol import ASSIGNED, OUTCOMES, REASONS, RETRY, decode_response, encode_response
+from .service import SaerService, ServeConfig, TagTable, serve_tcp
 from .state import ServingState
 
 __all__ = [
@@ -166,140 +170,155 @@ def run_inprocess(
     """Replay ``trace`` at full speed (one round per trace entry, no
     sleeps), drain, and tally every ball's outcome.
 
-    With a :class:`RetryPolicy`, balls that come back ``Retry`` are
-    resubmitted after a jittered backoff measured in *rounds* (the
-    driven loop has no wall clock); ``tally["retry"]`` then counts only
-    balls that exhausted every attempt (= ``lost``).
+    Each round submits its arrivals with one
+    :meth:`~repro.serve.service.SaerService.submit_many` call and reads
+    back the round's :class:`~repro.serve.protocol.Outcomes` record, so
+    no per-ball object is made.  With a :class:`RetryPolicy`, balls that
+    come back ``Retry`` are resubmitted after a jittered backoff measured
+    in *rounds* (the driven loop has no wall clock), drawn in the order
+    the balls resolved; ``tally["retry"]`` then counts only balls that
+    exhausted every attempt (= ``lost``).  The replay must be the
+    service's only submitter while it runs; balls already in flight
+    when it starts are left out of the tally.
     """
-    if retry is None:
-        return _run_inprocess_plain(service, trace, drain_rounds)
-    return _run_inprocess_retry(service, trace, drain_rounds, retry)
-
-
-def _run_inprocess_plain(
-    service: SaerService, trace: list[np.ndarray], drain_rounds: int
-) -> dict:
-    futures = []
-    submit = service.submit
+    replay = _Replay(service, retry)
     t0 = time.perf_counter()
     for counts in trace:
-        for client in np.nonzero(counts)[0].tolist():
-            futures.extend(submit(client, int(counts[client])))
-        service.run_round()
+        replay.step(counts)
     extra = 0
-    while service.in_flight and extra < drain_rounds:
-        service.run_round()
+    while (service.in_flight or replay.backlog) and extra < drain_rounds:
+        replay.step(None)
         extra += 1
     wall = time.perf_counter() - t0
-
-    tally = {"assigned": 0, "retry": 0, "dropped": 0, "unresolved": 0}
-    latencies = []
-    retry_reasons: dict[str, int] = {}
-    for fut in futures:
-        if not fut.done():
-            tally["unresolved"] += 1
-            continue
-        out = fut.result()
-        tally[out.outcome] += 1
-        if out.outcome == "assigned":
-            latencies.append(out.latency_rounds)
-        elif out.outcome == "retry":
-            retry_reasons[out.reason] = retry_reasons.get(out.reason, 0) + 1
     return {
         "wall_s": wall,
         "rounds": len(trace) + extra,
         "drain_rounds": extra,
-        "submitted": len(futures),
-        "tally": tally,
-        "retry_reasons": retry_reasons,
-        "resubmitted": 0,
-        "lost": 0,
-        "latencies": np.asarray(latencies, dtype=np.int64),
-        "latencies_with_retries": np.asarray([], dtype=np.int64),
+        **replay.report(),
         "stats": service.stats(),
     }
 
 
-def _run_inprocess_retry(
-    service: SaerService,
-    trace: list[np.ndarray],
-    drain_rounds: int,
-    retry: RetryPolicy,
-) -> dict:
-    rng = retry.make_rng()
-    submit = service.submit
-    tally = {"assigned": 0, "retry": 0, "dropped": 0, "unresolved": 0}
-    retry_reasons: dict[str, int] = {}
-    latencies: list[int] = []
-    latencies_total: list[int] = []
-    # due round -> [(client, next_attempt, birth_round), ...]
-    backlog: dict[int, list[tuple[int, int, int]]] = {}
-    cur = [0]  # current loadgen round, read by callbacks at resolution time
-    counters = {"submitted": 0, "resubmitted": 0, "lost": 0}
+class _Replay:
+    """The driven loop's columnar bookkeeping.
 
-    def watch(fut, client: int, attempt: int, birth: int) -> None:
-        def cb(f):
-            out = f.result()
-            if out.outcome == "assigned":
-                tally["assigned"] += 1
-                latencies.append(out.latency_rounds)
-                latencies_total.append(max(0, cur[0] - birth))
-            elif out.outcome == "dropped":
-                tally["dropped"] += 1
-            else:  # retry
-                retry_reasons[out.reason] = retry_reasons.get(out.reason, 0) + 1
-                if attempt + 1 >= retry.max_attempts:
-                    tally["retry"] += 1
-                    counters["lost"] += 1
-                else:
-                    due = cur[0] + retry.delay_rounds(attempt, rng)
-                    backlog.setdefault(due, []).append((client, attempt + 1, birth))
+    Outcome codes are tallied with ``np.bincount``.  With a retry
+    policy, a :class:`~repro.serve.service.TagTable` keeps each
+    unresolved ball's (client, attempt, birth round), and the backlog
+    maps a due round to the arrays of balls to resubmit then, in the
+    order they resolved.
+    """
 
-        fut.add_done_callback(cb)
+    def __init__(self, service, retry: RetryPolicy | None) -> None:
+        self.service = service
+        self.retry = retry
+        self.rng = retry.make_rng() if retry is not None else None
+        self.round = 0
+        self.first_tag: int | None = None  # rows below it are other callers'
+        self.ledger = TagTable(3) if retry is not None else None  # client, attempt, birth
+        self.backlog: dict[int, list[np.ndarray]] = {}
+        self.tally = np.zeros(len(OUTCOMES), dtype=np.int64)  # balls per outcome code
+        self.submitted = self.resubmitted = self.lost = 0
+        self.retry_reasons: dict[str, int] = {}
+        self.latencies: list[np.ndarray] = []
+        self.latencies_total: list[np.ndarray] = []
 
-    def resubmit_due() -> None:
-        for client, attempt, birth in backlog.pop(cur[0], ()):
-            counters["resubmitted"] += 1
-            watch(submit(client, 1)[0], client, attempt, birth)
+    def step(self, counts: np.ndarray | None) -> None:
+        clients = np.flatnonzero(counts) if counts is not None else _NO_BALLS
+        balls = counts[clients] if counts is not None else _NO_BALLS
+        self.submitted += int(balls.sum())
+        entries = np.zeros((clients.size, 3), dtype=np.int64)
+        entries[:, 0] = clients
+        entries[:, 2] = self.round
+        due = self.backlog.pop(self.round, None)
+        if due is not None:
+            # Resubmissions go first, one ball per request.
+            resub = np.concatenate(due)
+            self.resubmitted += len(resub)
+            entries = np.concatenate([resub, entries])
+            balls = np.concatenate([np.ones(len(resub), dtype=np.int64), balls])
+        if len(entries):
+            first = self.service.submit_many(entries[:, 0], balls)
+            if self.first_tag is None:
+                self.first_tag = first
+            if self.ledger is not None:
+                self.ledger.add(first, np.repeat(entries, balls, axis=0))
+        self.service.run_round()
+        self._collect(self.service.outcomes)
+        self.round += 1
 
-    t0 = time.perf_counter()
-    for counts in trace:
-        resubmit_due()
-        for client in np.nonzero(counts)[0].tolist():
-            k = int(counts[client])
-            counters["submitted"] += k
-            for f in submit(client, k):
-                watch(f, client, 0, cur[0])
-        service.run_round()
-        cur[0] += 1
-    extra = 0
-    while (service.in_flight or backlog) and extra < drain_rounds:
-        resubmit_due()
-        service.run_round()
-        cur[0] += 1
-        extra += 1
-    wall = time.perf_counter() - t0
-    # Balls still queued for a future resubmission never got their last
-    # chance — count them lost, not silently dropped from the tally.
-    for entries in backlog.values():
-        tally["retry"] += len(entries)
-        counters["lost"] += len(entries)
-    tally["unresolved"] = counters["submitted"] - (
-        tally["assigned"] + tally["retry"] + tally["dropped"]
-    )
-    return {
-        "wall_s": wall,
-        "rounds": len(trace) + extra,
-        "drain_rounds": extra,
-        "submitted": counters["submitted"],
-        "tally": tally,
-        "retry_reasons": retry_reasons,
-        "resubmitted": counters["resubmitted"],
-        "lost": counters["lost"],
-        "latencies": np.asarray(latencies, dtype=np.int64),
-        "latencies_with_retries": np.asarray(latencies_total, dtype=np.int64),
-        "stats": service.stats(),
-    }
+    def _collect(self, rec) -> None:
+        if not len(rec) or self.first_tag is None:
+            return
+        mine = rec.tags >= self.first_tag
+        if not mine.all():
+            rec = rec[mine]
+        code = rec.outcome
+        self.tally += np.bincount(code, minlength=len(OUTCOMES))
+        assigned = code == ASSIGNED
+        retried = code == RETRY
+        if self.ledger is not None:
+            balls = self.ledger.take(rec.tags)[0]
+        if assigned.any():
+            self.latencies.append(rec.latency_rounds[assigned])
+            if self.ledger is not None:
+                births = balls[assigned, 2]
+                self.latencies_total.append(np.maximum(0, self.round - births))
+        if retried.any():
+            reasons, first_seen, n = np.unique(
+                rec.reason[retried], return_index=True, return_counts=True
+            )
+            for j in np.argsort(first_seen).tolist():
+                name = REASONS[reasons[j]]
+                self.retry_reasons[name] = self.retry_reasons.get(name, 0) + int(n[j])
+            if self.ledger is not None:
+                self._back_off(balls[retried])
+
+    def _back_off(self, balls: np.ndarray) -> None:
+        """Schedule each retried ball's next attempt, or count it lost."""
+        policy = self.retry
+        spent = balls[:, 1] + 1 >= policy.max_attempts
+        self.lost += int(np.count_nonzero(spent))
+        balls = balls[~spent]
+        if not len(balls):
+            return
+        # One draw per ball, in resolution order: the same doubles as
+        # RetryPolicy.delay_rounds called ball by ball.
+        ceilings = np.minimum(policy.max_delay, policy.base_delay * 2.0 ** balls[:, 1])
+        delay = np.maximum(1, np.ceil(self.rng.uniform(0.0, ceilings))).astype(np.int64)
+        balls[:, 1] += 1
+        due = self.round + delay
+        order = np.argsort(due, kind="stable")
+        cuts = np.flatnonzero(np.diff(due[order])) + 1
+        for group in np.split(order, cuts):
+            self.backlog.setdefault(int(due[group[0]]), []).append(balls[group])
+
+    def report(self) -> dict:
+        assigned, retried, dropped = (int(x) for x in self.tally)
+        lost = self.lost
+        if self.retry is not None:
+            # Balls still queued for a future resubmission never got their
+            # last chance: count them lost, not silently dropped.
+            lost += sum(len(b) for due in self.backlog.values() for b in due)
+            retried = lost
+        resolved = assigned + retried + dropped
+        return {
+            "submitted": self.submitted,
+            "tally": {
+                "assigned": assigned,
+                "retry": retried,
+                "dropped": dropped,
+                "unresolved": self.submitted - resolved,
+            },
+            "retry_reasons": self.retry_reasons,
+            "resubmitted": self.resubmitted,
+            "lost": lost,
+            "latencies": np.concatenate([_NO_BALLS, *self.latencies]),
+            "latencies_with_retries": np.concatenate([_NO_BALLS, *self.latencies_total]),
+        }
+
+
+_NO_BALLS = np.empty(0, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +560,8 @@ def build_report(mode: str, config: dict, trace_meta: dict, run: dict) -> dict:
             # (e.g. a routing bug eating a ball) shows up as unresolved.
             "resolved": assigned + tally["retry"] + tally["dropped"],
             "unresolved": tally["unresolved"],
-            "service_assigned_total": run["stats"].get("assigned_total"),
+            # tcp mode has no in-process service, hence no stats.
+            "service_assigned_total": (run["stats"] or {}).get("assigned_total"),
             "conserved": (
                 tally["unresolved"] == 0
                 and assigned + tally["retry"] + tally["dropped"] == submitted

@@ -1,9 +1,11 @@
 """Counter/gauge/histogram registry for the serving layer.
 
-Prometheus-style in spirit, dependency-free in practice: the service
+Prometheus-style in spirit, stdlib plus numpy in practice: the service
 increments plain Python ints/floats (the whole serving layer runs on
 one asyncio event loop, so updates need no locks — "lock-free" by
-construction, not by atomics), and two read paths exist:
+construction, not by atomics), histograms take a round's worth of
+values in one :meth:`Histogram.observe_many` call, and two read paths
+exist:
 
 ``render_text()``
     The text exposition format (``# HELP`` / ``# TYPE`` + samples,
@@ -42,6 +44,8 @@ import math
 import time
 from bisect import bisect_left
 from typing import Callable, Iterable
+
+import numpy as np
 
 __all__ = [
     "Counter",
@@ -151,6 +155,7 @@ class Histogram:
         self.bounds = tuple(sorted(float(b) for b in buckets))
         if not self.bounds:
             raise ValueError(f"histogram {name} needs at least one bucket bound")
+        self._bounds = np.array(self.bounds)
         # counts[i] pairs with bounds[i]; counts[-1] is the +Inf bucket.
         self.counts = [0] * (len(self.bounds) + 1)
         self.total = 0
@@ -175,8 +180,40 @@ class Histogram:
             self.max = v
 
     def observe_many(self, values) -> None:
-        for v in values:
-            self.observe(float(v))
+        """:meth:`observe` every value in order, in a few array passes.
+
+        Bit-identical to the loop: buckets by ``searchsorted`` (the
+        same ``bisect_left`` rule), ``sum`` by a sequential running sum
+        (``np.add.accumulate``, not numpy's pairwise ``sum``), and
+        ``min``/``max`` keep the first-seen extreme, so ``0.0`` seen
+        before ``-0.0`` stays ``0.0``.
+        """
+        if not hasattr(values, "__len__"):
+            values = list(values)
+        v = np.asarray(values, dtype=np.float64).ravel()
+        finite = np.isfinite(v)
+        n_finite = int(np.count_nonzero(finite))
+        self.nonfinite += v.size - n_finite
+        if not n_finite:
+            return
+        if n_finite < v.size:
+            v = v[finite]
+        added = np.bincount(
+            np.searchsorted(self._bounds, v, side="left"), minlength=len(self.counts)
+        )
+        for i in np.flatnonzero(added).tolist():
+            self.counts[i] += int(added[i])
+        self.total += n_finite
+        running = np.empty(n_finite + 1, dtype=np.float64)
+        running[0] = self.sum
+        running[1:] = v
+        with np.errstate(over="ignore"):  # overflows to inf, like float +=
+            self.sum = float(np.add.accumulate(running)[-1])
+        lo, hi = v[np.argmin(v)], v[np.argmax(v)]
+        if lo < self.min:
+            self.min = float(lo)
+        if hi > self.max:
+            self.max = float(hi)
 
     def quantile(self, q: float) -> float:
         """Prometheus-style interpolated quantile estimate (nan if empty)."""

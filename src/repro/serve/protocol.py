@@ -23,9 +23,12 @@ Responses::
     {"id": "p1", "pong": true}
     {"id": "x9", "error": "unknown op 'frobnicate'"}
 
-In-process callers never see JSON: they get the same
-:class:`Assigned` / :class:`Retry` / :class:`Dropped` outcome objects
-from the per-ball futures directly.
+In-process callers never see JSON.  A caller holding per-ball futures
+gets the same :class:`Assigned` / :class:`Retry` / :class:`Dropped`
+objects from them; a columnar caller reads each round's
+:class:`Outcomes` record, one row per resolved ball, with the outcome
+and reason as small integer codes into :data:`OUTCOMES` and
+:data:`REASONS`.
 """
 
 from __future__ import annotations
@@ -33,12 +36,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "PROTOCOL_VERSION",
     "AssignRequest",
     "Assigned",
     "Retry",
     "Dropped",
+    "Outcomes",
+    "OUTCOMES",
+    "REASONS",
     "ProtocolError",
     "decode_request",
     "encode_response",
@@ -57,6 +65,22 @@ REASON_BROWNOUT = "brownout"
 #: Every shard holding the ball's candidate servers is down/quarantined
 #: (fleet mode); the caller should retry after backoff.
 REASON_UNAVAILABLE = "unavailable"
+
+#: Outcome codes of an :class:`Outcomes` record: ``OUTCOMES[code]``.
+ASSIGNED, RETRY, DROPPED = 0, 1, 2
+OUTCOMES = ("assigned", "retry", "dropped")
+#: Reason codes of an :class:`Outcomes` record: ``REASONS[code]``; code 0
+#: (no reason) marks an assignment.
+REASONS = (
+    "",
+    REASON_ISOLATED,
+    REASON_TIMEOUT,
+    REASON_BACKPRESSURE,
+    REASON_SHUTDOWN,
+    REASON_BROWNOUT,
+    REASON_UNAVAILABLE,
+)
+_REASON_CODE = {reason: code for code, reason in enumerate(REASONS)}
 
 
 class ProtocolError(ValueError):
@@ -101,6 +125,86 @@ class Dropped:
 
     reason: str
     outcome = "dropped"
+
+
+@dataclass(frozen=True, eq=False)
+class Outcomes:
+    """Resolved balls as aligned arrays, one row per ball, in resolution order.
+
+    ``tags`` (int64) name the balls; ``outcome`` (int8) and ``reason``
+    (int8) are codes into :data:`OUTCOMES` and :data:`REASONS`;
+    ``server`` and ``latency_rounds`` (int64) hold the assignment, and
+    -1 on rows that are not assignments.
+    """
+
+    tags: np.ndarray
+    outcome: np.ndarray
+    server: np.ndarray
+    latency_rounds: np.ndarray
+    reason: np.ndarray
+
+    def __len__(self) -> int:
+        return self.tags.size
+
+    def __getitem__(self, rows) -> "Outcomes":
+        """The rows selected by a boolean mask or an index array."""
+        return Outcomes(*(col[rows] for col in self.columns()))
+
+    @classmethod
+    def assigned(cls, tags, servers, latencies) -> "Outcomes":
+        n = len(tags)
+        return cls(
+            np.asarray(tags, dtype=np.int64),
+            np.full(n, ASSIGNED, dtype=np.int8),
+            np.asarray(servers, dtype=np.int64),
+            np.asarray(latencies, dtype=np.int64),
+            np.zeros(n, dtype=np.int8),
+        )
+
+    @classmethod
+    def unserved(cls, tags, outcome: int, reason: str) -> "Outcomes":
+        """``tags`` resolved as ``Retry(reason)`` or ``Dropped(reason)``."""
+        n = len(tags)
+        return cls(
+            np.asarray(tags, dtype=np.int64),
+            np.full(n, outcome, dtype=np.int8),
+            np.full(n, -1, dtype=np.int64),
+            np.full(n, -1, dtype=np.int64),
+            np.full(n, _REASON_CODE[reason], dtype=np.int8),
+        )
+
+    @classmethod
+    def concat(cls, parts) -> "Outcomes":
+        parts = [p for p in parts if len(p)]
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            return EMPTY_OUTCOMES
+        return cls(*(np.concatenate(cols) for cols in zip(*(p.columns() for p in parts))))
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The five arrays, in field order (what a pipe or pickle carries)."""
+        return self.tags, self.outcome, self.server, self.latency_rounds, self.reason
+
+    def objects(self) -> list[Assigned | Retry | Dropped]:
+        """Each row as the per-ball outcome object a future resolves to."""
+        return [
+            Assigned(server, latency) if code == ASSIGNED else _UNSERVED[code][reason]
+            for code, server, latency, reason in zip(
+                self.outcome.tolist(), self.server.tolist(),
+                self.latency_rounds.tolist(), self.reason.tolist(),
+            )
+        ]
+
+
+#: The shared Retry/Dropped object for each (outcome code, reason code).
+_UNSERVED = {
+    RETRY: [Retry(reason) for reason in REASONS],
+    DROPPED: [Dropped(reason) for reason in REASONS],
+}
+EMPTY_OUTCOMES = Outcomes.assigned(
+    np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+)
 
 
 def decode_request(line: str | bytes) -> dict:

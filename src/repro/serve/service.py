@@ -1,18 +1,25 @@
 """The live-traffic service: micro-batched SAER rounds over asyncio.
 
 :class:`SaerService` turns the shared :class:`~repro.serve.state.ServingState`
-into a request/response system.  Callers :meth:`submit` assignment
-requests (client id + ball count) at any time; each ball gets a
-:class:`BallFuture` that completes with an
-:class:`~repro.serve.protocol.Assigned` /
-:class:`~repro.serve.protocol.Retry` /
-:class:`~repro.serve.protocol.Dropped` outcome.  Arrivals accumulate in
-a pending queue and are **micro-batched**: a round fires every
-``tick`` seconds *or* as soon as the queue reaches ``max_batch`` balls,
-whichever comes first — so a loaded service amortizes the vectorized
-round step over thousands of concurrent requests exactly the way the
-batched engine amortizes trials, while a quiet one still bounds latency
-by the tick.
+into a request/response system whose unit is the ball *batch*.
+:meth:`SaerService.submit_many` ingests whole arrays of requests
+(client ids + ball counts) at once and hands each ball a consecutive
+integer tag; every round then publishes what it resolved as one
+:class:`~repro.serve.protocol.Outcomes` record of aligned arrays (tag,
+outcome, server, latency, reason) on :attr:`SaerService.outcomes`.
+Arrivals accumulate in a pending queue and are **micro-batched**: a
+round fires every ``tick`` seconds *or* as soon as the queue reaches
+``max_batch`` balls, whichever comes first — so a loaded service
+amortizes the vectorized round step over thousands of concurrent
+requests exactly the way the batched engine amortizes trials, while a
+quiet one still bounds latency by the tick.
+
+Per-ball objects exist only at the edge.  :meth:`SaerService.submit` is
+a thin wrapper over the same ingest that returns one
+:class:`BallFuture` per ball; a round resolves futures only for the tags
+that have one (the NDJSON/TCP front end and direct callers), so a
+columnar caller such as the load generator's driven mode never pays
+for them.
 
 The round itself is ``round_begin → admit_balls → route → evict`` on
 the shared state — the identical step the offline simulator runs — so
@@ -30,7 +37,6 @@ directly (no ticker, no sleeps) for maximum-throughput replay.
 from __future__ import annotations
 
 import asyncio
-import itertools
 import time
 from dataclasses import dataclass
 
@@ -40,15 +46,16 @@ from ..errors import CheckpointError, ServeError
 from ..faults.health import HealthPolicy, HealthTracker
 from .metrics import MetricsRegistry
 from .protocol import (
+    DROPPED,
+    EMPTY_OUTCOMES,
     REASON_BACKPRESSURE,
     REASON_BROWNOUT,
     REASON_ISOLATED,
     REASON_SHUTDOWN,
     REASON_TIMEOUT,
-    Assigned,
-    Dropped,
+    RETRY,
+    Outcomes,
     ProtocolError,
-    Retry,
     decode_request,
     encode_outcome,
     encode_response,
@@ -66,18 +73,19 @@ TIME_BUCKETS = (
 )
 
 _PENDING = object()
+_NO_TAGS = np.empty(0, dtype=np.int64)
 
 
 class BallFuture:
     """A minimal, loop-free per-ball future.
 
-    The service resolves tens of thousands of these per second, so they
-    carry no event-loop machinery: just a result slot and done
-    callbacks (invoked synchronously from :meth:`SaerService.run_round`,
-    which runs on the service's event loop — the asyncio threading
-    model is preserved).  ``await``-style consumption goes through
-    :meth:`wait`, which lazily bridges onto an ``asyncio`` future only
-    for callers that want it.
+    Only the edge holds these (the TCP front end and direct
+    :meth:`~SaerService.submit` callers), so they carry no event-loop
+    machinery: just a result slot and done callbacks (invoked
+    synchronously from :meth:`SaerService.run_round`, which runs on the
+    service's event loop — the asyncio threading model is preserved).
+    ``await``-style consumption goes through :meth:`wait`, which lazily
+    bridges onto an ``asyncio`` future only for callers that want it.
     """
 
     __slots__ = ("_result", "_callbacks")
@@ -123,6 +131,162 @@ class BallFuture:
         return await afut
 
 
+def as_requests(clients, balls, n_clients: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Validate a columnar request batch; returns int64 ``(clients, balls)``
+    and the total ball count.
+
+    Every request is checked before anything is queued, so an invalid
+    one rejects the whole batch without side effects.
+    """
+    clients = np.asarray(clients, dtype=np.int64).ravel()
+    balls = np.asarray(balls, dtype=np.int64).ravel()
+    if clients.shape != balls.shape:
+        raise ServeError(
+            f"clients and balls must align; got {clients.size} and {balls.size}"
+        )
+    if balls.size and balls.min() < 1:
+        raise ServeError(f"balls must be >= 1; got {int(balls.min())}")
+    if clients.size and (clients.min() < 0 or clients.max() >= n_clients):
+        bad = clients[(clients < 0) | (clients >= n_clients)][0]
+        raise ServeError(f"client must be in [0, {n_clients}); got {int(bad)}")
+    return clients, balls, int(balls.sum())
+
+
+def tag_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + k) for s, k in zip(starts, lengths)])``."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
+
+
+class TagTable:
+    """Per-ball rows keyed by consecutive tags, kept only until resolved.
+
+    A columnar caller's bookkeeping: :meth:`add` appends the rows of
+    tags ``first, first + 1, ...`` (continuing where the last call
+    stopped), :meth:`take` hands back and forgets the rows of resolved
+    tags.  Memory follows the span from the oldest unresolved tag to the
+    newest, not every tag ever seen.
+    """
+
+    def __init__(self, width: int) -> None:
+        self._rows = np.empty((1024, width), dtype=np.int64)
+        self._done = np.zeros(1024, dtype=bool)
+        self._lo = self._hi = 0  # live rows are [lo, hi)
+        self.base = 0  # tag of row lo
+
+    def add(self, first: int, rows: np.ndarray) -> None:
+        if self._lo == self._hi:
+            self._lo = self._hi = 0
+            self.base = first
+        elif first != self.base + self._hi - self._lo:
+            raise ServeError("TagTable rows must arrive in tag order without gaps")
+        n = len(rows)
+        if self._hi + n > len(self._done):
+            live = self._hi - self._lo
+            cap = max(len(self._done), 2 * (live + n))
+            moved = np.empty((cap, self._rows.shape[1]), dtype=np.int64)
+            moved[:live] = self._rows[self._lo:self._hi]
+            done = np.zeros(cap, dtype=bool)
+            done[:live] = self._done[self._lo:self._hi]
+            self._rows, self._done = moved, done
+            self._lo, self._hi = 0, live
+        self._rows[self._hi:self._hi + n] = rows
+        self._done[self._hi:self._hi + n] = False
+        self._hi += n
+
+    def take(self, tags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, known)``: the rows of the ``known`` tags, in order.
+
+        Tags never added (or already taken) are not ``known``.
+        """
+        at = tags - self.base
+        known = (at >= 0) & (at < self._hi - self._lo)
+        known[known] = ~self._done[self._lo + at[known]]
+        at = self._lo + at[known]
+        rows = self._rows[at]
+        self._done[at] = True
+        open_ = ~self._done[self._lo:self._hi]
+        step = int(open_.argmax()) if open_.any() else open_.size
+        self._lo += step
+        self.base += step
+        return rows, known
+
+
+class ServiceFront:
+    """The ball-batch front shared by :class:`SaerService` and the fleet.
+
+    Submitted balls wait in a pending queue of per-call arrays until a
+    round takes them; :attr:`in_flight` counts the caller balls not yet
+    resolved.  Hosts implement ``_ingest(clients, balls, total) ->
+    (first_tag, rejected)``.  :meth:`_ball_futures` backs the host's
+    ``submit`` — the per-ball edge — and :meth:`_publish` hands each
+    round's record to :attr:`outcomes` and resolves the futures of the
+    tags that have one.
+    """
+
+    def _init_front(self) -> None:
+        self._next_tag = 0
+        self._pending_owners: list[np.ndarray] = []
+        self._pending_tags: list[np.ndarray] = []
+        self._n_pending = 0
+        self._in_flight = 0
+        self._rejected: list[Outcomes] = []  # made at submission, not yet published
+        self._futures: dict[int, BallFuture] = {}
+        self.outcomes = EMPTY_OUTCOMES
+
+    @property
+    def pending(self) -> int:
+        """Balls queued for the next round (not yet admitted)."""
+        return self._n_pending
+
+    @property
+    def in_flight(self) -> int:
+        """Caller balls not yet resolved (queued + admitted backlog)."""
+        return self._in_flight
+
+    def _queue(self, owners: np.ndarray, tags: np.ndarray) -> None:
+        self._pending_owners.append(owners)
+        self._pending_tags.append(tags)
+        self._n_pending += tags.size
+        self._in_flight += tags.size
+
+    def _take_pending(self) -> tuple[np.ndarray, np.ndarray]:
+        owners, tags = self._pending_owners, self._pending_tags
+        self._pending_owners, self._pending_tags = [], []
+        self._n_pending = 0
+        if len(tags) == 1:
+            return owners[0], tags[0]
+        return np.concatenate([_NO_TAGS, *owners]), np.concatenate([_NO_TAGS, *tags])
+
+    def _ball_futures(self, client: int, balls: int, n_clients: int) -> list[BallFuture]:
+        if balls < 1:
+            raise ServeError(f"balls must be >= 1; got {balls}")
+        if not 0 <= client < n_clients:
+            raise ServeError(f"client must be in [0, {n_clients}); got {client}")
+        first, rejected = self._ingest(
+            np.array([client], dtype=np.int64), np.array([balls], dtype=np.int64), balls
+        )
+        futs = [BallFuture() for _ in range(balls)]
+        if rejected is not None:
+            for tag, outcome in zip(rejected.tags.tolist(), rejected.objects()):
+                futs[tag - first].set_result(outcome)
+        futures = self._futures
+        for i, fut in enumerate(futs):
+            if not fut.done():
+                futures[first + i] = fut
+        return futs
+
+    def _publish(self, record: Outcomes) -> None:
+        self.outcomes = record
+        futures = self._futures
+        if not futures:
+            return
+        for tag, outcome in zip(record.tags.tolist(), record.objects()):
+            fut = futures.pop(tag, None)
+            if fut is not None and not fut.done():
+                fut.set_result(outcome)
+
+
 @dataclass(frozen=True)
 class ServeConfig:
     """Micro-batching and queue-policy knobs of :class:`SaerService`.
@@ -140,7 +304,7 @@ class ServeConfig:
     ``max_wait_rounds``
         Balls unassigned after this many rounds resolve as
         ``Retry("timeout")`` — keeps a stalled system (every server
-        burned, recovery off) from accumulating futures forever.
+        burned, recovery off) from accumulating balls forever.
         ``None`` lets balls wait indefinitely, like the simulator.
     ``snapshot_every``
         Fire the metric registry's snapshot hooks every this many
@@ -187,8 +351,19 @@ class ServeConfig:
             raise ServeError("brownout_shed must be in (0, 1]")
 
 
-class SaerService:
-    """Micro-batched request/response layer over a :class:`ServingState`."""
+class SaerService(ServiceFront):
+    """Micro-batched request/response layer over a :class:`ServingState`.
+
+    Tags are consecutive integers handed out in submission order, one
+    per ball whether it is queued or rejected at submission; the state
+    carries them through every round.  :attr:`outcomes` holds the last
+    round's :class:`~repro.serve.protocol.Outcomes`, in the order the
+    balls resolved: rejections made at submission since the previous
+    round (submission order), isolated-client drops, assignments
+    (ball-buffer order), then ``max_wait_rounds`` timeouts (eviction
+    order).  Only caller balls appear; adversarial duplicates (tag -1)
+    never do.
+    """
 
     def __init__(
         self,
@@ -199,15 +374,15 @@ class SaerService:
         if not state.track_tags:
             raise ServeError(
                 "SaerService needs a ServingState(track_tags=True) to map "
-                "assignments back to per-ball futures"
+                "assignments back to the balls' tags"
             )
         self.state = state
         self.config = config or ServeConfig()
         self.metrics = registry or MetricsRegistry()
-        self._tags = itertools.count()
-        self._pending_owners: list[int] = []
-        self._pending_tags: list[int] = []
-        self._futures: dict[int, BallFuture] = {}
+        self._init_front()
+        # Tags below the floor were resolved by shutdown(); a later
+        # round that routes them reports nothing.
+        self._tag_floor = 0
         self._kick = asyncio.Event()
         self._ticker: asyncio.Task | None = None
         self._accepting = True
@@ -253,108 +428,148 @@ class SaerService:
 
     # -- submission --------------------------------------------------------
 
-    @property
-    def pending(self) -> int:
-        """Balls queued for the next round (not yet admitted)."""
-        return len(self._pending_tags)
-
-    @property
-    def in_flight(self) -> int:
-        """Balls with unresolved futures (queued + admitted backlog)."""
-        return len(self._futures)
-
     def submit(self, client: int, balls: int = 1) -> list[BallFuture]:
         """Queue ``balls`` assignment requests for ``client``.
 
-        Returns one :class:`BallFuture` per ball.  Over the
-        ``max_pending`` cap (or after :meth:`shutdown`) futures come
-        back already resolved as ``Retry`` — the caller always gets
-        exactly ``balls`` futures.
+        Returns one :class:`BallFuture` per ball, in tag order.  Balls
+        rejected at submission (over ``max_pending``, shed by brownout,
+        or after :meth:`shutdown`) come back already resolved as
+        ``Retry`` — the caller always gets exactly ``balls`` futures.
         """
-        if balls < 1:
-            raise ServeError(f"balls must be >= 1; got {balls}")
-        if not (0 <= client < self.state.n_clients):
-            raise ServeError(
-                f"client must be in [0, {self.state.n_clients}); got {client}"
-            )
-        self._m_requests.inc()
-        self._m_balls.inc(balls)
-        futs = [BallFuture() for _ in range(balls)]
+        return self._ball_futures(client, balls, self.state.n_clients)
+
+    def submit_many(self, clients, balls) -> int:
+        """Queue ``balls[i]`` assignment requests for ``clients[i]``, for every i.
+
+        Exactly ``for c, k in zip(clients, balls): submit(c, k)`` — the
+        same tags, counters, brownout accumulator and backpressure room —
+        without a per-ball object.  Returns the first tag; the call's
+        balls hold ``first, first + 1, ...`` in submission order.  Balls
+        rejected at submission are reported in the next round's
+        :attr:`outcomes`.
+        """
+        return self._ingest(*as_requests(clients, balls, self.state.n_clients))[0]
+
+    def _ingest(self, clients, balls, total: int) -> tuple[int, Outcomes | None]:
+        """Queue validated int64 request arrays holding ``total`` balls;
+        returns the first tag and the rows rejected at submission
+        (``None`` when there are none)."""
+        self._m_requests.inc(clients.size)
+        self._m_balls.inc(total)
+        first = self._next_tag
+        self._next_tag = first + total
+        rejected = None
         if not self._accepting:
-            self._m_retried.inc(balls)
-            for f in futs:
-                f.set_result(Retry(REASON_SHUTDOWN))
-            return futs
-        shed_futs: list[BallFuture] = []
+            self._m_retried.inc(total)
+            rejected = Outcomes.unserved(
+                np.arange(first, first + total), RETRY, REASON_SHUTDOWN
+            )
+        elif self._brownout_active or self.config.max_pending is not None:
+            rejected = self._admit(clients, balls, first)
+        elif total:
+            self._queue(np.repeat(clients, balls), np.arange(first, first + total))
+        if rejected is not None:
+            self._rejected.append(rejected)
+        if self._accepting:
+            self._m_pending.set(self._n_pending)
+            if self._n_pending >= self.config.max_batch:
+                self._kick.set()
+        return first, rejected
+
+    def _admit(self, clients, balls, first: int) -> Outcomes | None:
+        """Queue what brownout shedding and the ``max_pending`` room let
+        in; returns the rejected rows in submission order."""
+        starts = first + np.cumsum(balls) - balls  # each request's first tag
+        parts = []
+        admit = balls
         if self._brownout_active:
-            # Deterministic Bresenham-style shedding: no RNG, exact
-            # long-run fraction, submission-order independent of load.
-            self._shed_acc += balls * self.config.brownout_shed
-            n_shed = int(self._shed_acc)
-            self._shed_acc -= n_shed
+            shed = self._shed(balls)
+            n_shed = int(shed.sum())
             if n_shed:
-                shed_futs, futs = futs[:n_shed], futs[n_shed:]
                 self._m_retried.inc(n_shed)
                 self._m_shed.inc(n_shed)
-                for f in shed_futs:
-                    f.set_result(Retry(REASON_BROWNOUT))
+                parts.append(
+                    Outcomes.unserved(tag_ranges(starts, shed), RETRY, REASON_BROWNOUT)
+                )
+                starts = starts + shed
+                admit = balls - shed
         cap = self.config.max_pending
-        admit = len(futs)
         if cap is not None:
-            room = cap - (self.pending + self.state.backlog)
-            admit = max(0, min(len(futs), room))
-        for f in futs[admit:]:
-            self._m_retried.inc()
-            f.set_result(Retry(REASON_BACKPRESSURE))
-        for f in futs[:admit]:
-            tag = next(self._tags)
-            self._pending_owners.append(client)
-            self._pending_tags.append(tag)
-            self._futures[tag] = f
-        self._m_pending.set(self.pending)
-        if self.pending >= self.config.max_batch:
-            self._kick.set()
-        return shed_futs + futs
+            room = cap - (self._n_pending + self.state.backlog)
+            wanted = admit
+            admit = np.clip(room - (np.cumsum(wanted) - wanted), 0, wanted)
+            over = wanted - admit
+            n_over = int(over.sum())
+            if n_over:
+                self._m_retried.inc(n_over)
+                parts.append(
+                    Outcomes.unserved(
+                        tag_ranges(starts + admit, over), RETRY, REASON_BACKPRESSURE
+                    )
+                )
+        if admit.any():
+            self._queue(np.repeat(clients, admit), tag_ranges(starts, admit))
+        if not parts:
+            return None
+        rejected = Outcomes.concat(parts)
+        if len(parts) > 1:  # interleave the two kinds request by request
+            rejected = rejected[np.argsort(rejected.tags, kind="stable")]
+        return rejected
+
+    def _shed(self, balls: np.ndarray) -> np.ndarray:
+        """Balls shed per request: a deterministic Bresenham-style
+        accumulator, no RNG, exact long-run fraction."""
+        acc = self._shed_acc
+        frac = self.config.brownout_shed
+        shed = np.empty(balls.size, dtype=np.int64)
+        for i, k in enumerate(balls.tolist()):
+            acc += k * frac
+            n = int(acc)
+            acc -= n
+            shed[i] = n
+        self._shed_acc = acc
+        return shed
 
     # -- the micro-batched round -------------------------------------------
 
     def run_round(self) -> int:
         """Execute one round over the queued batch; returns balls assigned.
 
-        Synchronous and loop-free by design: the ticker task calls it
-        once per tick/kick, and the load generator's driven mode calls
-        it back-to-back for full-speed replay.
+        What the round resolved lands in :attr:`outcomes`.  Synchronous
+        and loop-free by design: the ticker task calls it once per
+        tick/kick, and the load generator's driven mode calls it
+        back-to-back for full-speed replay.
         """
         t0 = time.perf_counter()
         state = self.state
         self._m_rewired.inc(state.round_begin())
-        if self._pending_owners:
-            owners = np.array(self._pending_owners, dtype=np.int64)
-            tags = np.array(self._pending_tags, dtype=np.int64)
-            self._pending_owners.clear()
-            self._pending_tags.clear()
+        rejected, self._rejected = self._rejected, []
+        resolved = []
+        if self._pending_tags:
+            owners, tags = self._take_pending()
             _admitted, dropped_tags = state.admit_balls(owners, tags)
             if dropped_tags.size:
                 self._m_dropped.inc(dropped_tags.size)
-                self._resolve(dropped_tags, Dropped(REASON_ISOLATED))
+                resolved.append(Outcomes.unserved(dropped_tags, DROPPED, REASON_ISOLATED))
         out = state.route()
         if out.assigned:
             self._m_assigned.inc(out.assigned)
             self._m_lat.observe_many(out.latencies)
-            futures = self._futures
-            for tag, server, lat in zip(
-                out.assigned_tags.tolist(),
-                out.assigned_servers.tolist(),
-                out.latencies.tolist(),
-            ):
-                fut = futures.pop(tag, None)
-                if fut is not None and not fut.done():
-                    fut.set_result(Assigned(server, lat))
+            resolved.append(
+                Outcomes.assigned(out.assigned_tags, out.assigned_servers, out.latencies)
+            )
         if self.config.max_wait_rounds is not None:
             _owners, stale_tags = state.evict_overdue(self.config.max_wait_rounds)
             if stale_tags.size:
                 self._m_retried.inc(stale_tags.size)
-                self._resolve(stale_tags, Retry(REASON_TIMEOUT))
+                resolved.append(Outcomes.unserved(stale_tags, RETRY, REASON_TIMEOUT))
+        record = Outcomes.concat(resolved)
+        # Caller balls only: not duplicates (tag -1), not balls shutdown() abandoned.
+        callers = record.tags >= self._tag_floor
+        if not callers.all():
+            record = record[callers]
+        self._in_flight -= len(record)
+        self._publish(Outcomes.concat([*rejected, record]))
         if self._health is not None and out.received is not None:
             to_q, to_r = self._health.observe(out.received, out.accepted_counts)
             if to_q.size:
@@ -365,7 +580,7 @@ class SaerService:
         threshold = self.config.brownout_threshold
         if threshold is not None:
             # Unavailable = burned ∪ quarantined, measured once per
-            # round (submit must stay O(1) per call).
+            # round (submission must not rescan the servers).
             if state.quarantined is not None:
                 unavailable = float(np.mean(state.burned | state.quarantined))
             else:
@@ -381,13 +596,6 @@ class SaerService:
         if every and int(self._m_rounds.value) % every == 0:
             self.metrics.fire_snapshot_hooks()
         return out.assigned
-
-    def _resolve(self, tags: np.ndarray, outcome) -> None:
-        futures = self._futures
-        for tag in tags.tolist():
-            fut = futures.pop(tag, None)
-            if fut is not None and not fut.done():
-                fut.set_result(outcome)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -409,14 +617,14 @@ class SaerService:
             self.run_round()
 
     async def drain(self, max_rounds: int = 10_000) -> int:
-        """Run rounds back-to-back until no ball is in flight.
+        """Run rounds back-to-back until no caller ball is in flight.
 
         Returns the rounds used.  Gives up after ``max_rounds`` (a
-        stalled no-recovery system never empties) — remaining futures
-        stay pending unless ``max_wait_rounds`` evicts them.
+        stalled no-recovery system never empties) — remaining balls
+        stay in flight unless ``max_wait_rounds`` evicts them.
         """
         rounds = 0
-        while self._futures and rounds < max_rounds:
+        while self._in_flight and rounds < max_rounds:
             self.run_round()
             rounds += 1
             if rounds % 256 == 0:
@@ -425,7 +633,8 @@ class SaerService:
 
     async def shutdown(self, final_rounds: int = 0) -> None:
         """Stop ticking; optionally run ``final_rounds`` more rounds, then
-        resolve every unresolved ball as ``Retry("shutdown")``."""
+        resolve every caller ball still in flight as ``Retry("shutdown")``
+        (published as the last :attr:`outcomes`)."""
         self._accepting = False
         self._kick.set()
         if self._ticker is not None:
@@ -435,15 +644,21 @@ class SaerService:
                 pass
             self._ticker = None
         for _ in range(final_rounds):
-            if not self._futures:
+            if not self._in_flight:
                 break
             self.run_round()
-        if self._futures:
-            leftovers = np.fromiter(self._futures, dtype=np.int64)
-            self._m_retried.inc(leftovers.size)
-            self._resolve(leftovers, Retry(REASON_SHUTDOWN))
-        self._pending_owners.clear()
-        self._pending_tags.clear()
+        rejected, self._rejected = self._rejected, []
+        queued = self._take_pending()[1]
+        alive = self.state.alive_tags
+        leftovers = np.sort(np.concatenate([queued, alive[alive >= self._tag_floor]]))
+        self._m_retried.inc(leftovers.size)
+        self._in_flight = 0
+        self._tag_floor = self._next_tag
+        self._publish(
+            Outcomes.concat(
+                [*rejected, Outcomes.unserved(leftovers, RETRY, REASON_SHUTDOWN)]
+            )
+        )
 
     def stats(self) -> dict:
         """One-shot state + metrics snapshot (the ``stats`` wire op)."""
@@ -470,18 +685,22 @@ class SaerService:
         """Everything needed to resume serving with identical accounting.
 
         Extends :meth:`ServingState.checkpoint` with the service-side
-        queue: the tag counter, the not-yet-admitted pending balls, and
-        the tags of admitted in-flight balls.  Futures themselves are
-        process-local and cannot travel; on restore, fresh (unheld)
-        futures are created for the queued balls so ``drain`` semantics
-        and the protocol accounting are unchanged, while the original
-        callers are expected to retry over their own connections.
+        queue: the next tag, the not-yet-admitted pending balls, and the
+        submission-time rejections not yet published.  Taking a
+        checkpoint changes nothing.  Futures are process-local and
+        cannot travel: the restored service reports every ball through
+        :attr:`outcomes`, and the original per-ball callers are expected
+        to retry over their own connections.
         """
+        owners = self._pending_owners
+        tags = self._pending_tags
+        rejected = Outcomes.concat(self._rejected)
         return {
             "state": self.state.checkpoint(),
-            "next_tag": next(self._tags),  # count() has no peek; burn one
-            "pending_owners": list(self._pending_owners),
-            "pending_tags": list(self._pending_tags),
+            "next_tag": self._next_tag,
+            "pending_owners": np.concatenate(owners) if owners else _NO_TAGS.copy(),
+            "pending_tags": np.concatenate(tags) if tags else _NO_TAGS.copy(),
+            "rejected": [col.copy() for col in rejected.columns()],
             "health": self._health.state() if self._health is not None else None,
             "shed_acc": self._shed_acc,
             "brownout_active": self._brownout_active,
@@ -509,17 +728,17 @@ class SaerService:
             raise CheckpointError("not a SaerService checkpoint payload") from None
         state = ServingState.from_checkpoint(state_ckpt, kernel=kernel)
         service = cls(state, config, registry)
-        service._tags = itertools.count(int(ckpt["next_tag"]))
-        service._pending_owners = list(ckpt["pending_owners"])
-        service._pending_tags = list(ckpt["pending_tags"])
-        for tag in service._pending_tags:
-            service._futures[tag] = BallFuture()
-        # Admitted in-flight balls keep their tags inside the state's
-        # ball table; give them fresh futures too so drain() sees them.
-        if state.n_alive and state._tags is not None:
-            for tag in state._tags[: state.n_alive].tolist():
-                if tag >= 0:
-                    service._futures[tag] = BallFuture()
+        service._next_tag = int(ckpt["next_tag"])
+        owners = np.asarray(ckpt["pending_owners"], dtype=np.int64)
+        tags = np.asarray(ckpt["pending_tags"], dtype=np.int64)
+        if tags.size:
+            service._queue(owners, tags)
+        # Admitted balls keep their tags inside the state's ball table;
+        # the caller ones (tag >= 0) are still in flight.
+        service._in_flight += int(np.count_nonzero(state.alive_tags >= 0))
+        rejected = Outcomes(*ckpt["rejected"]) if ckpt.get("rejected") else EMPTY_OUTCOMES
+        if len(rejected):
+            service._rejected = [rejected]
         if service._health is not None and ckpt.get("health") is not None:
             service._health.set_state(ckpt["health"])
         service._shed_acc = float(ckpt.get("shed_acc", 0.0))

@@ -752,6 +752,11 @@ class ServingState:
         return self.n_alive
 
     @property
+    def alive_tags(self) -> np.ndarray:
+        """Tags of the alive balls, in buffer order (empty without tag tracking)."""
+        return self._tags[: self.n_alive] if self._tags is not None else _EMPTY_I64
+
+    @property
     def burned_count(self) -> int:
         return int(np.count_nonzero(self.burned))
 

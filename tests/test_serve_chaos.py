@@ -172,6 +172,54 @@ class TestServiceCheckpoint:
         assert restored.in_flight == 0
         _assert_same_accounting(_accounting(control), _accounting(restored))
 
+    def test_checkpoint_changes_nothing(self, graph):
+        """Taking a checkpoint must not touch the live service: two in a
+        row are equal and the next ball keeps the tag it would have had."""
+        svc = SaerService(_state(graph), ServeConfig(max_batch=1 << 30, max_pending=8))
+        svc.submit(0, 5)
+        svc.run_round()
+        svc.submit(1, 6)  # 3 queue, 3 bounce (rejections not yet published)
+        first = svc.checkpoint()
+        assert pickle.dumps(svc.checkpoint()) == pickle.dumps(first)
+        assert first["next_tag"] == 11
+        assert svc.submit_many([2], [1]) == 11
+
+    def test_midway_checkpoint_keeps_outcome_sequence(self, graph):
+        """A replay checkpointed midway — on the live service, and on a
+        service restored from that checkpoint — publishes the same
+        outcome records, tags included, as one never checkpointed."""
+        config = ServeConfig(max_batch=1 << 30, max_pending=90, max_wait_rounds=3)
+        sch = FaultSchedule((FaultSpec("crash", 0.4, start=3, end=9),), seed=5)
+        trace = sample_trace(make_arrivals("poisson", 0.6), graph.n_clients, 16, 6)
+
+        def replay(svc, rounds, checkpoint_at=None):
+            records, ckpt = [], None
+            for t, counts in enumerate(rounds):
+                clients = np.flatnonzero(counts)
+                svc.submit_many(clients, counts[clients])
+                if t == checkpoint_at:
+                    ckpt = pickle.loads(pickle.dumps(svc.checkpoint()))
+                svc.run_round()
+                records.append([col.tolist() for col in svc.outcomes.columns()])
+            return records, ckpt
+
+        control, _ = replay(SaerService(_state(graph, faults=sch), config), trace)
+        probed, ckpt = replay(
+            SaerService(_state(graph, faults=sch), config), trace, checkpoint_at=8
+        )
+        assert probed == control
+        assert len(ckpt["pending_tags"]) and len(ckpt["rejected"][0])
+        restored = SaerService.from_checkpoint(ckpt, config)
+        tail = []
+        for counts in trace[9:]:
+            restored.run_round()
+            tail.append([col.tolist() for col in restored.outcomes.columns()])
+            clients = np.flatnonzero(counts)
+            restored.submit_many(clients, counts[clients])
+        restored.run_round()
+        tail.append([col.tolist() for col in restored.outcomes.columns()])
+        assert tail == control[8:]
+
     def test_restored_tags_never_collide(self, graph):
         svc = SaerService(_state(graph), ServeConfig(max_batch=1 << 30))
         svc.submit(0, 5)

@@ -257,6 +257,10 @@ class TestTcpMode:
         assert run["tally"]["assigned"] == balls
         assert run["tally"]["unresolved"] == 0
         assert run["latencies"].size == balls
+        # The wire client sees no service stats; the report still builds.
+        rep = build_report("tcp", {}, {}, run)
+        assert rep["conservation"]["conserved"]
+        assert rep["conservation"]["service_assigned_total"] is None
 
     def test_tcp_retry_resubmits_over_the_wire(self, graph):
         async def go():

@@ -1,10 +1,31 @@
-"""Tests for repro.serve.metrics — the dependency-free metric registry."""
+"""Tests for repro.serve.metrics — the serving layer's metric registry."""
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.serve import Counter, Gauge, Histogram, MetricsRegistry
+
+BOUNDS = (-1.0, 0.0, 0.5, 1.0, 2.0, 4.0, 1e6)
+
+
+def _same_float(a, b) -> bool:
+    """Bit for bit: equal value and sign, so 0.0 and -0.0 differ."""
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def _on_the_bounds(draw_floats):
+    # Values exactly on a bound, both zeros, the non-finite ones, and
+    # anything else; bounds are where bisect_left and searchsorted
+    # could disagree.
+    special = st.sampled_from(
+        [*BOUNDS, -0.0, math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324]
+    )
+    return st.one_of(special, draw_floats)
 
 
 class TestCounter:
@@ -271,3 +292,63 @@ class TestMergeSemantics:
         b.gauge("x")
         with pytest.raises(ValueError):
             a.merge_state(b.state_dict())
+
+
+class TestObserveManyMatchesObserve:
+    """``observe_many`` is the loop over ``observe``, bit for bit."""
+
+    @staticmethod
+    def _check(values, prior=()):
+        looped = Histogram("x", buckets=BOUNDS)
+        batched = Histogram("x", buckets=BOUNDS)
+        for v in prior:  # the same starting state, reached one value at a time
+            looped.observe(float(v))
+            batched.observe(float(v))
+        for v in values:
+            looped.observe(float(v))
+        batched.observe_many(values)
+        assert batched.counts == looped.counts
+        assert batched.total == looped.total
+        assert batched.nonfinite == looped.nonfinite
+        for field in ("sum", "min", "max"):
+            assert _same_float(getattr(batched, field), getattr(looped, field)), field
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=hnp.arrays(
+            np.float64,
+            st.integers(0, 60),
+            elements=_on_the_bounds(st.floats(allow_nan=True, allow_infinity=True)),
+        ),
+        prior=st.lists(_on_the_bounds(st.floats(-1e3, 1e3)), max_size=4),
+    )
+    def test_float_arrays(self, values, prior):
+        self._check(values, prior)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=hnp.arrays(
+            np.int64, st.integers(0, 60),
+            elements=st.integers(-(2**62), 2**62) | st.sampled_from([-1, 0, 1, 2, 4]),
+        ),
+        prior=st.lists(st.integers(-5, 5), max_size=4),
+    )
+    def test_int_arrays(self, values, prior):
+        self._check(values, prior)
+
+    def test_first_seen_zero_wins(self):
+        # np.min([0.0, -0.0]) is -0.0; the loop keeps the 0.0 it saw first.
+        self._check(np.array([0.0, -0.0, 0.0]))
+        self._check(np.array([-0.0, 0.0]))
+        h = Histogram("x", buckets=BOUNDS)
+        h.observe_many(np.array([0.0, -0.0]))
+        assert _same_float(h.min, 0.0) and _same_float(h.max, 0.0)
+
+    def test_lists_and_generators(self):
+        self._check([3, 0.5, float("nan")])
+        looped = Histogram("x", buckets=BOUNDS)
+        for v in (1, 2, 3):
+            looped.observe(float(v))
+        batched = Histogram("x", buckets=BOUNDS)
+        batched.observe_many(v for v in (1, 2, 3))
+        assert batched.state_dict() == looped.state_dict()

@@ -24,12 +24,19 @@ from repro.serve import (
     encode_response,
     serve_tcp,
 )
+from repro.faults import FaultSchedule, FaultSpec
 from repro.serve.protocol import (
+    ASSIGNED,
+    OUTCOMES,
     REASON_BACKPRESSURE,
+    REASON_BROWNOUT,
     REASON_ISOLATED,
     REASON_SHUTDOWN,
     REASON_TIMEOUT,
+    REASONS,
+    RETRY,
 )
+from repro.serve.service import TagTable
 
 
 @pytest.fixture()
@@ -255,6 +262,166 @@ class TestServiceRounds:
             ServeConfig(max_pending=0)
         with pytest.raises(ValueError):
             ServeConfig(max_wait_rounds=0)
+
+def _rows(svc):
+    """The last published outcome record as a list of (tag, outcome,
+    server, latency, reason) tuples."""
+    rec = svc.outcomes
+    return list(zip(*(col.tolist() for col in rec.columns())))
+
+
+def _browning_out(graph, **cfg):
+    """A stalled service whose first round switches brownout on."""
+    svc = _stalled_service(graph, brownout_threshold=0.5, brownout_shed=0.35, **cfg)
+    svc.run_round()
+    assert svc.stats()["brownout"]
+    return svc
+
+
+class TestColumnarIngest:
+    REQUESTS = (
+        [5, 9, 5, 2, 60, 17, 17, 3, 0, 44, 1, 8],
+        [3, 1, 7, 2, 1, 4, 1, 9, 2, 5, 1, 6],
+    )
+
+    @pytest.mark.parametrize("max_pending", [None, 12, 20])
+    def test_submit_many_is_the_submit_loop(self, graph, max_pending):
+        """Same tags, counters, brownout accumulator and backpressure
+        room; the futures of the loop resolve to the record's rows."""
+        looped = _browning_out(graph, max_pending=max_pending)
+        batched = _browning_out(graph, max_pending=max_pending)
+        clients, balls = self.REQUESTS
+        futures = []
+        for c, k in zip(clients, balls):
+            futures.extend(looped.submit(c, k))
+        first = batched.submit_many(np.array(clients), np.array(balls))
+        assert first == 0 and len(futures) == sum(balls)
+        for svc in (looped, batched):
+            assert svc.pending == looped.pending
+            assert svc.in_flight == looped.in_flight
+        assert batched._shed_acc == looped._shed_acc
+        counted = [looped.metrics.snapshot(), batched.metrics.snapshot()]
+        for snap in counted:
+            del snap["serve_round_seconds"]  # wall time
+        assert counted[1] == counted[0]
+        for svc in (looped, batched):
+            svc.state.cum_received[:] = 0  # heal, so the queued balls assign
+            svc.state.burned[:] = False
+            svc.run_round()
+        assert _rows(batched) == _rows(looped)
+        reasons = {REASONS[r] for *_, r in _rows(batched)} - {""}
+        assert REASON_BROWNOUT in reasons
+        assert (REASON_BACKPRESSURE in reasons) == (max_pending is not None)
+        rec = looped.outcomes
+        by_tag = dict(zip(rec.tags.tolist(), rec.objects()))
+        assert [f.result() for f in futures] == [by_tag[t] for t in range(len(futures))]
+        assert looped.in_flight == batched.in_flight == 0
+
+    def test_record_order(self):
+        """Rejections at submission, isolated drops, assignments in
+        ball-buffer order, then timeouts in eviction order."""
+        edges = [(c, s) for c in range(3) for s in range(4)]  # client 3 isolated
+        g = BipartiteGraph.from_edges(4, 4, edges)
+        state = ServingState(g, 2.0, 4, recovery=None, seed=1, track_tags=True)
+        svc = SaerService(state, ServeConfig(max_pending=6, max_wait_rounds=1))
+        # Tags 0-1 queue; 2 queues at the isolated client; 3-5 fill the
+        # room and 6-7 bounce.
+        svc.submit_many([0, 3, 1], [2, 1, 5])
+        state.cum_received[:2] = state.capacity + 1  # servers 0-1 reject
+        state.burned[:2] = True
+        svc.run_round()
+        rows = [(t, OUTCOMES[o], REASONS[r]) for t, o, _, _, r in _rows(svc)]
+        assert rows[:3] == [
+            (6, "retry", REASON_BACKPRESSURE),
+            (7, "retry", REASON_BACKPRESSURE),
+            (2, "dropped", REASON_ISOLATED),
+        ]
+        assigned = [t for t, kind, _ in rows if kind == "assigned"]
+        timed_out = [t for t, _, reason in rows if reason == REASON_TIMEOUT]
+        assert rows[3:] == [(t, "assigned", "") for t in assigned] + [
+            (t, "retry", REASON_TIMEOUT) for t in timed_out
+        ]
+        assert assigned and timed_out
+        assert assigned == sorted(assigned) and timed_out == sorted(timed_out)
+        assert sorted(assigned + timed_out) == [0, 1, 3, 4, 5]
+        assert svc.in_flight == 0
+
+    def test_invalid_request_queues_nothing(self, graph):
+        svc = _service(graph)
+        for clients, balls in (([1, graph.n_clients], [1, 1]), ([1, 2], [1, 0]), ([1], [1, 2])):
+            with pytest.raises(ValueError):
+                svc.submit_many(clients, balls)
+        assert svc.pending == 0 and svc.in_flight == 0
+        assert svc.submit_many([3], [2]) == 0  # no tag was spent
+
+    def test_duplicates_never_count_as_callers(self, graph):
+        """Byzantine duplicate balls (tag -1) load the servers but are
+        never in flight for a caller and never in the record."""
+        faults = FaultSchedule((FaultSpec("byz_client_dup", 0.5, start=0),), seed=3)
+        state = ServingState(
+            graph, 2.0, 4, recovery=None, seed=4, track_tags=True, faults=faults
+        )
+        svc = SaerService(state, ServeConfig(max_wait_rounds=3))
+        clients = np.arange(graph.n_clients)
+        svc.submit_many(clients, np.full(clients.size, 2))
+        submitted = 2 * clients.size
+        resolved = assigned = 0
+        for _ in range(4):
+            svc.run_round()
+            rec = svc.outcomes
+            assert (rec.tags >= 0).all()
+            resolved += len(rec)
+            assigned += int(np.count_nonzero(rec.outcome == ASSIGNED))
+            assert svc.in_flight == submitted - resolved
+        assert resolved == submitted and svc.in_flight == 0
+        assert state.assigned_total > assigned  # duplicates were served too
+        assert asyncio.run(svc.drain()) == 0
+
+    def test_shutdown_publishes_leftovers_once(self, graph):
+        svc = _stalled_service(graph)
+        svc.submit_many([1, 2], [2, 1])
+        svc.run_round()
+        svc.submit_many([4], [2])  # queued, not yet admitted
+        asyncio.run(svc.shutdown())
+        assert _rows(svc) == [
+            (t, RETRY, -1, -1, REASONS.index(REASON_SHUTDOWN)) for t in range(5)
+        ]
+        assert svc.in_flight == 0 and svc.pending == 0
+        svc.state.cum_received[:] = 0
+        svc.state.burned[:] = False
+        svc.run_round()  # the abandoned balls assign, but nobody hears of it
+        assert svc.state.assigned_total == 3 and len(svc.outcomes) == 0
+        assert svc.submit_many([0], [1]) == 5
+        svc.run_round()
+        assert _rows(svc) == [(5, RETRY, -1, -1, REASONS.index(REASON_SHUTDOWN))]
+
+
+class TestTagTable:
+    def test_take_forgets_and_trims(self):
+        table = TagTable(2)
+        table.add(10, np.array([[1, 2], [3, 4], [5, 6]]))
+        table.add(13, np.array([[7, 8]]))
+        rows, known = table.take(np.array([11, 99, 10]))
+        assert rows.tolist() == [[3, 4], [1, 2]] and known.tolist() == [True, False, True]
+        assert table.base == 12  # 10 and 11 are gone
+        rows, known = table.take(np.array([11, 13, 12]))
+        assert rows.tolist() == [[7, 8], [5, 6]] and known.tolist() == [False, True, True]
+        table.add(40, np.array([[0, 0]]))  # an empty table restarts anywhere
+        assert table.base == 40
+        with pytest.raises(ValueError):
+            table.add(42, np.array([[0, 0]]))
+
+    def test_long_run_keeps_only_the_open_span(self):
+        table = TagTable(1)
+        for k in range(200):
+            tag = 50 * k
+            table.add(tag, np.arange(tag, tag + 50)[:, None])
+            # This batch's first 40 resolve now, the last 10 next time.
+            resolved = np.arange(tag - 10, tag + 40)[max(0, 10 - tag):]
+            rows, known = table.take(resolved)
+            assert known.all() and rows[:, 0].tolist() == resolved.tolist()
+        assert table.base == 50 * 199 + 40
+        assert len(table._done) == 1024  # never grew
 
 
 class TestMicroBatching:
