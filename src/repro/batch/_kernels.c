@@ -1,6 +1,7 @@
-/* Fused round kernels for the trial-batched engine (repro.batch).
+/* Fused round kernels for the trial-batched engine (repro.batch) and
+ * the serving round of repro.serve.
  *
- * A round runs three phases for every active trial:
+ * An engine round runs three phases for every active trial:
  *
  *   phase 1  client-blocked destination gather — a block of CSR rows is
  *            processed for *all* trials before moving to the next
@@ -19,33 +20,38 @@
  * dense count/reset; light rounds keep a touched-server list so state
  * traffic stays proportional to the balls in flight.
  *
- * Two entries are instantiated per state width:
+ * The entries:
  *
- *   repro_round_*  one sequential round over a caller-filled uniform
- *                  slab (the serving layer routes each of its rounds
- *                  through it);
- *   repro_run_*    a whole engine run — every round of every trial in
- *                  one call.  Each trial's uniforms are drawn inside
- *                  phase 1, a 512-slot chunk at a time, from its own
- *                  numpy PCG64 state (stepped in place and handed back,
- *                  so the caller's Generators end exactly after the
- *                  draws served) or from the counter-based Philox4x32-10
- *                  lineage of repro/rng.py.  Each round splits the
- *                  active trials into balanced chunks that run phases
- *                  1-3 independently on their own scratch rows (OpenMP
- *                  in the threaded build); chunk boundaries, per-trial
- *                  streams and output offsets are data, not scheduling,
- *                  so the results are byte-identical for ANY thread
- *                  count — including a build without OpenMP, where the
- *                  pragma is ignored and the chunks run in order.
+ *   repro_run_*        a whole engine run — every round of every trial
+ *                      in one call, instantiated per state width.  Each
+ *                      trial's uniforms are drawn inside phase 1, a
+ *                      512-slot chunk at a time, from its own numpy
+ *                      PCG64 state (stepped in place and handed back, so
+ *                      the caller's Generators end exactly after the
+ *                      draws served) or from the counter-based
+ *                      Philox4x32-10 lineage of repro/rng.py.  Each
+ *                      round splits the active trials into balanced
+ *                      chunks that run phases 1-3 independently on
+ *                      their own scratch rows (OpenMP in the threaded
+ *                      build); chunk boundaries, per-trial streams and
+ *                      output offsets are data, not scheduling, so the
+ *                      results are byte-identical for ANY thread count —
+ *                      including a build without OpenMP, where the
+ *                      pragma is ignored and the chunks run in order;
+ *   repro_serve_round  one round of ServingState.route: PCG64 draws,
+ *                      gather, SAER decide and in-place survivor
+ *                      compaction over the alive balls in buffer order,
+ *                      bit-identical to the state's numpy route;
+ *   repro_philox_fill  the Philox uniform slab for the gates that still
+ *                      consume one.
  *
- * The standalone repro_philox_fill serves the gates that still consume
- * a uniform slab.  Philox draws are bit-identical to philox_uniforms()
- * in rng.py, PCG64 draws to Generator.random() (pure integer
- * arithmetic plus one exact double scale in both).
+ * Philox draws are bit-identical to philox_uniforms() in rng.py, PCG64
+ * draws to Generator.random() (pure integer arithmetic plus one exact
+ * double scale in both).
  *
- * Two state widths are instantiated via self-inclusion: int32 when
- * every cumulative counter provably fits, int64 otherwise.  The engine
+ * The engine entry is instantiated for two state widths via
+ * self-inclusion: int32 when every cumulative counter provably fits,
+ * int64 otherwise (the serving round is int64 throughout).  The engine
  * guarantees: n_edges < 2^31 (ball keys and CSR offsets are int32),
  * uniforms in [0, 1), ball segments sorted by client within each trial,
  * and count/acc scratch arriving zeroed (every round re-zeroes what it
@@ -568,63 +574,16 @@ static inline void repro_src_fill(
     }
 }
 
-/* Destination gather for Δ-regular graphs: ball_key holds each ball's
- * CSR row start (client · Δ), so a block covers keys < block_end.
- * Covers the trial range [a0, a1) — the sequential entry passes the
- * whole active set, the threaded entry one chunk. */
-static void phase1_regular(
-    const double *u, const int32_t *ball_key, int32_t *dest,
-    int64_t a0, int64_t a1, const int64_t *seg_start, const int64_t *seg_end,
-    int64_t *cur, int64_t reg_deg, const int32_t *indices,
-    int64_t n_clients, int64_t block_clients)
-{
-    for (int64_t a = a0; a < a1; a++) cur[a] = seg_start[a];
-    for (int64_t v0 = 0; v0 < n_clients; v0 += block_clients) {
-        int64_t block_end = (v0 + block_clients) * reg_deg;
-        for (int64_t a = a0; a < a1; a++) {
-            int64_t i = cur[a], e = seg_end[a];
-            while (i < e && ball_key[i] < block_end) {
-                int64_t off = (int64_t)(u[i] * (double)reg_deg);
-                if (off > reg_deg - 1) off = reg_deg - 1;
-                dest[i] = indices[ball_key[i] + off];
-                i++;
-            }
-            cur[a] = i;
-        }
-    }
-}
-
-/* Irregular graphs: ball_key holds client ids; degree and row start
- * come from the (block-resident) degree/indptr tables. */
-static void phase1_irregular(
-    const double *u, const int32_t *ball_key, int32_t *dest,
-    int64_t a0, int64_t a1, const int64_t *seg_start, const int64_t *seg_end,
-    int64_t *cur, const int32_t *indptr, const int32_t *degrees,
-    const int32_t *indices, int64_t n_clients, int64_t block_clients)
-{
-    for (int64_t a = a0; a < a1; a++) cur[a] = seg_start[a];
-    for (int64_t v0 = 0; v0 < n_clients; v0 += block_clients) {
-        int64_t block_end = v0 + block_clients;
-        for (int64_t a = a0; a < a1; a++) {
-            int64_t i = cur[a], e = seg_end[a];
-            while (i < e && ball_key[i] < block_end) {
-                int32_t v = ball_key[i];
-                int64_t dg = degrees[v];
-                int64_t off = (int64_t)(u[i] * (double)dg);
-                if (off > dg - 1) off = dg - 1;
-                dest[i] = indices[indptr[v] + off];
-                i++;
-            }
-            cur[a] = i;
-        }
-    }
-}
-
-/* Fused gathers: identical traversal to phase1_regular /
- * phase1_irregular, but the uniforms are drawn just in time — when the
- * walk first reaches a 512-slot chunk boundary of a trial's segment,
- * the whole chunk is drawn into the trial's own row of the uchunk
- * scratch and then consumed from there.  Per-trial consumption is
+/* Fused client-blocked gathers over the trial range [a0, a1) — the
+ * run entry passes one chunk.  Each trial's balls are sorted by key
+ * (client id, or the CSR row start client · Δ on Δ-regular graphs), so
+ * the walk takes a block of clients at a time and consumes every
+ * trial's run of balls inside it before moving on: the block's CSR rows
+ * stream through cache once per round instead of once per trial.  The
+ * uniforms are drawn just in time — when the walk first reaches a
+ * 512-slot chunk boundary of a trial's segment, the whole chunk is
+ * drawn into the trial's own row of the uchunk scratch and then
+ * consumed from there.  Per-trial consumption is
  * strictly sequential, so each chunk is drawn exactly once and in slot
  * order (the trigger sits after the block-end check: a walk suspended
  * mid-chunk resumes on the same row without re-triggering, and one
@@ -729,6 +688,79 @@ static void phase1_irregular_fused(
     }
 }
 
+/* ---- One serving round: ServingState.route on the cext gate ----
+ *
+ * The n alive balls are walked in buffer order; nothing is sorted.
+ * Pass 1 draws each ball's uniform from the state's PCG64 row pcg
+ * (stepped in place, so the caller's Generator ends exactly where
+ * rng.random(n) would leave it), gathers its destination
+ * indices[indptr[v] + min((int64)(u · deg), deg - 1)] and counts it
+ * into cum_received (and received, when non-NULL).  Pass 2 accepts a
+ * ball iff its server's post-round count is <= capacity — with
+ * burned == (cum_received > capacity) holding on entry this is exactly
+ * the numpy route's ~burned & ~over — and writes the accepted balls'
+ * servers, latencies (round_no - birth) and tags (when tags is
+ * non-NULL) to rows 0, 1 and 2 of out (3 x n int64; row 0 holds the
+ * destinations during pass 1 and is compacted in place, the write index
+ * never passing the read index).  The survivors' owners, births and
+ * tags are compacted in place the same way, and accepted (when
+ * non-NULL) counts the accepted balls per server.  Finally burned is
+ * rewritten as cum_received > capacity.  received/accepted arrive
+ * zeroed.  Every owner has degree >= 1: admission drops balls at
+ * isolated clients, churn preserves degrees and quarantine never
+ * strands a client.  Returns the number of balls assigned. */
+#define REPRO_SERVE_AHEAD 16
+
+int64_t repro_serve_round(
+    uint64_t *pcg, int64_t n, int64_t *owners, int64_t *births,
+    int64_t *tags, const int64_t *indptr, const int64_t *indices,
+    int64_t *cum_received, uint8_t *burned, int64_t n_s, int64_t capacity,
+    int64_t round_no, int64_t *out, int64_t *received, int64_t *accepted)
+{
+    int64_t *dest = out, *lat = out + n, *out_tags = out + 2 * n;
+    repro_u128 s = ((repro_u128)pcg[0] << 64) | pcg[1];
+    const repro_u128 inc = ((repro_u128)pcg[2] << 64) | pcg[3];
+    for (int64_t i = 0; i < n; i++) {
+        int64_t row = indptr[owners[i]];
+        int64_t dg = indptr[owners[i] + 1] - row;
+        int64_t off = (int64_t)(repro_pcg64_double(&s, inc) * (double)dg);
+        if (off > dg - 1) off = dg - 1;
+        dest[i] = row + off;
+    }
+    pcg[0] = (uint64_t)(s >> 64);
+    pcg[1] = (uint64_t)s;
+    /* The gathers run as their own pass: free of the serial PCG64 chain,
+     * the cache misses into a large indices table overlap, and a
+     * prefetch REPRO_SERVE_AHEAD balls ahead deepens the overlap. */
+    for (int64_t i = 0; i < n; i++) {
+        if (i + REPRO_SERVE_AHEAD < n)
+            __builtin_prefetch(indices + dest[i + REPRO_SERVE_AHEAD]);
+        int64_t d = indices[dest[i]];
+        dest[i] = d;
+        cum_received[d]++;
+        if (received) received[d]++;
+    }
+
+    int64_t asg = 0, kept = 0;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t d = dest[i];
+        if (cum_received[d] <= capacity) {
+            dest[asg] = d;
+            lat[asg] = round_no - births[i];
+            if (tags) out_tags[asg] = tags[i];
+            if (accepted) accepted[d]++;
+            asg++;
+        } else {
+            owners[kept] = owners[i];
+            births[kept] = births[i];
+            if (tags) tags[kept] = tags[i];
+            kept++;
+        }
+    }
+    for (int64_t j = 0; j < n_s; j++) burned[j] = cum_received[j] > capacity;
+    return asg;
+}
+
 #define REPRO_STATE int32_t
 #define REPRO_NAME(base) base##_i32
 #include __FILE__
@@ -745,9 +777,8 @@ static void phase1_irregular_fused(
 
 /* Phase 2 + 3 for one trial: batch counts and the accept rule on ball
  * range [i0, i1), then (when do_compact) the trial's survivors written
- * base-relative at `out` — repro_round packs all trials contiguously,
- * repro_run each chunk's trials from the chunk's first ball slot for
- * the later left-pack.  Writes the accepted-ball count to
+ * base-relative at `out` — repro_run packs each chunk's trials from the
+ * chunk's first ball slot for the later left-pack.  Writes the accepted-ball count to
  * *acc_balls_out and returns the survivor count.  count/touched/acc
  * must arrive zeroed and are re-zeroed before returning. */
 static int64_t REPRO_NAME(round_trial)(
@@ -815,47 +846,6 @@ static int64_t REPRO_NAME(round_trial)(
     }
     *acc_balls_out = acc_balls;
     return kept;
-}
-
-/* One full round over all active trials, sequential.  Returns the
- * number of surviving balls written to out_key (0 when do_compact is
- * 0).
- *
- * is_raes selects the accept rule; for SAER state1 is cum_received and
- * state2 is loads, for RAES both point at loads (the aliasing makes the
- * unified update reduce to each policy's exact rule). */
-int64_t REPRO_NAME(repro_round)(
-    const double *u, const int32_t *ball_key, int64_t n_active,
-    const int64_t *trial_ids, const int64_t *sent,
-    int64_t reg_deg, const int32_t *indptr, const int32_t *degrees,
-    const int32_t *indices, int64_t n_clients, int64_t block_clients,
-    REPRO_STATE *state1, REPRO_STATE *state2,
-    int64_t n_s, int64_t capacity, int64_t is_raes,
-    int32_t *dest, REPRO_STATE *count, int32_t *touched, uint8_t *acc,
-    int64_t *n_acc, int32_t *out_key, int64_t do_compact,
-    int64_t *cur, int64_t *seg_start, int64_t *seg_end)
-{
-    int64_t pos = 0;
-    for (int64_t a = 0; a < n_active; a++) {
-        seg_start[a] = pos;
-        pos += sent[a];
-        seg_end[a] = pos;
-    }
-    if (reg_deg > 0)
-        phase1_regular(u, ball_key, dest, 0, n_active, seg_start, seg_end,
-                       cur, reg_deg, indices, n_clients, block_clients);
-    else
-        phase1_irregular(u, ball_key, dest, 0, n_active, seg_start, seg_end,
-                         cur, indptr, degrees, indices, n_clients,
-                         block_clients);
-
-    int64_t out = 0;
-    for (int64_t a = 0; a < n_active; a++)
-        out += REPRO_NAME(round_trial)(
-            ball_key, dest, seg_start[a], seg_end[a], trial_ids[a],
-            state1, state2, n_s, capacity, is_raes, count, touched, acc,
-            out_key + out, do_compact, n_acc + a);
-    return out;
 }
 
 /* A whole engine run: every round of every trial in one call.

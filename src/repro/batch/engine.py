@@ -86,6 +86,8 @@ from .kernels import (
     EngineBuffers,
     Kernel,
     PHILOX_CHUNK,
+    _pcg64_load,
+    _pcg64_store,
     block_clients_for,
     fill_uniforms,
     philox_fill,
@@ -377,29 +379,6 @@ def _compiled_supported(
     if bool(np.any((degrees == 0) & (dem > 0))):
         return False
     return True
-
-
-_U64 = (1 << 64) - 1
-
-
-def _pcg64_load(gens, rows) -> None:
-    """Copy each trial's PCG64 state into ``rows[t]`` as
-    ``(state_hi, state_lo, inc_hi, inc_lo)`` — numpy's documented
-    ``bit_generator.state`` dict, split into 64-bit words."""
-    for t, g in enumerate(gens):
-        st = g.bit_generator.state["state"]
-        s, inc = st["state"], st["inc"]
-        rows[t] = (s >> 64, s & _U64, inc >> 64, inc & _U64)
-
-
-def _pcg64_store(gens, rows) -> None:
-    """Write the stepped states back (``inc`` and the ``has_uint32``
-    buffer are unchanged by double draws)."""
-    for t, g in enumerate(gens):
-        bg = g.bit_generator
-        st = bg.state
-        st["state"]["state"] = (int(rows[t, 0]) << 64) | int(rows[t, 1])
-        bg.state = st
 
 
 def _run_rounds_compiled(

@@ -17,7 +17,8 @@ run it three ways:
     One call runs a whole engine call — every round of every trial —
     and draws each trial's uniforms inside the round, from its PCG64
     state or its Philox words; the CSR adjacency streams through cache
-    once per round instead of once per trial.
+    once per round instead of once per trial.  One more call runs a
+    serving round (:meth:`Kernel.serve_round_fn`).
 ``numba``
     The same loop nest as the C round, JIT-compiled by numba when it
     is installed, one call per round over a uniform slab.
@@ -72,6 +73,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import subprocess
 import tempfile
@@ -163,7 +165,7 @@ class EngineBuffers:
 
     def get(self, name: str, shape, dtype, *, zero: bool = False) -> np.ndarray:
         shape = (int(shape),) if np.isscalar(shape) else tuple(int(s) for s in shape)
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)
         dtype = np.dtype(dtype)
         arr = self._arrays.get(name)
         if arr is None or arr.dtype != dtype or arr.size < n:
@@ -574,7 +576,11 @@ class Kernel:
         return True
 
     def round_fn(self) -> Callable:
-        """The per-round entry with the :func:`_round_loops` signature."""
+        """The per-round engine entry with the :func:`_round_loops`
+        signature, for the engine's round loop over a uniform slab
+        (``numba``, ``python``).  ``cext`` has none: it runs a whole
+        engine call through :meth:`run_round_fn` and a serving round
+        through :meth:`serve_round_fn`."""
         raise NotImplementedError(f"{self.name} has no fused round entry")
 
     def threaded_round_fn(self, threads: int) -> Callable | None:
@@ -589,6 +595,12 @@ class Kernel:
         call, uniforms drawn inside the round — or ``None``: gates
         without one run the engine's per-round loop over
         :meth:`round_fn` with identical bits."""
+        return None
+
+    def serve_round_fn(self) -> Callable | None:
+        """One :meth:`repro.serve.ServingState.route` round in one call,
+        or ``None``: the state then routes through its numpy reference
+        round, with identical bits."""
         return None
 
 
@@ -709,6 +721,30 @@ def _warm_mt(fn) -> None:
         )
 
 
+_U64 = (1 << 64) - 1
+
+
+def _pcg64_load(gens, rows) -> None:
+    """Copy each PCG64 Generator's state into ``rows[t]`` as
+    ``(state_hi, state_lo, inc_hi, inc_lo)`` — numpy's documented
+    ``bit_generator.state`` dict, split into the 64-bit words the C
+    entries step in place."""
+    for t, g in enumerate(gens):
+        st = g.bit_generator.state["state"]
+        s, inc = st["state"], st["inc"]
+        rows[t] = (s >> 64, s & _U64, inc >> 64, inc & _U64)
+
+
+def _pcg64_store(gens, rows) -> None:
+    """Write the stepped states back (``inc`` and the ``has_uint32``
+    buffer are unchanged by double draws)."""
+    for t, g in enumerate(gens):
+        bg = g.bit_generator
+        st = bg.state
+        st["state"]["state"] = (int(rows[t, 0]) << 64) | int(rows[t, 1])
+        bg.state = st
+
+
 class CextKernel(Kernel):
     """ctypes-loaded C implementation, compiled on demand from ``_kernels.c``.
 
@@ -753,26 +789,6 @@ class CextKernel(Kernel):
     def available(self) -> bool:
         return self._load() is not None
 
-    def round_fn(self) -> Callable:
-        lib = self._load()
-        if lib is None:
-            raise RuntimeError(f"cext kernel unavailable: {self._error}")
-
-        def call(u, ball_key, trial_ids, sent, reg_deg, indptr, degrees,
-                 indices, n_clients, block_clients, state1, state2, capacity,
-                 is_raes, dest, count, touched, acc, n_acc, out_key,
-                 do_compact, cur, seg_start, seg_end):
-            fn = lib.repro_round_i64 if state1.dtype == np.int64 else lib.repro_round_i32
-            return fn(
-                u, ball_key, trial_ids.shape[0], trial_ids, sent,
-                reg_deg, indptr, degrees, indices, n_clients, block_clients,
-                state1, state2, state1.shape[1], capacity, is_raes,
-                dest, count, touched, acc, n_acc, out_key, do_compact,
-                cur, seg_start, seg_end,
-            )
-
-        return call
-
     def run_round_fn(self, threads: int) -> Callable | None:
         """``repro_run``: every round of one engine call in one C call.
 
@@ -810,6 +826,37 @@ class CextKernel(Kernel):
                 capacity, is_raes, counts, toucheds, accs,
                 counts.shape[0] if threaded else 1, ws,
                 rounds, work, assigned, alive_total,
+            )
+
+        return call
+
+    def serve_round_fn(self) -> Callable | None:
+        """``repro_serve_round``: one :meth:`~repro.serve.ServingState.route`
+        round in one C call — PCG64 draws, gather, SAER decide and
+        in-place survivor compaction over the alive balls in buffer
+        order (the contract is in ``_kernels.c``).  ``tags``,
+        ``received`` and ``accepted`` may be ``None``; returns the
+        number of balls assigned.
+        """
+        lib = self._load()
+        if lib is None:
+            return None
+        fn = lib.repro_serve_round
+
+        def call(pcg, owners, births, tags, indptr, indices, cum_received,
+                 burned, capacity, round_no, out, received, accepted):
+            n, n_s = owners.size, cum_received.size
+            if (
+                pcg.size != 4 or births.size != n or out.shape != (3, n)
+                or burned.size != n_s or indptr[-1] != indices.size
+                or (tags is not None and tags.size != n)
+                or (received is not None and received.size != n_s)
+                or (accepted is not None and accepted.size != n_s)
+            ):
+                raise ValueError("repro_serve_round: mismatched array sizes")
+            return fn(
+                pcg, n, owners, births, tags, indptr, indices, cum_received,
+                burned, n_s, capacity, round_no, out, received, accepted,
             )
 
         return call
@@ -912,47 +959,11 @@ def _load_cext_library(openmp: bool = False):
                 f"{last_err}"
             )
     lib = ctypes.CDLL(str(so))
-    _declare(lib.repro_round_i32, np.int32)
-    _declare(lib.repro_round_i64, np.int64)
     _declare_run(lib.repro_run_i32, np.int32)
     _declare_run(lib.repro_run_i64, np.int64)
+    _declare_serve(lib.repro_serve_round)
     _declare_fill(lib.repro_philox_fill)
     return lib
-
-
-def _declare(fn, state_dtype) -> None:
-    ptr = np.ctypeslib.ndpointer
-    c = dict(flags="C_CONTIGUOUS")
-    i64 = ctypes.c_int64
-    fn.restype = i64
-    fn.argtypes = [
-        ptr(np.float64, **c),   # u
-        ptr(np.int32, **c),     # ball_key
-        i64,                    # n_active
-        ptr(np.int64, **c),     # trial_ids
-        ptr(np.int64, **c),     # sent
-        i64,                    # reg_deg
-        ptr(np.int32, **c),     # indptr
-        ptr(np.int32, **c),     # degrees
-        ptr(np.int32, **c),     # indices
-        i64,                    # n_clients
-        i64,                    # block_clients
-        ptr(state_dtype, **c),  # state1
-        ptr(state_dtype, **c),  # state2
-        i64,                    # n_s
-        i64,                    # capacity
-        i64,                    # is_raes
-        ptr(np.int32, **c),     # dest
-        ptr(state_dtype, **c),  # count
-        ptr(np.int32, **c),     # touched
-        ptr(np.uint8, **c),     # acc
-        ptr(np.int64, **c),     # n_acc
-        ptr(np.int32, **c),     # out_key
-        i64,                    # do_compact
-        ptr(np.int64, **c),     # cur
-        ptr(np.int64, **c),     # seg_start
-        ptr(np.int64, **c),     # seg_end
-    ]
 
 
 def _declare_run(fn, state_dtype) -> None:
@@ -990,6 +1001,41 @@ def _declare_run(fn, state_dtype) -> None:
         ptr(np.int64, **c),     # work
         ptr(np.int64, **c),     # assigned
         ptr(np.int64, **c),     # alive_total
+    ]
+
+
+def _optional(ptr_type):
+    """``ptr_type`` that also takes ``None``, passed to C as NULL."""
+
+    class Optional(ptr_type):
+        @classmethod
+        def from_param(cls, obj):
+            return None if obj is None else ptr_type.from_param(obj)
+
+    return Optional
+
+
+def _declare_serve(fn) -> None:
+    ptr = np.ctypeslib.ndpointer
+    c = dict(flags="C_CONTIGUOUS")
+    i64 = ctypes.c_int64
+    fn.restype = i64
+    fn.argtypes = [
+        ptr(np.uint64, **c),             # pcg [4], stepped in place
+        i64,                             # n (alive balls)
+        ptr(np.int64, **c),              # owners [n], compacted
+        ptr(np.int64, **c),              # births [n], compacted
+        _optional(ptr(np.int64, **c)),   # tags [n] or NULL, compacted
+        ptr(np.int64, **c),              # indptr [n_clients + 1]
+        ptr(np.int64, **c),              # indices
+        ptr(np.int64, **c),              # cum_received [n_s]
+        ptr(np.bool_, **c),              # burned [n_s], rewritten
+        i64,                             # n_s
+        i64,                             # capacity
+        i64,                             # round_no
+        ptr(np.int64, **c),              # out [3, n]
+        _optional(ptr(np.int64, **c)),   # received [n_s] or NULL
+        _optional(ptr(np.int64, **c)),   # accepted [n_s] or NULL
     ]
 
 

@@ -25,15 +25,19 @@ and is **bit-identical** to the pre-refactor monolithic simulator
 drives the same verbs from an asyncio micro-batching loop, so the
 offline tables and the live service can never drift apart.
 
-Like the batched engine, the round step is kernel-gated: the default
-``numpy`` path is the vectorized reference, while the compiled gates
-(``cext`` / ``numba`` / ``python`` via ``kernel=`` or ``REPRO_KERNELS``)
-route the Phase-1 gather and Phase-2 count/decide through
-:mod:`repro.batch.kernels`' fused round loop — the arriving-ball batch
-amortizes exactly the way a trial batch does, and scratch lives in a
-persistent :class:`~repro.batch.kernels.EngineBuffers` either way.
-Both paths consume the identical uniform stream and produce identical
-assignments (``tests/test_serve_state.py`` pins the parity).
+Like the batched engine, the round step is kernel-gated.  On ``cext``
+(``kernel=`` or ``REPRO_KERNELS``) :meth:`ServingState.route` is one C
+call, :meth:`~repro.batch.kernels.Kernel.serve_round_fn`: it walks the
+alive balls in buffer order — no owner sort — drawing each ball's
+uniform from the state's PCG64 stream, gathering its destination,
+counting it into ``cum_received``, deciding against ``⌊c·d⌋`` and
+compacting the survivors in place.  Every other case takes
+:meth:`ServingState._route_numpy`, the vectorized reference and the
+oracle: the ``numpy`` gate, gates without a serving entry (``python``,
+``numba``), and a Generator whose bit generator is not ``PCG64``.  Both
+paths consume the identical uniform stream, leave the Generator in the
+same state and produce identical assignments
+(``tests/test_serve_state.py`` pins the parity).
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..batch.kernels import EngineBuffers, block_clients_for, resolve_kernel
+from ..batch.kernels import EngineBuffers, _pcg64_load, _pcg64_store, resolve_kernel
 from ..core.config import ProtocolParams
 from ..errors import CheckpointError, ProtocolConfigError, ServeError
 from ..graphs.bipartite import BipartiteGraph
@@ -129,7 +133,7 @@ class ServingState:
         self.track_tags = track_tags
         self.buffers = buffers if buffers is not None else EngineBuffers()
         self._kern = resolve_kernel(kernel)
-        self._round_fn = self._kern.round_fn() if self._kern.compiled else None
+        self._serve_fn = self._kern.serve_round_fn()
 
         # Server state (SAER with optional epoch recovery).
         self.cum_received = np.zeros(self.n_servers, dtype=np.int64)
@@ -181,32 +185,24 @@ class ServingState:
         indptr = np.zeros(self.n_clients + 1, dtype=np.int64)
         np.cumsum(degs, out=indptr[1:])
         indices = (
-            np.concatenate(self.neighbor_lists)
+            np.concatenate(self.neighbor_lists).astype(np.int64, copy=False)
             if indptr[-1]
             else np.empty(0, dtype=np.int64)
         )
         self.degs, self.indptr, self.indices = degs, indptr, indices
-        self._csr32 = None  # int32 twin for the compiled kernel, built lazily
-
-    def _csr_i32(self):
-        if self._csr32 is None:
-            self._csr32 = (
-                self.indptr.astype(np.int32),
-                self.degs.astype(np.int32),
-                self.indices.astype(np.int32),
-            )
-        return self._csr32
 
     # -- verbs -------------------------------------------------------------
 
     def round_begin(self) -> int:
         """Heal recovered servers, then apply churn; returns rewired count."""
         if self.recovery is not None and self.burned.any():
-            self.burn_clock[self.burned] += 1
-            healed = self.burned & (self.burn_clock >= self.recovery)
-            self.burned[healed] = False
-            self.cum_received[healed] = 0
-            self.burn_clock[healed] = 0
+            # Flat passes: burned servers' clocks tick, and those that
+            # reach `recovery` heal (flag, counter and clock reset).
+            self.burn_clock += self.burned
+            healed = (self.burn_clock >= self.recovery) & self.burned
+            np.copyto(self.burned, False, where=healed)
+            np.copyto(self.cum_received, 0, where=healed)
+            np.copyto(self.burn_clock, 0, where=healed)
         rewired = 0
         if self.churn is not None:
             # With quarantine active, churn rewires the *full* lists (the
@@ -322,48 +318,26 @@ class ServingState:
                 assigned_servers=_EMPTY_I64,
                 assigned_tags=_EMPTY_I64 if self.track_tags else None,
             )
-        n = self.n_alive
-        owners = self._owners[:n]
-        births = self._births[:n]
-        # Phase 0: every alive ball draws one uniform, in buffer order —
-        # the canonical stream both the numpy and compiled paths consume.
-        u = self.buffers.get("serve.u", n, np.float64)
-        self.rng.random(out=u)
         overlay = self._fault_pre(t)
-        if self._round_fn is not None:
-            ok, dest = self._route_kernel(u, owners)
+        if self._serve_fn is not None and type(self.rng.bit_generator) is np.random.PCG64:
+            res = self._route_compiled(t)
         else:
-            ok, dest = self._route_numpy(u, owners)
+            res = self._route_numpy(t)
         if overlay is not None:
             self._fault_post(overlay)
-        received = accepted_counts = None
-        if self.track_health:
-            received = np.bincount(dest, minlength=n_s).astype(np.int64)
-            accepted_counts = np.bincount(dest[ok], minlength=n_s).astype(np.int64)
-        assigned_servers = dest[ok]
-        latencies = (t - births[ok]).astype(np.int64)
-        assigned_tags = None
-        if self._tags is not None:
-            assigned_tags = self._tags[:n][ok].copy()
-        asg = int(np.count_nonzero(ok))
+        asg, servers, latencies, tags, received, accepted_counts = res
         self.assigned_total += asg
-        # Boolean compaction of the survivors, in place.
-        keep = ~ok
-        kept = int(np.count_nonzero(keep))
-        self._owners[:kept] = owners[keep]
-        self._births[:kept] = births[keep]
-        if self._tags is not None:
-            self._tags[:kept] = self._tags[:n][keep]
-        self.n_alive = kept
+        self.n_alive -= asg
+        burned = int(np.count_nonzero(self.burned))
         return RoundOutcome(
             round_no=t,
             assigned=asg,
-            backlog=kept,
-            burned=int(np.count_nonzero(self.burned)),
-            burned_fraction=float(self.burned.mean()) if n_s else 0.0,
+            backlog=self.n_alive,
+            burned=burned,
+            burned_fraction=burned / n_s if n_s else 0.0,
             latencies=latencies,
-            assigned_servers=assigned_servers.astype(np.int64, copy=False),
-            assigned_tags=assigned_tags,
+            assigned_servers=servers,
+            assigned_tags=tags,
             received=received,
             accepted_counts=accepted_counts,
         )
@@ -375,10 +349,13 @@ class ServingState:
 
         Crashed/stalled servers are pinned above capacity (both route
         paths then reject every ball sent to them); Byzantine
-        under-reporters are zeroed (they claim an empty counter every
-        round).  Returns the undo record, or ``None`` when no server
-        fault is active this round — in which case the route step is
-        exactly the fault-free code path.
+        under-reporters are zeroed and un-burned (they claim an empty
+        counter every round, so they never appear burned).  Either way
+        ``burned ⇔ cum_received > capacity`` holds on entry to the
+        route, which both route paths' accept rules rely on.  Returns
+        the undo record, or ``None`` when no server fault is active this
+        round — in which case the route step is exactly the fault-free
+        code path.
         """
         if self.faults is None:
             return None
@@ -391,6 +368,7 @@ class ServingState:
             self.cum_received[reject_idx] = self.capacity + 1
         if byz_idx.size:
             self.cum_received[byz_idx] = 0
+            self.burned[byz_idx] = False
         return reject_idx, byz_idx, saved
 
     def _fault_post(self, overlay) -> None:
@@ -414,81 +392,78 @@ class ServingState:
             self.cum_received[reject_idx] = saved
         np.greater(self.cum_received, self.capacity, out=self.burned)
 
-    def _route_numpy(self, u: np.ndarray, owners: np.ndarray):
-        """The vectorized reference round: gather → count → decide."""
+    def _route_numpy(self, t: int):
+        """The vectorized reference round: draw → gather → count →
+        decide → compact.  Returns ``(assigned, servers, latencies,
+        tags, received, accepted_counts)``, all fresh arrays."""
+        n = self.n_alive
         n_s = self.n_servers
+        owners = self._owners[:n]
+        births = self._births[:n]
+        # Phase 0: every alive ball draws one uniform, in buffer order.
+        u = self.buffers.get("serve.u", n, np.float64)
+        self.rng.random(out=u)
         # Phase 1: every alive ball to a uniform current neighbor, via
         # the flat CSR view (vectorized gather).
         own_deg = self.degs[owners]
         offs = np.minimum((u * own_deg).astype(np.int64), own_deg - 1)
         dest = self.indices[self.indptr[owners] + offs]
-        received = np.bincount(dest, minlength=n_s)
+        received = np.bincount(dest, minlength=n_s).astype(np.int64, copy=False)
         # Phase 2: SAER rule.
         self.cum_received += received
         over = self.cum_received > self.capacity
         newly = over & ~self.burned
         accept = ~self.burned & ~over
         self.burned |= newly
-        return accept[dest], dest
+        ok = accept[dest]
+        # Phase 3: the assigned balls' outputs, then boolean compaction
+        # of the survivors, in place.
+        servers = dest[ok]
+        latencies = t - births[ok]
+        tags = self._tags[:n][ok] if self._tags is not None else None
+        keep = ~ok
+        kept = n - servers.size
+        self._owners[:kept] = owners[keep]
+        self._births[:kept] = births[keep]
+        if self._tags is not None:
+            self._tags[:kept] = self._tags[:n][keep]
+        if not self.track_health:
+            return servers.size, servers, latencies, tags, None, None
+        accepted = np.bincount(servers, minlength=n_s).astype(np.int64, copy=False)
+        return servers.size, servers, latencies, tags, received, accepted
 
-    def _route_kernel(self, u: np.ndarray, owners: np.ndarray):
-        """The same round through the compiled fused kernel.
+    def _route_compiled(self, t: int):
+        """The same round in one C call (the ``cext`` serving entry).
 
-        The alive balls become one "trial" of the batched engine's round
-        loop: a stable owner sort puts them in the kernel's canonical
-        client-major key order, the fused gather+count+decide updates
-        ``cum_received`` in place, and the accept mask falls out of the
-        updated counts (``accept == cum_after ≤ ⌊c·d⌋`` — burned servers
-        are exactly those already over threshold, so the three-way
-        ``~burned & ~over`` rule collapses to one comparison).  Survivor
-        compaction stays in :meth:`route` — identical to the numpy path.
+        The Generator's PCG64 state is copied in, stepped by exactly
+        ``n_alive`` draws inside the call and written back, so churn and
+        the next round continue the stream where :meth:`_route_numpy`
+        would.  The outputs are copied out of the scratch rows, so no
+        :class:`RoundOutcome` array aliases what the next round writes.
         """
-        n = owners.size
-        n_s = self.n_servers
-        buf = self.buffers
-        order = np.argsort(owners, kind="stable")
-        indptr32, degs32, indices32 = self._csr_i32()
-        ball_key = buf.get("serve.key", n, np.int32)
-        ball_key[:] = owners[order]
-        u_sorted = buf.get("serve.us", n, np.float64)
-        u_sorted[:] = u[order]
-        dest32 = buf.get("serve.dest", n, np.int32)
-        state1 = self.cum_received.reshape(1, n_s)
-        state2 = buf.get("serve.loads", (1, n_s), np.int64)
-        self._round_fn(
-            u_sorted,
-            ball_key,
-            np.zeros(1, dtype=np.int64),           # trial_ids
-            np.array([n], dtype=np.int64),         # sent
-            0,                                     # reg_deg: general CSR path
-            indptr32,
-            degs32,
-            indices32,
-            self.n_clients,
-            block_clients_for(self.n_clients, int(self.indptr[-1])),
-            state1,
-            state2,
-            self.capacity,
-            0,                                     # is_raes
-            dest32,
-            buf.get("serve.count", n_s, np.int64, zero=True),
-            buf.get("serve.touched", n_s, np.int32),
-            buf.get("serve.acc", n_s, np.uint8, zero=True),
-            buf.get("serve.nacc", 1, np.int64),
-            buf.get("serve.outkey", n, np.int32),
-            0,                                     # do_compact: stays in route()
-            buf.get("serve.cur", 1, np.int64),
-            buf.get("serve.segs", 1, np.int64),
-            buf.get("serve.sege", 1, np.int64),
+        n = self.n_alive
+        pcg = self.buffers.get("serve.pcg", (1, 4), np.uint64)
+        _pcg64_load((self.rng,), pcg)
+        out = self.buffers.get("serve.out", (3, n), np.int64)
+        tags = self._tags[:n] if self._tags is not None else None
+        received = accepted = None
+        if self.track_health:
+            received = np.zeros(self.n_servers, dtype=np.int64)
+            accepted = np.zeros(self.n_servers, dtype=np.int64)
+        asg = self._serve_fn(
+            pcg, self._owners[:n], self._births[:n], tags, self.indptr,
+            self.indices, self.cum_received, self.burned, self.capacity, t,
+            out, received, accepted,
         )
-        # Decide + un-sort back to buffer order; the kernel already
-        # folded the received counts into cum_received (state1 view).
-        ok = np.empty(n, dtype=bool)
-        ok[order] = self.cum_received[dest32[:n]] <= self.capacity
-        dest = np.empty(n, dtype=np.int64)
-        dest[order] = dest32[:n]
-        np.greater(self.cum_received, self.capacity, out=self.burned)
-        return ok, dest
+        _pcg64_store((self.rng,), pcg)
+        return (
+            asg,
+            out[0, :asg].copy(),
+            out[1, :asg].copy(),
+            out[2, :asg].copy() if tags is not None else None,
+            received,
+            accepted,
+        )
 
     def evict_overdue(self, max_wait_rounds: int) -> tuple[np.ndarray, np.ndarray]:
         """Remove balls that survived ``max_wait_rounds`` routes unassigned.
@@ -681,7 +656,7 @@ class ServingState:
         self.track_health = bool(ckpt["track_health"])
         self.buffers = buffers if buffers is not None else EngineBuffers()
         self._kern = resolve_kernel(kernel)
-        self._round_fn = self._kern.round_fn() if self._kern.compiled else None
+        self._serve_fn = self._kern.serve_round_fn()
         self.cum_received = np.array(ckpt["cum_received"], dtype=np.int64)
         self.burned = np.array(ckpt["burned"], dtype=bool)
         self.burn_clock = np.array(ckpt["burn_clock"], dtype=np.int64)

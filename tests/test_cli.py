@@ -135,6 +135,9 @@ class TestMainBackendFlag:
         assert captured["kernel_threads"] == 2
 
     def test_kernel_threads_flag_maps_onto_plan(self, capsys, monkeypatch):
+        # Pre-register both variables main() exports, so teardown rolls
+        # them back (no env leak into later test modules).
+        monkeypatch.setenv("REPRO_KERNELS", "numpy")
         monkeypatch.setenv("REPRO_KERNEL_THREADS", "2")
         rc = main(
             ["run", "E1", "--trials", "2", "--seed", "4", "--processes", "1",

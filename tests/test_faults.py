@@ -211,17 +211,24 @@ class TestDynamicLayer:
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_seeded_schedule_identical_across_kernels(self, graph, kernel):
         arr = PoissonArrivals(0.4)
-        sch = FaultSchedule(
-            (FaultSpec("crash", 0.2, start=20, end=50), stalled(0.1)), seed=6
+        schedules = (
+            FaultSchedule(
+                (FaultSpec("crash", 0.2, start=20, end=50), stalled(0.1)), seed=6
+            ),
+            # Byzantine servers from mid-run: some are already burned at
+            # the onset, and every gate must un-burn them there.
+            FaultSchedule((FaultSpec("byz_server", 0.2, start=30),), seed=6),
         )
-        ref = run_dynamic_saer(
-            graph, 2.0, 4, arr, 80, recovery=8, seed=5, faults=sch, kernel="numpy"
-        )
-        res = run_dynamic_saer(
-            graph, 2.0, 4, arr, 80, recovery=8, seed=5, faults=sch, kernel=kernel
-        )
-        assert np.array_equal(ref.backlog, res.backlog)
-        assert np.array_equal(ref.latencies, res.latencies)
+        for sch in schedules:
+            ref = run_dynamic_saer(
+                graph, 2.0, 4, arr, 80, recovery=8, seed=5, faults=sch, kernel="numpy"
+            )
+            res = run_dynamic_saer(
+                graph, 2.0, 4, arr, 80, recovery=8, seed=5, faults=sch, kernel=kernel
+            )
+            assert np.array_equal(ref.backlog, res.backlog)
+            assert np.array_equal(ref.latencies, res.latencies)
+            assert ref.byz_absorbed == res.byz_absorbed
 
     def test_crash_window_backlog_recovers(self, graph):
         arr = PoissonArrivals(0.3)

@@ -238,7 +238,9 @@ class TestServiceRounds:
             svc.run_round()
         assert len(snaps) == 2  # rounds 2 and 4
 
-    def test_stats_shape(self, graph):
+    def test_stats_shape(self, graph, monkeypatch):
+        # Pin the gate: the suite may run under an exported REPRO_KERNELS.
+        monkeypatch.setenv("REPRO_KERNELS", "numpy")
         svc = _service(graph)
         svc.submit(1)
         svc.run_round()

@@ -5,7 +5,7 @@ import pytest
 
 from repro.batch import available_kernels
 from repro.errors import ProtocolConfigError
-from repro.graphs import BipartiteGraph, trust_subsets
+from repro.graphs import BipartiteGraph, random_regular_bipartite, trust_subsets
 from repro.serve import RoundOutcome, ServingState
 
 
@@ -174,14 +174,39 @@ class TestEviction:
             st.evict_overdue(0)
 
 
+_OUTCOME_ARRAYS = (
+    "latencies", "assigned_servers", "assigned_tags", "received", "accepted_counts"
+)
+
+
+def _outcome_arrays(out: RoundOutcome) -> dict:
+    return {
+        name: None if getattr(out, name) is None else getattr(out, name).copy()
+        for name in _OUTCOME_ARRAYS
+    }
+
+
+def _assert_same_arrays(got: dict, want: dict) -> None:
+    for name, arr in want.items():
+        if arr is None:
+            assert got[name] is None, name
+        else:
+            assert got[name].dtype == np.int64, name
+            assert np.array_equal(got[name], arr), name
+
+
 class TestKernelParity:
     """Every kernel gate must produce identical assignments from an
     identical seed — the same exact-stream contract the batched engine
-    pins, extended to the serving round."""
+    pins, extended to the serving round.  ``cext`` routes through its
+    compiled serving round; ``python`` (and ``numba``) have none and take
+    the numpy route, so their cases compare that route with itself."""
 
     @pytest.mark.parametrize("kernel", [k for k in available_kernels() if k != "numpy"])
     def test_kernel_matches_numpy_stream(self, graph, kernel):
-        ref = ServingState(graph, 1.5, 4, recovery=5, seed=123, track_tags=True)
+        ref = ServingState(
+            graph, 1.5, 4, recovery=5, seed=123, kernel="numpy", track_tags=True
+        )
         alt = ServingState(graph, 1.5, 4, recovery=5, seed=123, kernel=kernel, track_tags=True)
         assert alt.kernel_name == kernel
         rng = np.random.default_rng(99)
@@ -201,7 +226,9 @@ class TestKernelParity:
     def test_kernel_parity_under_churn(self, graph, kernel):
         from repro.dynamic import RewireChurn
 
-        ref = ServingState(graph, 2.0, 4, recovery=6, churn=RewireChurn(0.2), seed=321)
+        ref = ServingState(
+            graph, 2.0, 4, recovery=6, churn=RewireChurn(0.2), seed=321, kernel="numpy"
+        )
         alt = ServingState(
             graph, 2.0, 4, recovery=6, churn=RewireChurn(0.2), seed=321, kernel=kernel
         )
@@ -214,3 +241,71 @@ class TestKernelParity:
             a, b = ref.route(), alt.route()
             assert a.assigned == b.assigned
             assert np.array_equal(a.assigned_servers, b.assigned_servers)
+            # Churn draws from the same Generator the route steps.
+            assert alt.rng.bit_generator.state == ref.rng.bit_generator.state
+
+    @pytest.mark.parametrize("kernel", [k for k in available_kernels() if k != "numpy"])
+    @pytest.mark.parametrize("family", ["regular", "trust"])
+    def test_round_outcome_state_and_stream(self, family, kernel):
+        """With tags and health counts on, every RoundOutcome field, the
+        server state, the survivors and the Generator's position match
+        the numpy route after every round; and an outcome stays as it
+        was returned while later rounds run."""
+        if family == "regular":
+            g = random_regular_bipartite(128, 6, seed=4)
+        else:
+            g = trust_subsets(128, 128, 10, seed=3)
+        ref = ServingState(g, 1.5, 4, recovery=4, seed=77, kernel="numpy", track_tags=True)
+        alt = ServingState(g, 1.5, 4, recovery=4, seed=77, kernel=kernel, track_tags=True)
+        assert (alt._serve_fn is not None) == (kernel == "cext")
+        ref.track_health = alt.track_health = True
+        rng = np.random.default_rng(8)
+        history = []
+        next_tag = 0
+        for _ in range(20):
+            owners = np.repeat(np.arange(g.n_clients), rng.poisson(0.7, g.n_clients))
+            tags = np.arange(next_tag, next_tag + owners.size, dtype=np.int64)
+            next_tag += owners.size
+            for st in (ref, alt):
+                st.round_begin()
+                st.admit_balls(owners, tags)
+            a, b = ref.route(), alt.route()
+            assert alt.rng.bit_generator.state == ref.rng.bit_generator.state
+            assert (a.round_no, a.assigned, a.backlog, a.burned) == (
+                b.round_no, b.assigned, b.backlog, b.burned
+            )
+            assert a.burned_fraction == b.burned_fraction
+            assert b.received is not None and b.accepted_counts is not None
+            _assert_same_arrays(_outcome_arrays(b), _outcome_arrays(a))
+            assert np.array_equal(ref.cum_received, alt.cum_received)
+            assert np.array_equal(ref.burned, alt.burned)
+            assert np.array_equal(ref.burn_clock, alt.burn_clock)
+            assert np.array_equal(ref.alive_tags, alt.alive_tags)
+            assert np.array_equal(ref._births[: ref.n_alive], alt._births[: alt.n_alive])
+            history.append((b, _outcome_arrays(b)))
+        assert sum(out.assigned for out, _ in history) > 0
+        for out, snap in history:
+            _assert_same_arrays(_outcome_arrays(out), snap)
+
+    @pytest.mark.parametrize("kernel", [k for k in available_kernels() if k != "numpy"])
+    def test_non_pcg64_generator_takes_numpy_route(self, graph, kernel):
+        """A Generator over another bit generator has no compiled draws:
+        every gate routes it exactly like the numpy gate."""
+
+        def make(k):
+            rng = np.random.Generator(np.random.MT19937(42))
+            return ServingState(graph, 1.5, 4, recovery=5, seed=rng, kernel=k, track_tags=True)
+
+        ref, alt = make("numpy"), make(kernel)
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            arr = rng.poisson(0.6, graph.n_clients).astype(np.int64)
+            for st in (ref, alt):
+                st.round_begin()
+                st.admit_counts(arr)
+            a, b = ref.route(), alt.route()
+            assert a.assigned == b.assigned
+            assert np.array_equal(a.assigned_servers, b.assigned_servers)
+            assert np.array_equal(a.latencies, b.latencies)
+            assert np.array_equal(ref.cum_received, alt.cum_received)
+        assert np.array_equal(ref.rng.random(4), alt.rng.random(4))
