@@ -37,7 +37,14 @@
  *                      output offsets are data, not scheduling, so the
  *                      results are byte-identical for ANY thread count —
  *                      including a build without OpenMP, where the
- *                      pragma is ignored and the chunks run in order;
+ *                      pragma is ignored and the chunks run in order.
+ *                      A trial whose remaining balls all belong to
+ *                      clients with only blocked servers (SAER
+ *                      cum_received > capacity, RAES load >= capacity)
+ *                      can change nothing but its counters and its
+ *                      draws until the cap, so it jumps there in closed
+ *                      form (rounds, work, a PCG64 jump-ahead) instead
+ *                      of grinding; see repro_run;
  *   repro_serve_round  one round of ServingState.route: PCG64 draws,
  *                      gather, SAER decide and in-place survivor
  *                      compaction over the alive balls in buffer order,
@@ -518,6 +525,28 @@ static inline double repro_pcg64_double(repro_u128 *s, repro_u128 inc)
     return (double)(x >> 11) * REPRO_SCALE_53;
 }
 
+/* Jump a state row ahead by n draws in O(log n) steps, as numpy's
+ * PCG64.advance(n) does: the n-fold LCG map s -> M^n·s + inc·(M^(n-1)
+ * + ... + M + 1) (mod 2^128) built by square-and-multiply. */
+static void repro_pcg64_advance(uint64_t *st, uint64_t n)
+{
+    repro_u128 mult = REPRO_PCG_MULT;
+    repro_u128 plus = ((repro_u128)st[2] << 64) | st[3];
+    repro_u128 acc_mult = 1, acc_plus = 0;
+    for (; n; n >>= 1) {
+        if (n & 1) {
+            acc_mult *= mult;
+            acc_plus = acc_plus * mult + plus;
+        }
+        plus *= mult + 1;
+        mult *= mult;
+    }
+    repro_u128 s = ((repro_u128)st[0] << 64) | st[1];
+    s = acc_mult * s + acc_plus;
+    st[0] = (uint64_t)(s >> 64);
+    st[1] = (uint64_t)s;
+}
+
 static void repro_pcg64_fill(double *dst, int64_t n, uint64_t *st)
 {
     repro_u128 s = ((repro_u128)st[0] << 64) | st[1];
@@ -848,6 +877,40 @@ static int64_t REPRO_NAME(round_trial)(
     return kept;
 }
 
+/* Whether every client holding a ball in [i0, i1) — one trial's balls,
+ * sorted by key — sees only blocked servers, by the predicates of
+ * blocked_counts(): SAER cum_received > capacity, RAES load >=
+ * capacity (st is the trial's state1 row: cum_received or loads).
+ * cursor[v] counts client v's leading neighbours known to be blocked.
+ * Both counters only grow, so a blocked server stays blocked and the
+ * cursors only move forward: each edge is passed at most once per
+ * trial over a whole run.  Stops at the first client that still has an
+ * admissible server. */
+static int REPRO_NAME(starved)(
+    const int32_t *ball_key, int64_t i0, int64_t i1, int32_t *cursor,
+    int64_t reg_deg, const int32_t *indptr, const int32_t *degrees,
+    const int32_t *indices, const REPRO_STATE *st, int64_t capacity,
+    int64_t is_raes)
+{
+    int64_t prev = -1;
+    for (int64_t i = i0; i < i1; i++) {
+        int64_t key = ball_key[i];
+        if (key == prev) continue; /* another ball of the same client */
+        prev = key;
+        int64_t v = reg_deg > 0 ? key / reg_deg : key;
+        const int32_t *nbr = indices + (reg_deg > 0 ? key : indptr[v]);
+        int64_t dg = reg_deg > 0 ? reg_deg : degrees[v];
+        int64_t c = cursor[v];
+        if (is_raes)
+            while (c < dg && st[nbr[c]] >= capacity) c++;
+        else
+            while (c < dg && st[nbr[c]] > capacity) c++;
+        cursor[v] = (int32_t)c;
+        if (c < dg) return 0;
+    }
+    return 1;
+}
+
 /* A whole engine run: every round of every trial in one call.
  *
  * pcg (R x 4 PCG64 state rows, stepped in place) or, when pcg is NULL,
@@ -856,10 +919,12 @@ static int64_t REPRO_NAME(round_trial)(
  * ball_key arrives holding every trial's initial balls (R segments of
  * total_balls); ball_key, alt_key and dest are R * total_balls int32
  * each and are scratch from then on.  counts/toucheds/accs are
- * n_threads x n_s scratch rows (counts and accs zeroed).  ws is
- * 7R + n_threads + 1 int64 of scratch.  rounds, work, assigned and
- * alive_total (R each, alive_total preset to total_balls) are updated
- * per trial.
+ * n_threads x n_s scratch rows (counts and accs zeroed).  cursors is
+ * R x n_clients int32 scratch for the starvation check below; a
+ * trial's row is zeroed the first time it is used, which the per-trial
+ * flags in ws record.  ws is 8R + n_threads + 1 int64 of scratch.
+ * rounds, work, assigned and alive_total (R each, alive_total preset
+ * to total_balls) are updated per trial.
  *
  * Each round splits the active trials into min(n_threads, active)
  * balanced chunks (the trial_chunks rule of kernels.py).  A chunk runs
@@ -869,7 +934,21 @@ static int64_t REPRO_NAME(round_trial)(
  * canonical offset (destination <= source, chunks in order, so the
  * in-place moves never overwrite a run not yet moved).  Trials with no
  * ball left drop out.  The round that reaches cap stops the run with
- * the remaining trials un-finished, as in the numpy engine. */
+ * the remaining trials un-finished, as in the numpy engine.
+ *
+ * Starved trials jump to the cap.  After a round in which a trial
+ * accepted no ball, starved() checks whether every client it still
+ * has balls at sees only blocked servers.  If so, no later round can
+ * change anything the caller reads: each ball goes to a blocked server
+ * and is rejected, a SAER server's cum_received stays above capacity
+ * (blocked_servers is unchanged) and a RAES load does not move.  Only
+ * the counters and the draws advance, by closed forms: with k = cap -
+ * round rounds left and `alive` balls, rounds grows by k, work by
+ * 2·alive·k, and the trial's PCG64 row jumps ahead by alive·k draws
+ * (Philox draws are counter-based, nothing to do).  The trial then
+ * drops out with its balls alive, ending exactly where grinding to the
+ * cap would leave it — except cum_received on already-burned servers,
+ * which stays a lower bound. */
 void REPRO_NAME(repro_run)(
     uint64_t *pcg, const uint32_t *words, double *uchunk,
     int32_t *ball_key, int32_t *alt_key, int32_t *dest,
@@ -879,12 +958,13 @@ void REPRO_NAME(repro_run)(
     REPRO_STATE *state1, REPRO_STATE *state2,
     int64_t n_s, int64_t capacity, int64_t is_raes,
     REPRO_STATE *counts, int32_t *toucheds, uint8_t *accs,
-    int64_t n_threads, int64_t *ws,
+    int64_t n_threads, int64_t *ws, int32_t *cursors,
     int64_t *rounds, int64_t *work, int64_t *assigned, int64_t *alive_total)
 {
     int64_t *active = ws, *sent = ws + R, *n_acc = ws + 2 * R;
     int64_t *cur = ws + 3 * R, *seg_start = ws + 4 * R, *seg_end = ws + 5 * R;
-    int64_t *n_keep = ws + 6 * R, *chunk_starts = ws + 7 * R;
+    int64_t *n_keep = ws + 6 * R, *cursor_ready = ws + 7 * R;
+    int64_t *chunk_starts = ws + 8 * R;
     int64_t T = n_threads < 1 ? 1 : n_threads;
     int nthr = (int)T;
     (void)nthr; /* unused when built without OpenMP */
@@ -893,6 +973,7 @@ void REPRO_NAME(repro_run)(
     for (int64_t a = 0; a < A; a++) {
         active[a] = a;
         sent[a] = total_balls;
+        cursor_ready[a] = 0;
     }
     for (int64_t round_no = 1; A > 0; round_no++) {
         int64_t do_compact = round_no < cap;
@@ -931,10 +1012,31 @@ void REPRO_NAME(repro_run)(
                                        block_clients);
             int32_t *out = alt_key + seg_start[a0];
             for (int64_t a = a0; a < a1; a++) {
+                int64_t t = active[a];
                 n_keep[a] = REPRO_NAME(round_trial)(
-                    ball_key, dest, seg_start[a], seg_end[a], active[a],
+                    ball_key, dest, seg_start[a], seg_end[a], t,
                     state1, state2, n_s, capacity, is_raes, count, touched,
                     acc, out, do_compact, n_acc + a);
+                if (do_compact && n_acc[a] == 0) {
+                    int32_t *cursor = cursors + t * n_clients;
+                    if (!cursor_ready[t]) {
+                        memset(cursor, 0, (size_t)n_clients * sizeof(int32_t));
+                        cursor_ready[t] = 1;
+                    }
+                    if (REPRO_NAME(starved)(
+                            ball_key, seg_start[a], seg_end[a], cursor,
+                            reg_deg, indptr, degrees, indices,
+                            state1 + t * n_s, capacity, is_raes)) {
+                        int64_t k = cap - round_no;
+                        int64_t alive = seg_end[a] - seg_start[a];
+                        rounds[t] += k;
+                        work[t] += 2 * alive * k;
+                        if (pcg)
+                            repro_pcg64_advance(pcg + 4 * t,
+                                                (uint64_t)(alive * k));
+                        n_keep[a] = 0; /* drop it: no survivors packed */
+                    }
+                }
                 out += n_keep[a];
             }
         }
@@ -961,9 +1063,11 @@ void REPRO_NAME(repro_run)(
         ball_key = alt_key;
         alt_key = tmp;
 
+        /* n_keep == sent after a compacting round, except for the
+         * starved trials just dropped with balls alive */
         int64_t live = 0;
         for (int64_t a = 0; a < A; a++)
-            if (sent[a] > 0) {
+            if (n_keep[a] > 0) {
                 active[live] = active[a];
                 sent[live] = sent[a];
                 live++;

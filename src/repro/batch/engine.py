@@ -40,7 +40,13 @@ compiled kernel (:mod:`repro.batch.kernels`): pass ``kernel="cext"`` /
 decide → compact pipeline compiled.  ``cext`` runs all rounds of a call
 as one C call and draws the uniforms inside it (PCG64 states go in and
 come back out, so caller-supplied Generators end exactly after the
-draws they served); ``numba`` makes one call per round.  The compiled
+draws they served); ``numba`` makes one call per round.  ``cext`` also
+skips the rounds of a *starved* trial — one whose remaining balls all
+belong to clients with only blocked servers, so that every later round
+rejects every ball and changes nothing the result reports.  Such a
+trial jumps straight to the round cap: its rounds, work and PCG64
+stream advance in closed form, exactly as far as grinding the rounds
+would move them.  The other gates grind, and are the oracle.  The compiled
 path is **bit-identical** to the numpy path — it is selected per call
 and silently falls back to numpy whenever a run shape it does not
 support appears (custom policy subclasses, degree-0 clients with
@@ -391,9 +397,18 @@ def _run_rounds_compiled(
     :meth:`~repro.batch.kernels.Kernel.run_round_fn`) runs every round
     in one call and draws each trial's uniforms inside it: from its
     PCG64 state, copied in before the call and written back after it,
-    or (``words is not None``) from its Philox words.  The other
+    or (``words is not None``) from its Philox words.  After a round in
+    which a trial accepted no ball, the run entry checks whether each of
+    its remaining balls' clients sees only blocked servers (the
+    predicates of ``blocked_counts()``), walking a per-(trial, client)
+    neighbour cursor in the ``[R, n_clients]`` int32 ``ccursor``
+    scratch.  If so, the trial takes the ``k = cap - round`` rounds left
+    in closed form (``rounds += k``, ``work += 2·alive·k``, its PCG64
+    row jumped ahead ``alive·k`` draws) and drops out with its balls
+    alive: the outputs are those of grinding to the cap.  The other
     compiled gates (``numba``, ``python``) take one call per round over
-    a uniform slab from :func:`fill_uniforms` or :func:`philox_fill`.
+    a uniform slab from :func:`fill_uniforms` or :func:`philox_fill`,
+    and grind.
 
     With ``threads > 1`` the trial axis is partitioned into ``threads``
     balanced chunks per round, each on its own scratch row —
@@ -454,7 +469,8 @@ def _run_rounds_compiled(
             is_raes, bufs.get("ccount", (T, n_s), state_dtype, zero=True),
             bufs.get("ctouched", (T, n_s), np.int32),
             bufs.get("cacc", (T, n_s), np.uint8, zero=True),
-            bufs.get("cws", 7 * R + T + 1, np.int64),
+            bufs.get("cws", 8 * R + T + 1, np.int64),
+            bufs.get("ccursor", (R, n_c), np.int32),
             rounds, work, assigned, alive_total,
         )
         if pcg is not None:

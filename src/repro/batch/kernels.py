@@ -17,8 +17,10 @@ run it three ways:
     One call runs a whole engine call — every round of every trial —
     and draws each trial's uniforms inside the round, from its PCG64
     state or its Philox words; the CSR adjacency streams through cache
-    once per round instead of once per trial.  One more call runs a
-    serving round (:meth:`Kernel.serve_round_fn`).
+    once per round instead of once per trial.  A trial whose remaining
+    balls see only blocked servers jumps to the round cap in closed
+    form instead of grinding there (the other gates grind).  One more
+    call runs a serving round (:meth:`Kernel.serve_round_fn`).
 ``numba``
     The same loop nest as the C round, JIT-compiled by numba when it
     is installed, one call per round over a uniform slab.
@@ -75,6 +77,8 @@ import ctypes
 import hashlib
 import math
 import os
+import platform
+import shutil
 import subprocess
 import tempfile
 import threading
@@ -800,6 +804,9 @@ class CextKernel(Kernel):
         scratch rows — run in parallel by the OpenMP build when
         ``threads > 1``; without it, warns once per (gate, threads) and
         runs the sequential build on one row, with identical results.
+        A trial whose remaining balls see only blocked servers jumps to
+        the round cap in closed form instead of grinding there (the
+        ``[R, n_clients]`` int32 ``cursors`` scratch backs that check);
         ``rounds``/``work``/``assigned``/``alive_total`` are updated in
         place.
         """
@@ -815,7 +822,8 @@ class CextKernel(Kernel):
         def call(pcg, words, uchunk, ball_key, alt_key, dest, total_balls,
                  cap, reg_deg, indptr, degrees, indices, n_clients,
                  block_clients, state1, state2, capacity, is_raes, counts,
-                 toucheds, accs, ws, rounds, work, assigned, alive_total):
+                 toucheds, accs, ws, cursors, rounds, work, assigned,
+                 alive_total):
             fn = lib.repro_run_i64 if state1.dtype == np.int64 else lib.repro_run_i32
             fn(
                 None if pcg is None else pcg.ctypes.data,
@@ -824,7 +832,7 @@ class CextKernel(Kernel):
                 total_balls, cap, reg_deg, indptr, degrees, indices,
                 n_clients, block_clients, state1, state2, state1.shape[1],
                 capacity, is_raes, counts, toucheds, accs,
-                counts.shape[0] if threaded else 1, ws,
+                counts.shape[0] if threaded else 1, ws, cursors,
                 rounds, work, assigned, alive_total,
             )
 
@@ -906,40 +914,88 @@ def _cc_candidates() -> list[str]:
     return [env] if env else ["cc", "gcc", "clang"]
 
 
+def _flag_sets(openmp: bool) -> list[list[str]]:
+    """The compiler flags the build tries, in order.
+
+    ``-march=native`` first (the SIMD philox fill needs AVX2 to beat the
+    PCG64 fill; bit-safe here because the kernels are integer arithmetic
+    plus isolated double multiplies — no fuseable multiply-add chains
+    exist for ``-mfma`` to contract), plain ``-O3`` as the portable
+    fallback.
+    """
+    omp = ["-fopenmp"] if openmp else []
+    return [
+        ["-O3", *extra, "-shared", "-fPIC", *omp]
+        for extra in (["-march=native"], [])
+    ]
+
+
+def _cpu_features() -> str:
+    """The CPU's architecture and feature flags: the first ``flags``
+    (x86) or ``Features`` (Arm) line of ``/proc/cpuinfo``, else
+    ``platform.machine()`` alone."""
+    machine = platform.machine()
+    try:
+        with open("/proc/cpuinfo", encoding="ascii", errors="replace") as fh:
+            for line in fh:
+                key, _, value = line.partition(":")
+                if key.strip() in ("flags", "Features"):
+                    return f"{machine}: {value.strip()}"
+    except OSError:
+        pass
+    return machine
+
+
+def _kernel_so_name(source: bytes, openmp: bool, cpu: str) -> str:
+    """File name of the cached kernel object for this build.
+
+    ``-march=native`` makes the object specific to the CPU it was built
+    on, so a cache shared between machines must never hand one CPU's
+    build to another (with a key of the source alone, that crashed with
+    SIGILL).  The name hashes the source, the resolved path of every
+    compiler candidate, the flag sets tried and the CPU features.
+    Nothing here runs a subprocess: loading a cached build stays a few
+    file reads.
+    """
+    parts = []
+    for cc in _cc_candidates():
+        path = shutil.which(cc)
+        parts.append(os.path.realpath(path) if path else cc)
+    parts += [" ".join(flags) for flags in _flag_sets(openmp)]
+    parts.append(cpu)
+    h = hashlib.sha256(source)
+    for part in parts:
+        h.update(b"\0" + os.fsencode(part))
+    stem = "_repro_kernels_omp" if openmp else "_repro_kernels"
+    return f"{stem}_{h.hexdigest()[:16]}.so"
+
+
+def _kernel_cache_dir() -> Path:
+    cache_dir = os.environ.get(CACHE_ENV)
+    if cache_dir:
+        return Path(cache_dir)
+    uid = os.getuid() if hasattr(os, "getuid") else "u"
+    return Path(tempfile.gettempdir()) / f"repro-kernels-{uid}"
+
+
 def _load_cext_library(openmp: bool = False):
-    """Compile (once, cached by source hash) and load ``_kernels.c``.
+    """Compile (once per :func:`_kernel_so_name` key) and load ``_kernels.c``.
 
     ``openmp=True`` builds a second object with ``-fopenmp`` (cached
     under its own name); the compile itself is the probe — a compiler
     that lacks OpenMP fails it and the caller falls back.
     """
     src = Path(__file__).with_name("_kernels.c")
-    source = src.read_bytes()
-    tag = hashlib.sha256(source).hexdigest()[:16]
-    cache_dir = os.environ.get(CACHE_ENV)
-    if cache_dir:
-        cache = Path(cache_dir)
-    else:
-        uid = os.getuid() if hasattr(os, "getuid") else "u"
-        cache = Path(tempfile.gettempdir()) / f"repro-kernels-{uid}"
+    cache = _kernel_cache_dir()
     cache.mkdir(parents=True, exist_ok=True)
-    stem = "_repro_kernels_omp" if openmp else "_repro_kernels"
-    so = cache / f"{stem}_{tag}.so"
+    so = cache / _kernel_so_name(src.read_bytes(), openmp, _cpu_features())
     if not so.exists():
         last_err: Exception | None = None
         done = False
-        # -march=native first (the SIMD philox fill needs AVX2 to beat
-        # the PCG64 fill; bit-safe here because the kernels are integer
-        # arithmetic plus isolated double multiplies — no fuseable
-        # multiply-add chains exist for -mfma to contract), plain -O3
-        # as the portable fallback.
         for cc in _cc_candidates():
-            for extra in (["-march=native"], []):
+            for flags in _flag_sets(openmp):
                 tmp = so.with_name(f"{so.stem}.{os.getpid()}.tmp.so")
-                cmd = [cc, "-O3", *extra, "-shared", "-fPIC"]
-                if openmp:
-                    cmd.append("-fopenmp")
-                cmd += ["-o", str(tmp), str(src)]
+                cmd = [cc, *flags, "-o", str(tmp), str(src)]
                 try:
                     subprocess.run(
                         cmd, check=True, capture_output=True, timeout=120
@@ -996,7 +1052,8 @@ def _declare_run(fn, state_dtype) -> None:
         ptr(np.int32, **c),     # toucheds [n_threads, n_s]
         ptr(np.uint8, **c),     # accs     [n_threads, n_s]
         i64,                    # n_threads
-        ptr(np.int64, **c),     # ws [7R + n_threads + 1]
+        ptr(np.int64, **c),     # ws [8R + n_threads + 1]
+        ptr(np.int32, **c),     # cursors [R, n_clients]
         ptr(np.int64, **c),     # rounds
         ptr(np.int64, **c),     # work
         ptr(np.int64, **c),     # assigned

@@ -133,6 +133,14 @@ class BatchedSaerPolicy(BatchedServerPolicy):
     # implied by the second.  Hence no separate burned array: one add and
     # one compare per round.
 
+    # On the cext gate, a trial whose remaining balls see only burned
+    # servers jumps to the round cap without sending them (see
+    # repro_run in _kernels.c).  The rounds it skips would only have
+    # added to cum_received on servers already burned, so there
+    # cum_received is a lower bound of what grinding to the cap would
+    # count.  burned, blocked_counts() and every BatchResult field are
+    # exact; no result field exposes cum_received itself.
+
     @property
     def burned(self) -> np.ndarray:
         """Per-trial burned mask ``[R, n_servers]`` (derived, Definition 3)."""

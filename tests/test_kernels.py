@@ -12,7 +12,11 @@ with numba installed and the C path built.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.batch import (
+    BatchResult,
     BatchedSaerPolicy,
     EngineBuffers,
     available_kernels,
@@ -433,6 +438,125 @@ class TestRunEntry:
         assert res.rounds.max() == 12 and len(calls) == 1
 
 
+# Graphs for the starvation suite: the Δ-regular closed-form gather, the
+# irregular path, and an unbalanced trust graph (n_clients != n_servers).
+STARVED_GRAPHS = {
+    "regular": lambda: random_regular_bipartite(128, 8, seed=3),
+    "near_regular": lambda: near_regular(96, 6, 18, seed=3),
+    "trust": lambda: trust_subsets(120, 90, 10, seed=5),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def starved_graph(family):
+    return STARVED_GRAPHS[family]()
+
+
+@functools.lru_cache(maxsize=None)
+def numpy_oracle(family, policy, c, seed_mode):
+    """The numpy engine, which grinds every trial to the round cap."""
+    return run_trials_batched(
+        starved_graph(family), ProtocolParams(c=c, d=4), policy,
+        seeds=spawn_seeds(61, 6), kernel="numpy", seed_mode=seed_mode,
+        options=RunOptions(record_loads=True),
+    )
+
+
+def assert_batch_results_equal(ref, got, skip=()):
+    for f in dataclasses.fields(BatchResult):
+        if f.name in skip:
+            continue
+        a, b = getattr(ref, f.name), getattr(got, f.name)
+        same = np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+        assert same, f"{f.name}: {b} != {a}"
+
+
+def assert_generators_advanced(gens, seeds, work):
+    """Each trial drew one uniform per ball-round, i.e. work // 2."""
+    for t, (g, s) in enumerate(zip(gens, seeds)):
+        fresh = make_rng(s)
+        fresh.bit_generator.advance(int(work[t]) // 2)
+        assert g.bit_generator.state == fresh.bit_generator.state, f"trial {t}"
+
+
+@pytest.mark.skipif("cext" not in COMPILED, reason="needs a working C compiler")
+class TestStarvationJump:
+    """A cext trial whose remaining balls all belong to clients with only
+    blocked servers jumps to the round cap in closed form.  The numpy
+    engine grinds those rounds, so every output must still match it."""
+
+    @pytest.mark.parametrize("threads", THREAD_COUNTS)
+    @pytest.mark.parametrize("seed_mode", ["pair", "philox"])
+    @pytest.mark.parametrize("family", sorted(STARVED_GRAPHS))
+    @pytest.mark.parametrize("policy", ["saer", "raes"])
+    @pytest.mark.parametrize("c", [1.0, 1.2, 1.35, 1.5])
+    def test_matches_numpy_oracle(self, c, policy, family, seed_mode, threads):
+        ref = numpy_oracle(family, policy, c, seed_mode)
+        seeds = spawn_seeds(61, 6)
+        g, params = starved_graph(family), ProtocolParams(c=c, d=4)
+        opts = RunOptions(record_loads=True)
+        got = run_trials_batched(
+            g, params, policy, seeds=seeds, kernel="cext", seed_mode=seed_mode,
+            threads=threads, options=opts,
+        )
+        assert_batch_results_equal(ref, got)
+        if seed_mode == "pair":
+            # caller Generators must end where the grind leaves them
+            gens = [make_rng(s) for s in seeds]
+            got = run_trials_batched(
+                g, params, policy, seeds=gens, kernel="cext", seed_mode="pair",
+                threads=threads, options=opts,
+            )
+            assert_batch_results_equal(ref, got, skip=("seed_infos",))
+            assert_generators_advanced(gens, seeds, got.work)
+
+    @pytest.mark.parametrize("policy", ["saer", "raes"])
+    def test_grid_holds_capped_and_finished_trials(self, policy):
+        """The parity grid exercises both exits: c = 1.0 caps every
+        trial on every graph, and on the regular graph c = 1.5 lets
+        trials finish."""
+        for family in STARVED_GRAPHS:
+            assert not numpy_oracle(family, policy, 1.0, "pair").completed.any()
+        assert numpy_oracle("regular", policy, 1.5, "pair").completed.any()
+
+    @pytest.mark.parametrize("policy", ["saer", "raes"])
+    def test_jump_reaches_a_huge_cap_at_once(self, policy):
+        g = random_regular_bipartite(64, 8, seed=1)
+        params = ProtocolParams(c=1.0, d=4)
+        seeds = spawn_seeds(3, 4)
+        cap, low = 10**7, 200
+        # the first cext call of a process may compile the kernel
+        run_trials_batched(g, params, policy, n_trials=1, seed=0, kernel="cext")
+        gens = [make_rng(s) for s in seeds]
+        start = time.perf_counter()
+        got = run_trials_batched(
+            g, params, policy, seeds=gens, kernel="cext", seed_mode="pair",
+            threads=1, options=RunOptions(max_rounds=cap, record_loads=True),
+        )
+        elapsed = time.perf_counter() - start
+        # Grinding 10**7 rounds takes seconds (RAES, a few balls left)
+        # to minutes (SAER, ~10**9 ball-rounds); the jump, milliseconds.
+        assert elapsed < 1.0, f"{elapsed:.2f} s: the trials were not jumped"
+        # The numpy oracle at caps 200 and 400: every trial is starved by
+        # round 200, so from there on only rounds and work move, by
+        # 2·alive per round.
+        lo, hi = (
+            run_trials_batched(
+                g, params, policy, seeds=seeds, kernel="numpy", seed_mode="pair",
+                options=RunOptions(max_rounds=m, record_loads=True),
+            )
+            for m in (low, 2 * low)
+        )
+        alive = lo.total_balls - lo.assigned_balls
+        assert not lo.completed.any()
+        assert np.array_equal(hi.work - lo.work, 2 * alive * low)
+        assert_batch_results_equal(lo, hi, skip=("rounds", "work"))
+        assert_batch_results_equal(lo, got, skip=("rounds", "work", "seed_infos"))
+        assert (got.rounds == cap).all()
+        assert np.array_equal(got.work, lo.work + 2 * alive * (cap - low))
+        assert_generators_advanced(gens, seeds, got.work)
+
+
 # ---------------------------------------------------------------------------
 # Threaded kernels: the trial-partitioned path must be bit-identical at
 # every gate × thread-count combination.
@@ -823,3 +947,42 @@ class TestThreadedFallback:
             kernel="numba", threads=4,
         )
         assert res.n_trials == 2
+
+
+class TestKernelCacheKey:
+    """The cached ``.so`` is built with ``-march=native``, so its name
+    must change with anything that changes the object it holds."""
+
+    def test_name_depends_on_cpu_features(self):
+        from repro.batch import kernels as kmod
+
+        a = kmod._kernel_so_name(b"int x;", False, "x86_64: sse2 avx2")
+        b = kmod._kernel_so_name(b"int x;", False, "x86_64: sse2")
+        assert a != b
+        assert a.startswith("_repro_kernels_") and a.endswith(".so")
+
+    def test_name_depends_on_source_compiler_and_openmp(self, monkeypatch):
+        from repro.batch import kernels as kmod
+
+        cpu = "x86_64: sse2"
+        base = kmod._kernel_so_name(b"int x;", False, cpu)
+        assert kmod._kernel_so_name(b"int y;", False, cpu) != base
+        assert kmod._kernel_so_name(b"int x;", True, cpu).startswith(
+            "_repro_kernels_omp_"
+        )
+        monkeypatch.setenv("CC", "no-such-compiler-cc")
+        assert kmod._kernel_so_name(b"int x;", False, cpu) != base
+
+    @pytest.mark.skipif("cext" not in COMPILED, reason="needs a working C compiler")
+    def test_cached_load_runs_no_subprocess(self, monkeypatch):
+        from repro.batch import kernels as kmod
+
+        source = Path(kmod.__file__).with_name("_kernels.c").read_bytes()
+        name = kmod._kernel_so_name(source, False, kmod._cpu_features())
+        assert (kmod._kernel_cache_dir() / name).exists()
+
+        def no_subprocess(*args, **kwargs):
+            raise AssertionError("the load path ran a subprocess")
+
+        monkeypatch.setattr(kmod.subprocess, "run", no_subprocess)
+        assert kmod._load_cext_library() is not None
