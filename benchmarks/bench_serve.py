@@ -13,7 +13,8 @@ Two entry points:
 * ``pytest benchmarks/bench_serve.py`` — small-scale smoke (the
   throughput floor scaled down, plus a hotspot-trace sanity run);
 * ``python benchmarks/bench_serve.py [--smoke] [--json PATH]`` — the
-  full measurement, writing ``BENCH_serve.json`` at the repo root.
+  full measurement, writing ``BENCH_serve.json`` at the repo root
+  (git ignores it: a record is a run's output, not a source file).
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ def _run(out: str, *, n: int, rounds: int, rate: float, min_throughput: float,
 
 def test_serve_throughput_smoke(tmp_path):
     """CI-scale floor: even at n=2000 the driven path must clear 50k/s
-    (the full-scale bench clears it with margin; see BENCH_serve.json)."""
+    (the full-scale run clears it with margin)."""
     out = tmp_path / "bench_serve_smoke.json"
     rc = _run(str(out), n=2000, rounds=100, rate=0.3, min_throughput=50_000)
     assert rc == 0, "throughput/assignment-rate gate failed at smoke scale"
@@ -74,7 +75,7 @@ def main(argv=None) -> int:
     parser.add_argument("--smoke", action="store_true", help="small-scale quick run")
     parser.add_argument("--json", default=str(_ROOT / "BENCH_serve.json"))
     parser.add_argument("--kernel", default=None,
-                        choices=("numpy", "cext", "numba", "python"))
+                        choices=("numpy", "cext", "python"))
     args = parser.parse_args(argv)
     if args.smoke:
         return _run(args.json, n=2000, rounds=100, rate=0.3,

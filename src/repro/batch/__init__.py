@@ -16,11 +16,11 @@ per-trial :class:`~repro.core.results.RunResult` records.
 
 The per-round hot loop also exists as fused compiled kernels behind a
 runtime gate (:mod:`repro.batch.kernels`: ``kernel=`` argument or
-``REPRO_KERNELS`` env var; numpy reference, C extension, numba —
-bit-identical, unavailable paths fall back to numpy), with a
-trial-partitioned threaded twin per compiled path (``threads=``
-argument or ``REPRO_KERNEL_THREADS`` env var — bit-identical at every
-thread count), and sweep results can travel as typed
+``REPRO_KERNELS`` env var; numpy reference, C extension, interpreted
+loops — bit-identical, unavailable paths fall back to numpy), the C
+path with a trial-partitioned OpenMP build (``threads=`` argument or
+``REPRO_KERNEL_THREADS`` env var — bit-identical at every thread
+count), and sweep results can travel as typed
 :class:`ResultBlock` columns instead of per-trial dicts (the columnar
 results spool of :mod:`repro.parallel.sweep` /
 :mod:`repro.parallel.aggregate`).

@@ -926,8 +926,9 @@ static int REPRO_NAME(starved)(
  * rounds, work, assigned and alive_total (R each, alive_total preset
  * to total_balls) are updated per trial.
  *
- * Each round splits the active trials into min(n_threads, active)
- * balanced chunks (the trial_chunks rule of kernels.py).  A chunk runs
+ * Each round splits the active trials into nc = min(n_threads, active)
+ * balanced chunks, in order: the first active % nc chunks take
+ * active / nc + 1 trials, the rest active / nc.  A chunk runs
  * phases 1-3 for its trials on its own scratch row and packs its
  * survivors contiguously from its first ball slot in alt_key; the
  * sequential left-pack then moves each chunk's run down to its

@@ -35,13 +35,13 @@ tape.  Per round:
 Compiled kernels
 ----------------
 The whole per-round chain also exists as a fused, cache-blocked
-compiled kernel (:mod:`repro.batch.kernels`): pass ``kernel="cext"`` /
-``"numba"`` (or set ``REPRO_KERNELS``) to run the gather → count →
-decide → compact pipeline compiled.  ``cext`` runs all rounds of a call
-as one C call and draws the uniforms inside it (PCG64 states go in and
-come back out, so caller-supplied Generators end exactly after the
-draws they served); ``numba`` makes one call per round.  ``cext`` also
-skips the rounds of a *starved* trial — one whose remaining balls all
+compiled kernel (:mod:`repro.batch.kernels`): pass ``kernel="cext"``
+(or set ``REPRO_KERNELS``) to run the gather → count → decide →
+compact pipeline compiled.  ``cext`` runs all rounds of a call as one C
+call and draws the uniforms inside it (PCG64 states go in and come back
+out, so caller-supplied Generators end exactly after the draws they
+served); ``python`` runs the same loop nest interpreted, one call per
+round.  ``cext`` also skips the rounds of a *starved* trial — one whose remaining balls all
 belong to clients with only blocked servers, so that every later round
 rejects every ball and changes nothing the result reports.  Such a
 trial jumps straight to the round cap: its rounds, work and PCG64
@@ -73,8 +73,6 @@ Not supported (use the reference engine): per-round traces,
 
 from __future__ import annotations
 
-import os
-import threading
 import weakref
 from typing import Callable, Sequence, Union
 
@@ -86,8 +84,6 @@ from ..errors import NonTerminationError, ProtocolConfigError
 from ..graphs.bipartite import BipartiteGraph
 from ..rng import make_rng, philox_trial_words, spawn_seeds
 from .kernels import (
-    DEFAULT_KERNEL,
-    KERNELS_ENV,
     RNG_BLOCK,
     EngineBuffers,
     Kernel,
@@ -99,9 +95,7 @@ from .kernels import (
     philox_fill,
     resolve_kernel,
     resolve_seed_mode,
-    resolve_threaded_round,
     resolve_threads,
-    trial_chunks,
 )
 from .policies import BatchedRaesPolicy, BatchedSaerPolicy, BatchedServerPolicy
 from .results import BatchResult
@@ -117,7 +111,7 @@ _BATCH_POLICY_REGISTRY: dict[str, Callable[[int, int, int], BatchedServerPolicy]
 
 # Switch to the sparse Phase-2 path once the balls in flight are this
 # many times fewer than the dense state slab (A·n_s) they would touch
-# (crossover tuned on the n=10⁴, R=64 benchmark of BENCH_batch.json).
+# (crossover tuned on an n=10⁴, R=64 SAER batch on one core).
 _SPARSE_FACTOR = 4
 
 
@@ -201,21 +195,20 @@ def run_trials_batched(
         raised if *any* trial hits the cap (carrying the full
         :class:`BatchResult` in ``result``).
     kernel:
-        Round-kernel implementation: ``"numpy"`` (default), ``"cext"``,
-        ``"numba"``, or ``"python"``; ``None`` reads the
+        Round-kernel implementation: ``"numpy"`` (default), ``"cext"``
+        or ``"python"``; ``None`` reads the
         ``REPRO_KERNELS`` environment variable.  All implementations
         are bit-identical; unavailable ones fall back to numpy with a
         warning.  See :mod:`repro.batch.kernels`.
     threads:
-        Kernel thread budget for the compiled paths: the trial axis is
-        partitioned into that many chunks and the round kernel runs
-        them in parallel (OpenMP for ``cext``, ``numba.prange`` for
-        ``numba``).  ``None`` reads ``REPRO_KERNEL_THREADS``; default
-        1.  Results are **bit-identical at every thread count** — the
-        chunking is data, not scheduling.  Ignored by the ``numpy``
-        reference loop; a compiled gate without a threaded path on
-        this install warns once per (gate, threads) and runs
-        sequentially.
+        Kernel thread budget for the ``cext`` run entry: the trial axis
+        is partitioned into that many chunks per round and the OpenMP
+        build runs them in parallel.  ``None`` reads
+        ``REPRO_KERNEL_THREADS``; default 1.  Results are
+        **bit-identical at every thread count** — the chunking is data,
+        not scheduling.  Ignored by the ``numpy`` and ``python`` gates;
+        without an OpenMP build ``cext`` warns once per (gate, threads)
+        and runs sequentially.
     seed_mode:
         Seed lineage: ``"pair"`` / ``"direct"`` (synonyms here) run the
         PCG64 per-trial generators; ``"philox"`` switches the uniform
@@ -225,8 +218,7 @@ def run_trials_batched(
         count, and chunking by construction (each draw is a pure
         function of ``(trial words, round, slot)``).  ``None`` reads
         ``REPRO_SEED_MODE``; default ``pair``.  Philox mode requires
-        seed-likes (not pre-built Generators) in ``seeds`` and is the
-        only mode the ``"cupy"`` kernel accepts.
+        seed-likes (not pre-built Generators) in ``seeds``.
     buffers:
         Optional :class:`~repro.batch.kernels.EngineBuffers` scratch
         pool, reused across calls (persistent sweep workers pass their
@@ -283,15 +275,6 @@ def run_trials_batched(
         policy = faulty_policy_factory(policy.lower(), faults, n_c)
     pol = _make_batch_policy(policy, R, n_s, params.capacity)
     smode = resolve_seed_mode(seed_mode)
-    requested_kernel = (
-        (kernel or os.environ.get(KERNELS_ENV) or DEFAULT_KERNEL).strip().lower()
-    )
-    if requested_kernel == "cupy" and smode != "philox":
-        raise ProtocolConfigError(
-            'kernel="cupy" requires seed_mode="philox": the device round '
-            "is reproducible only under the counter-based lineage (PCG64 "
-            "carries per-trial generator state the GPU path cannot stream)"
-        )
     if smode == "philox":
         try:
             words = philox_trial_words(seed_list)
@@ -307,15 +290,7 @@ def run_trials_batched(
 
     n_threads = resolve_threads(threads)
     kern = resolve_kernel(kernel, threads=n_threads)
-    if kern.name == "cupy" and _compiled_supported(kern, graph, pol, dem, n_c, n_s, gens):
-        from .device import run_rounds_device
-
-        pol.astype_state(state_dtype, state_dtype)
-        rounds, work, assigned, alive_total = run_rounds_device(
-            kern.module(), graph, pol, dem, total_balls, n_c, n_s, cap, R,
-            params.capacity, words, state_dtype,
-        )
-    elif kern.compiled and _compiled_supported(kern, graph, pol, dem, n_c, n_s, gens):
+    if kern.compiled and _compiled_supported(kern, graph, pol, dem, n_c, n_s, gens):
         pol.astype_state(state_dtype, state_dtype)
         rounds, work, assigned, alive_total = _run_rounds_compiled(
             kern, graph, pol, dem, total_balls, n_c, n_s, cap, R,
@@ -405,29 +380,15 @@ def _run_rounds_compiled(
     scratch.  If so, the trial takes the ``k = cap - round`` rounds left
     in closed form (``rounds += k``, ``work += 2·alive·k``, its PCG64
     row jumped ahead ``alive·k`` draws) and drops out with its balls
-    alive: the outputs are those of grinding to the cap.  The other
-    compiled gates (``numba``, ``python``) take one call per round over
-    a uniform slab from :func:`fill_uniforms` or :func:`philox_fill`,
-    and grind.
+    alive: the outputs are those of grinding to the cap.  With
+    ``threads > 1`` the run entry partitions the trial axis into
+    ``threads`` balanced chunks per round, each on its own scratch row —
+    bit-identical to one thread (the partition and the survivor
+    left-pack are data, not scheduling).
 
-    With ``threads > 1`` the trial axis is partitioned into ``threads``
-    balanced chunks per round, each on its own scratch row —
-    bit-identical to the sequential entry for any thread count (the
-    partition and the survivor left-pack are data, not scheduling).  A
-    gate without a threaded path on this install warns once per (gate,
-    threads) and runs sequentially.
-
-    In philox mode the slab gates, given a thread budget ≥ 2, fill the
-    *next* round's slab concurrently with the current round's kernel
-    call (the C fill releases the GIL) using the current counts as an
-    upper bound — counter draws are location-independent, so the
-    surviving prefix of an over-fill is exactly what the next round
-    needs, and the overlap cannot change a single bit.
-
-    The trial-partitioned per-round entries pack survivors back into
-    ``ball_key`` (the input buffer, dead after phase 1 — that is what
-    makes their left-pack epilogue parallel), so this loop swaps the
-    ping-pong buffers only after sequential rounds.
+    A gate without a run entry (``python``) takes one sequential call
+    per round over a uniform slab from :func:`fill_uniforms` or
+    :func:`philox_fill`, grinds, and ignores ``threads``.
     """
     indptr, degrees, indices = _csr32(graph)
     reg_deg = 0
@@ -484,39 +445,19 @@ def _run_rounds_compiled(
         active = np.empty(0, dtype=np.int64)
         sent = np.empty(0, dtype=np.int64)
 
-    # The threaded path partitions trials into `threads` chunks, each on
-    # its own scratch row; a gate without a threaded path on this
-    # install warns once and runs the sequential entry.
-    mt_fn = None
-    if threads > 1 and R > 1:
-        mt_fn = resolve_threaded_round(kern, threads)
-    T = min(threads, R) if mt_fn is not None else 1
-
     u_buf = bufs.get("u", B0, np.float64)
-    if mt_fn is not None:
-        counts = bufs.get("ccount", (T, n_s), state_dtype, zero=True)
-        toucheds = bufs.get("ctouched", (T, n_s), np.int32)
-        accs = bufs.get("cacc", (T, n_s), np.uint8, zero=True)
-        chunk_buf = bufs.get("cchunk", T + 1, np.int64)
-        n_keep = bufs.get("ckeep", R, np.int64)
-    else:
-        count = bufs.get("ccount", n_s, state_dtype, zero=True)
-        touched = bufs.get("ctouched", n_s, np.int32)
-        acc = bufs.get("cacc", n_s, np.uint8, zero=True)
-        round_fn = kern.round_fn()
+    count = bufs.get("ccount", n_s, state_dtype, zero=True)
+    touched = bufs.get("ctouched", n_s, np.int32)
+    acc = bufs.get("cacc", n_s, np.uint8, zero=True)
+    round_fn = kern.round_fn()
     n_acc_buf = bufs.get("cnacc", R, np.int64)
     cur = bufs.get("ccur", R, np.int64)
     seg_start = bufs.get("cseg0", R, np.int64)
     seg_end = bufs.get("cseg1", R, np.int64)
-    philox = words is not None
-    if not philox:
+    if words is None:
         slab = bufs.get("rng_slab", (R, RNG_BLOCK), np.float64)
         slab_pos = bufs.get("rng_pos", R, np.int64)
         slab_pos[:] = RNG_BLOCK  # empty: streams are fresh per engine call
-
-    use_stage = philox and threads >= 2
-    stage_buf = bufs.get("u_stage", B0, np.float64) if use_stage else None
-    stage = None
 
     round_no = 0
     B = ball_key.size if active.size else 0
@@ -527,77 +468,31 @@ def _run_rounds_compiled(
         work[active] += 2 * sent
         do_compact = 1 if round_no < cap else 0
         u = u_buf[:B]
-        if philox:
-            if stage is not None:
-                th, s_active, s_starts = stage
-                th.join()
-                stage = None
-                # surviving trials keep their staged prefix (draws are
-                # location-independent): compact-copy it to the new
-                # packed offsets
-                idx = np.searchsorted(s_active, active)
-                pos = 0
-                for j in range(A):
-                    k = int(sent[j])
-                    so = int(s_starts[idx[j]])
-                    u[pos : pos + k] = stage_buf[so : so + k]
-                    pos += k
-            else:
-                philox_fill(u, active, sent, words, round_no)
+        if words is not None:
+            philox_fill(u, active, sent, words, round_no)
         else:
             fill_uniforms(u, active, sent, gens, slab, slab_pos)
-        if use_stage and do_compact:
-            s_active = active.copy()
-            s_sent = sent.copy()
-            s_starts = np.zeros(A + 1, dtype=np.int64)
-            np.cumsum(s_sent, out=s_starts[1:])
-            th = threading.Thread(
-                target=philox_fill,
-                args=(stage_buf, s_active, s_sent, words, round_no + 1),
-                daemon=True,
-            )
-            th.start()
-            stage = (th, s_active, s_starts)
         n_acc = n_acc_buf[:A]
-        if mt_fn is not None:
-            Tr = min(T, A)
-            chunk_starts = trial_chunks(A, Tr, chunk_buf)
-            B_next = int(
-                mt_fn(
-                    u, ball_key, active, sent, reg_deg, indptr, degrees,
-                    indices, n_c, block_clients, state1, state2, capacity,
-                    is_raes, dest_buf[:B], counts[:Tr], toucheds[:Tr],
-                    accs[:Tr], n_acc, alt_buf, do_compact, cur[:A],
-                    seg_start[:A], seg_end[:A], chunk_starts, n_keep[:A],
-                )
+        B_next = int(
+            round_fn(
+                u, ball_key, active, sent, reg_deg, indptr, degrees, indices,
+                n_c, block_clients, state1, state2, capacity, is_raes,
+                dest_buf[:B], count, touched, acc, n_acc, alt_buf,
+                do_compact, cur[:A], seg_start[:A], seg_end[:A],
             )
-        else:
-            B_next = int(
-                round_fn(
-                    u, ball_key, active, sent, reg_deg, indptr, degrees, indices,
-                    n_c, block_clients, state1, state2, capacity, is_raes,
-                    dest_buf[:B], count, touched, acc, n_acc, alt_buf,
-                    do_compact, cur[:A], seg_start[:A], seg_end[:A],
-                )
-            )
+        )
         assigned[active] += n_acc
         alive_total[active] -= n_acc
         sent = sent - n_acc
         if not do_compact:
             # Trials with balls left stop here with rounds == cap.
             break
-        if mt_fn is None:
-            # The sequential entry packs survivors into out_key
-            # (alt_buf); the trial-partitioned entries pack them back
-            # into ball_key, so their rounds skip the ping-pong swap.
-            ball_key, alt_buf = alt_buf, ball_key
+        ball_key, alt_buf = alt_buf, ball_key
         B = B_next
         still = sent > 0
         if not still.all():
             active = active[still]
             sent = sent[still]
-    if stage is not None:
-        stage[0].join()
     return rounds, work, assigned, alive_total
 
 
@@ -659,7 +554,7 @@ def _run_rounds_numpy(
 
     # All round-loop scratch lives in buffers sized to the first round
     # (the largest) and sliced per round: repeated multi-MB allocations
-    # cost real page-fault time at fleet scale.  The buffers come from
+    # cost real page-fault time at scale.  The buffers come from
     # the (optionally persistent) EngineBuffers pool, so sweep workers
     # reuse one allocation across grid points.
     B0 = total_balls * R

@@ -21,19 +21,12 @@ run it three ways:
     balls see only blocked servers jumps to the round cap in closed
     form instead of grinding there (the other gates grind).  One more
     call runs a serving round (:meth:`Kernel.serve_round_fn`).
-``numba``
-    The same loop nest as the C round, JIT-compiled by numba when it
-    is installed, one call per round over a uniform slab.
-    :func:`_round_loops` is written in the nopython subset and doubles
-    as the interpreted specification of the compiled algorithm.
 ``python``
-    :func:`_round_loops` executed by the interpreter — far too slow
-    for real workloads, but it lets the parity suite exercise the
-    exact compiled algorithm on any install (no numba, no compiler).
-``cupy``
-    The GPU twin of the fused philox round (:mod:`repro.batch.device`),
-    valid only with the counter-based ``philox`` seed lineage; without
-    an importable cupy and a device it falls back like any other gate.
+    :func:`_round_loops`, the C round's loop nest executed by the
+    interpreter, one call per round over a uniform slab — far too slow
+    for real workloads, but it is the readable specification of the
+    compiled algorithm and lets the parity suite exercise it on any
+    install (no compiler).
 
 Every implementation is **bit-identical** to the numpy path: same
 uniforms consumed in the same canonical (trial-major, client-major)
@@ -43,28 +36,26 @@ order, same accept decisions, same policy state, same survivor order.
 Selection is a runtime gate: the ``kernel=`` argument to
 :func:`repro.batch.run_trials_batched` wins, else the ``REPRO_KERNELS``
 environment variable, else ``numpy``.  Requesting an unavailable
-implementation (no numba, no C compiler) warns once and falls back to
-numpy — minimal installs never break, they just don't accelerate.
+implementation (no C compiler) warns once and falls back to numpy —
+minimal installs never break, they just don't accelerate.
 
 Threading
 ---------
-Every compiled implementation also has a **trial-partitioned threaded
-twin**: the active trials are split into explicit chunks, each chunk
-runs the whole gather→count→decide→compact chain independently on its
-own scratch row, and a deterministic left-pack restores the canonical
-(trial-major, client-major) survivor layout.  Because chunk boundaries,
-per-trial uniform streams, and output offsets are all data — never
-scheduling — results are **byte-identical for every thread count**,
-including 1.  The thread budget is its own gate:
-``threads=`` argument > ``REPRO_KERNEL_THREADS`` environment variable >
-1 (:func:`resolve_threads`); process-pool workers reset the environment
+The C run entry is **trial-partitioned**: each round splits the active
+trials into balanced chunks, each chunk runs the whole
+gather→count→decide→compact chain independently on its own scratch
+row, and a deterministic left-pack restores the canonical (trial-major,
+client-major) survivor layout.  Because chunk boundaries, per-trial
+uniform streams, and output offsets are all data — never scheduling —
+results are **byte-identical for every thread count**, including 1.
+The thread budget is its own gate: ``threads=`` argument >
+``REPRO_KERNEL_THREADS`` environment variable > 1
+(:func:`resolve_threads`); process-pool workers reset the environment
 half to 1 so threads never multiply into process oversubscription (see
-:mod:`repro.parallel.pool`).  The C run entry chunks each round in an
-OpenMP build of ``_kernels.c`` (compile-probed; a failed probe warns
-once and falls back to the sequential object), the numba twin is a
-``numba.prange`` jit of the same chunked loops, and the ``python``
-kernel runs those loops interpreted — so the chunked algorithm is
-parity-testable on any install.
+:mod:`repro.parallel.pool`).  An OpenMP build of ``_kernels.c`` runs the
+chunks in parallel (compile-probed; a failed probe warns once and falls
+back to the sequential object).  The ``numpy`` and ``python`` gates run
+single-threaded and ignore the budget.
 
 This module also owns :class:`EngineBuffers`, the named grow-only
 scratch pool that persistent sweep workers keep alive across grid
@@ -88,14 +79,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# The chunk loop of _round_loops_mt iterates `prange`.  Interpreted it
-# is plain range; NumbaKernel rebinds it to numba.prange just before
-# jitting (numba resolves globals at compile time), so importing this
-# module never pays numba's import cost.  numba.prange degrades to
-# range when called from the interpreter, so the rebind never changes
-# interpreted behaviour either.
-prange = range
-
 __all__ = [
     "KERNELS_ENV",
     "THREADS_ENV",
@@ -107,7 +90,6 @@ __all__ = [
     "resolve_kernel",
     "resolve_threads",
     "resolve_seed_mode",
-    "trial_chunks",
     "fill_uniforms",
     "philox_fill",
 ]
@@ -290,7 +272,7 @@ def philox_fill(
 
 
 # ---------------------------------------------------------------------------
-# The compiled algorithm, as interpreted loops (numba's source of truth)
+# The compiled algorithm, as interpreted loops (the oracle of the C round)
 # ---------------------------------------------------------------------------
 
 
@@ -315,13 +297,9 @@ def _phase23_trial(
 
     Batch counts and the accept rule over the ball range ``[i0, i1)``,
     then (when compacting) the trial's survivors written at
-    ``out_key[out_base:]`` — the sequential loop packs trials
-    contiguously, the chunked loop hands each trial its own input
-    region.  Returns ``(survivors, accepted_balls)``; the
-    count/touched/acc scratch arrives zeroed and is re-zeroed before
-    returning.  Shared by :func:`_round_loops` and
-    :func:`_round_loops_mt` (and jitted once for both by numba), so the
-    accept rule has one Python source of truth.
+    ``out_key[out_base:]``, packing trials contiguously.  Returns
+    ``(survivors, accepted_balls)``; the count/touched/acc scratch
+    arrives zeroed and is re-zeroed before returning.
     """
     n_s = state1.shape[1]
     acc_balls = 0
@@ -455,116 +433,6 @@ def _round_loops(
     return out
 
 
-def _round_loops_mt(
-    u,
-    ball_key,
-    trial_ids,
-    sent,
-    reg_deg,
-    indptr,
-    degrees,
-    indices,
-    n_clients,
-    block_clients,
-    state1,
-    state2,
-    capacity,
-    is_raes,
-    dest,
-    counts,
-    toucheds,
-    accs,
-    n_acc,
-    out_key,
-    do_compact,
-    cur,
-    seg_start,
-    seg_end,
-    chunk_starts,
-    n_keep,
-):
-    """The trial-partitioned round; numba's ``prange`` source of truth.
-
-    ``chunk_starts`` (``n_chunks + 1`` entries, chunks may be empty)
-    partitions the active trials; chunk ``ci`` runs the whole
-    gather→count→decide→compact chain for its trials on scratch row
-    ``ci`` of ``counts``/``toucheds``/``accs`` (each ``[n_chunks,
-    n_s]``), writing each trial's survivors into the trial's own input
-    region of ``out_key`` and its survivor count into ``n_keep``.  The
-    prefix-sum left-pack epilogue then copies each trial's run to its
-    packed offset in ``ball_key`` — the *input* buffer, dead after
-    phase 1, so the per-trial copies are disjoint and run in parallel
-    under ``prange`` — byte-identical to :func:`_round_loops` for any
-    partition and any thread count.  Callers read survivors from
-    ``ball_key`` (NOT ``out_key``) and must not swap their ping-pong
-    buffers after a threaded round.  ``repro_run`` in ``_kernels.c``
-    chunks its rounds by the same rule.
-    """
-    n_active = trial_ids.shape[0]
-    pos = 0
-    for a in range(n_active):
-        seg_start[a] = pos
-        pos += sent[a]
-        seg_end[a] = pos
-    n_chunks = chunk_starts.shape[0] - 1
-    for ci in prange(n_chunks):
-        a0 = chunk_starts[ci]
-        a1 = chunk_starts[ci + 1]
-        if a0 >= a1:
-            continue
-        count = counts[ci]
-        touched = toucheds[ci]
-        acc = accs[ci]
-        # phase 1: client-blocked destination gather for this chunk
-        for a in range(a0, a1):
-            cur[a] = seg_start[a]
-        v0 = 0
-        while v0 < n_clients:
-            if reg_deg > 0:
-                block_end = (v0 + block_clients) * reg_deg
-            else:
-                block_end = v0 + block_clients
-            for a in range(a0, a1):
-                i = cur[a]
-                e = seg_end[a]
-                while i < e and ball_key[i] < block_end:
-                    if reg_deg > 0:
-                        dg = reg_deg
-                        row = np.int64(ball_key[i])
-                    else:
-                        v = ball_key[i]
-                        dg = np.int64(degrees[v])
-                        row = np.int64(indptr[v])
-                    off = np.int64(u[i] * dg)
-                    if off > dg - 1:
-                        off = dg - 1
-                    dest[i] = indices[row + off]
-                    i += 1
-                cur[a] = i
-            v0 += block_clients
-        # phase 2 + 3 per trial, survivors land at the trial's own base
-        for a in range(a0, a1):
-            kept, acc_balls = _phase23_trial(
-                ball_key, dest, seg_start[a], seg_end[a], trial_ids[a],
-                state1, state2, capacity, is_raes, count, touched, acc,
-                out_key, seg_start[a], do_compact,
-            )
-            n_acc[a] = acc_balls
-            n_keep[a] = kept
-    # prefix-sum left-pack into the dead input buffer: offsets first
-    # (cur is scratch after phase 1), then disjoint per-trial copies
-    out = 0
-    for a in range(n_active):
-        cur[a] = out
-        out += n_keep[a]
-    for a in prange(n_active):
-        ks = seg_start[a]
-        ko = cur[a]
-        for j in range(n_keep[a]):
-            ball_key[ko + j] = out_key[ks + j]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Kernel implementations
 # ---------------------------------------------------------------------------
@@ -582,17 +450,10 @@ class Kernel:
     def round_fn(self) -> Callable:
         """The per-round engine entry with the :func:`_round_loops`
         signature, for the engine's round loop over a uniform slab
-        (``numba``, ``python``).  ``cext`` has none: it runs a whole
-        engine call through :meth:`run_round_fn` and a serving round
-        through :meth:`serve_round_fn`."""
+        (``python``).  ``cext`` has none: it runs a whole engine call
+        through :meth:`run_round_fn` and a serving round through
+        :meth:`serve_round_fn`."""
         raise NotImplementedError(f"{self.name} has no fused round entry")
-
-    def threaded_round_fn(self, threads: int) -> Callable | None:
-        """The trial-partitioned entry (:func:`_round_loops_mt`
-        signature), or ``None`` when this implementation has no
-        threaded path on this install (the engine then warns once per
-        (gate, threads) and runs the sequential kernel)."""
-        return None
 
     def run_round_fn(self, threads: int) -> Callable | None:
         """The whole-run entry — every round of an engine call in one
@@ -622,107 +483,6 @@ class PythonKernel(Kernel):
 
     def round_fn(self) -> Callable:
         return _round_loops
-
-    def threaded_round_fn(self, threads: int) -> Callable | None:
-        # Interpreted execution is sequential regardless of `threads`,
-        # but it runs the exact chunked algorithm — which is the point:
-        # the parity suite can pin the threaded compaction path on any
-        # install.
-        return _round_loops_mt
-
-
-class NumbaKernel(Kernel):
-    """numba-jitted :func:`_round_loops`; unavailable without numba."""
-
-    name = "numba"
-    compiled = True
-
-    def __init__(self) -> None:
-        self._jitted: Callable | None = None
-        self._jitted_mt: Callable | None = None
-        self._mt_failed = False
-
-    def available(self) -> bool:
-        try:
-            import numba  # noqa: F401
-        except ImportError:
-            return False
-        return True
-
-    @staticmethod
-    def _jit_helper(numba) -> None:
-        # Rebind the shared per-trial helper to its jitted dispatcher so
-        # the outer loops (compiled lazily, at first call) resolve the
-        # global to compiled code.  Idempotent; interpreted callers just
-        # get the faster dispatcher too.
-        global _phase23_trial
-        if not isinstance(_phase23_trial, numba.core.dispatcher.Dispatcher):
-            _phase23_trial = numba.njit(cache=False, fastmath=False)(_phase23_trial)
-
-    def round_fn(self) -> Callable:
-        if self._jitted is None:
-            import numba
-
-            self._jit_helper(numba)
-            self._jitted = numba.njit(cache=False, fastmath=False)(_round_loops)
-        return self._jitted
-
-    def threaded_round_fn(self, threads: int) -> Callable | None:
-        if self._mt_failed:
-            return None
-        if self._jitted_mt is None:
-            import numba
-
-            try:
-                # Rebind the module-level `prange` (plain range for the
-                # interpreter) to numba.prange so parallel=True picks up
-                # the chunk loop; numba resolves globals at compile time.
-                globals()["prange"] = numba.prange
-                self._jit_helper(numba)
-                jitted = numba.njit(
-                    cache=False, fastmath=False, parallel=True
-                )(_round_loops_mt)
-                # numba compiles lazily at first call, so probe with a
-                # zero-trial invocation: a missing parallel target or
-                # broken threading layer fails HERE, where we can fall
-                # back, not mid-round inside the engine.
-                _warm_mt(jitted)
-                self._jitted_mt = jitted
-            except Exception as exc:  # no parallel target / threading layer
-                self._mt_failed = True
-                self._mt_error = exc
-                return None
-
-        jitted = self._jitted_mt
-
-        def call(*args):
-            import numba
-
-            try:
-                cap = int(numba.get_num_threads())
-                numba.set_num_threads(max(1, min(threads, cap)))
-            except Exception:
-                pass  # thread-count control is best-effort; results
-                # are partition-determined either way
-            return jitted(*args)
-
-        return call
-
-
-def _warm_mt(fn) -> None:
-    """Call a threaded round entry on a zero-trial workload (both state
-    widths), forcing compilation/thread-pool startup so failures surface
-    at probe time."""
-    i32 = np.empty(0, np.int32)
-    i64 = np.empty(0, np.int64)
-    for state_dtype in (np.int64, np.int32):
-        state = np.empty((0, 1), state_dtype)
-        fn(
-            np.empty(0, np.float64), i32, i64, i64, 1, i32, i32, i32, 0, 1,
-            state, state, 4, 0, i32, np.zeros((1, 1), state_dtype),
-            np.empty((1, 1), np.int32), np.zeros((1, 1), np.uint8), i64,
-            i32, 1, i64, i64, i64, np.zeros(2, np.int64), i64,
-        )
 
 
 _U64 = (1 << 64) - 1
@@ -868,45 +628,6 @@ class CextKernel(Kernel):
             )
 
         return call
-
-
-class CupyKernel(Kernel):
-    """GPU twin of the fused philox round, gated on an importable cupy.
-
-    Only meaningful with the philox seed lineage — counter-based draws
-    are what make a device-resident round reproducible without
-    streaming per-trial PCG64 state through the GPU; the engine rejects
-    ``kernel="cupy"`` under the PCG64 modes outright.  The round itself
-    lives in :mod:`repro.batch.device` as an xp-agnostic twin that runs
-    on numpy or cupy arrays identically, so CI parity-pins the GPU
-    semantics against the CPU gates without a GPU.  ``available()``
-    requires cupy to import *and* see a device; anything else takes the
-    standard warn-once fallback to numpy in :func:`resolve_kernel`.
-    """
-
-    name = "cupy"
-    compiled = False
-
-    def __init__(self) -> None:
-        self._cupy = None
-        self._checked = False
-
-    def module(self):
-        """The cupy module (probed once), or ``None``.  Tests inject a
-        fake by setting ``_cupy``/``_checked`` directly."""
-        if not self._checked:
-            self._checked = True
-            try:
-                import cupy
-
-                cupy.cuda.runtime.getDeviceCount()
-                self._cupy = cupy
-            except Exception:
-                self._cupy = None
-        return self._cupy
-
-    def available(self) -> bool:
-        return self.module() is not None
 
 
 def _cc_candidates() -> list[str]:
@@ -1117,15 +838,13 @@ def _declare_fill(fn) -> None:
 _REGISTRY: dict[str, Kernel] = {
     "numpy": NumpyKernel(),
     "python": PythonKernel(),
-    "numba": NumbaKernel(),
     "cext": CextKernel(),
-    "cupy": CupyKernel(),
 }
 
 # Warn-once state for fallback warnings, keyed per (gate, threads):
-# "numba is missing" at threads=1 and "numba is missing" at threads=4
-# are different operational problems (the second also loses the thread
-# budget), so each key warns independently — but only once.
+# "cext is unavailable" at threads=1 and at threads=4 are different
+# operational problems (the second also loses the thread budget), so
+# each key warns independently — but only once.
 _warned: set[tuple[str, int]] = set()
 
 
@@ -1143,12 +862,11 @@ def available_kernels() -> list[str]:
 def resolve_kernel(name: str | None = None, threads: int | None = None) -> Kernel:
     """Resolve the runtime gate: argument > ``REPRO_KERNELS`` > numpy.
 
-    Unknown names raise; known-but-unavailable ones (numba not
-    installed, no C compiler) warn once per (gate, threads) and fall
-    back to the numpy reference so minimal installs keep working.
-    ``threads`` only keys the warn-once state (callers that resolved a
-    thread budget pass it through); it never changes which kernel is
-    returned.
+    Unknown names raise; known-but-unavailable ones (no C compiler)
+    warn once per (gate, threads) and fall back to the numpy reference
+    so minimal installs keep working.  ``threads`` only keys the
+    warn-once state (callers that resolved a thread budget pass it
+    through); it never changes which kernel is returned.
     """
     requested = name or os.environ.get(KERNELS_ENV) or DEFAULT_KERNEL
     requested = requested.strip().lower()
@@ -1172,12 +890,12 @@ def resolve_threads(threads: int | None = None) -> int:
     """Resolve the kernel thread budget: argument > ``REPRO_KERNEL_THREADS`` > 1.
 
     Threads partition *trials*, never a single trial, and only the
-    compiled kernels honour them (the numpy reference loop is
-    single-threaded by design; it silently runs with 1).  Process-pool
-    workers reset the environment half to 1 (see
-    :mod:`repro.parallel.pool`), so an environment-wide budget never
-    multiplies into processes × threads oversubscription — an explicit
-    argument still wins there.
+    ``cext`` run entry honours them (the numpy reference loop and the
+    interpreted ``python`` loops are single-threaded by design; they
+    silently run with 1).  Process-pool workers reset the environment
+    half to 1 (see :mod:`repro.parallel.pool`), so an environment-wide
+    budget never multiplies into processes × threads oversubscription —
+    an explicit argument still wins there.
     """
     if threads is None:
         raw = os.environ.get(THREADS_ENV)
@@ -1211,19 +929,6 @@ def resolve_seed_mode(mode: str | None = None) -> str:
     return requested
 
 
-def resolve_threaded_round(kern: Kernel, threads: int) -> Callable | None:
-    """``kern``'s trial-partitioned entry for ``threads`` > 1, or None.
-
-    When the kernel has no threaded path on this install (numba
-    without a threaded build), warns once per (gate, threads) — the run
-    then proceeds on the sequential kernel with identical results.
-    """
-    fn = kern.threaded_round_fn(threads)
-    if fn is None:
-        _warn_sequential(kern, threads)
-    return fn
-
-
 def _warn_sequential(kern: Kernel, threads: int) -> None:
     reason = getattr(kern, "_mt_error", None)
     detail = f" ({reason})" if reason is not None else ""
@@ -1233,23 +938,6 @@ def _warn_sequential(kern: Kernel, threads: int) -> None:
         f"install{detail}; running the threads={threads} request on "
         f"the sequential kernel (identical results, no speedup)",
     )
-
-
-def trial_chunks(n_active: int, n_chunks: int, out: np.ndarray) -> np.ndarray:
-    """Balanced partition of ``n_active`` trials into ``n_chunks`` chunks.
-
-    Writes the ``n_chunks + 1`` boundary array into ``out`` and returns
-    the filled view.  Purely a function of its arguments — chunking is
-    data, which is what makes the threaded kernels deterministic.
-    """
-    bounds = out[: n_chunks + 1]
-    base, rem = divmod(n_active, n_chunks)
-    bounds[0] = 0
-    sizes = bounds[1:]
-    sizes[:] = base
-    sizes[:rem] += 1
-    np.cumsum(sizes, out=sizes)
-    return bounds
 
 
 def block_clients_for(n_clients: int, n_edges: int) -> int:

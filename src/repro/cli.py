@@ -284,13 +284,11 @@ def main(argv=None) -> int:
     )
     p_run.add_argument(
         "--kernel",
-        choices=("numpy", "cext", "numba", "python", "cupy"),
+        choices=("numpy", "cext", "python"),
         default=None,
         help="round-kernel implementation for the batched engine: numpy "
-        "reference (default), fused C (cext), numba JIT, the "
-        "interpreted compiled-algorithm loops (python; debugging "
-        "only), or the GPU device twin (cupy; needs CuPy and "
-        "--seed-mode philox).  Maps onto the plan's BackendSpec.kernel "
+        "reference (default), fused C (cext), or the interpreted "
+        "compiled-algorithm loops (python; debugging only).  Maps onto the plan's BackendSpec.kernel "
         "for kernel-capable experiments (travels inside the pickled "
         "worker) and sets REPRO_KERNELS for everything else.  All "
         "are bit-identical; unavailable ones fall back to numpy "
@@ -306,7 +304,7 @@ def main(argv=None) -> int:
         "entry, 'philox' derives counter-based Philox4x32 streams "
         "(batched engine only; its own golden lineage — distinct bits "
         "from pair/direct — enabling vectorized, chunking-invariant "
-        "fills and the GPU twin).  Maps onto the plan's SeedSpec.mode "
+        "fills).  Maps onto the plan's SeedSpec.mode "
         "for sweep experiments and sets REPRO_SEED_MODE for "
         "everything else.",
     )
@@ -315,9 +313,9 @@ def main(argv=None) -> int:
         type=int,
         default=None,
         metavar="T",
-        help="trial-partitioned thread budget for the compiled round "
-        "kernels (OpenMP cext / numba prange): trials are split into T "
-        "chunks per round and run in parallel.  Bit-identical results "
+        help="trial-partitioned thread budget for the cext round "
+        "kernel (OpenMP): trials are split into T chunks per round and "
+        "run in parallel; the other gates ignore it.  Bit-identical results "
         "at every T.  Maps onto the plan's BackendSpec.threads for "
         "kernel-capable experiments (travels inside the pickled "
         "worker, capped so threads x processes stays within the core "
@@ -392,15 +390,14 @@ def main(argv=None) -> int:
     )
     sub.add_parser(
         "serve",
-        help="serve live SAER assignment traffic over NDJSON/TCP, optionally "
-        "sharded across --workers N processes "
+        help="serve live SAER assignment traffic over NDJSON/TCP "
         "(repro-lb serve --help for its options)",
     )
     sub.add_parser(
         "loadgen",
         help="replay an arrival trace against the serving layer, in-process "
-        "(single service or a --workers N fleet) or over TCP, and write "
-        "BENCH_serve.json (repro-lb loadgen --help for its options)",
+        "or over TCP, and write a JSON report "
+        "(repro-lb loadgen --help for its options)",
     )
     args = parser.parse_args(argv)
     try:

@@ -26,10 +26,10 @@ import math
 
 from ..baselines.threshold import run_threshold_protocol
 from ..core.engine import run_raes, run_saer
+from ..graphs.families import canonical_degree
 from ..parallel.aggregate import summarize
 from ..parallel.pool import map_parallel
 from ..rng import spawn_seeds
-from .runners import _regular_degree
 
 __all__ = ["run_ablations"]
 
@@ -86,7 +86,7 @@ def run_ablations(
     processes: int | None = None,
 ) -> tuple[list[dict], dict]:
     """Run all three ablations; one table row per variant."""
-    degree = _regular_degree(n)
+    degree = canonical_degree(n)
     variants = [v for v, _, _ in _VARIANTS]
     seeds = spawn_seeds(seed, len(variants) * trials)
     tasks = []

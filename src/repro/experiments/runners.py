@@ -90,12 +90,6 @@ __all__ = [
 ]
 
 
-# The family vocabulary moved to repro.graphs.families in the plan-layer
-# refactor; the old name stays as the local spelling (ablations.py and
-# the row assemblies below use it for the canonical-degree column).
-_regular_degree = canonical_degree
-
-
 # ---------------------------------------------------------------------------
 # E1 / E2 — completion time O(log n), work Θ(n)
 # ---------------------------------------------------------------------------
@@ -246,25 +240,6 @@ def _part_dir(root: "str | None", index: int) -> "str | None":
     return _os.path.join(str(root), f"part-{index:02d}")
 
 
-def _saer_sweep(
-    grid, *, trials, seed, processes, backend, graph=None, graph_cache=None,
-    results="columnar", kernel=None, kernel_threads=None,
-):
-    """Deprecated shim: build the :class:`RunPlan` and execute it.
-
-    Direct callers should migrate to ``execute(_saer_plan(...))`` — or
-    better, build their own :class:`repro.plan.RunPlan`; this wrapper
-    only survives so pre-plan call sites keep working.
-    """
-    return execute(
-        _saer_plan(
-            grid, trials=trials, seed=seed, processes=processes, backend=backend,
-            graph=graph, graph_cache=graph_cache, results=results, kernel=kernel,
-            kernel_threads=kernel_threads,
-        )
-    )
-
-
 def run_e01_completion(
     ns=(256, 512, 1024, 2048, 4096),
     c: float = 1.5,
@@ -299,7 +274,7 @@ def run_e01_completion(
         rows.append(
             {
                 "n": n,
-                "degree": _regular_degree(n),
+                "degree": canonical_degree(n),
                 "trials": len(bucket),
                 "completed": int(completed.sum()),
                 "rounds_median": stats["median"],
@@ -480,7 +455,7 @@ def run_e04_burned_fraction(
     rows: list[dict] = []
     all_recs: list[dict] = []
     for n in ns:
-        deg = _regular_degree(n)
+        deg = canonical_degree(n)
         eta = deg / (math.log2(n) ** 2)
         c_values = [("practical-1.5", 1.5), ("practical-2", 2.0)]
         if include_paper_c:
@@ -753,7 +728,7 @@ def run_e08_almost_regular(
     """E8: the ρ allowance — near-regular ratio sweep plus paper_extremal."""
     rows = []
     all_recs = []
-    base = _regular_degree(n)
+    base = canonical_degree(n)
 
     def _row(label: str, table) -> dict:
         completed = table.column("completed").astype(bool)
@@ -872,7 +847,7 @@ def run_e09_baselines(
         "best_of_2",
         "godfrey",
     ]
-    degree = _regular_degree(n)
+    degree = canonical_degree(n)
     points = [
         {"algorithm": algo, "n": n, "c": c, "d": d, "degree": degree}
         for algo in algos
@@ -942,7 +917,7 @@ def run_e10_stage1(
       per-round decay ratio against the measured ``1 - S_{t-1}`` (the
       survival probability the proof's recursion is built on).
     """
-    deg = _regular_degree(n)
+    deg = canonical_degree(n)
     eta = deg / (math.log2(n) ** 2)
     c_val = c if c is not None else round(c_min_regular(eta, d), 1)
     g_seed, p_seed, p2_seed = np.random.SeedSequence(seed).spawn(3)
@@ -1150,7 +1125,7 @@ def run_e12_dynamic(
             "d": d,
             "horizon": horizon,
             "family": "trust",
-            "degree": _regular_degree(n),
+            "degree": canonical_degree(n),
         }
         for rate, rec, ch in combos
     ]
@@ -1196,13 +1171,12 @@ def run_e12_dynamic(
 # ---------------------------------------------------------------------------
 
 
-def _s1_row(trace_kind: str, run: dict, workers: int) -> dict:
+def _s1_row(trace_kind: str, run: dict) -> dict:
     """One S1 table row from a driven loadgen run's raw tallies."""
     tally = run["tally"]
     lat = run["latencies"]
     return {
         "trace": trace_kind,
-        "workers": workers,
         "balls": run["submitted"],
         "assigned": tally["assigned"],
         "dropped": tally["dropped"],
@@ -1229,7 +1203,6 @@ def run_s1_serve(
     max_wait_rounds: int = 64,
     traces=("poisson", "hotspot"),
     seed=2024,
-    fleet_workers: int = 2,
 ) -> tuple[list[dict], dict]:
     """S1: replay arrival traces through the live serving stack.
 
@@ -1244,20 +1217,13 @@ def run_s1_serve(
     ``max_wait_rounds`` policy sheds the excess as ``Retry`` instead of
     queueing it forever — the request/response behaviours the offline
     simulator has no analogue for.
-
-    With ``fleet_workers >= 2`` a final row replays the poisson trace
-    through the multi-process :class:`~repro.serve.fleet.FleetService`
-    (``workers`` column > 1) — same offered load, servers sharded
-    across worker processes, so the table shows the fleet's accounting
-    staying consistent with the single-process rows.
     """
-    from ..serve import FleetConfig, FleetService, SaerService, ServeConfig, ServingState
+    from ..serve import SaerService, ServeConfig, ServingState
     from ..serve.loadgen import make_arrivals, run_inprocess, sample_trace
 
-    g_seed, t_seed, *p_seeds = np.random.SeedSequence(seed).spawn(3 + len(traces))
-    fleet_seed = p_seeds.pop()
+    g_seed, t_seed, *p_seeds = np.random.SeedSequence(seed).spawn(2 + len(traces))
     graph = build_point_graph(
-        {"family": "trust", "n": n, "degree": _regular_degree(n)}, g_seed
+        {"family": "trust", "n": n, "degree": canonical_degree(n)}, g_seed
     )
     rows = []
     kernel_name = None
@@ -1273,24 +1239,7 @@ def run_s1_serve(
             make_arrivals(trace_kind, rate), n, rounds, t_seed
         )
         run = run_inprocess(service, trace)
-        rows.append(_s1_row(trace_kind, run, workers=1))
-    if fleet_workers >= 2:
-        fleet = FleetService(
-            graph,
-            c,
-            d,
-            config=FleetConfig(
-                workers=fleet_workers, max_wait_rounds=max_wait_rounds
-            ),
-            recovery=recovery,
-            seed=fleet_seed,
-        )
-        try:
-            trace = sample_trace(make_arrivals("poisson", rate), n, rounds, t_seed)
-            run = run_inprocess(fleet, trace)
-        finally:
-            fleet.close()
-        rows.append(_s1_row("poisson", run, workers=fleet_workers))
+        rows.append(_s1_row(trace_kind, run))
     meta = {
         "n": n,
         "c": c,
@@ -1299,7 +1248,6 @@ def run_s1_serve(
         "recovery": recovery,
         "max_wait_rounds": max_wait_rounds,
         "kernel": kernel_name,
-        "fleet_workers": fleet_workers,
     }
     return rows, meta
 
@@ -1384,7 +1332,7 @@ def run_f1_faults(
             "d": d,
             "horizon": horizon,
             "family": "trust",
-            "degree": _regular_degree(n),
+            "degree": canonical_degree(n),
         }
     ]
     for kind in kinds:

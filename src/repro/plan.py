@@ -58,8 +58,7 @@ Philox lineage (:func:`repro.rng.philox_trial_words`): each trial's
 protocol stream becomes a pure function of its spawned words and the
 (round, slot) counter — its own golden lineage, deliberately NOT
 bit-compatible with the PCG64 modes — which unlocks the fused
-generate-at-consumption kernels and the ``cupy`` device gate.  It
-requires the batched backend (``work.batch`` must accept
+generate-at-consumption kernels.  It requires the batched backend (``work.batch`` must accept
 ``seed_mode=``).
 """
 
@@ -90,7 +89,7 @@ __all__ = [
 ]
 
 _BACKENDS = ("reference", "batched")
-_KERNELS = ("numpy", "cext", "numba", "python")
+_KERNELS = ("numpy", "cext", "python")
 _GRAPH_MODES = ("generate", "cached", "pinned")
 _SEED_MODES = ("pair", "direct", "philox")
 _EXEC_MODES = ("auto", "serial", "pool")
@@ -105,8 +104,8 @@ class BackendSpec:
     ``name`` selects the per-trial ``"reference"`` engine or the
     trial-vectorized ``"batched"`` engine; ``kernel`` optionally pins
     the batched engine's round-kernel implementation (``numpy`` /
-    ``cext`` / ``numba`` / ``python``; ``None`` defers to the
-    ``REPRO_KERNELS`` environment gate).  ``threads`` is the compiled
+    ``cext`` / ``python``; ``None`` defers to the
+    ``REPRO_KERNELS`` environment gate).  ``threads`` is the ``cext``
     kernel's trial-partitioned thread budget (``None`` defers to
     ``REPRO_KERNEL_THREADS``; results are bit-identical at every
     thread count).  Both travel inside the pickled worker, so they

@@ -21,7 +21,7 @@ drawn ``k-1`` values first, which forces the batched engine to fill its
 per-round uniforms through a stateful read-ahead.  The **Philox4x32-10**
 lineage here is *counter-based*: the uniform for (trial, round, slot) is
 a pure function of a 128-bit counter and a 64-bit key, so any chunking,
-thread count, prefetch order, or device produces identical bits.  A
+thread count or kernel gate produces identical bits.  A
 trial's identity is four ``uint32`` words ``(k0, k1, c2, c3)`` derived
 from its normally-spawned :class:`~numpy.random.SeedSequence`
 (:func:`philox_seed_words`), and draw ``s`` of round ``r`` reads counter
@@ -72,10 +72,9 @@ def philox4x32(counter, key, rounds: int = PHILOX_ROUNDS):
 
     Inputs are ``uint32``-valued (any integer dtype is accepted and
     masked); the return is the four ``uint32`` output words per column.
-    This is the reference implementation the C fill in
-    ``repro/batch/_kernels.c`` and the device twin in
-    :mod:`repro.batch.device` are parity-pinned against; it matches the
-    Random123 ``philox4x32`` known-answer vectors at ``rounds=10``.
+    This is the reference implementation the C fill and run entry in
+    ``repro/batch/_kernels.c`` are parity-pinned against; it matches
+    the Random123 ``philox4x32`` known-answer vectors at ``rounds=10``.
     """
     ctr = np.atleast_2d(np.asarray(counter))
     if ctr.shape[0] != 4:

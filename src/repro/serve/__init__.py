@@ -31,14 +31,7 @@ Layers, bottom up:
     text exposition and periodic snapshot hooks.
 :mod:`~repro.serve.loadgen`
     Open-loop load generator replaying arrival traces in-process or
-    over TCP, emitting a ``BENCH_serve.json`` report.
-:mod:`~repro.serve.router` / :mod:`~repro.serve.fleet`
-    Multi-process sharding: :class:`ShardMap` (consistent-hash or
-    contiguous server→shard assignment) and :class:`FleetService` —
-    a supervisor routing balls sub-degree-proportionally to ``N``
-    shard worker processes, each running a full :class:`SaerService`
-    over its slice of the servers, with shard-granularity health
-    quarantine, checkpoint respawn, and bucket-wise metric merging.
+    over TCP, emitting a JSON report (``--out``).
 
 Robustness: pass a :class:`~repro.faults.FaultSchedule` to
 ``ServingState(faults=...)`` to overlay crashes / stalls / Byzantine
@@ -69,14 +62,7 @@ Or from a shell: ``repro-lb serve --n 4096 --port 7077`` then
 ``repro-lb loadgen --mode tcp --port 7077``.
 """
 
-from .fleet import FleetConfig, FleetService
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    merge_registry_states,
-)
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .protocol import (
     Assigned,
     AssignRequest,
@@ -89,7 +75,6 @@ from .protocol import (
     encode_outcome,
     encode_response,
 )
-from .router import ShardMap, choose_shards, merge_tallies
 from .service import BallFuture, SaerService, ServeConfig, serve_tcp
 from .state import RoundOutcome, ServingState
 
@@ -114,10 +99,4 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "merge_registry_states",
-    "ShardMap",
-    "choose_shards",
-    "merge_tallies",
-    "FleetConfig",
-    "FleetService",
 ]

@@ -21,10 +21,9 @@ Three modes:
     own per-round cost (ingest + micro-batch + kernel + resolution) at
     full speed.  The repository's throughput figures come from
     ``perfbench`` (the ``serve-poisson`` and ``serve-hotspot``
-    workloads), which drives this mode.  With ``--workers N`` the
-    service is a multi-process :class:`~repro.serve.fleet.FleetService`
-    sharding the servers across N workers; ``--check-conservation``
-    then gates on the fleet-level accounting identity.
+    workloads), which drives this mode.  ``--check-conservation``
+    gates on the accounting identity (every submitted ball resolves
+    exactly once).
 ``tcp``
     Open-loop NDJSON client against a running ``repro-lb serve``:
     writes each round's requests, sleeps one tick, never waits for
@@ -46,8 +45,10 @@ first-attempt latency from end-to-end latency *including* retries, and
 ``--max-retry-rate`` / ``--max-p99-retries`` / ``--max-lost`` gate on
 them.
 
-The report lands in ``BENCH_serve.json`` (``--out``); ``--min-assign-rate``
-and ``--max-p95`` turn it into a pass/fail gate for CI's serve-smoke job.
+The JSON report lands at ``--out`` (``BENCH_serve.json`` by default;
+the repository ignores that name, so a run cannot commit a stale
+record); ``--min-assign-rate`` and ``--max-p95`` turn it into a
+pass/fail gate for CI's serve-smoke job.
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ from ..errors import ServeError
 from ..faults import FaultSchedule, FaultSpec, HealthPolicy
 from ..graphs.families import build_point_graph
 from ..rng import make_rng
-from .fleet import FleetConfig, FleetService
 from .protocol import ASSIGNED, OUTCOMES, REASONS, RETRY, decode_response, encode_response
 from .service import SaerService, ServeConfig, TagTable, serve_tcp
 from .state import ServingState
@@ -522,7 +522,7 @@ def _lat_stats(lat: np.ndarray) -> dict:
 
 
 def build_report(mode: str, config: dict, trace_meta: dict, run: dict) -> dict:
-    """Assemble the ``BENCH_serve.json`` payload from a run's raw tallies."""
+    """Assemble the report payload from a run's raw tallies."""
     tally = run["tally"]
     submitted = run["submitted"]
     lat = _lat_stats(run["latencies"])
@@ -555,9 +555,9 @@ def build_report(mode: str, config: dict, trace_meta: dict, run: dict) -> dict:
             "rounds_per_s": round(run["rounds"] / wall, 1) if wall > 0 else math.nan,
         },
         "conservation": {
-            # Fleet-critical invariant: every submitted ball resolves to
-            # exactly one of assigned/retry/dropped — a lost future
-            # (e.g. a routing bug eating a ball) shows up as unresolved.
+            # Every submitted ball resolves to exactly one of
+            # assigned/retry/dropped — a lost ball (e.g. a routing bug
+            # eating one) shows up as unresolved.
             "resolved": assigned + tally["retry"] + tally["dropped"],
             "unresolved": tally["unresolved"],
             # tcp mode has no in-process service, hence no stats.
@@ -590,7 +590,7 @@ def check_report(
     ``max_lost`` bounds balls that ran out of attempts (``0`` asserts no
     ball was ever lost).  ``check_conservation`` asserts the accounting
     identity ``assigned + retry + dropped == submitted`` with zero
-    unresolved futures — the invariant the sharded fleet must preserve.
+    unresolved balls.
     """
     failures = []
     if check_conservation:
@@ -656,12 +656,9 @@ def main(argv=None) -> int:
                         help="burn recovery rounds; 0 disables recovery")
     parser.add_argument("--churn", type=float, default=0.0)
     parser.add_argument("--kernel", default=None,
-                        choices=("numpy", "cext", "numba", "python"))
+                        choices=("numpy", "cext", "python"))
     parser.add_argument("--seed", type=int, default=None, help="protocol RNG seed")
     parser.add_argument("--graph-seed", type=int, default=1)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="shard the servers across this many worker "
-                             "processes (FleetService; inprocess mode only)")
     parser.add_argument("--max-batch", type=int, default=1 << 30,
                         help="service max_batch (driven mode never ticks)")
     parser.add_argument("--max-pending", type=int, default=None)
@@ -792,78 +789,46 @@ def main(argv=None) -> int:
         max_wait = args.max_wait_rounds
         if chaos and max_wait is None:
             max_wait = 8
-        fleet = None
-        if args.workers > 1:
-            if chaos:
-                parser.error("--workers > 1 supports --mode inprocess only")
-            if args.churn or args.max_pending or args.brownout_threshold \
-                    or args.snapshot_out:
-                parser.error(
-                    "--workers > 1 does not support churn / max-pending / "
-                    "brownout / snapshot-out"
-                )
-            service = fleet = FleetService(
-                graph,
-                args.c,
-                args.d,
-                config=FleetConfig(
-                    workers=args.workers,
-                    max_batch=args.max_batch,
-                    max_wait_rounds=max_wait,
-                    server_health=health,
-                ),
-                recovery=args.recovery or None,
-                seed=args.seed,
-                kernel=args.kernel,
-                faults=faults,
+        state = ServingState(
+            graph,
+            args.c,
+            args.d,
+            recovery=args.recovery or None,
+            churn=RewireChurn(args.churn) if args.churn else None,
+            seed=args.seed,
+            kernel=args.kernel,
+            track_tags=True,
+            faults=faults,
+        )
+        service = SaerService(
+            state,
+            ServeConfig(
+                tick=args.tick if chaos else 0.05,
+                max_batch=args.max_batch,
+                max_pending=args.max_pending,
+                max_wait_rounds=max_wait,
+                snapshot_every=args.snapshot_every if args.snapshot_out else 0,
+                health=health,
+                brownout_threshold=args.brownout_threshold,
+                brownout_shed=args.brownout_shed,
+            ),
+        )
+        if args.snapshot_out:
+            from .metrics import ndjson_snapshot_hook
+
+            service.metrics.add_snapshot_hook(ndjson_snapshot_hook(args.snapshot_out))
+        trace = sample_trace(arrivals, graph.n_clients, args.rounds, args.trace_seed)
+        if chaos:
+            run = asyncio.run(
+                run_chaos(service, trace, args.tick, args.settle, retry=retry)
             )
         else:
-            state = ServingState(
-                graph,
-                args.c,
-                args.d,
-                recovery=args.recovery or None,
-                churn=RewireChurn(args.churn) if args.churn else None,
-                seed=args.seed,
-                kernel=args.kernel,
-                track_tags=True,
-                faults=faults,
-            )
-            service = SaerService(
-                state,
-                ServeConfig(
-                    tick=args.tick if chaos else 0.05,
-                    max_batch=args.max_batch,
-                    max_pending=args.max_pending,
-                    max_wait_rounds=max_wait,
-                    snapshot_every=args.snapshot_every if args.snapshot_out else 0,
-                    health=health,
-                    brownout_threshold=args.brownout_threshold,
-                    brownout_shed=args.brownout_shed,
-                ),
-            )
-            if args.snapshot_out:
-                from .metrics import ndjson_snapshot_hook
-
-                service.metrics.add_snapshot_hook(
-                    ndjson_snapshot_hook(args.snapshot_out)
-                )
-        trace = sample_trace(arrivals, graph.n_clients, args.rounds, args.trace_seed)
-        try:
-            if chaos:
-                run = asyncio.run(
-                    run_chaos(service, trace, args.tick, args.settle, retry=retry)
-                )
-            else:
-                run = run_inprocess(service, trace, args.drain_rounds, retry=retry)
-        finally:
-            if fleet is not None:
-                fleet.close()
+            run = run_inprocess(service, trace, args.drain_rounds, retry=retry)
         config = {
             "n": args.n, "family": args.family, "degree": args.degree,
             "c": args.c, "d": args.d, "recovery": args.recovery or None,
             "churn": args.churn, "kernel": run["stats"].get("kernel"),
-            "seed": args.seed, "workers": args.workers,
+            "seed": args.seed,
             "graph_seed": args.graph_seed, "max_wait_rounds": max_wait,
             "faults": {
                 "kind": fault_kind, "fraction": args.fault_fraction,

@@ -4,7 +4,7 @@ Prometheus-style in spirit, stdlib plus numpy in practice: the service
 increments plain Python ints/floats (the whole serving layer runs on
 one asyncio event loop, so updates need no locks — "lock-free" by
 construction, not by atomics), histograms take a round's worth of
-values in one :meth:`Histogram.observe_many` call, and two read paths
+values in one :meth:`Histogram.observe_many` call, and three read paths
 exist:
 
 ``render_text()``
@@ -16,6 +16,10 @@ exist:
     A plain nested dict (counters, gauges, histogram quantiles), fed to
     registered snapshot hooks every ``snapshot_every`` rounds by the
     service and embedded in load-generator reports.
+``state_dict()``
+    The full serializable state of every metric — unlike ``snapshot()``
+    it keeps a histogram's raw bucket counts, so two histograms compare
+    exactly (the serving golden pins latencies this way).
 
 Histograms use fixed bucket upper bounds chosen at registration;
 quantiles come from linear interpolation within the bucket that crosses
@@ -27,14 +31,6 @@ Non-finite observations (NaN/±inf) are counted in a separate
 ``nonfinite`` ledger and never touch the buckets or ``sum`` — a single
 poisoned sample cannot make ``mean`` or the rendered exposition
 non-finite.
-
-For the multi-process fleet (:mod:`repro.serve.fleet`), every metric
-serializes to a plain dict via ``state_dict()`` and registries merge
-with :meth:`MetricsRegistry.merge_state`: counters sum, gauges combine
-by their declared ``merge`` semantics (``"sum"`` for totals like
-backlog, ``"max"`` for high-water marks), and histograms merge
-bucket-wise (exact — the merged quantiles equal those of one combined
-histogram with the same bounds).
 """
 
 from __future__ import annotations
@@ -52,12 +48,8 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "merge_registry_states",
     "ndjson_snapshot_hook",
 ]
-
-#: Valid gauge merge semantics for the fleet view.
-GAUGE_MERGES = ("sum", "max")
 
 #: Default latency-style buckets (rounds or seconds — callers choose units).
 DEFAULT_BUCKETS = (
@@ -90,28 +82,15 @@ class Counter:
     def state_dict(self) -> dict:
         return {"kind": self.kind, "help": self.help, "value": self.value}
 
-    def merge_state(self, state: dict) -> None:
-        self.value += state["value"]
-
 
 class Gauge:
-    """A value that goes up and down (backlog, burned fraction, …).
-
-    ``merge`` declares how per-shard values combine into a fleet view:
-    ``"sum"`` (default — backlogs, pending counts) or ``"max"``
-    (high-water marks, boolean flags).
-    """
+    """A value that goes up and down (backlog, burned fraction, …)."""
 
     kind = "gauge"
 
-    def __init__(self, name: str, help: str = "", merge: str = "sum") -> None:
-        if merge not in GAUGE_MERGES:
-            raise ValueError(
-                f"gauge {name!r} merge must be one of {GAUGE_MERGES}; got {merge!r}"
-            )
+    def __init__(self, name: str, help: str = "") -> None:
         self.name = name
         self.help = help
-        self.merge = merge
         self.value: float = 0.0
 
     def set(self, v: float) -> None:
@@ -130,16 +109,7 @@ class Gauge:
         return self.value
 
     def state_dict(self) -> dict:
-        return {
-            "kind": self.kind, "help": self.help,
-            "value": self.value, "merge": self.merge,
-        }
-
-    def merge_state(self, state: dict) -> None:
-        if self.merge == "max":
-            self.value = max(self.value, state["value"])
-        else:
-            self.value += state["value"]
+        return {"kind": self.kind, "help": self.help, "value": self.value}
 
 
 class Histogram:
@@ -286,21 +256,6 @@ class Histogram:
             "nonfinite": self.nonfinite,
         }
 
-    def merge_state(self, state: dict) -> None:
-        """Fold another histogram's state in, bucket-wise (exact)."""
-        if tuple(state["bounds"]) != self.bounds:
-            raise ValueError(
-                f"histogram {self.name!r}: cannot merge mismatched bucket "
-                f"bounds {tuple(state['bounds'])} into {self.bounds}"
-            )
-        for i, cnt in enumerate(state["counts"]):
-            self.counts[i] += cnt
-        self.total += state["total"]
-        self.sum += state["sum"]
-        self.min = min(self.min, state["min"])
-        self.max = max(self.max, state["max"])
-        self.nonfinite += state.get("nonfinite", 0)
-
 
 class MetricsRegistry:
     """Named metrics + snapshot hooks; one per service (or test)."""
@@ -323,8 +278,8 @@ class MetricsRegistry:
     def counter(self, name: str, help: str = "") -> Counter:
         return self._register(Counter(name, help))
 
-    def gauge(self, name: str, help: str = "", merge: str = "sum") -> Gauge:
-        return self._register(Gauge(name, help, merge))
+    def gauge(self, name: str, help: str = "") -> Gauge:
+        return self._register(Gauge(name, help))
 
     def histogram(
         self, name: str, help: str = "", buckets: Iterable[float] = DEFAULT_BUCKETS
@@ -362,48 +317,10 @@ class MetricsRegistry:
             hook(snap)
         return snap
 
-    # -- fleet merge ---------------------------------------------------------
-
     def state_dict(self) -> dict:
-        """Serializable full state of every metric (the fleet-merge wire
-        format — unlike :meth:`snapshot` it keeps raw bucket counts)."""
+        """Serializable full state of every metric (unlike
+        :meth:`snapshot` it keeps raw bucket counts)."""
         return {name: m.state_dict() for name, m in sorted(self._metrics.items())}
-
-    def merge_state(self, state: dict) -> None:
-        """Fold a :meth:`state_dict` payload in, creating metrics on
-        first sight: counters sum, gauges combine by declared ``merge``
-        semantics, histograms merge bucket-wise."""
-        for name, st in state.items():
-            metric = self._metrics.get(name)
-            if metric is None:
-                kind = st["kind"]
-                if kind == "counter":
-                    metric = Counter(name, st.get("help", ""))
-                    metric.value = st["value"]
-                elif kind == "gauge":
-                    metric = Gauge(name, st.get("help", ""), st.get("merge", "sum"))
-                    metric.value = st["value"]
-                elif kind == "histogram":
-                    metric = Histogram(name, st.get("help", ""), st["bounds"])
-                    metric.merge_state(st)
-                else:
-                    raise ValueError(f"unknown metric kind {kind!r} for {name!r}")
-                self._metrics[name] = metric
-                continue
-            if metric.kind != st["kind"]:
-                raise ValueError(
-                    f"metric {name!r} is a {metric.kind} here but a "
-                    f"{st['kind']} in the merged state"
-                )
-            metric.merge_state(st)
-
-
-def merge_registry_states(states: Iterable[dict]) -> MetricsRegistry:
-    """One fleet-view registry from per-shard ``state_dict`` payloads."""
-    reg = MetricsRegistry()
-    for state in states:
-        reg.merge_state(state)
-    return reg
 
 
 def ndjson_snapshot_hook(path: str, *, clock: Callable[[], float] = time.time):

@@ -62,9 +62,6 @@ REASON_TIMEOUT = "timeout"
 REASON_BACKPRESSURE = "backpressure"
 REASON_SHUTDOWN = "shutdown"
 REASON_BROWNOUT = "brownout"
-#: Every shard holding the ball's candidate servers is down/quarantined
-#: (fleet mode); the caller should retry after backoff.
-REASON_UNAVAILABLE = "unavailable"
 
 #: Outcome codes of an :class:`Outcomes` record: ``OUTCOMES[code]``.
 ASSIGNED, RETRY, DROPPED = 0, 1, 2
@@ -78,7 +75,6 @@ REASONS = (
     REASON_BACKPRESSURE,
     REASON_SHUTDOWN,
     REASON_BROWNOUT,
-    REASON_UNAVAILABLE,
 )
 _REASON_CODE = {reason: code for code, reason in enumerate(REASONS)}
 

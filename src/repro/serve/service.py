@@ -212,81 +212,6 @@ class TagTable:
         return rows, known
 
 
-class ServiceFront:
-    """The ball-batch front shared by :class:`SaerService` and the fleet.
-
-    Submitted balls wait in a pending queue of per-call arrays until a
-    round takes them; :attr:`in_flight` counts the caller balls not yet
-    resolved.  Hosts implement ``_ingest(clients, balls, total) ->
-    (first_tag, rejected)``.  :meth:`_ball_futures` backs the host's
-    ``submit`` — the per-ball edge — and :meth:`_publish` hands each
-    round's record to :attr:`outcomes` and resolves the futures of the
-    tags that have one.
-    """
-
-    def _init_front(self) -> None:
-        self._next_tag = 0
-        self._pending_owners: list[np.ndarray] = []
-        self._pending_tags: list[np.ndarray] = []
-        self._n_pending = 0
-        self._in_flight = 0
-        self._rejected: list[Outcomes] = []  # made at submission, not yet published
-        self._futures: dict[int, BallFuture] = {}
-        self.outcomes = EMPTY_OUTCOMES
-
-    @property
-    def pending(self) -> int:
-        """Balls queued for the next round (not yet admitted)."""
-        return self._n_pending
-
-    @property
-    def in_flight(self) -> int:
-        """Caller balls not yet resolved (queued + admitted backlog)."""
-        return self._in_flight
-
-    def _queue(self, owners: np.ndarray, tags: np.ndarray) -> None:
-        self._pending_owners.append(owners)
-        self._pending_tags.append(tags)
-        self._n_pending += tags.size
-        self._in_flight += tags.size
-
-    def _take_pending(self) -> tuple[np.ndarray, np.ndarray]:
-        owners, tags = self._pending_owners, self._pending_tags
-        self._pending_owners, self._pending_tags = [], []
-        self._n_pending = 0
-        if len(tags) == 1:
-            return owners[0], tags[0]
-        return np.concatenate([_NO_TAGS, *owners]), np.concatenate([_NO_TAGS, *tags])
-
-    def _ball_futures(self, client: int, balls: int, n_clients: int) -> list[BallFuture]:
-        if balls < 1:
-            raise ServeError(f"balls must be >= 1; got {balls}")
-        if not 0 <= client < n_clients:
-            raise ServeError(f"client must be in [0, {n_clients}); got {client}")
-        first, rejected = self._ingest(
-            np.array([client], dtype=np.int64), np.array([balls], dtype=np.int64), balls
-        )
-        futs = [BallFuture() for _ in range(balls)]
-        if rejected is not None:
-            for tag, outcome in zip(rejected.tags.tolist(), rejected.objects()):
-                futs[tag - first].set_result(outcome)
-        futures = self._futures
-        for i, fut in enumerate(futs):
-            if not fut.done():
-                futures[first + i] = fut
-        return futs
-
-    def _publish(self, record: Outcomes) -> None:
-        self.outcomes = record
-        futures = self._futures
-        if not futures:
-            return
-        for tag, outcome in zip(record.tags.tolist(), record.objects()):
-            fut = futures.pop(tag, None)
-            if fut is not None and not fut.done():
-                fut.set_result(outcome)
-
-
 @dataclass(frozen=True)
 class ServeConfig:
     """Micro-batching and queue-policy knobs of :class:`SaerService`.
@@ -351,18 +276,21 @@ class ServeConfig:
             raise ServeError("brownout_shed must be in (0, 1]")
 
 
-class SaerService(ServiceFront):
+class SaerService:
     """Micro-batched request/response layer over a :class:`ServingState`.
 
-    Tags are consecutive integers handed out in submission order, one
-    per ball whether it is queued or rejected at submission; the state
-    carries them through every round.  :attr:`outcomes` holds the last
-    round's :class:`~repro.serve.protocol.Outcomes`, in the order the
-    balls resolved: rejections made at submission since the previous
-    round (submission order), isolated-client drops, assignments
-    (ball-buffer order), then ``max_wait_rounds`` timeouts (eviction
-    order).  Only caller balls appear; adversarial duplicates (tag -1)
-    never do.
+    Submitted balls wait in a pending queue of per-call arrays until a
+    round takes them; :attr:`in_flight` counts the caller balls not yet
+    resolved.  Tags are consecutive integers handed out in submission
+    order, one per ball whether it is queued or rejected at submission;
+    the state carries them through every round.  :attr:`outcomes` holds
+    the last round's :class:`~repro.serve.protocol.Outcomes`, in the
+    order the balls resolved: rejections made at submission since the
+    previous round (submission order), isolated-client drops,
+    assignments (ball-buffer order), then ``max_wait_rounds`` timeouts
+    (eviction order).  Only caller balls appear; adversarial duplicates
+    (tag -1) never do.  Futures exist only for :meth:`submit` callers:
+    each round resolves those of the tags that have one.
     """
 
     def __init__(
@@ -379,7 +307,14 @@ class SaerService(ServiceFront):
         self.state = state
         self.config = config or ServeConfig()
         self.metrics = registry or MetricsRegistry()
-        self._init_front()
+        self._next_tag = 0
+        self._pending_owners: list[np.ndarray] = []
+        self._pending_tags: list[np.ndarray] = []
+        self._n_pending = 0
+        self._in_flight = 0
+        self._rejected: list[Outcomes] = []  # made at submission, not yet published
+        self._futures: dict[int, BallFuture] = {}
+        self.outcomes = EMPTY_OUTCOMES
         # Tags below the floor were resolved by shutdown(); a later
         # round that routes them reports nothing.
         self._tag_floor = 0
@@ -436,7 +371,23 @@ class SaerService(ServiceFront):
         or after :meth:`shutdown`) come back already resolved as
         ``Retry`` — the caller always gets exactly ``balls`` futures.
         """
-        return self._ball_futures(client, balls, self.state.n_clients)
+        n_clients = self.state.n_clients
+        if balls < 1:
+            raise ServeError(f"balls must be >= 1; got {balls}")
+        if not 0 <= client < n_clients:
+            raise ServeError(f"client must be in [0, {n_clients}); got {client}")
+        first, rejected = self._ingest(
+            np.array([client], dtype=np.int64), np.array([balls], dtype=np.int64), balls
+        )
+        futs = [BallFuture() for _ in range(balls)]
+        if rejected is not None:
+            for tag, outcome in zip(rejected.tags.tolist(), rejected.objects()):
+                futs[tag - first].set_result(outcome)
+        futures = self._futures
+        for i, fut in enumerate(futs):
+            if not fut.done():
+                futures[first + i] = fut
+        return futs
 
     def submit_many(self, clients, balls) -> int:
         """Queue ``balls[i]`` assignment requests for ``clients[i]``, for every i.
@@ -530,6 +481,30 @@ class SaerService(ServiceFront):
         self._shed_acc = acc
         return shed
 
+    @property
+    def pending(self) -> int:
+        """Balls queued for the next round (not yet admitted)."""
+        return self._n_pending
+
+    @property
+    def in_flight(self) -> int:
+        """Caller balls not yet resolved (queued + admitted backlog)."""
+        return self._in_flight
+
+    def _queue(self, owners: np.ndarray, tags: np.ndarray) -> None:
+        self._pending_owners.append(owners)
+        self._pending_tags.append(tags)
+        self._n_pending += tags.size
+        self._in_flight += tags.size
+
+    def _take_pending(self) -> tuple[np.ndarray, np.ndarray]:
+        owners, tags = self._pending_owners, self._pending_tags
+        self._pending_owners, self._pending_tags = [], []
+        self._n_pending = 0
+        if len(tags) == 1:
+            return owners[0], tags[0]
+        return np.concatenate([_NO_TAGS, *owners]), np.concatenate([_NO_TAGS, *tags])
+
     # -- the micro-batched round -------------------------------------------
 
     def run_round(self) -> int:
@@ -596,6 +571,16 @@ class SaerService(ServiceFront):
         if every and int(self._m_rounds.value) % every == 0:
             self.metrics.fire_snapshot_hooks()
         return out.assigned
+
+    def _publish(self, record: Outcomes) -> None:
+        self.outcomes = record
+        futures = self._futures
+        if not futures:
+            return
+        for tag, outcome in zip(record.tags.tolist(), record.objects()):
+            fut = futures.pop(tag, None)
+            if fut is not None and not fut.done():
+                fut.set_result(outcome)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -805,11 +790,7 @@ async def serve_tcp(
                     for i, fut in enumerate(futs):
                         fut.add_done_callback(on_ball(req.id, i))
                 elif op == "metrics":
-                    # A fleet exposes the merged per-shard view; a plain
-                    # service just renders its own registry.
-                    fleet_view = getattr(service, "fleet_metrics", None)
-                    reg = fleet_view() if fleet_view is not None else service.metrics
-                    send({"id": msg["id"], "metrics": reg.render_text()})
+                    send({"id": msg["id"], "metrics": service.metrics.render_text()})
                 elif op == "stats":
                     send({"id": msg["id"], "stats": service.stats()})
                 elif op == "ping":
@@ -854,65 +835,40 @@ def main(argv=None) -> int:  # pragma: no cover - exercised via CLI tests
     parser.add_argument("--max-pending", type=int, default=None)
     parser.add_argument("--max-wait-rounds", type=int, default=None)
     parser.add_argument("--kernel", default=None,
-                        choices=("numpy", "cext", "numba", "python"))
+                        choices=("numpy", "cext", "python"))
     parser.add_argument("--seed", type=int, default=None, help="protocol RNG seed")
     parser.add_argument("--graph-seed", type=int, default=1, help="topology seed")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="shard the servers across this many worker "
-                             "processes (FleetService)")
     args = parser.parse_args(argv)
 
     point = {"family": args.family, "n": args.n}
     if args.degree:
         point["degree"] = args.degree
     graph = build_point_graph(point, args.graph_seed)
-    if args.workers > 1:
-        from .fleet import FleetConfig, FleetService
-
-        if args.churn or args.max_pending:
-            parser.error("--workers > 1 does not support churn / max-pending")
-        service = FleetService(
-            graph,
-            args.c,
-            args.d,
-            config=FleetConfig(
-                workers=args.workers,
-                tick=args.tick,
-                max_batch=args.max_batch,
-                max_wait_rounds=args.max_wait_rounds,
-            ),
-            recovery=args.recovery or None,
-            seed=args.seed,
-            kernel=args.kernel,
-        )
-        kernel_banner = args.kernel or "auto"
-    else:
-        state = ServingState(
-            graph,
-            args.c,
-            args.d,
-            recovery=args.recovery or None,
-            churn=RewireChurn(args.churn) if args.churn else None,
-            seed=args.seed,
-            kernel=args.kernel,
-            track_tags=True,
-        )
-        config = ServeConfig(
-            tick=args.tick,
-            max_batch=args.max_batch,
-            max_pending=args.max_pending,
-            max_wait_rounds=args.max_wait_rounds,
-        )
-        service = SaerService(state, config)
-        kernel_banner = state.kernel_name
+    state = ServingState(
+        graph,
+        args.c,
+        args.d,
+        recovery=args.recovery or None,
+        churn=RewireChurn(args.churn) if args.churn else None,
+        seed=args.seed,
+        kernel=args.kernel,
+        track_tags=True,
+    )
+    config = ServeConfig(
+        tick=args.tick,
+        max_batch=args.max_batch,
+        max_pending=args.max_pending,
+        max_wait_rounds=args.max_wait_rounds,
+    )
+    service = SaerService(state, config)
 
     async def run():
         server = await serve_tcp(service, args.host, args.port)
         addr = server.sockets[0].getsockname()
         print(
             f"repro-serve listening on {addr[0]}:{addr[1]} — n={args.n} "
-            f"family={args.family} c={args.c} d={args.d} kernel={kernel_banner} "
-            f"workers={args.workers} tick={args.tick}s max_batch={args.max_batch}",
+            f"family={args.family} c={args.c} d={args.d} kernel={state.kernel_name} "
+            f"tick={args.tick}s max_batch={args.max_batch}",
             flush=True,
         )
         try:

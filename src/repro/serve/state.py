@@ -33,8 +33,8 @@ uniform from the state's PCG64 stream, gathering its destination,
 counting it into ``cum_received``, deciding against ``⌊c·d⌋`` and
 compacting the survivors in place.  Every other case takes
 :meth:`ServingState._route_numpy`, the vectorized reference and the
-oracle: the ``numpy`` gate, gates without a serving entry (``python``,
-``numba``), and a Generator whose bit generator is not ``PCG64``.  Both
+oracle: the ``numpy`` gate, the ``python`` gate (no serving entry),
+and a Generator whose bit generator is not ``PCG64``.  Both
 paths consume the identical uniform stream, leave the Generator in the
 same state and produce identical assignments
 (``tests/test_serve_state.py`` pins the parity).
@@ -94,11 +94,11 @@ class ServingState:
     ``buffers`` lets a host share one grow-only scratch pool across
     states; by default each state owns its own.
 
-    ``faults`` accepts a :class:`~repro.faults.FaultSchedule` (or an
-    already-materialized one): server kinds overlay the route step
-    (crashed/stalled servers reject everything with frozen counters,
-    Byzantine under-reporters never fill up and never appear burned),
-    client kinds transform admissions (duplicate spray, misroute).  All
+    ``faults`` accepts a :class:`~repro.faults.FaultSchedule`: server
+    kinds overlay the route step (crashed/stalled servers reject
+    everything with frozen counters, Byzantine under-reporters never
+    fill up and never appear burned), client kinds transform
+    admissions (duplicate spray, misroute).  All
     fault randomness comes from the schedule's own seed — the protocol
     RNG stream is untouched, so an empty or ``fraction=0`` schedule is
     bit-identical to ``faults=None``.
@@ -153,7 +153,9 @@ class ServingState:
         self.assigned_total = 0
 
         # Fault injection (None = the untouched fast path everywhere).
-        self.faults = self._materialize_faults(faults)
+        self.faults = (
+            None if faults is None else faults.materialize(self.n_clients, self.n_servers)
+        )
         self.byz_absorbed = 0
         # Quarantine: lazily activated so the no-quarantine path never
         # pays for it.  ``_full_lists`` holds the unfiltered (churn-able)
@@ -164,13 +166,6 @@ class ServingState:
         # enabled by the service when a health tracker is attached.
         self.track_health = False
         self._rebuild_flat()
-
-    def _materialize_faults(self, faults):
-        if faults is None:
-            return None
-        if hasattr(faults, "server_overlay"):  # already materialized
-            return faults
-        return faults.materialize(self.n_clients, self.n_servers)
 
     # -- topology ----------------------------------------------------------
 

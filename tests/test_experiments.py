@@ -1,5 +1,7 @@
 """Tests for the experiment registry and (down-scaled) runners."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ExperimentError
@@ -19,6 +21,8 @@ from repro.experiments import (
     run_e11_alive_decay,
     run_e12_dynamic,
 )
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestRegistry:
@@ -43,6 +47,7 @@ class TestRegistry:
             assert spec.claim and spec.paper_ref and spec.expected_shape
             assert spec.runner.startswith(("run_e", "run_f", "run_s"))
             assert spec.bench.startswith("benchmarks/bench_")
+            assert (REPO_ROOT / spec.bench).is_file(), spec.bench
 
     def test_runners_exist(self):
         from repro.experiments import runners

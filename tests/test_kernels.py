@@ -1,13 +1,13 @@
 """Parity suite for the batched engine's round kernels.
 
 The load-bearing contract: every kernel implementation — the numpy
-reference, the interpreted compiled-algorithm loops (``python``), the
-numba JIT, and the C extension — produces **bit-identical** per-trial
-results (rounds, work, assigned, completion, max load, blocked servers,
-full load vectors).  The ``python`` kernel is the same code numba
-compiles, so parity here certifies the compiled algorithm on installs
-without numba or a C compiler; CI's ``kernels`` job re-runs the suite
-with numba installed and the C path built.
+reference, the interpreted compiled-algorithm loops (``python``) and
+the C extension — produces **bit-identical** per-trial results (rounds,
+work, assigned, completion, max load, blocked servers, full load
+vectors).  The ``python`` kernel is the C round's loop nest written out
+in Python, so parity here certifies the compiled algorithm on installs
+without a C compiler; CI's ``kernels`` job re-runs the suite with the C
+path built, at one and at four threads.
 """
 
 from __future__ import annotations
@@ -37,11 +37,7 @@ from repro.batch.kernels import (
     PHILOX_CHUNK,
     RNG_BLOCK,
     THREADS_ENV,
-    _round_loops,
-    _round_loops_mt,
-    block_clients_for,
     fill_uniforms,
-    trial_chunks,
 )
 from repro.core.config import ProtocolParams, RunOptions
 from repro.graphs import near_regular, random_regular_bipartite, trust_subsets
@@ -57,7 +53,7 @@ RESULT_FIELDS = (
 )
 
 # Kernels testable on this install: "python" always runs the compiled
-# algorithm interpreted; cext/numba join in when buildable/importable.
+# algorithm interpreted; cext joins in when it builds.
 COMPILED = [k for k in available_kernels() if k != "numpy"]
 
 THREAD_COUNTS = (1, 2, 4)
@@ -106,6 +102,22 @@ def assert_kernels_match(
             f"{name} kernel (threads={threads}) diverges on loads"
         )
     return ref
+
+
+def stub_unavailable_cext(monkeypatch):
+    """Swap the registry's cext entry for one that never builds (a
+    machine without a C compiler) and reset the warn-once state."""
+    from repro.batch import kernels as kmod
+
+    class Missing(kmod.Kernel):
+        name = "cext"
+        compiled = True
+
+        def available(self):
+            return False
+
+    monkeypatch.setitem(kmod._REGISTRY, "cext", Missing())
+    monkeypatch.setattr(kmod, "_warned", set())
 
 
 class TestKernelParity:
@@ -242,26 +254,16 @@ class TestKernelGate:
 
     def test_unavailable_falls_back_to_numpy(self, monkeypatch):
         """A gate naming an absent implementation warns and still runs."""
-        from repro.batch import kernels as kmod
-
-        class Missing(kmod.Kernel):
-            name = "numba"
-            compiled = True
-
-            def available(self):
-                return False
-
-        monkeypatch.setitem(kmod._REGISTRY, "numba", Missing())
-        monkeypatch.setattr(kmod, "_warned", set())
+        stub_unavailable_cext(monkeypatch)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            kern = resolve_kernel("numba")
+            kern = resolve_kernel("cext")
         assert kern.name == "numpy"
         assert any("unavailable" in str(w.message) for w in caught)
         # the stub path still executes end to end
         g = random_regular_bipartite(16, 4, seed=0)
         res = run_trials_batched(
-            g, ProtocolParams(c=2.0, d=2), "saer", n_trials=2, seed=1, kernel="numba"
+            g, ProtocolParams(c=2.0, d=2), "saer", n_trials=2, seed=1, kernel="cext"
         )
         assert res.n_trials == 2
 
@@ -558,8 +560,7 @@ class TestStarvationJump:
 
 
 # ---------------------------------------------------------------------------
-# Threaded kernels: the trial-partitioned path must be bit-identical at
-# every gate × thread-count combination.
+# Threads: every gate × thread-count combination must be bit-identical.
 # ---------------------------------------------------------------------------
 
 class TestThreadedParity:
@@ -567,8 +568,9 @@ class TestThreadedParity:
 
     Each cell re-runs the full result comparison against the numpy
     reference; ``threads=1`` pins that the threaded plumbing collapses
-    cleanly, >1 pins that chunked execution (OpenMP for cext, prange
-    for numba, interpreted chunks for python) changes nothing.
+    cleanly, >1 pins that cext's chunked execution (in parallel in the
+    OpenMP build) changes nothing and that ``python`` ignores the
+    budget.
     """
 
     @pytest.mark.parametrize("threads", THREAD_COUNTS)
@@ -684,131 +686,6 @@ class TestThreadedParity:
                 assert np.array_equal(ref.loads, got.loads), (name, threads)
 
 
-class TestRandomPartitions:
-    """Hypothesis: ANY trial partition through the threaded compaction
-    path — uneven chunks, empty chunks, a single chunk, one trial —
-    reproduces the sequential loops exactly: same survivor keys in
-    canonical (trial-major, client-major) order, same per-trial accept
-    counts, same policy state.  Uniform consumption is positional (the
-    kernel reads exactly ``u[seg_start[a]:seg_end[a]]`` per trial), so
-    byte-equal outputs on a shared ``u`` pin it too.
-    """
-
-    @staticmethod
-    def _one_round_case(n, degree, d, R, frac_pct, seed):
-        g = random_regular_bipartite(n, degree, seed=seed)
-        n_s = g.n_servers
-        indptr = g.client_indptr.astype(np.int32)
-        indices = g.client_indices.astype(np.int32)
-        degrees = np.diff(indptr).astype(np.int32)
-        rng = np.random.default_rng(seed)
-        # demands with many zeros so small totals hit the sparse branch
-        dem = rng.integers(0, d + 1, size=n) * (rng.random(n) < frac_pct / 100.0)
-        if not dem.sum():
-            dem[0] = 1
-        template = np.repeat(np.arange(n, dtype=np.int32) * np.int32(degree), dem)
-        k = template.size
-        ball_key = np.tile(template, R)
-        u = rng.random(k * R)
-        return dict(
-            n=n, n_s=n_s, degree=degree, indptr=indptr, degrees=degrees,
-            indices=indices, k=k, R=R, ball_key=ball_key, u=u,
-            block_clients=block_clients_for(n, g.n_edges),
-        )
-
-    @staticmethod
-    def _run_seq(case, capacity, is_raes):
-        R, n_s, B = case["R"], case["n_s"], case["ball_key"].size
-        state1 = np.zeros((R, n_s), np.int64)
-        state2 = np.zeros((R, n_s), np.int64)
-        n_acc = np.zeros(R, np.int64)
-        out_key = np.full(B, -1, np.int32)
-        out = _round_loops(
-            case["u"], case["ball_key"],
-            np.arange(R, dtype=np.int64), np.full(R, case["k"], np.int64),
-            case["degree"], case["indptr"], case["degrees"], case["indices"],
-            case["n"], case["block_clients"], state1, state2, capacity,
-            is_raes, np.empty(B, np.int32), np.zeros(n_s, np.int64),
-            np.empty(n_s, np.int32), np.zeros(n_s, np.uint8), n_acc,
-            out_key, 1, np.empty(R, np.int64), np.empty(R, np.int64),
-            np.empty(R, np.int64),
-        )
-        return int(out), out_key, n_acc, state1, state2
-
-    @staticmethod
-    def _run_mt(case, capacity, is_raes, chunk_starts):
-        R, n_s, B = case["R"], case["n_s"], case["ball_key"].size
-        T = chunk_starts.size - 1
-        state1 = np.zeros((R, n_s), np.int64)
-        state2 = np.zeros((R, n_s), np.int64)
-        n_acc = np.zeros(R, np.int64)
-        n_keep = np.zeros(R, np.int64)
-        out_key = np.full(B, -1, np.int32)
-        out = _round_loops_mt(
-            case["u"], case["ball_key"],
-            np.arange(R, dtype=np.int64), np.full(R, case["k"], np.int64),
-            case["degree"], case["indptr"], case["degrees"], case["indices"],
-            case["n"], case["block_clients"], state1, state2, capacity,
-            is_raes, np.empty(B, np.int32), np.zeros((T, n_s), np.int64),
-            np.empty((T, n_s), np.int32), np.zeros((T, n_s), np.uint8),
-            n_acc, out_key, 1, np.empty(R, np.int64), np.empty(R, np.int64),
-            np.empty(R, np.int64), chunk_starts, n_keep,
-        )
-        # the trial-partitioned entries left-pack survivors into the
-        # (dead) input buffer, not out_key — that is what makes the
-        # epilogue parallel; callers read ball_key and skip their swap
-        return int(out), case["ball_key"], n_acc, state1, state2, n_keep
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        n=st.integers(min_value=8, max_value=48),
-        degree=st.integers(min_value=2, max_value=6),
-        d=st.integers(min_value=1, max_value=4),
-        R=st.integers(min_value=1, max_value=6),
-        frac_pct=st.integers(min_value=5, max_value=100),
-        capacity=st.integers(min_value=1, max_value=8),
-        is_raes=st.integers(min_value=0, max_value=1),
-        seed=st.integers(min_value=0, max_value=2**20),
-        data=st.data(),
-    )
-    def test_any_partition_matches_sequential(
-        self, n, degree, d, R, frac_pct, capacity, is_raes, seed, data
-    ):
-        degree = min(degree, n)
-        case = self._one_round_case(n, degree, d, R, frac_pct, seed)
-        n_chunks = data.draw(st.integers(min_value=1, max_value=R + 2))
-        cuts = sorted(
-            data.draw(
-                st.lists(
-                    st.integers(min_value=0, max_value=R),
-                    min_size=n_chunks - 1,
-                    max_size=n_chunks - 1,
-                )
-            )
-        )
-        chunk_starts = np.array([0] + cuts + [R], dtype=np.int64)
-        want = self._run_seq(case, capacity, is_raes)
-        got = self._run_mt(case, capacity, is_raes, chunk_starts)
-        assert got[0] == want[0], "survivor count diverged"
-        assert np.array_equal(got[1][: got[0]], want[1][: want[0]]), (
-            "canonical survivor order diverged"
-        )
-        assert np.array_equal(got[2], want[2]), "per-trial accept counts diverged"
-        assert np.array_equal(got[3], want[3]), "state1 diverged"
-        assert np.array_equal(got[4], want[4]), "state2 diverged"
-        assert int(got[5].sum()) == got[0]
-
-    def test_trial_chunks_partition_properties(self):
-        buf = np.empty(9, dtype=np.int64)
-        for A in (1, 2, 5, 8, 64):
-            for T in (1, 2, 3, 8):
-                b = trial_chunks(A, T, buf)
-                assert b[0] == 0 and b[-1] == A and b.size == T + 1
-                sizes = np.diff(b)
-                assert (sizes >= 0).all()
-                assert sizes.max() - sizes.min() <= 1  # balanced
-
-
 class TestThreadsGate:
     """Resolution: argument > REPRO_KERNEL_THREADS env > 1."""
 
@@ -844,16 +721,18 @@ class TestThreadsGate:
             )
             assert np.array_equal(ref.loads, got.loads), name
 
-    def test_numpy_gate_ignores_threads(self, regular_graph, monkeypatch):
-        """The numpy reference loop is single-threaded by design: a
-        thread budget on it is a silent no-op, never a warning."""
+    @pytest.mark.parametrize("kernel", ["numpy", "python"])
+    def test_gate_ignores_threads(self, regular_graph, monkeypatch, kernel):
+        """The numpy reference loop and the interpreted loops are
+        single-threaded by design: a thread budget on them is a silent
+        no-op, never a warning."""
         monkeypatch.delenv(THREADS_ENV, raising=False)
         seeds = spawn_seeds(41, 3)
         params = ProtocolParams(c=1.5, d=4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             a = run_trials_batched(
-                regular_graph, params, "saer", seeds=seeds, kernel="numpy",
+                regular_graph, params, "saer", seeds=seeds, kernel=kernel,
                 threads=4,
             )
         b = run_trials_batched(regular_graph, params, "saer", seeds=seeds, kernel="numpy")
@@ -916,23 +795,13 @@ class TestThreadedFallback:
             )
         assert any("no threaded path" in str(w.message) for w in caught)
 
-    def test_missing_numba_warn_keyed_per_gate_and_threads(self, monkeypatch):
-        from repro.batch import kernels as kmod
-
-        class Missing(kmod.Kernel):
-            name = "numba"
-            compiled = True
-
-            def available(self):
-                return False
-
-        monkeypatch.setitem(kmod._REGISTRY, "numba", Missing())
-        monkeypatch.setattr(kmod, "_warned", set())
+    def test_unavailable_gate_warn_keyed_per_gate_and_threads(self, monkeypatch):
+        stub_unavailable_cext(monkeypatch)
 
         def fallback_warns(threads):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                kern = resolve_kernel("numba", threads=threads)
+                kern = resolve_kernel("cext", threads=threads)
             assert kern.name == "numpy"
             return any("unavailable" in str(w.message) for w in caught)
 
@@ -944,7 +813,7 @@ class TestThreadedFallback:
         g = random_regular_bipartite(16, 4, seed=0)
         res = run_trials_batched(
             g, ProtocolParams(c=2.0, d=2), "saer", n_trials=2, seed=1,
-            kernel="numba", threads=4,
+            kernel="cext", threads=4,
         )
         assert res.n_trials == 2
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,22 +19,17 @@ import pytest
 from repro.batch import (
     EngineBuffers,
     available_kernels,
-    resolve_kernel,
     run_trials_batched,
 )
-from repro.batch.device import philox_uniforms_device
 from repro.batch.kernels import (
     PHILOX_CHUNK,
     SEED_MODES,
-    CupyKernel,
-    _REGISTRY,
-    _warned,
     fill_uniforms,
     philox_fill,
     resolve_seed_mode,
 )
 from repro.core.config import ProtocolParams, RunOptions
-from repro.errors import PlanError, ProtocolConfigError, ResumeMismatchError
+from repro.errors import PlanError, ResumeMismatchError
 from repro.experiments.runners import _saer_plan
 from repro.graphs import near_regular, random_regular_bipartite
 from repro.durable.journal import plan_fingerprint, seed_token
@@ -210,8 +204,6 @@ class TestStreamIdentity:
         case = f"regular_{policy}"
         pin = golden["cases"][case]
         for kernel in available_kernels():
-            if kernel == "cupy":
-                continue  # availability-dependent; covered by the fake below
             res = run_philox(graphs["regular"], policy, kernel=kernel,
                              threads=threads)
             for f in RESULT_FIELDS:
@@ -225,8 +217,6 @@ class TestStreamIdentity:
     def test_irregular_graph_identical_across_gates(self, graphs, golden):
         pin = golden["cases"]["near_regular_saer"]
         for kernel in available_kernels():
-            if kernel == "cupy":
-                continue
             res = run_philox(graphs["near_regular"], "saer", kernel=kernel)
             assert np.asarray(res.rounds).tolist() == pin["rounds"], kernel
             assert np.asarray(res.work).tolist() == pin["work"], kernel
@@ -251,7 +241,6 @@ class TestStreamIdentity:
                             kernel=kernel, threads=threads, seed_mode="philox",
                         )
                         for kernel in available_kernels()
-                        if kernel != "cupy"
                     ]
                     assert all(r.completed.all() for r in runs)
                     sigs = {signature(r) for r in runs}
@@ -385,82 +374,3 @@ class TestPlanSeedMode:
         philox = seed_token(SeedSpec(seeds=(1, 2, 3), mode="philox"))
         assert len(pair) == 2  # historical 2-element shape kept for "pair"
         assert philox == pair + ["philox"]  # the mode is bit-determining
-
-
-# ---------------------------------------------------------------------------
-# The cupy gate: device twin parity without a GPU, clean fallback
-# ---------------------------------------------------------------------------
-
-
-class _FakeCupy:
-    """numpy with cupy's module surface — the CI stand-in for a GPU."""
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    @staticmethod
-    def asnumpy(a):
-        return np.asarray(a)
-
-
-@pytest.fixture
-def fake_cupy_gate():
-    kern: CupyKernel = _REGISTRY["cupy"]
-    saved = (kern._cupy, kern._checked)
-    kern._cupy, kern._checked = _FakeCupy(), True
-    try:
-        yield kern
-    finally:
-        kern._cupy, kern._checked = saved
-
-
-class TestCupyGate:
-    def test_device_uniforms_match_reference(self):
-        words = philox_trial_words(spawn_seeds(11, 3))
-        sent = np.array([130, 7, 258], dtype=np.int64)
-        seg_id = np.repeat(np.arange(3), sent)
-        starts = np.concatenate(([0], np.cumsum(sent)[:-1]))
-        slot = np.arange(int(sent.sum())) - np.repeat(starts, sent)
-        u = philox_uniforms_device(np, words, seg_id, slot, 4)
-        expect = np.concatenate(
-            [philox_uniforms(words[a], 4, int(sent[a])) for a in range(3)]
-        )
-        assert np.array_equal(u, expect)
-
-    @pytest.mark.parametrize("policy", ["saer", "raes"])
-    def test_fake_device_run_matches_cpu_gates(self, fake_cupy_gate, policy):
-        g = random_regular_bipartite(128, 6, seed=2)
-        device = run_trials_batched(
-            g, PARAMS, policy, seeds=spawn_seeds(55, 3), kernel="cupy",
-            seed_mode="philox",
-        )
-        host = run_trials_batched(
-            g, PARAMS, policy, seeds=spawn_seeds(55, 3), kernel="numpy",
-            seed_mode="philox",
-        )
-        assert signature(device) == signature(host)
-
-    def test_cupy_rejects_pcg64_modes(self, fake_cupy_gate):
-        g = random_regular_bipartite(64, 4, seed=2)
-        with pytest.raises(ProtocolConfigError, match="philox"):
-            run_trials_batched(
-                g, PARAMS, "saer", seeds=spawn_seeds(1, 2), kernel="cupy",
-                seed_mode="pair",  # explicit: REPRO_SEED_MODE must not rescue it
-            )
-
-    def test_unavailable_cupy_warns_once_and_falls_back(self):
-        kern: CupyKernel = _REGISTRY["cupy"]
-        saved = (kern._cupy, kern._checked)
-        kern._cupy, kern._checked = None, True
-        saved_warned = set(_warned)
-        _warned.clear()
-        try:
-            with pytest.warns(RuntimeWarning, match="unavailable"):
-                assert resolve_kernel("cupy").name == "numpy"
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # second resolve: silent
-                assert resolve_kernel("cupy").name == "numpy"
-        finally:
-            kern._cupy, kern._checked = saved
-            _warned.clear()
-            _warned.update(saved_warned)

@@ -212,7 +212,7 @@ class TestPlanRoundTrip:
 class TestExecuteParityMatrix:
     """execute(plan) must be bit-identical to the pre-refactor engine.
 
-    Goldens were captured from the pre-plan `_saer_sweep` dispatcher
+    Goldens were captured from the pre-plan sweep dispatcher
     (PR 3 state) with pinned seeds; every (backend × graph × results)
     cell must reproduce them exactly.
     """
@@ -591,7 +591,6 @@ class TestPlanSmoke:
 
 class TestFamilyVocabulary:
     def test_canonical_degree_matches_runner_alias(self):
-        assert R._regular_degree is canonical_degree
         assert canonical_degree(1024) == 100
 
     def test_family_spec_defaults(self):

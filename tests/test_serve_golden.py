@@ -9,9 +9,9 @@ latencies, ``stats()``'s ``assigned_total`` / ``dropped_total`` /
 histogram.  The cases reach every way a ball resolves: assignment,
 isolated-client drops, ``max_wait_rounds`` timeouts, ``max_pending``
 backpressure, brownout shedding, crash faults under a health policy
-with churn, Byzantine duplicate balls (tag -1, never a caller's), both
-round-kernel gates, and one two-worker fleet.  perfbench's digests see
-only the plain and the timeout-plus-retry paths.
+with churn, Byzantine duplicate balls (tag -1, never a caller's), and
+both round-kernel gates.  perfbench's digests see only the plain and
+the timeout-plus-retry paths.
 
 Regenerate only when a serving output is meant to change::
 
@@ -31,7 +31,7 @@ from repro.batch.kernels import available_kernels
 from repro.dynamic.churn import RewireChurn
 from repro.faults import FaultSchedule, FaultSpec, HealthPolicy
 from repro.graphs import BipartiteGraph, trust_subsets
-from repro.serve import FleetConfig, FleetService, SaerService, ServeConfig, ServingState
+from repro.serve import SaerService, ServeConfig, ServingState
 from repro.serve.loadgen import RetryPolicy, make_arrivals, run_inprocess, sample_trace
 
 GOLDEN = Path(__file__).parent / "data" / "serve_golden.json"
@@ -82,13 +82,6 @@ def _byz_dup():
     return _single("numpy", faults=faults, max_wait_rounds=8)
 
 
-def _fleet():
-    return FleetService(
-        _graph(), 2.0, 4, config=FleetConfig(workers=2, max_wait_rounds=6),
-        recovery=8, seed=5,
-    )
-
-
 POISSON = _trace("poisson", 0.5)
 HOTSPOT = _trace("hotspot", 0.6, hot_fraction=0.05)
 
@@ -132,7 +125,6 @@ CASES = {
         "cext", _crash_health_churn, _trace("poisson", 0.6), _retry(5),
     ),
     "byz-dup-numpy": ("numpy", _byz_dup, _trace("poisson", 0.6), None),
-    "fleet-2w-retry": ("numpy", _fleet, HOTSPOT, _retry()),
 }
 
 
@@ -143,14 +135,8 @@ def _bincount(a) -> list[int]:
 def replay(case: str) -> dict:
     _gate, build, trace, retry = CASES[case]
     service = build()
-    try:
-        run = run_inprocess(service, trace, drain_rounds=400, retry=retry)
-        fleet_view = getattr(service, "fleet_metrics", None)
-        metrics = fleet_view() if fleet_view is not None else service.metrics
-        latency = metrics.get(LATENCY).state_dict()
-    finally:
-        if hasattr(service, "close"):
-            service.close()
+    run = run_inprocess(service, trace, drain_rounds=400, retry=retry)
+    latency = service.metrics.get(LATENCY).state_dict()
     stats = run["stats"]
     return {
         "tally": run["tally"],

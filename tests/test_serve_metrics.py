@@ -219,81 +219,6 @@ class TestNonfiniteObservations:
         assert math.isfinite(snap["mean"])
 
 
-class TestMergeSemantics:
-    def test_counter_merge_sums(self):
-        a, b = Counter("c"), Counter("c")
-        a.inc(3)
-        b.inc(4)
-        a.merge_state(b.state_dict())
-        assert a.value == 7
-
-    def test_gauge_merge_sum_vs_max(self):
-        s1, s2 = Gauge("g", merge="sum"), Gauge("g", merge="sum")
-        s1.set(3)
-        s2.set(4)
-        s1.merge_state(s2.state_dict())
-        assert s1.value == 7
-        m1, m2 = Gauge("g", merge="max"), Gauge("g", merge="max")
-        m1.set(3)
-        m2.set(4)
-        m1.merge_state(m2.state_dict())
-        assert m1.value == 4
-
-    def test_gauge_rejects_unknown_merge(self):
-        with pytest.raises(ValueError):
-            Gauge("g", merge="median")
-
-    def test_histogram_merge_matches_combined(self):
-        # Bucket-wise merge of two shard histograms must equal one
-        # histogram that observed every sample.
-        buckets = (1, 2, 4, 8)
-        xs = [0.5, 1.5, 3.0, 7.0, 100.0]
-        ys = [0.1, 2.5, 9.0, float("nan")]
-        h1, h2 = Histogram("lat", buckets=buckets), Histogram("lat", buckets=buckets)
-        combined = Histogram("lat", buckets=buckets)
-        h1.observe_many(xs)
-        h2.observe_many(ys)
-        combined.observe_many(xs + ys)
-        h1.merge_state(h2.state_dict())
-        assert h1.counts == combined.counts
-        assert h1.total == combined.total
-        assert h1.sum == pytest.approx(combined.sum)
-        assert h1.min == combined.min and h1.max == combined.max
-        assert h1.nonfinite == combined.nonfinite
-        for q in (0.0, 0.5, 0.95, 1.0):
-            assert h1.quantile(q) == pytest.approx(combined.quantile(q))
-
-    def test_histogram_merge_rejects_bucket_mismatch(self):
-        h1 = Histogram("lat", buckets=(1, 2))
-        h2 = Histogram("lat", buckets=(1, 4))
-        with pytest.raises(ValueError):
-            h1.merge_state(h2.state_dict())
-
-    def test_registry_merge_creates_and_folds(self):
-        from repro.serve import merge_registry_states
-
-        regs = []
-        for k in range(3):
-            reg = MetricsRegistry()
-            reg.counter("reqs").inc(k + 1)
-            reg.gauge("backlog", merge="sum").set(k)
-            reg.gauge("live", merge="max").set(10 * (k + 1))
-            reg.histogram("lat", buckets=(1, 2)).observe_many([0.5, k + 0.5])
-            regs.append(reg)
-        merged = merge_registry_states([r.state_dict() for r in regs])
-        assert merged.get("reqs").value == 6
-        assert merged.get("backlog").value == 3
-        assert merged.get("live").value == 30
-        assert merged.get("lat").total == 6
-
-    def test_registry_merge_kind_mismatch_rejected(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("x")
-        b.gauge("x")
-        with pytest.raises(ValueError):
-            a.merge_state(b.state_dict())
-
-
 class TestObserveManyMatchesObserve:
     """``observe_many`` is the loop over ``observe``, bit for bit."""
 
