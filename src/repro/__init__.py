@@ -16,21 +16,16 @@ Quickstart::
     res = repro.run_saer(g, c=8.0, d=2, seed=2)
     assert res.completed and res.max_load <= 16
     print(res.rounds, res.work_per_client)
+
+``import repro`` loads the run path (``batch``, ``core``, ``graphs``,
+``parallel``, ``plan`` and what they use).  The other subpackages
+(``agents``, ``analysis``, ``baselines``, ``dynamic``, ``serve``,
+``theory``) load on first attribute access.
 """
 
-from . import (
-    agents,
-    analysis,
-    baselines,
-    batch,
-    core,
-    dynamic,
-    graphs,
-    parallel,
-    plan,
-    serve,
-    theory,
-)
+import importlib
+
+from . import batch, core, graphs, parallel, plan
 from .batch import BatchResult, run_raes_batched, run_saer_batched, run_trials_batched
 from .core import (
     CoupledResult,
@@ -128,3 +123,17 @@ __all__ = [
     "ExperimentError",
     "PlanError",
 ]
+
+_LAZY_SUBPACKAGES = frozenset({"agents", "analysis", "baselines", "dynamic", "serve", "theory"})
+
+
+def __getattr__(name: str):
+    # PEP 562: import_module also binds the subpackage on this module,
+    # so only the first access comes through here.
+    if name in _LAZY_SUBPACKAGES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _LAZY_SUBPACKAGES)

@@ -12,13 +12,21 @@ from ..rng import make_rng
 __all__ = ["mean_ci", "bootstrap_ci", "wilson_interval"]
 
 
+#: ``ndtri(0.975)``, bit for bit: the quantile of the default 0.95 level.
+_Z_95 = float.fromhex("0x1.f5c0331eeff84p+0")
+
+
 def _z(confidence: float) -> float:
     """Two-sided normal quantile for ``confidence``.
 
-    ``scipy.special.ndtri`` is the function ``scipy.stats.norm.ppf``
+    The default level 0.95 is the literal ``ndtri(0.975)``, so the
+    experiment rows never import scipy.  Any other level imports
+    ``scipy.special.ndtri``, the function ``scipy.stats.norm.ppf``
     evaluates (bit-identical results) without importing
     ``scipy.stats``, which costs about half a second.
     """
+    if confidence == 0.95:
+        return _Z_95
     from scipy.special import ndtri
 
     return float(ndtri(0.5 + confidence / 2.0))

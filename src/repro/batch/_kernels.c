@@ -473,30 +473,13 @@ static void repro_philox_fill_off(
 
 /* Fill the canonical flat uniform slab from counters: active trial a
  * (words[4a..4a+3]) owns slots [seg_a, seg_a + sent[a]) where seg is
- * the running prefix sum.  Location-independent by construction, so
- * trials fill in parallel and any over-fill yields identical prefixes.
- * n_threads > 1 takes effect only in the OpenMP build. */
+ * the running prefix sum. */
 void repro_philox_fill(
     double *u, const int64_t *sent, int64_t n_active,
-    const uint32_t *words, uint32_t round_ctr, int64_t n_threads)
+    const uint32_t *words, uint32_t round_ctr)
 {
-    int nthr = (int)(n_threads < 1 ? 1 : n_threads);
-    (void)nthr; /* unused when built without OpenMP */
     int64_t seg = 0;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) num_threads(nthr) \
-    firstprivate(seg) if (nthr > 1)
-#endif
     for (int64_t a = 0; a < n_active; a++) {
-        /* each iteration re-derives its own offset so the loop carries
-         * no dependency; the serial prefix walk below amortizes to one
-         * add per trial in the sequential build */
-#ifdef _OPENMP
-        if (nthr > 1) {
-            seg = 0;
-            for (int64_t b = 0; b < a; b++) seg += sent[b];
-        }
-#endif
         int64_t n = sent[a];
         repro_philox_fill_seg(u + seg, 0, n, round_ctr, words + 4 * a);
         seg += n;

@@ -230,7 +230,6 @@ def philox_fill(
     sent: np.ndarray,
     words: np.ndarray,
     round_ctr: int,
-    threads: int = 1,
 ) -> None:
     """Counter-based Phase-0: fill ``u`` from Philox counters, no state.
 
@@ -242,10 +241,9 @@ def philox_fill(
     position, so any chunking, threading, or over-fill produces
     identical bits.
 
-    Prefers the C ``repro_philox_fill`` (releases the GIL; honours
-    ``threads`` in the OpenMP build) and falls back to the numpy
-    reference :func:`repro.rng.philox_uniforms` per trial when no C
-    library can be built — same bits either way.
+    Prefers the C ``repro_philox_fill`` (releases the GIL) and falls
+    back to the numpy reference :func:`repro.rng.philox_uniforms` per
+    trial when no C library can be built — same bits either way.
     """
     n_active = len(active)
     if n_active == 0:
@@ -253,14 +251,10 @@ def philox_fill(
     sent = np.ascontiguousarray(sent[:n_active], dtype=np.int64)
     w = np.ascontiguousarray(words[active])
     cext: CextKernel = _REGISTRY["cext"]  # type: ignore[assignment]
-    lib = cext._load_mt() if threads > 1 else None
-    if lib is None:
-        lib = cext._load()
+    lib = cext._load()
     if lib is not None:
         total = int(sent.sum())
-        lib.repro_philox_fill(
-            u[:total], sent, n_active, w, round_ctr, max(1, int(threads))
-        )
+        lib.repro_philox_fill(u[:total], sent, n_active, w, round_ctr)
         return
     from ..rng import philox_uniforms
 
@@ -827,7 +821,6 @@ def _declare_fill(fn) -> None:
         ctypes.c_int64,         # n_active
         ptr(np.uint32, **c),    # words [n_active, 4]
         ctypes.c_uint32,        # round_ctr
-        ctypes.c_int64,         # n_threads
     ]
 
 

@@ -16,7 +16,9 @@ spool.  What stays here is the science: the per-trial record functions
 (``record(graph, point, seed) -> dict`` / ``batch(graph, point, seeds)
 -> ResultBlock``) and the table-row assembly, which reads typed
 :class:`~repro.parallel.aggregate.ResultTable` columns instead of
-looping per-trial dicts.
+looping per-trial dicts.  Subpackages only some runners use
+(``baselines``, ``dynamic``, ``faults``, ``serve``) are imported inside
+the functions that use them, so a sweep loads only what it runs.
 
 Default parameter choices were calibrated so the *shape* under test is
 visible (see DESIGN.md §5):
@@ -45,15 +47,6 @@ from ..core.coupling import run_coupled
 from ..core.engine import run_raes, run_saer
 from ..core.metrics import TraceLevel
 from ..errors import ExperimentError
-from ..baselines import (
-    godfrey_greedy,
-    greedy_best_of_k,
-    one_choice,
-    run_parallel_greedy,
-    run_threshold_protocol,
-)
-from ..dynamic import PoissonArrivals, RewireChurn, run_dynamic_saer
-from ..faults import FaultSchedule, FaultSpec
 from ..graphs import degree_report, random_regular_bipartite
 from ..graphs.families import build_point_graph, canonical_degree
 from ..parallel.aggregate import aggregate_records, as_table, summarize
@@ -783,6 +776,14 @@ def run_e08_almost_regular(
 
 
 def _baseline_record(graph, point: Mapping, a_seed) -> dict:
+    from ..baselines import (
+        godfrey_greedy,
+        greedy_best_of_k,
+        one_choice,
+        run_parallel_greedy,
+        run_threshold_protocol,
+    )
+
     algo, c, d = point["algorithm"], point["c"], point["d"]
     if algo == "saer":
         r = run_saer(graph, c, d, seed=a_seed)
@@ -1083,6 +1084,8 @@ def run_e11_alive_decay(
 
 def _dynamic_record(graph, point: Mapping, s_seed) -> dict:
     """One dynamic-arrivals run on the point's trust topology."""
+    from ..dynamic import PoissonArrivals, RewireChurn, run_dynamic_saer
+
     res = run_dynamic_saer(
         graph,
         point["c"],
@@ -1260,6 +1263,9 @@ def run_s1_serve(
 def _f1_record(graph, point: Mapping, s_seed) -> dict:
     """One faulted dynamic run; the schedule is rebuilt from the point's
     scalars (kind / f / start / seed) so points stay columnar-spoolable."""
+    from ..dynamic import PoissonArrivals, run_dynamic_saer
+    from ..faults import FaultSchedule, FaultSpec
+
     faults = None
     if point["f"] > 0:
         faults = FaultSchedule(

@@ -17,14 +17,21 @@ global node ids are needed; separate spaces make that explicit).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..errors import GraphValidationError
 
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
 __all__ = ["BipartiteGraph"]
+
+#: Side sizes up to this pack an edge into one int64 key
+#: ``(dst << 32) | src`` in :func:`_transpose_csr`; larger ones take the
+#: stable-argsort path.
+_PACKED_ID_LIMIT = 1 << 31
 
 
 def _index_array(values, what: str, validate: bool) -> np.ndarray:
@@ -61,19 +68,27 @@ def _transpose_csr(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reverse a CSR adjacency: dst→src (indptr, indices), rows sorted.
 
-    Uses scipy's compiled COO→CSR counting sort (O(m), ~3× faster than a
-    numpy stable argsort at 10⁷ edges).  It is stable in input order, so
-    with forward rows sorted src-major the reversed rows come out
-    strictly sorted whenever the forward graph was simple.
+    The indptr is a ``bincount``/``cumsum`` of ``indices``.  The indices
+    come from one in-place sort of the packed int64 key ``(dst << 32) |
+    src``, whose low 32 bits are the reversed rows' entries.  Distinct
+    edges have distinct keys, so the sorted order is the dst-major,
+    src-ascending order a stable counting sort of the src-major edges
+    gives; at 0.6M–10M edges it is also faster than scipy's COO→CSR.
+    Side sizes past ``_PACKED_ID_LIMIT`` do not fit the key and take a
+    stable argsort of ``indices`` instead, with the same result.
     """
-    nnz = indices.size
-    if nnz == 0:
-        return np.zeros(n_dst + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
+    rev_indptr = np.zeros(n_dst + 1, dtype=np.int64)
+    if indices.size == 0:
+        return rev_indptr, np.empty(0, dtype=np.int64)
+    np.cumsum(np.bincount(indices, minlength=n_dst), out=rev_indptr[1:])
     rows = np.repeat(np.arange(n_src, dtype=np.int64), np.diff(indptr))
-    rev = sp.coo_matrix(
-        (np.empty(nnz, dtype=np.int8), (indices, rows)), shape=(n_dst, n_src)
-    ).tocsr()
-    return rev.indptr.astype(np.int64), rev.indices.astype(np.int64)
+    if max(n_src, n_dst) > _PACKED_ID_LIMIT:
+        return rev_indptr, rows[np.argsort(indices, kind="stable")]
+    keys = np.left_shift(indices, 32)
+    keys |= rows
+    keys.sort()
+    keys &= 0xFFFFFFFF
+    return rev_indptr, keys
 
 
 @dataclass(frozen=True)
@@ -292,8 +307,12 @@ class BipartiteGraph:
         """Client×server 0/1 adjacency as ``scipy.sparse.csr_matrix``.
 
         Used by the metric layer for ``r_t(N(v)) = A @ r_t`` and
-        ``S_t(v) = (A @ burned) / Δ_v`` matvecs.
+        ``S_t(v) = (A @ burned) / Δ_v`` matvecs.  scipy is imported
+        here, not with the module: nothing else in the graph layer
+        needs it.
         """
+        import scipy.sparse as sp
+
         data = np.ones(self.n_edges, dtype=np.float64)
         return sp.csr_matrix(
             (data, self.client_indices.astype(np.int64), self.client_indptr.astype(np.int64)),

@@ -18,6 +18,9 @@ from collections import defaultdict
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+# np.median's NaN check imports numpy.ma on its first call; load it with
+# this module instead, so no summarize() call pays for it mid-run.
+import numpy.ma  # noqa: F401
 
 from ..batch.results import _column, _pyvalue
 

@@ -181,7 +181,7 @@ def run_inprocess(
     service's only submitter while it runs; balls already in flight
     when it starts are left out of the tally.
     """
-    replay = _Replay(service, retry)
+    replay = _Replay(service, retry, sum(int(counts.sum()) for counts in trace))
     t0 = time.perf_counter()
     for counts in trace:
         replay.step(counts)
@@ -206,10 +206,11 @@ class _Replay:
     policy, a :class:`~repro.serve.service.TagTable` keeps each
     unresolved ball's (client, attempt, birth round), and the backlog
     maps a due round to the arrays of balls to resubmit then, in the
-    order they resolved.
+    order they resolved.  Each of the trace's ``balls`` logical balls
+    is assigned at most once, so that many slots hold every latency.
     """
 
-    def __init__(self, service, retry: RetryPolicy | None) -> None:
+    def __init__(self, service, retry: RetryPolicy | None, balls: int) -> None:
         self.service = service
         self.retry = retry
         self.rng = retry.make_rng() if retry is not None else None
@@ -220,8 +221,9 @@ class _Replay:
         self.tally = np.zeros(len(OUTCOMES), dtype=np.int64)  # balls per outcome code
         self.submitted = self.resubmitted = self.lost = 0
         self.retry_reasons: dict[str, int] = {}
-        self.latencies: list[np.ndarray] = []
-        self.latencies_total: list[np.ndarray] = []
+        self.n_assigned = 0  # latency slots filled
+        self.latencies = np.empty(balls, dtype=np.int64)
+        self.latencies_total = np.empty(balls if retry is not None else 0, dtype=np.int64)
 
     def step(self, counts: np.ndarray | None) -> None:
         clients = np.flatnonzero(counts) if counts is not None else _NO_BALLS
@@ -260,10 +262,12 @@ class _Replay:
         if self.ledger is not None:
             balls = self.ledger.take(rec.tags)[0]
         if assigned.any():
-            self.latencies.append(rec.latency_rounds[assigned])
+            lo = self.n_assigned
+            self.n_assigned += int(np.count_nonzero(assigned))
+            self.latencies[lo : self.n_assigned] = rec.latency_rounds[assigned]
             if self.ledger is not None:
                 births = balls[assigned, 2]
-                self.latencies_total.append(np.maximum(0, self.round - births))
+                np.maximum(0, self.round - births, out=self.latencies_total[lo : self.n_assigned])
         if retried.any():
             reasons, first_seen, n = np.unique(
                 rec.reason[retried], return_index=True, return_counts=True
@@ -313,8 +317,8 @@ class _Replay:
             "retry_reasons": self.retry_reasons,
             "resubmitted": self.resubmitted,
             "lost": lost,
-            "latencies": np.concatenate([_NO_BALLS, *self.latencies]),
-            "latencies_with_retries": np.concatenate([_NO_BALLS, *self.latencies_total]),
+            "latencies": self.latencies[: self.n_assigned],
+            "latencies_with_retries": self.latencies_total[: self.n_assigned],
         }
 
 

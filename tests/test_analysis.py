@@ -104,17 +104,23 @@ class TestStats:
 
     def test_ndtri_matches_norm_ppf(self):
         """The intervals' normal quantile comes from ndtri; it must equal
-        norm.ppf bit for bit at every confidence level they could see."""
+        norm.ppf bit for bit at every confidence level they could see,
+        and the literal used at the default 0.95 level must equal it."""
         from scipy.special import ndtri
         from scipy.stats import norm
+
+        from repro.analysis.stats import _z
 
         q = 0.5 + np.linspace(0.5, 0.9995, 1000, endpoint=False) / 2.0
         assert np.array_equal(ndtri(q), norm.ppf(q))
         assert float(ndtri(0.975)).hex() == "0x1.f5c0331eeff84p+0"
+        assert _z(0.95) == float(ndtri(0.975)) == float(ndtri(0.5 + 0.95 / 2.0))
+        assert _z(0.9) == float(ndtri(0.95))
 
     def test_intervals_do_not_import_scipy_stats(self):
-        """scipy.stats costs about half a second to import; a fresh
-        interpreter computing both intervals must not load it."""
+        """scipy.stats costs about half a second to import, and at the
+        default 0.95 level the intervals need no scipy at all: a fresh
+        interpreter computing both must load no scipy module."""
         import os
         import subprocess
         import sys
@@ -131,13 +137,13 @@ class TestStats:
             "from repro.analysis.stats import mean_ci, wilson_interval\n"
             "wilson_interval(3, 10)\n"
             "mean_ci([1.0, 2.0, 4.0])\n"
-            "print('scipy.stats' in sys.modules)\n"
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
             check=True, env=env,
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"
 
 
 class TestTables:

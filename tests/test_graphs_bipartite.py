@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphValidationError
-from repro.graphs import BipartiteGraph
+from repro.graphs import BipartiteGraph, bipartite
 
 
 def tiny() -> BipartiteGraph:
@@ -201,3 +203,42 @@ class TestFromCsr:
         )
         assert np.array_equal(g2.server_indptr, regular_graph.server_indptr)
         assert np.array_equal(g2.server_indices, regular_graph.server_indices)
+
+
+@st.composite
+def adjacency(draw):
+    """A src×dst 0/1 matrix: empty rows, columns and ``nnz = 0`` included."""
+    n_src = draw(st.integers(0, 12))
+    n_dst = draw(st.integers(0, 12))
+    bits = draw(st.lists(st.booleans(), min_size=n_src * n_dst, max_size=n_src * n_dst))
+    return np.array(bits, dtype=bool).reshape(n_src, n_dst)
+
+
+class TestTransposeParity:
+    """The packed-key transpose, its stable-argsort fallback and scipy's
+    COO→CSR (the implementation it replaced) agree on every shape."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(adjacency())
+    @example(np.array([[1], [0], [1], [1]], dtype=bool))  # n_dst = 1
+    @example(np.zeros((3, 5), dtype=bool))  # nnz = 0
+    @example(np.ones((2, 9), dtype=bool))  # unequal sides, full rows
+    def test_packed_fallback_and_scipy_agree(self, adj):
+        import scipy.sparse as sp
+
+        n_src, n_dst = adj.shape
+        rows, indices = np.nonzero(adj)
+        indptr = np.zeros(n_src + 1, dtype=np.int64)
+        np.cumsum(adj.sum(axis=1), out=indptr[1:])
+        indices = indices.astype(np.int64)
+        packed = bipartite._transpose_csr(n_src, n_dst, indptr, indices)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bipartite, "_PACKED_ID_LIMIT", 0)
+            stable = bipartite._transpose_csr(n_src, n_dst, indptr, indices)
+        ref = sp.coo_matrix(
+            (np.ones(indices.size), (indices, rows)), shape=(n_dst, n_src)
+        ).tocsr()
+        for ours in (packed, stable):
+            assert [a.dtype for a in ours] == [np.int64, np.int64]
+            assert np.array_equal(ours[0], ref.indptr)
+            assert np.array_equal(ours[1], ref.indices)

@@ -141,15 +141,17 @@ class TestPhiloxUniforms:
 class TestPhiloxFill:
     def test_fill_matches_reference_any_partition(self):
         words = philox_trial_words(spawn_seeds(31, 6))
-        expect = np.concatenate(
-            [philox_uniforms(words[a], 9, 700) for a in range(6)]
-        )
-        for threads in (1, 2, 4):
-            u = np.empty(6 * 700)
-            philox_fill(
-                u, np.arange(6), np.full(6, 700, np.int64), words, 9,
-                threads=threads,
-            )
+        full = [philox_uniforms(words[a], 9, 700) for a in range(6)]
+        for active, sent in (
+            ([0, 1, 2, 3, 4, 5], [700] * 6),
+            ([5, 0, 3], [700, 1, PHILOX_CHUNK]),
+            ([4, 2], [PHILOX_CHUNK + 1, PHILOX_CHUNK - 1]),
+            ([1, 3, 0], [0, 3, 0]),
+        ):
+            sent = np.array(sent, dtype=np.int64)
+            u = np.empty(int(sent.sum()))
+            philox_fill(u, np.array(active), sent, words, 9)
+            expect = np.concatenate([full[a][:k] for a, k in zip(active, sent)])
             assert np.array_equal(u, expect)
 
     def test_fill_subset_of_trials(self):
