@@ -46,28 +46,6 @@ _MAX_RESTARTS = 50
 _MAX_REPAIR_PASSES = 300
 
 
-def _sample_distinct(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
-    """Sample ``k`` distinct integers from ``range(n)`` (sorted).
-
-    Rejection sampling when ``k`` is small relative to ``n`` (the common
-    case: neighborhoods are ``polylog(n)``); falls back to a partial
-    permutation otherwise.  O(k) expected vs O(n) for ``rng.choice``.
-    """
-    if k > n:
-        raise GraphConstructionError(f"cannot sample {k} distinct values from range({n})")
-    if k == n:
-        return np.arange(n, dtype=np.int64)
-    if k > n // 8:
-        return np.sort(rng.permutation(n)[:k].astype(np.int64))
-    picked = np.unique(rng.integers(0, n, size=int(k * 1.3) + 8))
-    while picked.size < k:
-        extra = rng.integers(0, n, size=k)
-        picked = np.unique(np.concatenate([picked, extra]))
-    if picked.size > k:
-        picked = rng.choice(picked, size=k, replace=False)
-    return np.sort(picked.astype(np.int64))
-
-
 def _reject_resample_rows(
     rng: np.random.Generator, n: int, row_of: np.ndarray, total: int
 ) -> np.ndarray:
@@ -129,10 +107,9 @@ def _sample_distinct_rows(
     """Batched distinct sampling: row ``i`` gets ``counts[i]`` distinct
     values from ``range(n)``, sorted within the row.
 
-    The whole-array replacement for calling :func:`_sample_distinct`
-    once per client: one flat array of ``counts.sum()`` values comes
-    back, rows delimited by ``cumsum(counts)`` — ready to be used as
-    CSR ``indices`` via :meth:`BipartiteGraph.from_csr`.
+    One flat array of ``counts.sum()`` values comes back, rows
+    delimited by ``cumsum(counts)`` — ready to be used as CSR
+    ``indices`` via :meth:`BipartiteGraph.from_csr`.
 
     Strategy: draw every row's candidates at once into a ``(rows,
     max(counts))`` matrix (pad sentinel ``n``), sort rows in place, and
@@ -207,81 +184,156 @@ def _sample_distinct_rows_mixed(
     return out
 
 
-def _duplicate_edges(keys: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """The duplicate edges of a sorted key array, in stable order.
+class _DegreeBlock:
+    """The rows of one degree class, as the repair walk sorts them.
 
-    ``keys`` is sorted and ``order`` holds the edge index of each slot,
-    ties in any order.  An edge is a duplicate when a smaller edge index
-    has the same key; the duplicates come back by key, then edge index,
-    exactly as a stable sort would list them.  Only the slots of runs of
-    equal keys are re-sorted, and there are few of them.
+    Row ``r`` of the block is client ``rows[r]``; its slot ``k`` holds
+    ``servers[starts[r] + k] << bits | k``, so sorting a row orders its
+    edges by (server, edge index).  Every row is padded to the class's
+    widest degree: padding slot ``k`` holds ``(n_servers + k) << bits``,
+    which sorts past every edge and never equals its neighbour.  The
+    values are int32 whenever they fit.
     """
-    same = keys[1:] == keys[:-1]
-    in_run = np.zeros(keys.size, dtype=bool)
-    in_run[1:] = same
-    in_run[:-1] |= same
-    run_keys, run_edges = keys[in_run], order[in_run]
-    by_edge = np.lexsort((run_edges, run_keys))
-    run_keys, run_edges = run_keys[by_edge], run_edges[by_edge]
-    return run_edges[1:][run_keys[1:] == run_keys[:-1]]
+
+    def __init__(self, rows: np.ndarray, indptr: np.ndarray, n_servers: int):
+        self.rows = rows
+        self.starts = indptr[rows]
+        self.degrees = indptr[rows + 1] - self.starts
+        width = int(self.degrees.max())
+        self.bits = (width - 1).bit_length()
+        fits = (n_servers + width) << self.bits <= np.iinfo(np.int32).max
+        self.slot = np.arange(width, dtype=np.int32 if fits else np.int64)
+        self.padded = bool(self.degrees.min() < width)
+        self.pad = (self.slot + n_servers) << self.bits
+        self.values = None
+
+    def _spans(self, m: int) -> bool:
+        """True when the block's rows are all ``m`` edges, unpadded and in order."""
+        return not self.padded and self.rows.size * self.slot.size == m
+
+    def sort_rows(self, servers: np.ndarray, sel: np.ndarray | None) -> np.ndarray:
+        """Rebuild block rows ``sel`` (every row if None) from
+        ``servers``, sort them into :attr:`values` and return them."""
+        if self._spans(servers.size):
+            src = servers.reshape(self.rows.size, self.slot.size)
+            vals = (src if sel is None else src[sel]).astype(self.slot.dtype)
+        else:
+            starts = self.starts if sel is None else self.starts[sel]
+            # Padding slots of the last rows point past the last edge.
+            vals = np.take(servers, starts[:, None] + self.slot, mode="clip")
+            vals = vals.astype(self.slot.dtype, copy=False)
+        vals <<= self.bits
+        vals |= self.slot
+        if self.padded:
+            degrees = self.degrees if sel is None else self.degrees[sel]
+            np.copyto(vals, self.pad, where=self.slot >= degrees[:, None])
+        vals.sort(axis=1)
+        if sel is None:
+            self.values = vals
+        else:
+            self.values[sel] = vals
+        return vals
+
+    def duplicates(self, vals: np.ndarray, sel: np.ndarray | None):
+        """The duplicate edges among sorted rows ``vals`` (block rows
+        ``sel``): every edge whose server equals its left neighbour's.
+
+        Returns each one's position in the sorted forward CSR, its edge
+        index and its client, in (client, server, edge) order.
+        """
+        r, k = np.nonzero((vals[:, 1:] ^ vals[:, :-1]) < (1 << self.bits))
+        k += 1
+        slot = vals[r, k] & ((1 << self.bits) - 1)
+        if sel is not None:
+            r = sel[r]
+        starts = self.starts[r]
+        return starts + k, starts + slot, self.rows[r]
+
+    def write_csr(self, servers: np.ndarray) -> None:
+        """Write the sorted rows' servers into the forward CSR ``servers``."""
+        vals = self.values >> self.bits
+        if self._spans(servers.size):
+            servers[:] = vals.reshape(-1)
+            return
+        pos = self.starts[:, None] + self.slot
+        if self.padded:
+            edge = self.slot < self.degrees[:, None]
+            pos, vals = pos[edge], vals[edge]
+        servers[pos] = vals
 
 
-def _repair_duplicates(
-    client: np.ndarray,
-    servers: np.ndarray,
-    n_clients: int,
-    n_servers: int,
-    rng: np.random.Generator,
-) -> np.ndarray | None:
+def _swap_servers(servers: np.ndarray, i: np.ndarray, j: np.ndarray) -> None:
+    """``servers[i[t]], servers[j[t]] = servers[j[t]], servers[i[t]]``
+    for t = 0, 1, ... in order.
+
+    A swap whose indices appear nowhere else in ``i`` or ``j`` commutes
+    with every other swap, so all such swaps go at once; the rest, few
+    when ``len(i)`` is small against ``len(servers)``, swap in order.
+    """
+    both = np.concatenate((i, j))
+    both.sort()
+    repeated = both[1:][both[1:] == both[:-1]]
+    clash = np.isin(i, repeated) | np.isin(j, repeated)
+    fi, fj = i[~clash], j[~clash]
+    servers[fi], servers[fj] = servers[fj], servers[fi]
+    for a, b in zip(i[clash].tolist(), j[clash].tolist()):
+        servers[a], servers[b] = servers[b], servers[a]
+
+
+def _repair_walk(
+    indptr: np.ndarray, servers: np.ndarray, n_servers: int, rng: np.random.Generator
+) -> bool:
     """Make a configuration-model pairing simple via endpoint swaps.
 
-    Edge ``e`` joins ``client[e]`` (non-decreasing, so each client's
-    edges are one contiguous row) to ``servers[e]``.  Each pass finds the
-    duplicate edges in stable (client, server) key order and swaps each
-    one's server with that of a uniformly random edge.  Swapping the
+    Edge ``e`` joins the client whose CSR row holds it (``indptr``) to
+    ``servers[e]``.  Each pass finds the duplicate edges, each an edge
+    whose (client, server) pair a smaller edge index already has, in
+    (client, server, edge) order, draws one uniform partner edge per
+    duplicate and swaps their servers in that order.  Swapping the
     server endpoints of two edges preserves every degree on both sides,
     so the repaired graph keeps the prescribed degree sequence exactly.
 
-    Returns the sorted ``client * n_servers + server`` keys of the
-    duplicate-free pairing, or None if duplicates remain after
-    ``_MAX_REPAIR_PASSES`` checks (caller then restarts from a fresh
-    pairing).  ``servers`` is repaired in place.
+    Returns True with ``servers`` rewritten as the forward CSR indices
+    (each row sorted), or False with duplicates left after
+    ``_MAX_REPAIR_PASSES`` checks (the caller restarts from a fresh
+    pairing).
 
-    Only the first pass sorts every key.  A row can gain a duplicate only
-    if a swap touched it, so later passes re-sort just the rows that held
-    a duplicate or a swap partner; the sorted keys keep every row in the
-    same slots, and the duplicates come out in the same order a full
-    re-sort would give, so the walk's draws and swaps do not depend on
-    which rows were re-sorted.  The sorts are numpy's default argsort,
-    about twice as fast on int64 keys as the stable one; its tie order is
-    settled by :func:`_duplicate_edges`.
+    The rows live in one :class:`_DegreeBlock` per degree class
+    ``⌈log₂ deg⌉``, so padding stays under 2×; rows of degree 0 or 1
+    hold no duplicate and stay out.  The first pass sorts every row; a
+    row can gain a duplicate only if a swap touched it, so later passes
+    re-sort just the rows that held a duplicate or a swap partner.
     """
     m = servers.size
-    width = np.int64(n_servers)
-    keys = client * width
-    keys += servers
-    order = np.argsort(keys)
-    sorted_keys = keys = keys[order]
-    touched = np.zeros(n_clients, dtype=bool)
-    for check in range(_MAX_REPAIR_PASSES):
-        if check:
-            edges = np.flatnonzero(touched[client])
-            keys = client[edges] * width
-            keys += servers[edges]
-            order = np.argsort(keys)
-            keys = keys[order]
-            sorted_keys[edges] = keys
-            order = edges[order]
-        dup_idx = _duplicate_edges(keys, order)
+    degrees = np.diff(indptr)
+    multi = np.flatnonzero(degrees > 1)
+    classes = np.frexp(degrees[multi] - 1)[1]  # bit length of deg - 1
+    blocks = [_DegreeBlock(multi[classes == c], indptr, n_servers) for c in np.unique(classes)]
+    touched = None  # the clients a swap touched; None sorts every row
+    for _check in range(_MAX_REPAIR_PASSES):
+        found = []
+        for block in blocks:
+            sel = None if touched is None else np.flatnonzero(touched[block.rows])
+            if sel is not None and sel.size == 0:
+                continue
+            found.append(block.duplicates(block.sort_rows(servers, sel), sel))
+        if not found:  # no touched row can hold a duplicate
+            found.append((np.empty(0, dtype=np.int64),) * 3)
+        pos, dup_idx, dup_clients = (np.concatenate(f) for f in zip(*found))
+        if len(found) > 1:
+            # Each block lists its duplicates by client; merge the blocks.
+            order = np.argsort(pos)
+            dup_idx, dup_clients = dup_idx[order], dup_clients[order]
         if dup_idx.size == 0:
-            return sorted_keys
+            for block in blocks:
+                block.write_csr(servers)
+            return True
         partners = rng.integers(0, m, size=dup_idx.size)
-        for i, j in zip(dup_idx.tolist(), partners.tolist()):
-            servers[i], servers[j] = servers[j], servers[i]
-        touched[:] = False
-        touched[client[dup_idx]] = True
-        touched[client[partners]] = True
-    return None
+        _swap_servers(servers, dup_idx, partners)
+        touched = np.zeros(degrees.size, dtype=bool)
+        touched[dup_clients] = True
+        touched[np.searchsorted(indptr, partners, side="right") - 1] = True
+    return False
 
 
 def _configuration_bipartite(
@@ -332,26 +384,19 @@ def _configuration_bipartite(
         return BipartiteGraph.from_csr(n_clients, n_servers, indptr, indices, name=name)
     if total == n_clients * n_servers:
         return dataclasses.replace(complete_bipartite(n_clients, n_servers), name=name)
-    client = np.repeat(np.arange(n_clients, dtype=np.int64), client_degrees)
     for _ in range(_MAX_RESTARTS):
         servers = rng.permutation(np.repeat(np.arange(n_servers, dtype=np.int64), server_degrees))
-        keys = _repair_duplicates(client, servers, n_clients, n_servers, rng)
-        if keys is not None:
+        if _repair_walk(indptr, servers, n_servers, rng):
             break
     else:
         raise GraphConstructionError(
             "configuration model failed to produce a simple graph "
             f"(n_clients={n_clients}, n_servers={n_servers}); degrees too close to complete?"
         )
-    # The walk's last, duplicate-free pass left every row's keys sorted,
-    # so the forward CSR falls out directly; from_csr's strictly-sorted
-    # row check re-proves the graph simple in O(m).  The walk's arrays are
-    # freed first so they are not alive while the reverse side is built.
-    del servers
-    client *= np.int64(n_servers)
-    keys -= client
-    del client
-    return BipartiteGraph.from_csr(n_clients, n_servers, indptr, keys, name=name)
+    # The walk's last, duplicate-free pass left every row sorted, so
+    # ``servers`` is the forward CSR; from_csr's strictly-sorted row check
+    # re-proves the graph simple in O(m).
+    return BipartiteGraph.from_csr(n_clients, n_servers, indptr, servers, name=name)
 
 
 def random_regular_bipartite(n: int, degree: int, seed=None) -> BipartiteGraph:

@@ -54,7 +54,6 @@ pass/fail gate for CI's serve-smoke job.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import math
 import time
@@ -346,6 +345,8 @@ async def run_tcp(
     every logical ball reached a terminal outcome: assigned, dropped,
     or out of attempts.
     """
+    import asyncio
+
     reader, writer = await asyncio.open_connection(host, port)
     loop = asyncio.get_running_loop()
     expected = int(sum(int(c.sum()) for c in trace))
@@ -644,6 +645,8 @@ def check_report(
 
 def main(argv=None) -> int:
     """``repro-lb loadgen`` entry point."""
+    import asyncio
+
     parser = argparse.ArgumentParser(
         prog="repro-lb loadgen",
         description="Replay an arrival trace against the serving layer.",

@@ -31,14 +31,17 @@ entirely.
 
 Everything runs on one event loop; :meth:`run_round` is synchronous and
 loop-free, so the load generator's *driven* mode can also call it
-directly (no ticker, no sleeps) for maximum-throughput replay.
+directly (no ticker, no sleeps) for maximum-throughput replay.  That
+mode never imports ``asyncio``: the coroutines, the TCP front end and
+:meth:`SaerService.start` (which builds the tick loop's event) import
+it themselves.
 """
 
 from __future__ import annotations
 
-import asyncio
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -61,6 +64,9 @@ from .protocol import (
     encode_response,
 )
 from .state import ServingState
+
+if TYPE_CHECKING:
+    import asyncio
 
 __all__ = ["BallFuture", "ServeConfig", "SaerService", "serve_tcp"]
 
@@ -99,11 +105,15 @@ class BallFuture:
 
     def result(self):
         if self._result is _PENDING:
+            import asyncio
+
             raise asyncio.InvalidStateError("ball outcome is not available yet")
         return self._result
 
     def set_result(self, outcome) -> None:
         if self._result is not _PENDING:
+            import asyncio
+
             raise asyncio.InvalidStateError("outcome already set")
         self._result = outcome
         callbacks, self._callbacks = self._callbacks, None
@@ -123,6 +133,8 @@ class BallFuture:
         """Await the outcome from a coroutine on the service's loop."""
         if self._result is not _PENDING:
             return self._result
+        import asyncio
+
         loop = asyncio.get_running_loop()
         afut = loop.create_future()
         self.add_done_callback(
@@ -318,7 +330,7 @@ class SaerService:
         # Tags below the floor were resolved by shutdown(); a later
         # round that routes them reports nothing.
         self._tag_floor = 0
-        self._kick = asyncio.Event()
+        self._kick: asyncio.Event | None = None  # built by start()
         self._ticker: asyncio.Task | None = None
         self._accepting = True
         self._health: HealthTracker | None = None
@@ -423,7 +435,7 @@ class SaerService:
             self._rejected.append(rejected)
         if self._accepting:
             self._m_pending.set(self._n_pending)
-            if self._n_pending >= self.config.max_batch:
+            if self._n_pending >= self.config.max_batch and self._kick is not None:
                 self._kick.set()
         return first, rejected
 
@@ -585,12 +597,21 @@ class SaerService:
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
-        """Start the tick loop (idempotent)."""
+        """Start the tick loop (idempotent).  A full batch already
+        queued makes its first round run at once."""
+        import asyncio
+
+        if self._kick is None:
+            self._kick = asyncio.Event()
+            if self._n_pending >= self.config.max_batch:
+                self._kick.set()
         if self._ticker is None or self._ticker.done():
             self._accepting = True
             self._ticker = asyncio.get_running_loop().create_task(self._tick_loop())
 
     async def _tick_loop(self) -> None:
+        import asyncio
+
         while self._accepting:
             try:
                 await asyncio.wait_for(self._kick.wait(), timeout=self.config.tick)
@@ -608,6 +629,8 @@ class SaerService:
         stalled no-recovery system never empties) — remaining balls
         stay in flight unless ``max_wait_rounds`` evicts them.
         """
+        import asyncio
+
         rounds = 0
         while self._in_flight and rounds < max_rounds:
             self.run_round()
@@ -620,8 +643,11 @@ class SaerService:
         """Stop ticking; optionally run ``final_rounds`` more rounds, then
         resolve every caller ball still in flight as ``Retry("shutdown")``
         (published as the last :attr:`outcomes`)."""
+        import asyncio
+
         self._accepting = False
-        self._kick.set()
+        if self._kick is not None:
+            self._kick.set()
         if self._ticker is not None:
             try:
                 await self._ticker
@@ -746,6 +772,8 @@ async def serve_tcp(
     the bound port when ``port=0``).  Callers own both lifetimes: close
     the returned server *and* ``await service.shutdown()``.
     """
+    import asyncio
+
     await service.start()
 
     async def handle(reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
@@ -812,6 +840,7 @@ async def serve_tcp(
 def main(argv=None) -> int:  # pragma: no cover - exercised via CLI tests
     """``repro-lb serve`` entry: boot a TCP service and run until ^C."""
     import argparse
+    import asyncio
 
     from ..dynamic.churn import RewireChurn
     from ..graphs.families import build_point_graph

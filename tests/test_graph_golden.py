@@ -85,6 +85,14 @@ CASES = {
     # Radius > 1/3 takes the all-pairs branch through from_edges.
     "geometric-coarse-60x50": partial(geometric_bipartite, 60, 50, 0.4, seed=1),
     "regular-restart-128x8-s2": _restarted_regular,
+    # E1's largest point.
+    "regular-4096x144-s1": partial(random_regular_bipartite, 4096, 144, seed=1),
+    # Client degrees over four power-of-two classes (17-32 up to 129-256).
+    "near_regular-2048-20-200-s1": partial(near_regular, 2048, 20, 200, seed=1),
+    # degree_hi = n: three clients of degree n, so the complement
+    # sequence the walk realises has degree-0 clients.
+    "near_regular-dense-96-60-96-s1": partial(near_regular, 96, 60, 96, seed=1),
+    "paper_extremal-8192-s1": partial(paper_extremal, 8192, seed=1),
 }
 
 

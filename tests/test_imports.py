@@ -93,9 +93,11 @@ class TestImportRepro:
 
 class TestWithoutScipy:
     def test_rows_and_replay_match_without_scipy(self):
+        """The driven replay never awaits, so it runs without asyncio too."""
         code = (
             "import sys\n"
             "sys.modules['scipy'] = None\n"  # any scipy import now raises
+            "sys.modules['asyncio'] = None\n"
             "import test_imports\n"
             "print(test_imports.small_runs())\n"
         )

@@ -451,6 +451,17 @@ class TestMicroBatching:
 
         assert isinstance(asyncio.run(go()), Assigned)
 
+    def test_full_batch_queued_before_start_kicks(self, graph):
+        async def go():
+            svc = _service(graph, tick=30.0, max_batch=4)
+            futs = svc.submit(0, balls=4)
+            await svc.start()
+            out = await asyncio.wait_for(futs[-1].wait(), timeout=2.0)
+            await svc.shutdown()
+            return out
+
+        assert isinstance(asyncio.run(go()), Assigned)
+
     def test_drain_empties_backlog(self, graph):
         async def go():
             svc = _service(graph)
