@@ -54,7 +54,14 @@
  *
  * Philox draws are bit-identical to philox_uniforms() in rng.py, PCG64
  * draws to Generator.random() (pure integer arithmetic plus one exact
- * double scale in both).
+ * double scale in both).  Both have SIMD fills selected by the
+ * compiler's predefined macros under -march=native, with scalar
+ * fallbacks that give the same bits.  The PCG64 one
+ * (REPRO_PCG_LANES == 8, needs AVX-512 F, DQ and VL) steps eight lanes
+ * of one trial's stream at once: lane k yields draws k, k + 8, ...,
+ * stepping s <- M^8·s + inc·(M^7 + ... + M + 1) mod 2^128, and the
+ * state written back is the lane state of the last draw, never an
+ * inverse step; repro_pcg64_lanes() reports which fill was built.
  *
  * The engine entry is instantiated for two state widths via
  * self-inclusion: int32 when every cumulative counter provably fits,
@@ -530,11 +537,146 @@ static void repro_pcg64_advance(uint64_t *st, uint64_t n)
     st[1] = (uint64_t)s;
 }
 
+/* ---- PCG64 lanes: eight draws of one stream per step (AVX-512) ----
+ *
+ * Lane k of eight yields draws k, k + 8, k + 16, ... of the stream: it
+ * starts at the state after k + 1 scalar steps and then steps
+ * s <- A8·s + C8 with A8 = M^8 and C8 = inc·(M^7 + ... + M + 1)
+ * (mod 2^128), which is eight scalar steps at once.  The 128-bit
+ * products, the carrying add, XSL-RR, the u64 -> double conversion
+ * (exact below 2^53), the x 2^-53 and x deg multiplies, the truncation
+ * and the clip are the scalar loop's operations on each lane, so every
+ * draw, every slot and the state handed back are the scalar loop's bits.
+ * The end state is lane 7 of the last step — the true state after the
+ * draws served, never an inverse step.  Fills shorter than two steps,
+ * and the n mod 8 tail, run the scalar loop. */
+
+#if defined(__AVX512F__) && defined(__AVX512DQ__) && defined(__AVX512VL__)
+#define REPRO_PCG_LANES 8
+#else
+#define REPRO_PCG_LANES 1
+#endif
+
+/* Which PCG64 fill this build compiled: 8 (AVX-512 lanes) or 1. */
+int64_t repro_pcg64_lanes(void) { return REPRO_PCG_LANES; }
+
+#if REPRO_PCG_LANES == 8
+
+typedef struct {
+    __m512i hi, lo;
+} repro_lanes;
+
+/* High words of the 64 x 64 -> 128-bit products a·b: AVX-512 has no
+ * 64-bit high multiply, so four 32 x 32 partial products (mul_epu32
+ * reads the low half of each lane) and their carries. */
+static inline __m512i repro_mulhi64(__m512i a, __m512i b)
+{
+    const __m512i m32 = _mm512_set1_epi64(0xFFFFFFFFLL);
+    __m512i ah = _mm512_srli_epi64(a, 32), bh = _mm512_srli_epi64(b, 32);
+    __m512i p00 = _mm512_mul_epu32(a, b);
+    __m512i p01 = _mm512_mul_epu32(a, bh);
+    __m512i p10 = _mm512_mul_epu32(ah, b);
+    __m512i p11 = _mm512_mul_epu32(ah, bh);
+    __m512i mid = _mm512_add_epi64(
+        _mm512_add_epi64(_mm512_srli_epi64(p00, 32),
+                         _mm512_and_si512(p01, m32)),
+        _mm512_and_si512(p10, m32));
+    return _mm512_add_epi64(
+        _mm512_add_epi64(p11, _mm512_srli_epi64(p01, 32)),
+        _mm512_add_epi64(_mm512_srli_epi64(p10, 32),
+                         _mm512_srli_epi64(mid, 32)));
+}
+
+/* The per-stream constants of one lane step, broadcast. */
+typedef struct {
+    __m512i a_lo, a_hi, c_lo, c_hi;
+} repro_lane_step;
+
+static inline repro_lane_step repro_lane_step_for(repro_u128 inc)
+{
+    repro_u128 a = 1, c = 0;
+    for (int k = 0; k < REPRO_PCG_LANES; k++) {
+        a *= REPRO_PCG_MULT;
+        c = c * REPRO_PCG_MULT + inc;
+    }
+    repro_lane_step p;
+    p.a_lo = _mm512_set1_epi64((long long)(uint64_t)a);
+    p.a_hi = _mm512_set1_epi64((long long)(uint64_t)(a >> 64));
+    p.c_lo = _mm512_set1_epi64((long long)(uint64_t)c);
+    p.c_hi = _mm512_set1_epi64((long long)(uint64_t)(c >> 64));
+    return p;
+}
+
+/* s <- A8·s + C8 (mod 2^128) on every lane. */
+static inline void repro_lanes_step(repro_lanes *s, const repro_lane_step *p)
+{
+    __m512i lo = _mm512_mullo_epi64(s->lo, p->a_lo);
+    __m512i hi = _mm512_add_epi64(
+        repro_mulhi64(s->lo, p->a_lo),
+        _mm512_add_epi64(_mm512_mullo_epi64(s->hi, p->a_lo),
+                         _mm512_mullo_epi64(s->lo, p->a_hi)));
+    lo = _mm512_add_epi64(lo, p->c_lo);
+    __mmask8 carry = _mm512_cmplt_epu64_mask(lo, p->c_lo);
+    hi = _mm512_add_epi64(hi, p->c_hi);
+    s->hi = _mm512_mask_add_epi64(hi, carry, hi, _mm512_set1_epi64(1));
+    s->lo = lo;
+}
+
+/* Each lane's draw: XSL-RR of its state, top 53 bits times 2^-53. */
+static inline __m512d repro_lanes_double(const repro_lanes *s)
+{
+    __m512i x = _mm512_rorv_epi64(_mm512_xor_si512(s->hi, s->lo),
+                                  _mm512_srli_epi64(s->hi, 58));
+    return _mm512_mul_pd(_mm512_cvtepu64_pd(_mm512_srli_epi64(x, 11)),
+                         _mm512_set1_pd(REPRO_SCALE_53));
+}
+
+/* Lane k starts at the state k + 1 scalar steps past s. */
+static inline repro_lanes repro_lanes_start(repro_u128 s, repro_u128 inc)
+{
+    uint64_t hi[REPRO_PCG_LANES], lo[REPRO_PCG_LANES];
+    for (int k = 0; k < REPRO_PCG_LANES; k++) {
+        s = s * REPRO_PCG_MULT + inc;
+        hi[k] = (uint64_t)(s >> 64);
+        lo[k] = (uint64_t)s;
+    }
+    repro_lanes l;
+    l.hi = _mm512_loadu_si512(hi);
+    l.lo = _mm512_loadu_si512(lo);
+    return l;
+}
+
+/* Lane 7's state: the stream's state after the last draw stored. */
+static inline repro_u128 repro_lanes_last(const repro_lanes *l)
+{
+    uint64_t hi[REPRO_PCG_LANES], lo[REPRO_PCG_LANES];
+    _mm512_storeu_si512(hi, l->hi);
+    _mm512_storeu_si512(lo, l->lo);
+    return ((repro_u128)hi[REPRO_PCG_LANES - 1] << 64) |
+           lo[REPRO_PCG_LANES - 1];
+}
+
+#endif /* REPRO_PCG_LANES == 8 */
+
 static void repro_pcg64_fill(double *dst, int64_t n, uint64_t *st)
 {
     repro_u128 s = ((repro_u128)st[0] << 64) | st[1];
     const repro_u128 inc = ((repro_u128)st[2] << 64) | st[3];
-    for (int64_t j = 0; j < n; j++) dst[j] = repro_pcg64_double(&s, inc);
+    int64_t j = 0;
+#if REPRO_PCG_LANES == 8
+    if (n >= 2 * REPRO_PCG_LANES) {
+        const repro_lane_step p = repro_lane_step_for(inc);
+        repro_lanes l = repro_lanes_start(s, inc);
+        for (;;) {
+            _mm512_storeu_pd(dst + j, repro_lanes_double(&l));
+            j += REPRO_PCG_LANES;
+            if (j + REPRO_PCG_LANES > n) break;
+            repro_lanes_step(&l, &p);
+        }
+        s = repro_lanes_last(&l);
+    }
+#endif
+    for (; j < n; j++) dst[j] = repro_pcg64_double(&s, inc);
     st[0] = (uint64_t)(s >> 64);
     st[1] = (uint64_t)s;
 }
@@ -547,7 +689,26 @@ static void repro_pcg64_fill_off(
     const repro_u128 inc = ((repro_u128)st[2] << 64) | st[3];
     const double degd = (double)deg;
     const int32_t dmax = (int32_t)(deg - 1);
-    for (int64_t j = 0; j < n; j++) {
+    int64_t j = 0;
+#if REPRO_PCG_LANES == 8
+    if (n >= 2 * REPRO_PCG_LANES) {
+        const repro_lane_step p = repro_lane_step_for(inc);
+        const __m512d degv = _mm512_set1_pd(degd);
+        const __m256i dmaxv = _mm256_set1_epi32(dmax);
+        repro_lanes l = repro_lanes_start(s, inc);
+        for (;;) {
+            __m256i off = _mm512_cvttpd_epi32(
+                _mm512_mul_pd(repro_lanes_double(&l), degv));
+            _mm256_storeu_si256((__m256i *)(dst + j),
+                                _mm256_min_epi32(off, dmaxv));
+            j += REPRO_PCG_LANES;
+            if (j + REPRO_PCG_LANES > n) break;
+            repro_lanes_step(&l, &p);
+        }
+        s = repro_lanes_last(&l);
+    }
+#endif
+    for (; j < n; j++) {
         int32_t off = (int32_t)(repro_pcg64_double(&s, inc) * degd);
         dst[j] = off > dmax ? dmax : off;
     }
@@ -863,18 +1024,28 @@ static int64_t REPRO_NAME(round_trial)(
 /* Whether every client holding a ball in [i0, i1) — one trial's balls,
  * sorted by key — sees only blocked servers, by the predicates of
  * blocked_counts(): SAER cum_received > capacity, RAES load >=
- * capacity (st is the trial's state1 row: cum_received or loads).
- * cursor[v] counts client v's leading neighbours known to be blocked.
- * Both counters only grow, so a blocked server stays blocked and the
- * cursors only move forward: each edge is passed at most once per
- * trial over a whole run.  Stops at the first client that still has an
- * admissible server. */
+ * capacity (st is the trial's state1 row of n_s servers: cum_received
+ * or loads).  Both counters only grow, so a blocked server stays
+ * blocked, and both cursors only move forward.  *server_cursor counts
+ * the trial's leading servers known to be blocked: once it reaches n_s
+ * the trial is starved without reading a neighbour list, at O(n_s) per
+ * trial over a whole run.  Otherwise cursor[v] counts client v's
+ * leading neighbours known to be blocked, so each edge is passed at
+ * most once per trial over a whole run; the walk stops at the first
+ * client that still has an admissible server. */
 static int REPRO_NAME(starved)(
     const int32_t *ball_key, int64_t i0, int64_t i1, int32_t *cursor,
-    int64_t reg_deg, const int32_t *indptr, const int32_t *degrees,
-    const int32_t *indices, const REPRO_STATE *st, int64_t capacity,
-    int64_t is_raes)
+    int64_t *server_cursor, int64_t reg_deg, const int32_t *indptr,
+    const int32_t *degrees, const int32_t *indices, const REPRO_STATE *st,
+    int64_t n_s, int64_t capacity, int64_t is_raes)
 {
+    int64_t sc = *server_cursor;
+    if (is_raes)
+        while (sc < n_s && st[sc] >= capacity) sc++;
+    else
+        while (sc < n_s && st[sc] > capacity) sc++;
+    *server_cursor = sc;
+    if (sc == n_s) return 1;
     int64_t prev = -1;
     for (int64_t i = i0; i < i1; i++) {
         int64_t key = ball_key[i];
@@ -905,7 +1076,8 @@ static int REPRO_NAME(starved)(
  * n_threads x n_s scratch rows (counts and accs zeroed).  cursors is
  * R x n_clients int32 scratch for the starvation check below; a
  * trial's row is zeroed the first time it is used, which the per-trial
- * flags in ws record.  ws is 8R + n_threads + 1 int64 of scratch.
+ * flags in ws record; ws also holds each trial's server cursor, and is
+ * 9R + n_threads + 1 int64 of scratch.
  * rounds, work, assigned and alive_total (R each, alive_total preset
  * to total_balls) are updated per trial.
  *
@@ -948,7 +1120,7 @@ void REPRO_NAME(repro_run)(
     int64_t *active = ws, *sent = ws + R, *n_acc = ws + 2 * R;
     int64_t *cur = ws + 3 * R, *seg_start = ws + 4 * R, *seg_end = ws + 5 * R;
     int64_t *n_keep = ws + 6 * R, *cursor_ready = ws + 7 * R;
-    int64_t *chunk_starts = ws + 8 * R;
+    int64_t *server_cursor = ws + 8 * R, *chunk_starts = ws + 9 * R;
     int64_t T = n_threads < 1 ? 1 : n_threads;
     int nthr = (int)T;
     (void)nthr; /* unused when built without OpenMP */
@@ -958,6 +1130,7 @@ void REPRO_NAME(repro_run)(
         active[a] = a;
         sent[a] = total_balls;
         cursor_ready[a] = 0;
+        server_cursor[a] = 0;
     }
     for (int64_t round_no = 1; A > 0; round_no++) {
         int64_t do_compact = round_no < cap;
@@ -1009,8 +1182,9 @@ void REPRO_NAME(repro_run)(
                     }
                     if (REPRO_NAME(starved)(
                             ball_key, seg_start[a], seg_end[a], cursor,
-                            reg_deg, indptr, degrees, indices,
-                            state1 + t * n_s, capacity, is_raes)) {
+                            server_cursor + t, reg_deg, indptr, degrees,
+                            indices, state1 + t * n_s, n_s, capacity,
+                            is_raes)) {
                         int64_t k = cap - round_no;
                         int64_t alive = seg_end[a] - seg_start[a];
                         rounds[t] += k;

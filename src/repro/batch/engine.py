@@ -286,6 +286,8 @@ def run_trials_batched(
     else:
         words = None
         gens = [make_rng(s) for s in seed_list]
+    # Only a Generator the caller passed can be observed after the run.
+    passed = [t for t, s in enumerate(seed_list) if isinstance(s, np.random.Generator)]
     bufs = buffers if buffers is not None else EngineBuffers()
 
     n_threads = resolve_threads(threads)
@@ -294,7 +296,7 @@ def run_trials_batched(
         pol.astype_state(state_dtype, state_dtype)
         rounds, work, assigned, alive_total = _run_rounds_compiled(
             kern, graph, pol, dem, total_balls, n_c, n_s, cap, R,
-            params.capacity, gens, bufs, state_dtype, n_threads, words,
+            params.capacity, gens, bufs, state_dtype, n_threads, words, passed,
         )
     else:
         pol.astype_state(state_dtype, load_dtype)
@@ -364,23 +366,27 @@ def _compiled_supported(
 
 def _run_rounds_compiled(
     kern, graph, pol, dem, total_balls, n_c, n_s, cap, R, capacity, gens,
-    bufs, state_dtype, threads=1, words=None,
+    bufs, state_dtype, threads=1, words=None, passed=(),
 ):
     """Rounds over the fused compiled kernel.
 
     A gate with a whole-run entry (``cext``,
     :meth:`~repro.batch.kernels.Kernel.run_round_fn`) runs every round
     in one call and draws each trial's uniforms inside it: from its
-    PCG64 state, copied in before the call and written back after it,
-    or (``words is not None``) from its Philox words.  After a round in
-    which a trial accepted no ball, the run entry checks whether each of
-    its remaining balls' clients sees only blocked servers (the
-    predicates of ``blocked_counts()``), walking a per-(trial, client)
-    neighbour cursor in the ``[R, n_clients]`` int32 ``ccursor``
-    scratch.  If so, the trial takes the ``k = cap - round`` rounds left
-    in closed form (``rounds += k``, ``work += 2·alive·k``, its PCG64
-    row jumped ahead ``alive·k`` draws) and drops out with its balls
-    alive: the outputs are those of grinding to the cap.  With
+    PCG64 state, copied in before the call and written back after it to
+    the Generators the caller passed (trials ``passed``; one built here
+    from a seed-like is never read again), or (``words is not None``)
+    from its Philox words.  After a round in which a trial accepted no
+    ball, the run entry checks whether each of its remaining balls'
+    clients sees only blocked servers (the predicates of
+    ``blocked_counts()``): first with a per-trial server cursor over its
+    state row, which settles it once every server is blocked, else by
+    walking a per-(trial, client) neighbour cursor in the
+    ``[R, n_clients]`` int32 ``ccursor`` scratch.  If so, the trial
+    takes the ``k = cap - round`` rounds left in closed form
+    (``rounds += k``, ``work += 2·alive·k``, its PCG64 row jumped ahead
+    ``alive·k`` draws) and drops out with its balls alive: the outputs
+    are those of grinding to the cap.  With
     ``threads > 1`` the run entry partitions the trial axis into
     ``threads`` balanced chunks per round, each on its own scratch row —
     bit-identical to one thread (the partition and the survivor
@@ -430,12 +436,12 @@ def _run_rounds_compiled(
             is_raes, bufs.get("ccount", (T, n_s), state_dtype, zero=True),
             bufs.get("ctouched", (T, n_s), np.int32),
             bufs.get("cacc", (T, n_s), np.uint8, zero=True),
-            bufs.get("cws", 8 * R + T + 1, np.int64),
+            bufs.get("cws", 9 * R + T + 1, np.int64),
             bufs.get("ccursor", (R, n_c), np.int32),
             rounds, work, assigned, alive_total,
         )
-        if pcg is not None:
-            _pcg64_store(gens, pcg)
+        if pcg is not None and passed:
+            _pcg64_store([gens[t] for t in passed], pcg[passed])
         return rounds, work, assigned, alive_total
 
     if total_balls and R:

@@ -16,11 +16,13 @@ run it three ways:
     demand with the system C compiler and loaded via :mod:`ctypes`.
     One call runs a whole engine call — every round of every trial —
     and draws each trial's uniforms inside the round, from its PCG64
-    state or its Philox words; the CSR adjacency streams through cache
-    once per round instead of once per trial.  A trial whose remaining
-    balls see only blocked servers jumps to the round cap in closed
-    form instead of grinding there (the other gates grind).  One more
-    call runs a serving round (:meth:`Kernel.serve_round_fn`).
+    state (eight AVX-512 lanes of the stream at once where the native
+    build has them, with the scalar loop's bits) or its Philox words;
+    the CSR adjacency streams through cache once per round instead of
+    once per trial.  A trial whose remaining balls see only blocked
+    servers jumps to the round cap in closed form instead of grinding
+    there (the other gates grind).  One more call runs a serving round
+    (:meth:`Kernel.serve_round_fn`).
 ``python``
     :func:`_round_loops`, the C round's loop nest executed by the
     interpreter, one call per round over a uniform slab — far too slow
@@ -632,11 +634,14 @@ def _cc_candidates() -> list[str]:
 def _flag_sets(openmp: bool) -> list[list[str]]:
     """The compiler flags the build tries, in order.
 
-    ``-march=native`` first (the SIMD philox fill needs AVX2 to beat the
-    PCG64 fill; bit-safe here because the kernels are integer arithmetic
-    plus isolated double multiplies — no fuseable multiply-add chains
-    exist for ``-mfma`` to contract), plain ``-O3`` as the portable
-    fallback.
+    ``-march=native`` first, plain ``-O3`` as the portable fallback.
+    The native flags turn on the SIMD fills the compiler's predefined
+    macros select: the Philox fill on AVX2, and the eight-lane PCG64
+    fill on AVX-512 (F, DQ and VL); the portable build runs the scalar
+    PCG64 loop (``repro_pcg64_lanes()`` reports 8 or 1).  Both builds
+    give the same bits: the kernels are integer arithmetic plus
+    isolated double multiplies and conversions, so there is still no
+    multiply-add chain for ``-mfma`` to contract.
     """
     omp = ["-fopenmp"] if openmp else []
     return [
@@ -730,6 +735,8 @@ def _load_cext_library(openmp: bool = False):
                 f"{last_err}"
             )
     lib = ctypes.CDLL(str(so))
+    lib.repro_pcg64_lanes.restype = ctypes.c_int64
+    lib.repro_pcg64_lanes.argtypes = []
     _declare_run(lib.repro_run_i32, np.int32)
     _declare_run(lib.repro_run_i64, np.int64)
     _declare_serve(lib.repro_serve_round)
@@ -767,7 +774,7 @@ def _declare_run(fn, state_dtype) -> None:
         ptr(np.int32, **c),     # toucheds [n_threads, n_s]
         ptr(np.uint8, **c),     # accs     [n_threads, n_s]
         i64,                    # n_threads
-        ptr(np.int64, **c),     # ws [8R + n_threads + 1]
+        ptr(np.int64, **c),     # ws [9R + n_threads + 1]
         ptr(np.int32, **c),     # cursors [R, n_clients]
         ptr(np.int64, **c),     # rounds
         ptr(np.int64, **c),     # work

@@ -389,6 +389,16 @@ def _configuration_bipartite(
         if _repair_walk(indptr, servers, n_servers, rng):
             break
     else:
+        # A complete active part — every client and server of nonzero
+        # degree joined to all of the other side's — has exactly one
+        # simple realization, which the walk stops finding once the part
+        # is large.  Only a stalled walk gets here, so every sequence the
+        # walk realizes keeps its draws and its graph.
+        live_c = np.flatnonzero(client_degrees)
+        live_s = np.flatnonzero(server_degrees)
+        if total == live_c.size * live_s.size:
+            indices = np.tile(live_s, live_c.size)
+            return BipartiteGraph.from_csr(n_clients, n_servers, indptr, indices, name=name)
         raise GraphConstructionError(
             "configuration model failed to produce a simple graph "
             f"(n_clients={n_clients}, n_servers={n_servers}); degrees too close to complete?"

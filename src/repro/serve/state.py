@@ -390,19 +390,37 @@ class ServingState:
     def _route_numpy(self, t: int):
         """The vectorized reference round: draw → gather → count →
         decide → compact.  Returns ``(assigned, servers, latencies,
-        tags, received, accepted_counts)``, all fresh arrays."""
+        tags, received, accepted_counts)``, all fresh arrays.
+
+        The per-ball intermediates live in :attr:`buffers` rows sized to
+        the ball table's capacity, so a round allocates only what it
+        returns.  Every ``take`` uses ``mode="clip"`` because its indices
+        are in range by construction and ``"raise"`` would buffer
+        ``out`` through a fresh copy.
+        """
         n = self.n_alive
         n_s = self.n_servers
         owners = self._owners[:n]
         births = self._births[:n]
+        rows = self._cap
+
+        def scratch(name, dtype):
+            return self.buffers.get(name, rows, dtype)[:n]
+
         # Phase 0: every alive ball draws one uniform, in buffer order.
-        u = self.buffers.get("serve.u", n, np.float64)
+        u = scratch("serve.u", np.float64)
         self.rng.random(out=u)
         # Phase 1: every alive ball to a uniform current neighbor, via
-        # the flat CSR view (vectorized gather).
-        own_deg = self.degs[owners]
-        offs = np.minimum((u * own_deg).astype(np.int64), own_deg - 1)
-        dest = self.indices[self.indptr[owners] + offs]
+        # the flat CSR view (vectorized gather):
+        # dest = indices[indptr[owner] + min(int(u * deg), deg - 1)].
+        deg = np.take(self.degs, owners, out=scratch("serve.deg", np.int64), mode="clip")
+        np.multiply(u, deg, out=u)
+        offs = scratch("serve.offs", np.int64)
+        np.copyto(offs, u, casting="unsafe")  # truncates, as astype(int64)
+        np.minimum(offs, np.subtract(deg, 1, out=deg), out=offs)
+        edge = np.take(self.indptr, owners, out=deg, mode="clip")
+        np.add(edge, offs, out=edge)
+        dest = np.take(self.indices, edge, out=offs, mode="clip")
         received = np.bincount(dest, minlength=n_s).astype(np.int64, copy=False)
         # Phase 2: SAER rule.
         self.cum_received += received
@@ -410,18 +428,26 @@ class ServingState:
         newly = over & ~self.burned
         accept = ~self.burned & ~over
         self.burned |= newly
-        ok = accept[dest]
-        # Phase 3: the assigned balls' outputs, then boolean compaction
-        # of the survivors, in place.
+        ok = np.take(accept, dest, out=scratch("serve.ok", np.bool_), mode="clip")
+        # Phase 3: the assigned balls' outputs, then the survivors
+        # compacted in place: survivor i goes to slot (survivors before
+        # i) of a scratch row and every assigned ball to slot `kept`,
+        # just past the survivors, so one put per table compacts it.
         servers = dest[ok]
-        latencies = t - births[ok]
+        latencies = births[ok]
+        np.subtract(t, latencies, out=latencies)
         tags = self._tags[:n][ok] if self._tags is not None else None
-        keep = ~ok
         kept = n - servers.size
-        self._owners[:kept] = owners[keep]
-        self._births[:kept] = births[keep]
-        if self._tags is not None:
-            self._tags[:kept] = self._tags[:n][keep]
+        if kept:
+            slot = scratch("serve.slot", np.int64)
+            np.cumsum(np.logical_not(ok, out=scratch("serve.keep", np.bool_)), out=slot)
+            np.subtract(slot, 1, out=slot)
+            np.copyto(slot, kept, where=ok)
+            packed = scratch("serve.packed", np.int64)
+            for table in (self._owners, self._births, self._tags):
+                if table is not None:
+                    np.put(packed, slot, table[:n], mode="clip")
+                    table[:kept] = packed[:kept]
         if not self.track_health:
             return servers.size, servers, latencies, tags, None, None
         accepted = np.bincount(servers, minlength=n_s).astype(np.int64, copy=False)

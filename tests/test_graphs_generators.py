@@ -198,6 +198,21 @@ class TestComplete:
         with pytest.raises(GraphConstructionError):
             complete_bipartite(0, 3)
 
+    def test_complete_active_part_builds(self):
+        """34 clients of degree 11, 11 servers of degree 34 and 25 of
+        degree 0: the only simple realization is K(34, 11) on the
+        servers of nonzero degree.  The swap walk stalls on it, and the
+        stalled walk must return that graph instead of raising."""
+        from repro.graphs.generators import _configuration_bipartite
+
+        sdeg = np.zeros(36, dtype=np.int64)
+        live = np.sort(np.random.default_rng(0).choice(36, 11, replace=False))
+        sdeg[live] = 34
+        g = _configuration_bipartite(np.full(34, 11), sdeg, np.random.default_rng(1), "k")
+        g.validate()
+        assert np.array_equal(g.client_indices, np.tile(live, 34))
+        assert np.array_equal(g.server_degrees, sdeg)
+
 
 def _simple(g) -> bool:
     """No parallel edges: every (client, server) pair appears once."""

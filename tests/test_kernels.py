@@ -40,7 +40,7 @@ from repro.batch.kernels import (
     fill_uniforms,
 )
 from repro.core.config import ProtocolParams, RunOptions
-from repro.graphs import near_regular, random_regular_bipartite, trust_subsets
+from repro.graphs import BipartiteGraph, near_regular, random_regular_bipartite, trust_subsets
 from repro.rng import make_rng, spawn_seeds
 
 RESULT_FIELDS = (
@@ -67,17 +67,22 @@ CHUNK_EDGES = (PHILOX_CHUNK - 1, PHILOX_CHUNK, PHILOX_CHUNK + 1, 2 * PHILOX_CHUN
 WIDE_STATE = RunOptions(max_rounds=2**24)
 
 
+def exact_demands(g, balls):
+    """A demand vector (at most 4 per client) with exactly ``balls`` balls."""
+    demands = np.zeros(g.n_clients, dtype=np.int64)
+    demands[: balls // 4] = 4
+    demands[balls // 4] = balls % 4
+    assert int(demands.sum()) == balls
+    return demands
+
+
 def edge_case(family, balls):
     """A graph and a demand vector with exactly ``balls`` balls per trial."""
     if family == "regular":
         g = random_regular_bipartite(300, 12, seed=8)
     else:
         g = trust_subsets(300, 300, 12, seed=8)
-    demands = np.zeros(g.n_clients, dtype=np.int64)
-    demands[: balls // 4] = 4
-    demands[balls // 4] = balls % 4
-    assert int(demands.sum()) == balls
-    return g, demands
+    return g, exact_demands(g, balls)
 
 
 def assert_kernels_match(
@@ -440,6 +445,71 @@ class TestRunEntry:
         assert res.rounds.max() == 12 and len(calls) == 1
 
 
+# Per-trial ball counts for the PCG64 lane fill: sends of 1-15 (the
+# scalar loop alone), 16-23 (one lane step and a scalar tail), exact
+# multiples of 8, and tails past one or two 512-slot chunks.  Rounds
+# then send every smaller count as balls are accepted.
+LANE_EDGES = (1, 9, 15, 16, 23, 24, 64, 200, PHILOX_CHUNK + 8, 2 * PHILOX_CHUNK + 13)
+
+
+@pytest.fixture(scope="module")
+def portable_cext(tmp_path_factory):
+    """A cext gate built from the same source with the portable flag
+    set alone (no ``-march=native``): the scalar PCG64 fill."""
+    from repro.batch import kernels as kmod
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            kmod, "_flag_sets",
+            lambda openmp: [["-O3", "-shared", "-fPIC", *(["-fopenmp"] if openmp else [])]],
+        )
+        mp.setenv(kmod.CACHE_ENV, str(tmp_path_factory.mktemp("portable-kernels")))
+        kern = kmod.CextKernel()
+        if not kern.available():
+            pytest.skip("the portable build failed")
+    return kern
+
+
+@pytest.mark.skipif("cext" not in COMPILED, reason="needs a working C compiler")
+class TestPortableBuild:
+    """The native build (``-march=native``, so the AVX-512 PCG64 lanes
+    where the CPU and compiler have them) against the portable one: the
+    same ``BatchResult`` and the same caller Generator end states."""
+
+    def test_lane_counts(self, portable_cext, record_property):
+        native = resolve_kernel("cext")._load().repro_pcg64_lanes()
+        record_property("native_pcg64_lanes", native)
+        assert portable_cext._load().repro_pcg64_lanes() == 1
+        assert native in (1, 8)
+
+    @pytest.mark.parametrize("policy,c", [("saer", 1.5), ("raes", 1.2), ("saer", 1.0)])
+    @pytest.mark.parametrize("family", ["regular", "irregular"])
+    def test_native_build_equals_portable(self, portable_cext, monkeypatch, family, policy, c):
+        from repro.batch import kernels as kmod
+
+        if family == "regular":  # offsets drawn straight into the chunk row
+            g = random_regular_bipartite(300, 12, seed=8)
+        else:  # doubles, scaled per ball
+            g = near_regular(300, 6, 18, seed=8)
+        native = kmod._REGISTRY["cext"]
+        lanes = native._load().repro_pcg64_lanes()
+        for balls in LANE_EDGES:
+            demands = exact_demands(g, balls)
+            seeds = spawn_seeds(71 + balls, 3)
+            runs = []
+            for kern in (native, portable_cext):
+                monkeypatch.setitem(kmod._REGISTRY, "cext", kern)
+                gens = [make_rng(s) for s in seeds]
+                res = run_trials_batched(
+                    g, ProtocolParams(c=c, d=4), policy, seeds=gens, demands=demands,
+                    kernel="cext", threads=1, options=RunOptions(record_loads=True),
+                )
+                runs.append((res, [gen.bit_generator.state for gen in gens]))
+            (ref, ref_states), (got, got_states) = runs
+            assert_batch_results_equal(ref, got, skip=("seed_infos",))
+            assert got_states == ref_states, f"{balls} balls, native lanes = {lanes}"
+
+
 # Graphs for the starvation suite: the Δ-regular closed-form gather, the
 # irregular path, and an unbalanced trust graph (n_clients != n_servers).
 STARVED_GRAPHS = {
@@ -479,6 +549,29 @@ def assert_generators_advanced(gens, seeds, work):
         fresh = make_rng(s)
         fresh.bit_generator.advance(int(work[t]) // 2)
         assert g.bit_generator.state == fresh.bit_generator.state, f"trial {t}"
+
+
+def hot_and_cold_servers() -> BipartiteGraph:
+    """Twenty clients on three hot servers, each of which burns in round
+    1 under SAER at c = 1.0 (about 27 balls against a capacity of 4),
+    and one more client that also sees a cold last server.  Only that
+    client feeds the cold server, with its 4 balls, so it never blocks:
+    the server cursor stops at the last server while that client still
+    has balls that can reach it, and the client walk decides."""
+    hot = np.arange(3, dtype=np.int64)
+    indices = np.concatenate([np.tile(hot, 20), np.arange(4, dtype=np.int64)])
+    indptr = np.concatenate([np.arange(21, dtype=np.int64) * 3, [64]])
+    return BipartiteGraph.from_csr(21, 4, indptr, indices, name="hot-and-cold")
+
+
+# (graph, policy, c, whether some server stays open) for the server
+# cursor: every server burned or full, or an open server to stop at.
+SERVER_CURSOR_CASES = {
+    "saer-every-server-burns": (lambda: starved_graph("regular"), "saer", 1.0, False),
+    "raes-every-server-full": (lambda: starved_graph("trust"), "raes", 1.0, False),
+    "raes-some-server-open": (lambda: starved_graph("regular"), "raes", 1.0, True),
+    "saer-cold-last-server": (hot_and_cold_servers, "saer", 1.0, True),
+}
 
 
 @pytest.mark.skipif("cext" not in COMPILED, reason="needs a working C compiler")
@@ -557,6 +650,32 @@ class TestStarvationJump:
         assert (got.rounds == cap).all()
         assert np.array_equal(got.work, lo.work + 2 * alive * (cap - low))
         assert_generators_advanced(gens, seeds, got.work)
+
+    @pytest.mark.parametrize("threads", THREAD_COUNTS)
+    @pytest.mark.parametrize("case", sorted(SERVER_CURSOR_CASES))
+    def test_server_cursor(self, case, threads):
+        """The per-trial server cursor settles starvation once every
+        server is blocked; when it stops short at an open server, the
+        client walk decides.  Either way every output matches the numpy
+        grind and each caller Generator ends where the grind's draws
+        leave it."""
+        build, policy, c, open_servers = SERVER_CURSOR_CASES[case]
+        g, params = build(), ProtocolParams(c=c, d=4)
+        seeds = spawn_seeds(67, 6)
+        opts = RunOptions(record_loads=True)
+        ref = run_trials_batched(g, params, policy, seeds=seeds, kernel="numpy", options=opts)
+        assert not ref.completed.any()
+        if open_servers:
+            assert (ref.blocked_servers < g.n_servers).all()
+        else:
+            assert (ref.blocked_servers == g.n_servers).all()
+        gens = [make_rng(s) for s in seeds]
+        got = run_trials_batched(
+            g, params, policy, seeds=gens, kernel="cext", threads=threads, options=opts,
+        )
+        assert_batch_results_equal(ref, got, skip=("seed_infos",))
+        assert_generators_advanced(gens, seeds, got.work)
+
 
 
 # ---------------------------------------------------------------------------
