@@ -23,6 +23,7 @@ import argparse
 import json
 from pathlib import Path
 
+from repro.batch.kernels import KERNEL_NAMES
 from repro.serve.loadgen import main as loadgen_main
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -74,8 +75,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true", help="small-scale quick run")
     parser.add_argument("--json", default=str(_ROOT / "BENCH_serve.json"))
-    parser.add_argument("--kernel", default=None,
-                        choices=("numpy", "cext", "python"))
+    parser.add_argument("--kernel", default=None, choices=KERNEL_NAMES)
     args = parser.parse_args(argv)
     if args.smoke:
         return _run(args.json, n=2000, rounds=100, rate=0.3,

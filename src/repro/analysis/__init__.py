@@ -1,12 +1,6 @@
 """Fitting, statistics and table formatting for experiment output."""
 
 from .fitting import FitResult, fit_linear, fit_log2, fit_powerlaw
-from .loadstats import (
-    LoadStats,
-    load_metric_snapshots,
-    load_stats,
-    metric_trajectory,
-)
 from .plots import histogram, series_panel, sparkline
 from .stats import bootstrap_ci, mean_ci, wilson_interval
 from .tables import format_table, records_to_csv, write_csv
@@ -22,10 +16,6 @@ __all__ = [
     "format_table",
     "write_csv",
     "records_to_csv",
-    "LoadStats",
-    "load_stats",
-    "load_metric_snapshots",
-    "metric_trajectory",
     "sparkline",
     "histogram",
     "series_panel",

@@ -14,11 +14,11 @@ Entry points: :func:`run_trials_batched` (generic),
 :class:`BatchResult` with its ``to_run_results()`` adapter back to
 per-trial :class:`~repro.core.results.RunResult` records.
 
-The per-round hot loop also exists as fused compiled kernels behind a
+The per-round hot loop also exists as a fused compiled kernel behind a
 runtime gate (:mod:`repro.batch.kernels`: ``kernel=`` argument or
-``REPRO_KERNELS`` env var; numpy reference, C extension, interpreted
-loops — bit-identical, unavailable paths fall back to numpy), the C
-path with a trial-partitioned OpenMP build (``threads=`` argument or
+``REPRO_KERNELS`` env var; numpy reference or C extension —
+bit-identical, and the C path falls back to numpy where it cannot be
+built), with a trial-partitioned OpenMP build (``threads=`` argument or
 ``REPRO_KERNEL_THREADS`` env var — bit-identical at every thread
 count), and sweep results can travel as typed
 :class:`ResultBlock` columns instead of per-trial dicts (the columnar

@@ -19,9 +19,11 @@ tape.  Per round:
 
 * per-trial uniforms are drawn from per-trial generators through a
   fixed-block read-ahead (:func:`repro.batch.kernels.fill_uniforms`;
-  the ``cext`` gate draws them inside its C round instead), so trial
+  a Generator the caller passed is read with no read-ahead, and the
+  ``cext`` gate draws them inside its C round instead), so trial
   ``r`` consumes *exactly* the stream that
-  ``run_protocol(seed=seeds[r])`` would;
+  ``run_protocol(seed=seeds[r])`` would, and a caller's Generator ends
+  where that call leaves it;
 * destinations come from the shared CSR graph exactly as in
   :func:`repro.core.engine.draw_destinations`;
 * Phase-2 decisions are made on the combined key ``trial·n_s + dest``:
@@ -32,26 +34,25 @@ tape.  Per round:
   canonical order; a trial leaves the active set when its last ball is
   assigned or it hits the round cap.
 
-Compiled kernels
-----------------
+Compiled kernel
+---------------
 The whole per-round chain also exists as a fused, cache-blocked
 compiled kernel (:mod:`repro.batch.kernels`): pass ``kernel="cext"``
 (or set ``REPRO_KERNELS``) to run the gather → count → decide →
 compact pipeline compiled.  ``cext`` runs all rounds of a call as one C
 call and draws the uniforms inside it (PCG64 states go in and come back
 out, so caller-supplied Generators end exactly after the draws they
-served); ``python`` runs the same loop nest interpreted, one call per
-round.  ``cext`` also skips the rounds of a *starved* trial — one whose remaining balls all
-belong to clients with only blocked servers, so that every later round
-rejects every ball and changes nothing the result reports.  Such a
-trial jumps straight to the round cap: its rounds, work and PCG64
-stream advance in closed form, exactly as far as grinding the rounds
-would move them.  The other gates grind, and are the oracle.  The compiled
-path is **bit-identical** to the numpy path — it is selected per call
-and silently falls back to numpy whenever a run shape it does not
-support appears (custom policy subclasses, degree-0 clients with
-demand, ≥ 2³¹ edges, trials without a Generator of their own on a
-``PCG64``).  ``buffers=`` accepts an
+served).  It also skips the rounds of a *starved* trial — one whose
+remaining balls all belong to clients with only blocked servers, so
+that every later round rejects every ball and changes nothing the
+result reports.  Such a trial jumps straight to the round cap: its
+rounds, work and PCG64 stream advance in closed form, exactly as far
+as grinding the rounds would move them.  The numpy path grinds, and is
+the oracle.  The compiled path is **bit-identical** to the numpy path —
+it is selected per call and silently falls back to numpy whenever a run
+shape it does not support appears (custom policy subclasses, degree-0
+clients with demand, ≥ 2³¹ edges, trials without a Generator of their
+own on a ``PCG64``).  ``buffers=`` accepts an
 :class:`~repro.batch.kernels.EngineBuffers` so sweep workers can keep
 one scratch set (staging arrays, received slab, RNG read-ahead) alive
 across grid points instead of reallocating per task.
@@ -195,20 +196,20 @@ def run_trials_batched(
         raised if *any* trial hits the cap (carrying the full
         :class:`BatchResult` in ``result``).
     kernel:
-        Round-kernel implementation: ``"numpy"`` (default), ``"cext"``
-        or ``"python"``; ``None`` reads the
-        ``REPRO_KERNELS`` environment variable.  All implementations
-        are bit-identical; unavailable ones fall back to numpy with a
-        warning.  See :mod:`repro.batch.kernels`.
+        Round-kernel implementation: ``"numpy"`` (default) or
+        ``"cext"``; ``None`` reads the ``REPRO_KERNELS`` environment
+        variable.  Both are bit-identical; ``cext`` without a C
+        compiler falls back to numpy with a warning.  See
+        :mod:`repro.batch.kernels`.
     threads:
         Kernel thread budget for the ``cext`` run entry: the trial axis
         is partitioned into that many chunks per round and the OpenMP
         build runs them in parallel.  ``None`` reads
         ``REPRO_KERNEL_THREADS``; default 1.  Results are
         **bit-identical at every thread count** — the chunking is data,
-        not scheduling.  Ignored by the ``numpy`` and ``python`` gates;
-        without an OpenMP build ``cext`` warns once per (gate, threads)
-        and runs sequentially.
+        not scheduling.  Ignored by the ``numpy`` gate; without an
+        OpenMP build ``cext`` warns once per (gate, threads) and runs
+        sequentially.
     seed_mode:
         Seed lineage: ``"pair"`` / ``"direct"`` (synonyms here) run the
         PCG64 per-trial generators; ``"philox"`` switches the uniform
@@ -302,7 +303,7 @@ def run_trials_batched(
         pol.astype_state(state_dtype, load_dtype)
         rounds, work, assigned, alive_total = _run_rounds_numpy(
             graph, pol, dem, total_balls, n_c, n_s, cap, R, gens, bufs,
-            state_dtype, words,
+            state_dtype, words, passed,
         )
 
     result = BatchResult(
@@ -343,8 +344,8 @@ def _compiled_supported(
     reproduce the numpy path's clip semantics for degree-0 clients
     that somehow carry demand.  The ``cext`` run entry steps each
     trial's PCG64 state in C, so PCG64-lineage trials must each own a
-    ``np.random.PCG64`` (one rule for every compiled gate).  Anything
-    else falls back to numpy — same results, just without the fusion.
+    ``np.random.PCG64``.  Anything else falls back to numpy — same
+    results, just without the fusion.
     """
     if type(pol) not in (BatchedSaerPolicy, BatchedRaesPolicy):
         return False
@@ -368,33 +369,28 @@ def _run_rounds_compiled(
     kern, graph, pol, dem, total_balls, n_c, n_s, cap, R, capacity, gens,
     bufs, state_dtype, threads=1, words=None, passed=(),
 ):
-    """Rounds over the fused compiled kernel.
+    """Every round of the call in one call to the ``cext`` run entry
+    (:meth:`~repro.batch.kernels.Kernel.run_round_fn`).
 
-    A gate with a whole-run entry (``cext``,
-    :meth:`~repro.batch.kernels.Kernel.run_round_fn`) runs every round
-    in one call and draws each trial's uniforms inside it: from its
-    PCG64 state, copied in before the call and written back after it to
-    the Generators the caller passed (trials ``passed``; one built here
-    from a seed-like is never read again), or (``words is not None``)
-    from its Philox words.  After a round in which a trial accepted no
-    ball, the run entry checks whether each of its remaining balls'
-    clients sees only blocked servers (the predicates of
-    ``blocked_counts()``): first with a per-trial server cursor over its
-    state row, which settles it once every server is blocked, else by
-    walking a per-(trial, client) neighbour cursor in the
+    The run entry draws each trial's uniforms inside the round: from
+    its PCG64 state, copied in before the call and written back after
+    it to the Generators the caller passed (trials ``passed``; one
+    built here from a seed-like is never read again), or (``words is
+    not None``) from its Philox words.  After a round in which a trial
+    accepted no ball, the run entry checks whether each of its
+    remaining balls' clients sees only blocked servers (the predicates
+    of ``blocked_counts()``): first with a per-trial server cursor over
+    its state row, which settles it once every server is blocked, else
+    by walking a per-(trial, client) neighbour cursor in the
     ``[R, n_clients]`` int32 ``ccursor`` scratch.  If so, the trial
     takes the ``k = cap - round`` rounds left in closed form
     (``rounds += k``, ``work += 2·alive·k``, its PCG64 row jumped ahead
     ``alive·k`` draws) and drops out with its balls alive: the outputs
-    are those of grinding to the cap.  With
-    ``threads > 1`` the run entry partitions the trial axis into
-    ``threads`` balanced chunks per round, each on its own scratch row —
-    bit-identical to one thread (the partition and the survivor
-    left-pack are data, not scheduling).
-
-    A gate without a run entry (``python``) takes one sequential call
-    per round over a uniform slab from :func:`fill_uniforms` or
-    :func:`philox_fill`, grinds, and ignores ``threads``.
+    are those of grinding to the cap.  With ``threads > 1`` the run
+    entry partitions the trial axis into ``threads`` balanced chunks
+    per round, each on its own scratch row — bit-identical to one
+    thread (the partition and the survivor left-pack are data, not
+    scheduling).
     """
     indptr, degrees, indices = _csr32(graph)
     reg_deg = 0
@@ -423,95 +419,40 @@ def _run_rounds_compiled(
         state1, state2, is_raes = pol.loads, pol.loads, 1
 
     run_fn = kern.run_round_fn(threads if R > 1 else 1)
-    if run_fn is not None:
-        T = max(1, min(threads, R))
-        pcg = None
-        if words is None:
-            pcg = bufs.get("cpcg", (R, 4), np.uint64)
-            _pcg64_load(gens, pcg)
-        run_fn(
-            pcg, words, bufs.get("cuchunk", (R, PHILOX_CHUNK), np.float64),
-            ball_key, alt_buf, dest_buf, total_balls, cap, reg_deg, indptr,
-            degrees, indices, n_c, block_clients, state1, state2, capacity,
-            is_raes, bufs.get("ccount", (T, n_s), state_dtype, zero=True),
-            bufs.get("ctouched", (T, n_s), np.int32),
-            bufs.get("cacc", (T, n_s), np.uint8, zero=True),
-            bufs.get("cws", 9 * R + T + 1, np.int64),
-            bufs.get("ccursor", (R, n_c), np.int32),
-            rounds, work, assigned, alive_total,
-        )
-        if pcg is not None and passed:
-            _pcg64_store([gens[t] for t in passed], pcg[passed])
-        return rounds, work, assigned, alive_total
-
-    if total_balls and R:
-        active = np.arange(R, dtype=np.int64)
-        sent = np.full(R, total_balls, dtype=np.int64)
-    else:
-        active = np.empty(0, dtype=np.int64)
-        sent = np.empty(0, dtype=np.int64)
-
-    u_buf = bufs.get("u", B0, np.float64)
-    count = bufs.get("ccount", n_s, state_dtype, zero=True)
-    touched = bufs.get("ctouched", n_s, np.int32)
-    acc = bufs.get("cacc", n_s, np.uint8, zero=True)
-    round_fn = kern.round_fn()
-    n_acc_buf = bufs.get("cnacc", R, np.int64)
-    cur = bufs.get("ccur", R, np.int64)
-    seg_start = bufs.get("cseg0", R, np.int64)
-    seg_end = bufs.get("cseg1", R, np.int64)
+    T = max(1, min(threads, R))
+    pcg = None
     if words is None:
-        slab = bufs.get("rng_slab", (R, RNG_BLOCK), np.float64)
-        slab_pos = bufs.get("rng_pos", R, np.int64)
-        slab_pos[:] = RNG_BLOCK  # empty: streams are fresh per engine call
-
-    round_no = 0
-    B = ball_key.size if active.size else 0
-    while active.size:
-        round_no += 1
-        A = active.size
-        rounds[active] += 1
-        work[active] += 2 * sent
-        do_compact = 1 if round_no < cap else 0
-        u = u_buf[:B]
-        if words is not None:
-            philox_fill(u, active, sent, words, round_no)
-        else:
-            fill_uniforms(u, active, sent, gens, slab, slab_pos)
-        n_acc = n_acc_buf[:A]
-        B_next = int(
-            round_fn(
-                u, ball_key, active, sent, reg_deg, indptr, degrees, indices,
-                n_c, block_clients, state1, state2, capacity, is_raes,
-                dest_buf[:B], count, touched, acc, n_acc, alt_buf,
-                do_compact, cur[:A], seg_start[:A], seg_end[:A],
-            )
-        )
-        assigned[active] += n_acc
-        alive_total[active] -= n_acc
-        sent = sent - n_acc
-        if not do_compact:
-            # Trials with balls left stop here with rounds == cap.
-            break
-        ball_key, alt_buf = alt_buf, ball_key
-        B = B_next
-        still = sent > 0
-        if not still.all():
-            active = active[still]
-            sent = sent[still]
+        pcg = bufs.get("cpcg", (R, 4), np.uint64)
+        _pcg64_load(gens, pcg)
+    run_fn(
+        pcg, words, bufs.get("cuchunk", (R, PHILOX_CHUNK), np.float64),
+        ball_key, alt_buf, dest_buf, total_balls, cap, reg_deg, indptr,
+        degrees, indices, n_c, block_clients, state1, state2, capacity,
+        is_raes, bufs.get("ccount", (T, n_s), state_dtype, zero=True),
+        bufs.get("ctouched", (T, n_s), np.int32),
+        bufs.get("cacc", (T, n_s), np.uint8, zero=True),
+        bufs.get("cws", 9 * R + T + 1, np.int64),
+        bufs.get("ccursor", (R, n_c), np.int32),
+        rounds, work, assigned, alive_total,
+    )
+    if pcg is not None and passed:
+        _pcg64_store([gens[t] for t in passed], pcg[passed])
     return rounds, work, assigned, alive_total
 
 
 def _run_rounds_numpy(
     graph, pol, dem, total_balls, n_c, n_s, cap, R, gens, bufs, state_dtype,
-    words=None,
+    words, passed,
 ):
     """The vectorized reference round loop (the ``numpy`` kernel).
 
     ``words is not None`` selects the philox lineage: Phase-0 becomes
     :func:`repro.batch.kernels.philox_fill` (stateless counter draws,
     C-accelerated when a compiler exists) and the per-trial generators
-    and RNG read-ahead slab are never touched.
+    and RNG read-ahead slab are never touched.  Otherwise the trials
+    ``passed`` (those whose Generator the caller handed in) draw with
+    no read-ahead, so each such Generator ends exactly after the draws
+    it served.
     """
     # Narrow index dtypes cut memory traffic on the per-ball passes (the
     # engine's dominant cost): edge offsets need to span n_edges (int32
@@ -577,6 +518,7 @@ def _run_rounds_numpy(
         slab = bufs.get("rng_slab", (R, RNG_BLOCK), np.float64)
         slab_pos = bufs.get("rng_pos", R, np.int64)
         slab_pos[:] = RNG_BLOCK  # empty: streams are fresh per engine call
+        slab_pos[passed] = -1  # the caller's Generators: no read-ahead
     ball_key = ball_full[: B0 if active.size else 0]
     # The R × n_s received slab is the engine's largest allocation, but
     # only the dense Phase-2 path reads it — sparse-dominated runs (big

@@ -1,9 +1,9 @@
-"""Round kernels for the batched engine: numpy reference + compiled paths.
+"""Round kernels for the batched engine: numpy reference + compiled path.
 
 The batched engine's per-round hot loop — per-trial uniform fill, the
 Phase-1 destination gather, the Phase-2 count/decide, and survivor
 compaction — lives here behind a small registry so the same engine can
-run it three ways:
+run it two ways (:data:`KERNEL_NAMES`):
 
 ``numpy``
     The vectorized reference implementation (the default, and the
@@ -21,24 +21,18 @@ run it three ways:
     the CSR adjacency streams through cache once per round instead of
     once per trial.  A trial whose remaining balls see only blocked
     servers jumps to the round cap in closed form instead of grinding
-    there (the other gates grind).  One more call runs a serving round
+    there (numpy grinds).  One more call runs a serving round
     (:meth:`Kernel.serve_round_fn`).
-``python``
-    :func:`_round_loops`, the C round's loop nest executed by the
-    interpreter, one call per round over a uniform slab — far too slow
-    for real workloads, but it is the readable specification of the
-    compiled algorithm and lets the parity suite exercise it on any
-    install (no compiler).
 
-Every implementation is **bit-identical** to the numpy path: same
-uniforms consumed in the same canonical (trial-major, client-major)
-order, same accept decisions, same policy state, same survivor order.
+``cext`` is **bit-identical** to the numpy path: same uniforms
+consumed in the same canonical (trial-major, client-major) order, same
+accept decisions, same policy state, same survivor order.
 ``tests/test_kernels.py`` asserts this per trial.
 
 Selection is a runtime gate: the ``kernel=`` argument to
 :func:`repro.batch.run_trials_batched` wins, else the ``REPRO_KERNELS``
-environment variable, else ``numpy``.  Requesting an unavailable
-implementation (no C compiler) warns once and falls back to numpy —
+environment variable, else ``numpy``.  Requesting ``cext`` where it
+cannot be built (no C compiler) warns once and falls back to numpy —
 minimal installs never break, they just don't accelerate.
 
 Threading
@@ -56,8 +50,8 @@ The thread budget is its own gate: ``threads=`` argument >
 half to 1 so threads never multiply into process oversubscription (see
 :mod:`repro.parallel.pool`).  An OpenMP build of ``_kernels.c`` runs the
 chunks in parallel (compile-probed; a failed probe warns once and falls
-back to the sequential object).  The ``numpy`` and ``python`` gates run
-single-threaded and ignore the budget.
+back to the sequential object).  The ``numpy`` gate runs
+single-threaded and ignores the budget.
 
 This module also owns :class:`EngineBuffers`, the named grow-only
 scratch pool that persistent sweep workers keep alive across grid
@@ -83,6 +77,7 @@ import numpy as np
 
 __all__ = [
     "KERNELS_ENV",
+    "KERNEL_NAMES",
     "THREADS_ENV",
     "SEED_MODE_ENV",
     "DEFAULT_KERNEL",
@@ -109,18 +104,20 @@ DEFAULT_KERNEL = "numpy"
 
 # Engine-level seed lineages.  "pair" and "direct" are synonyms here —
 # both mean per-trial PCG64 Generators, stepped inside the C run entry
-# on cext and read through fill_uniforms on the other gates (the
+# on cext and read through fill_uniforms on numpy (the
 # distinction between them is a plan-level seed-derivation choice, see
 # repro.plan) — while "philox" switches the whole uniform supply to
 # the counter-based Philox4x32 lineage of repro.rng: a different
 # deterministic stream with its own goldens, NOT bit-parity with PCG64.
 SEED_MODES = ("pair", "direct", "philox")
 
-# Read-ahead block of fill_uniforms (the gates without the C run
-# entry): uniforms are pre-drawn per trial in slabs of this many
-# doubles; rounds needing more draw straight into the staging
-# array (identical stream either way — numpy Generators produce the
-# same values regardless of how draws are batched into calls).
+# Read-ahead block of fill_uniforms (the numpy round loop): uniforms
+# are pre-drawn per trial in slabs of this many doubles; rounds needing
+# more draw straight into the staging array (identical stream either
+# way — numpy Generators produce the same values regardless of how
+# draws are batched into calls).  Generators the caller passed are
+# read with no read-ahead, so they end where the reference engine
+# leaves them.
 RNG_BLOCK = 8192
 
 # Phase-1 blocking: aim the per-block CSR row working set at a
@@ -202,6 +199,10 @@ def fill_uniforms(
 
     ``slab_pos[t]`` is the per-trial read position (``slab.shape[1]``
     means empty); callers initialize it to "empty" once per engine run.
+    A negative position turns the read-ahead off for that trial: it
+    draws exactly its ``k`` uniforms per round, so a Generator the
+    caller passed ends exactly after the draws it served, as the
+    reference engine leaves it.
     """
     blk = slab.shape[1]
     pos = 0
@@ -209,7 +210,9 @@ def fill_uniforms(
         seg = u[pos : pos + k]
         p = int(slab_pos[t])
         have = blk - p
-        if k <= have:
+        if p < 0:
+            gens[t].random(out=seg)
+        elif k <= have:
             seg[:] = slab[t, p : p + k]
             slab_pos[t] = p + k
         else:
@@ -268,174 +271,12 @@ def philox_fill(
 
 
 # ---------------------------------------------------------------------------
-# The compiled algorithm, as interpreted loops (the oracle of the C round)
-# ---------------------------------------------------------------------------
-
-
-def _phase23_trial(
-    ball_key,
-    dest,
-    i0,
-    i1,
-    t,
-    state1,
-    state2,
-    capacity,
-    is_raes,
-    count,
-    touched,
-    acc,
-    out_key,
-    out_base,
-    do_compact,
-):
-    """Phase 2 + 3 for one trial; the twin of ``round_trial`` in ``_kernels.c``.
-
-    Batch counts and the accept rule over the ball range ``[i0, i1)``,
-    then (when compacting) the trial's survivors written at
-    ``out_key[out_base:]``, packing trials contiguously.  Returns
-    ``(survivors, accepted_balls)``; the count/touched/acc scratch
-    arrives zeroed and is re-zeroed before returning.
-    """
-    n_s = state1.shape[1]
-    acc_balls = 0
-    kept = out_base
-    if i1 - i0 >= n_s // 4:
-        for i in range(i0, i1):
-            count[dest[i]] += 1
-        for s in range(n_s):
-            cnt = count[s]
-            if cnt == 0:
-                continue
-            c = state1[t, s] + cnt
-            if not is_raes:
-                state1[t, s] = c
-            if c <= capacity:
-                state2[t, s] = c
-                acc[s] = 1
-                acc_balls += cnt
-        if do_compact:
-            for i in range(i0, i1):
-                out_key[kept] = ball_key[i]
-                if acc[dest[i]] == 0:
-                    kept += 1
-        count[:n_s] = 0
-        acc[:n_s] = 0
-    else:
-        nt = 0
-        for i in range(i0, i1):
-            s = dest[i]
-            if count[s] == 0:
-                touched[nt] = s
-                nt += 1
-            count[s] += 1
-        for j in range(nt):
-            s = touched[j]
-            cnt = count[s]
-            c = state1[t, s] + cnt
-            if not is_raes:
-                state1[t, s] = c
-            if c <= capacity:
-                state2[t, s] = c
-                acc[s] = 1
-                acc_balls += cnt
-        if do_compact:
-            for i in range(i0, i1):
-                out_key[kept] = ball_key[i]
-                if acc[dest[i]] == 0:
-                    kept += 1
-        for j in range(nt):
-            count[touched[j]] = 0
-            acc[touched[j]] = 0
-    return kept - out_base, acc_balls
-
-
-def _round_loops(
-    u,
-    ball_key,
-    trial_ids,
-    sent,
-    reg_deg,
-    indptr,
-    degrees,
-    indices,
-    n_clients,
-    block_clients,
-    state1,
-    state2,
-    capacity,
-    is_raes,
-    dest,
-    count,
-    touched,
-    acc,
-    n_acc,
-    out_key,
-    do_compact,
-    cur,
-    seg_start,
-    seg_end,
-):
-    """One round over all active trials; see ``_kernels.c`` for the spec.
-
-    ``state1``/``state2`` are the policy's ``[R, n_servers]`` matrices:
-    (cum_received, loads) for SAER, (loads, loads) for RAES — the
-    aliasing makes the unified update of :func:`_phase23_trial` reduce
-    to each policy's exact rule.  Returns the survivor count written to
-    ``out_key``.
-    """
-    n_active = trial_ids.shape[0]
-    pos = 0
-    for a in range(n_active):
-        seg_start[a] = pos
-        pos += sent[a]
-        seg_end[a] = pos
-        cur[a] = seg_start[a]
-    # phase 1: client-blocked destination gather
-    v0 = 0
-    while v0 < n_clients:
-        if reg_deg > 0:
-            block_end = (v0 + block_clients) * reg_deg
-        else:
-            block_end = v0 + block_clients
-        for a in range(n_active):
-            i = cur[a]
-            e = seg_end[a]
-            while i < e and ball_key[i] < block_end:
-                if reg_deg > 0:
-                    dg = reg_deg
-                    row = np.int64(ball_key[i])
-                else:
-                    v = ball_key[i]
-                    dg = np.int64(degrees[v])
-                    row = np.int64(indptr[v])
-                off = np.int64(u[i] * dg)
-                if off > dg - 1:
-                    off = dg - 1
-                dest[i] = indices[row + off]
-                i += 1
-            cur[a] = i
-        v0 += block_clients
-    # phase 2 + 3 per trial: count, decide, compact (contiguous pack)
-    out = 0
-    for a in range(n_active):
-        kept, acc_balls = _phase23_trial(
-            ball_key, dest, seg_start[a], seg_end[a], trial_ids[a],
-            state1, state2, capacity, is_raes, count, touched, acc,
-            out_key, out, do_compact,
-        )
-        n_acc[a] = acc_balls
-        out += kept
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Kernel implementations
 # ---------------------------------------------------------------------------
 
 
 class Kernel:
-    """A round-kernel implementation; ``compiled`` marks fused-loop paths."""
+    """A round-kernel implementation; ``compiled`` marks the fused C path."""
 
     name: str = "abstract"
     compiled: bool = False
@@ -443,19 +284,10 @@ class Kernel:
     def available(self) -> bool:
         return True
 
-    def round_fn(self) -> Callable:
-        """The per-round engine entry with the :func:`_round_loops`
-        signature, for the engine's round loop over a uniform slab
-        (``python``).  ``cext`` has none: it runs a whole engine call
-        through :meth:`run_round_fn` and a serving round through
-        :meth:`serve_round_fn`."""
-        raise NotImplementedError(f"{self.name} has no fused round entry")
-
     def run_round_fn(self, threads: int) -> Callable | None:
         """The whole-run entry — every round of an engine call in one
-        call, uniforms drawn inside the round — or ``None``: gates
-        without one run the engine's per-round loop over
-        :meth:`round_fn` with identical bits."""
+        call, uniforms drawn inside the round — or ``None`` (numpy,
+        whose round loop lives in the engine)."""
         return None
 
     def serve_round_fn(self) -> Callable | None:
@@ -469,16 +301,6 @@ class NumpyKernel(Kernel):
     """Marker for the engine's vectorized reference loop."""
 
     name = "numpy"
-
-
-class PythonKernel(Kernel):
-    """Interpreted compiled-algorithm loops (parity testing / debugging)."""
-
-    name = "python"
-    compiled = True
-
-    def round_fn(self) -> Callable:
-        return _round_loops
 
 
 _U64 = (1 << 64) - 1
@@ -837,9 +659,12 @@ def _declare_fill(fn) -> None:
 
 _REGISTRY: dict[str, Kernel] = {
     "numpy": NumpyKernel(),
-    "python": PythonKernel(),
     "cext": CextKernel(),
 }
+
+# The gate's accepted names, in the order every ``--kernel`` option and
+# plan validator lists them.
+KERNEL_NAMES = tuple(_REGISTRY)
 
 # Warn-once state for fallback warnings, keyed per (gate, threads):
 # "cext is unavailable" at threads=1 and at threads=4 are different
@@ -890,9 +715,8 @@ def resolve_threads(threads: int | None = None) -> int:
     """Resolve the kernel thread budget: argument > ``REPRO_KERNEL_THREADS`` > 1.
 
     Threads partition *trials*, never a single trial, and only the
-    ``cext`` run entry honours them (the numpy reference loop and the
-    interpreted ``python`` loops are single-threaded by design; they
-    silently run with 1).  Process-pool workers reset the environment
+    ``cext`` run entry honours them (the numpy reference loop is
+    single-threaded by design and silently runs with 1).  Process-pool workers reset the environment
     half to 1 (see :mod:`repro.parallel.pool`), so an environment-wide
     budget never multiplies into processes × threads oversubscription —
     an explicit argument still wins there.

@@ -33,6 +33,7 @@ import sys
 import warnings
 
 from .analysis.tables import format_table, write_csv
+from .batch.kernels import KERNEL_NAMES
 from .errors import ExperimentError
 from .experiments import get_experiment, list_experiments
 from .experiments import runners as runner_mod
@@ -284,15 +285,14 @@ def main(argv=None) -> int:
     )
     p_run.add_argument(
         "--kernel",
-        choices=("numpy", "cext", "python"),
+        choices=KERNEL_NAMES,
         default=None,
         help="round-kernel implementation for the batched engine: numpy "
-        "reference (default), fused C (cext), or the interpreted "
-        "compiled-algorithm loops (python; debugging only).  Maps onto the plan's BackendSpec.kernel "
-        "for kernel-capable experiments (travels inside the pickled "
-        "worker) and sets REPRO_KERNELS for everything else.  All "
-        "are bit-identical; unavailable ones fall back to numpy "
-        "with a warning.",
+        "reference (default) or fused C (cext).  Maps onto the plan's "
+        "BackendSpec.kernel for kernel-capable experiments (travels "
+        "inside the pickled worker) and sets REPRO_KERNELS for "
+        "everything else.  Both are bit-identical; cext without a C "
+        "compiler falls back to numpy with a warning.",
     )
     p_run.add_argument(
         "--seed-mode",
@@ -315,7 +315,7 @@ def main(argv=None) -> int:
         metavar="T",
         help="trial-partitioned thread budget for the cext round "
         "kernel (OpenMP): trials are split into T chunks per round and "
-        "run in parallel; the other gates ignore it.  Bit-identical results "
+        "run in parallel; numpy ignores it.  Bit-identical results "
         "at every T.  Maps onto the plan's BackendSpec.threads for "
         "kernel-capable experiments (travels inside the pickled "
         "worker, capped so threads x processes stays within the core "

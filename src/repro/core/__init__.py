@@ -20,7 +20,6 @@ from .engine import run_protocol, run_raes, run_saer
 from .metrics import Trace, TraceLevel
 from .policies import RaesPolicy, SaerPolicy, ServerPolicy
 from .results import RunResult
-from .variants import VariantResult, run_saer_with_backoff, run_saer_with_retry_budget
 
 __all__ = [
     "ProtocolParams",
@@ -36,7 +35,4 @@ __all__ = [
     "Trace",
     "TraceLevel",
     "RunResult",
-    "VariantResult",
-    "run_saer_with_retry_budget",
-    "run_saer_with_backoff",
 ]

@@ -116,41 +116,6 @@ def draw_destinations(
     return graph.client_indices[graph.client_indptr[senders] + offsets]
 
 
-def _draw_destinations_distinct_loop(
-    graph: BipartiteGraph,
-    clients: np.ndarray,
-    counts: np.ndarray,
-    uniforms: np.ndarray,
-) -> np.ndarray:
-    """Per-client-loop reference for :func:`draw_destinations_distinct`.
-
-    Kept as the executable specification of the tape semantics: the
-    vectorized implementation must be bit-identical to this under
-    matching uniforms (asserted in ``tests/test_ablations.py``).
-    """
-    total = int(counts.sum())
-    dest = np.empty(total, dtype=np.int64)
-    if uniforms.size != total:
-        raise ValueError(f"need {total} uniforms, got {uniforms.size}")
-    pos = 0
-    for v, k in zip(clients.tolist(), counts.tolist()):
-        if k == 0:
-            continue
-        row = graph.neighbors_of_client(v)
-        deg = row.size
-        idx = np.arange(deg, dtype=np.int64)
-        for j in range(k):
-            jj = j % deg
-            if jj == 0 and j > 0:
-                idx = np.arange(deg, dtype=np.int64)
-            u = float(uniforms[pos + j])
-            pick = jj + min(int(u * (deg - jj)), deg - jj - 1)
-            idx[jj], idx[pick] = idx[pick], idx[jj]
-            dest[pos + j] = row[idx[jj]]
-        pos += k
-    return dest
-
-
 def draw_destinations_distinct(
     graph: BipartiteGraph,
     clients: np.ndarray,
@@ -170,7 +135,7 @@ def draw_destinations_distinct(
     runs over ball slots ``j < max(counts)`` only (``counts`` are
     bounded by the demand ``d``), with every client advanced in one
     whole-array step per slot.  Bit-identical to the per-client
-    reference :func:`_draw_destinations_distinct_loop` under matching
+    reference loop in ``tests/test_ablations.py`` under matching
     uniforms — the swap state lives in a ``(clients, max_degree)``
     index matrix, so memory is ``O(active_clients · Δ_max)``.
     """

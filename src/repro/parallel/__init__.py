@@ -13,28 +13,27 @@ composable axes — the **two-level parallelism model**:
    engine of :mod:`repro.batch` as single 2-D numpy operations instead
    of a per-trial python loop.
 
-:func:`monte_carlo` splits trials into per-worker blocks;
-:func:`run_sweep` assigns one block per grid point (processes across
-grid points, vectorized trials within each).  Per-trial seeds are
-spawned identically under both backends, so the backend choice never
-changes which seed a trial sees.
+:func:`run_sweep` is the trial-dispatch entry: it assigns one block
+per grid point (processes across grid points, vectorized trials within
+each); a Monte-Carlo estimate at one setting is a one-point grid.
+Per-trial seeds are spawned identically under both backends, so the
+backend choice never changes which seed a trial sees.
 
 A third lever removes the *topology* from the task payload: with
-``graph=`` both entry points install the CSR arrays once per worker —
+``graph=`` :func:`run_sweep` installs the CSR arrays once per worker —
 fork page inheritance or a :class:`~repro.parallel.shared.SharedGraph`
 shared-memory mapping — instead of pickling the graph into every task
 (see :mod:`repro.parallel.shared`).
 """
 
 from .aggregate import ResultTable, aggregate_records, as_table, assemble_blocks, summarize
-from .pool import WorkerState, available_cpus, map_parallel, monte_carlo, worker_state
+from .pool import WorkerState, available_cpus, map_parallel, worker_state
 from .shared import SharedGraph, current_task_graph, graph_context
 from .sweep import ParameterGrid, run_sweep
 
 __all__ = [
     "available_cpus",
     "map_parallel",
-    "monte_carlo",
     "ParameterGrid",
     "run_sweep",
     "summarize",

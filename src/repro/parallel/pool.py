@@ -23,11 +23,11 @@ The library scales Monte-Carlo work along two orthogonal axes:
    typically 4-8× the per-trial throughput of calling
    :func:`repro.core.engine.run_protocol` in a loop.
 
-The two compose: :func:`monte_carlo` with ``backend="batched"`` splits
-the trial list into per-worker blocks (processes × batched trials), and
-:func:`repro.parallel.sweep.run_sweep` does the same with one block per
-grid point.  Per-trial seeds are spawned identically under either
-backend, so switching backends never changes which seed a trial gets.
+The two compose: :func:`repro.parallel.sweep.run_sweep` with
+``backend="batched"`` sends one trial block per grid point to the pool
+(processes across points, batched trials within).  Per-trial seeds are
+spawned identically under either backend, so switching backends never
+changes which seed a trial gets.
 
 Persistent workers
 ------------------
@@ -57,19 +57,14 @@ caps so threads × processes stays within the core count).
 
 from __future__ import annotations
 
-import math
 import os
-from typing import Callable, Mapping, Sequence, TypeVar
-
-import numpy as np
+from typing import Callable, Sequence, TypeVar
 
 from ..durable.supervisor import RetryPolicy, supervised_map
-from ..rng import spawn_seeds
-from .aggregate import ResultTable
-from .shared import current_task_graph, graph_context
+from .shared import graph_context
 
 __all__ = [
-    "map_parallel", "monte_carlo", "available_cpus", "default_processes",
+    "map_parallel", "available_cpus", "default_processes",
     "worker_state", "WorkerState",
 ]
 
@@ -201,97 +196,6 @@ def map_parallel(
     )
 
 
-def monte_carlo(
-    trial_fn: Callable,
-    n_trials: int,
-    *,
-    seed=None,
-    processes: int | None = None,
-    chunksize: int = 1,
-    backend: str = "per_trial",
-    batch_size: int | None = None,
-    graph=None,
-    results: str = "records",
-) -> "list | ResultTable":
-    """Run independent Monte-Carlo trials; the entry point every runner uses.
-
-    With ``backend="per_trial"`` (default), ``trial_fn(seed_seq,
-    trial_index)`` is called once per trial.  With ``backend="batched"``,
-    ``trial_fn(seed_seqs, trial_indices)`` is called once per *block* of
-    trials and must return one result per trial (in order) — the natural
-    shape for :func:`repro.batch.run_trials_batched`-based workers.
-    Blocks are sized by ``batch_size`` (default: one block per worker
-    process) and distributed across the pool, composing in-process trial
-    vectorization with process parallelism.
-
-    With ``graph=`` (a :class:`~repro.graphs.bipartite.BipartiteGraph`
-    or a pre-shared :class:`~repro.parallel.shared.SharedGraph`), the
-    topology is installed **once per worker** — fork page inheritance or
-    a shared-memory mapping, never a per-task pickle — and ``trial_fn``
-    receives it as its first argument: ``trial_fn(graph, seed_seq,
-    trial_index)`` (or ``trial_fn(graph, seed_seqs, trial_indices)``
-    batched).  See :mod:`repro.parallel.shared`.
-
-    ``results="columnar"`` returns the per-trial records as a
-    :class:`~repro.parallel.aggregate.ResultTable` (row-for-row equal
-    to the ``"records"`` list — trial results must then be dicts).
-    Under the batched backend each worker spools its block's records
-    into typed columns before pickling, so the return payload is a
-    handful of arrays per block instead of one dict per trial — the
-    same columnar spool :func:`repro.parallel.sweep.run_sweep` uses.
-
-    Each trial gets its own spawned :class:`~numpy.random.SeedSequence`
-    — the *same* one under any backend/graph/results combination — and
-    results are returned in trial order.
-    """
-    if n_trials < 0:
-        raise ValueError("n_trials must be non-negative")
-    if backend not in ("per_trial", "batched"):
-        raise ValueError(f"unknown backend {backend!r}; known: per_trial, batched")
-    if results not in ("records", "columnar"):
-        raise ValueError(f"unknown results mode {results!r}; known: records, columnar")
-    columnar = results == "columnar"
-    seeds = spawn_seeds(seed, n_trials)
-    if backend == "per_trial":
-        tasks = list(zip(seeds, range(n_trials)))
-        runner = _TrialRunner(trial_fn, with_graph=graph is not None)
-        out = _map_with_graph(
-            runner, tasks, graph, processes=processes, chunksize=chunksize
-        )
-        return ResultTable.from_records(_require_records(out)) if columnar else out
-    if n_trials == 0:
-        return ResultTable.from_records([]) if columnar else []
-    if batch_size is None:
-        nproc = default_processes(n_trials) if processes is None else max(1, processes)
-        batch_size = math.ceil(n_trials / nproc)
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1; got {batch_size}")
-    blocks = [
-        (seeds[i : i + batch_size], list(range(i, min(i + batch_size, n_trials))))
-        for i in range(0, n_trials, batch_size)
-    ]
-    runner = _BatchTrialRunner(
-        trial_fn, with_graph=graph is not None, columnar=columnar
-    )
-    nested = _map_with_graph(
-        runner, blocks, graph, processes=processes, chunksize=chunksize
-    )
-    if columnar:
-        return ResultTable.concat(nested)
-    return [result for block in nested for result in block]
-
-
-def _require_records(results: Sequence) -> Sequence:
-    """Columnar mode needs dict-like trial results; say so clearly."""
-    for r in results:
-        if not isinstance(r, Mapping):
-            raise ValueError(
-                "results='columnar' needs dict-like trial results; "
-                f"got {type(r).__name__}"
-            )
-    return results
-
-
 def _map_with_graph(fn, tasks, graph, *, processes, chunksize):
     """map_parallel, optionally under a zero-copy task-graph context."""
     if graph is None:
@@ -306,54 +210,3 @@ def _map_with_graph(fn, tasks, graph, *, processes, chunksize):
             initializer=initializer,
             initargs=initargs,
         )
-
-
-class _TrialRunner:
-    """Picklable adapter turning (seed, index) tuples into trial calls.
-
-    With ``with_graph`` the worker's zero-copy task graph is prepended
-    to the call (the graph-context twin that used to be its own class).
-    """
-
-    def __init__(self, trial_fn: Callable, *, with_graph: bool = False):
-        self.trial_fn = trial_fn
-        self.with_graph = with_graph
-
-    def __call__(self, task: tuple[np.random.SeedSequence, int]) -> R:
-        seed_seq, index = task
-        if self.with_graph:
-            return self.trial_fn(current_task_graph(), seed_seq, index)
-        return self.trial_fn(seed_seq, index)
-
-
-class _BatchTrialRunner:
-    """Picklable adapter calling a batch-capable trial function once per block.
-
-    With ``columnar`` the block's records are spooled into a typed
-    :class:`~repro.parallel.aggregate.ResultTable` worker-side, so the
-    return payload pickles as a few arrays instead of one dict per
-    trial.
-    """
-
-    def __init__(
-        self, trial_fn: Callable, *, with_graph: bool = False, columnar: bool = False
-    ):
-        self.trial_fn = trial_fn
-        self.with_graph = with_graph
-        self.columnar = columnar
-
-    def __call__(self, block):
-        seed_seqs, indices = block
-        if self.with_graph:
-            results = self.trial_fn(current_task_graph(), seed_seqs, indices)
-        else:
-            results = self.trial_fn(seed_seqs, indices)
-        results = list(results)
-        if len(results) != len(indices):
-            raise ValueError(
-                f"batched trial_fn returned {len(results)} results "
-                f"for {len(indices)} trials"
-            )
-        if self.columnar:
-            return ResultTable.from_records(_require_records(results))
-        return results

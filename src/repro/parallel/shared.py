@@ -20,9 +20,8 @@ This module moves the graph out of the task payload:
   the right mechanism automatically.
 
 The worker-side entry is :func:`current_task_graph`, used by the
-graph-aware adapters in :mod:`repro.parallel.pool` and
-:mod:`repro.parallel.sweep` (``monte_carlo(..., graph=...)`` /
-``run_sweep(..., graph=...)``).
+graph-aware adapters in :mod:`repro.parallel.sweep`
+(``run_sweep(..., graph=...)``).
 """
 
 from __future__ import annotations
@@ -217,7 +216,7 @@ def current_task_graph() -> BipartiteGraph:
     if _TASK_GRAPH is None:
         raise RuntimeError(
             "no task graph installed in this process; run the task through "
-            "monte_carlo/run_sweep with graph=... (or call graph_context)"
+            "run_sweep with graph=... (or call graph_context)"
         )
     return _TASK_GRAPH
 

@@ -71,6 +71,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
+from .batch.kernels import KERNEL_NAMES
 from .errors import PlanError
 from .graphs.families import build_point_graph
 from .parallel.sweep import ParameterGrid, run_sweep
@@ -89,7 +90,6 @@ __all__ = [
 ]
 
 _BACKENDS = ("reference", "batched")
-_KERNELS = ("numpy", "cext", "python")
 _GRAPH_MODES = ("generate", "cached", "pinned")
 _SEED_MODES = ("pair", "direct", "philox")
 _EXEC_MODES = ("auto", "serial", "pool")
@@ -103,9 +103,9 @@ class BackendSpec:
 
     ``name`` selects the per-trial ``"reference"`` engine or the
     trial-vectorized ``"batched"`` engine; ``kernel`` optionally pins
-    the batched engine's round-kernel implementation (``numpy`` /
-    ``cext`` / ``python``; ``None`` defers to the
-    ``REPRO_KERNELS`` environment gate).  ``threads`` is the ``cext``
+    the batched engine's round-kernel implementation (``numpy`` or
+    ``cext``; ``None`` defers to the ``REPRO_KERNELS`` environment
+    gate).  ``threads`` is the ``cext``
     kernel's trial-partitioned thread budget (``None`` defers to
     ``REPRO_KERNEL_THREADS``; results are bit-identical at every
     thread count).  Both travel inside the pickled worker, so they
@@ -126,9 +126,9 @@ class BackendSpec:
                 f"unknown backend {self.name!r}; known: {', '.join(_BACKENDS)}"
             )
         if self.kernel is not None:
-            if self.kernel not in _KERNELS:
+            if self.kernel not in KERNEL_NAMES:
                 raise PlanError(
-                    f"unknown kernel {self.kernel!r}; known: {', '.join(_KERNELS)}"
+                    f"unknown kernel {self.kernel!r}; known: {', '.join(KERNEL_NAMES)}"
                 )
             if self.name != "batched":
                 raise PlanError(

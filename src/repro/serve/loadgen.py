@@ -61,6 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..batch.kernels import KERNEL_NAMES
 from ..dynamic.arrivals import (
     ArrivalProcess,
     BatchArrivals,
@@ -662,8 +663,7 @@ def main(argv=None) -> int:
     parser.add_argument("--recovery", type=int, default=8,
                         help="burn recovery rounds; 0 disables recovery")
     parser.add_argument("--churn", type=float, default=0.0)
-    parser.add_argument("--kernel", default=None,
-                        choices=("numpy", "cext", "python"))
+    parser.add_argument("--kernel", default=None, choices=KERNEL_NAMES)
     parser.add_argument("--seed", type=int, default=None, help="protocol RNG seed")
     parser.add_argument("--graph-seed", type=int, default=1)
     parser.add_argument("--max-batch", type=int, default=1 << 30,

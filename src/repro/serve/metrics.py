@@ -331,8 +331,8 @@ def ndjson_snapshot_hook(path: str, *, clock: Callable[[], float] = time.time):
     appends ``{"seq": k, "time": <unix>, "metrics": {...}}`` to
     ``path``.  The file is opened per line (append mode), so a killed
     process leaves only whole lines behind and a restored one keeps
-    appending to the same spool.  Load the result back with
-    :func:`repro.analysis.loadstats.load_metric_snapshots`.
+    appending to the same spool.  Each line is one ``json.loads``
+    away from the snapshot dict.
     """
     seq = [0]
 

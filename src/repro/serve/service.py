@@ -45,6 +45,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..batch.kernels import KERNEL_NAMES
 from ..errors import CheckpointError, ServeError
 from ..faults.health import HealthPolicy, HealthTracker
 from .metrics import MetricsRegistry
@@ -863,8 +864,7 @@ def main(argv=None) -> int:  # pragma: no cover - exercised via CLI tests
     parser.add_argument("--max-batch", type=int, default=4096)
     parser.add_argument("--max-pending", type=int, default=None)
     parser.add_argument("--max-wait-rounds", type=int, default=None)
-    parser.add_argument("--kernel", default=None,
-                        choices=("numpy", "cext", "python"))
+    parser.add_argument("--kernel", default=None, choices=KERNEL_NAMES)
     parser.add_argument("--seed", type=int, default=None, help="protocol RNG seed")
     parser.add_argument("--graph-seed", type=int, default=1, help="topology seed")
     args = parser.parse_args(argv)

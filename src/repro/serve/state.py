@@ -33,8 +33,8 @@ uniform from the state's PCG64 stream, gathering its destination,
 counting it into ``cum_received``, deciding against ``⌊c·d⌋`` and
 compacting the survivors in place.  Every other case takes
 :meth:`ServingState._route_numpy`, the vectorized reference and the
-oracle: the ``numpy`` gate, the ``python`` gate (no serving entry),
-and a Generator whose bit generator is not ``PCG64``.  Both
+oracle: the ``numpy`` gate and a Generator whose bit generator is
+not ``PCG64``.  Both
 paths consume the identical uniform stream, leave the Generator in the
 same state and produce identical assignments
 (``tests/test_serve_state.py`` pins the parity).

@@ -9,6 +9,41 @@ from repro.experiments.ablations import run_ablations
 from repro.graphs import BipartiteGraph
 
 
+def _draw_destinations_distinct_loop(
+    graph: BipartiteGraph,
+    clients: np.ndarray,
+    counts: np.ndarray,
+    uniforms: np.ndarray,
+) -> np.ndarray:
+    """Per-client-loop reference for :func:`draw_destinations_distinct`.
+
+    Kept as the executable specification of the tape semantics: the
+    vectorized implementation must be bit-identical to this under
+    matching uniforms.
+    """
+    total = int(counts.sum())
+    dest = np.empty(total, dtype=np.int64)
+    if uniforms.size != total:
+        raise ValueError(f"need {total} uniforms, got {uniforms.size}")
+    pos = 0
+    for v, k in zip(clients.tolist(), counts.tolist()):
+        if k == 0:
+            continue
+        row = graph.neighbors_of_client(v)
+        deg = row.size
+        idx = np.arange(deg, dtype=np.int64)
+        for j in range(k):
+            jj = j % deg
+            if jj == 0 and j > 0:
+                idx = np.arange(deg, dtype=np.int64)
+            u = float(uniforms[pos + j])
+            pick = jj + min(int(u * (deg - jj)), deg - jj - 1)
+            idx[jj], idx[pick] = idx[pick], idx[jj]
+            dest[pos + j] = row[idx[jj]]
+        pos += k
+    return dest
+
+
 class TestDistinctSampling:
     def test_destinations_distinct_within_client(self, regular_graph):
         rng = np.random.default_rng(0)
@@ -75,8 +110,6 @@ class TestDistinctSamplingVectorized:
     reference loop bit-for-bit under matching uniform tapes."""
 
     def test_bit_equivalent_to_reference_loop(self, regular_graph, trust_graph):
-        from repro.core.engine import _draw_destinations_distinct_loop
-
         rng = np.random.default_rng(42)
         for g in (regular_graph, trust_graph):
             for _ in range(10):
@@ -89,8 +122,6 @@ class TestDistinctSamplingVectorized:
                 assert np.array_equal(ref, vec)
 
     def test_bit_equivalent_with_wraparound(self):
-        from repro.core.engine import _draw_destinations_distinct_loop
-
         g = BipartiteGraph.from_edges(2, 3, [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)])
         rng = np.random.default_rng(3)
         clients = np.array([0, 1])

@@ -1,9 +1,9 @@
-"""Tests for ASCII plots and load-distribution statistics."""
+"""Tests for the ASCII plots."""
 
 import numpy as np
 import pytest
 
-from repro.analysis import histogram, load_stats, series_panel, sparkline
+from repro.analysis import histogram, series_panel, sparkline
 
 
 class TestSparkline:
@@ -58,100 +58,3 @@ class TestSeriesPanel:
 
     def test_empty(self):
         assert series_panel({}) == "(no series)"
-
-
-class TestLoadStats:
-    def test_uniform_loads(self):
-        s = load_stats([3, 3, 3, 3], capacity=6)
-        assert s.max_load == 3
-        assert s.mean_load == 3.0
-        assert s.imbalance == 1.0
-        assert s.gini == pytest.approx(0.0, abs=1e-12)
-        assert s.at_capacity_fraction == 0.0
-
-    def test_concentrated_loads(self):
-        s = load_stats([0, 0, 0, 12])
-        assert s.max_load == 12
-        assert s.imbalance == 4.0
-        assert s.gini == pytest.approx(0.75)
-        assert s.nonzero_servers == 1
-
-    def test_at_capacity_fraction(self):
-        s = load_stats([6, 6, 3, 0], capacity=6)
-        assert s.at_capacity_fraction == 0.5
-
-    def test_empty_and_zero(self):
-        s = load_stats([])
-        assert s.max_load == 0 and s.gini == 0.0
-        z = load_stats([0, 0])
-        assert z.imbalance == 1.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            load_stats([[1, 2]])
-        with pytest.raises(ValueError):
-            load_stats([-1, 2])
-
-    def test_as_dict(self):
-        d = load_stats([1, 2, 3], capacity=4).as_dict()
-        for key in ("max_load", "gini", "imbalance", "at_capacity_frac"):
-            assert key in d
-
-    def test_on_real_run(self, regular_graph):
-        import repro
-
-        res = repro.run_saer(regular_graph, 1.5, 4, seed=0)
-        s = load_stats(res.loads, capacity=res.params.capacity)
-        assert s.total_load == res.assigned_balls
-        assert s.max_load == res.max_load
-        assert 0.0 <= s.gini <= 1.0
-
-
-class TestMetricSnapshots:
-    def _spool(self, tmp_path, n=5):
-        import json
-
-        path = tmp_path / "snaps.ndjson"
-        with open(path, "w") as fh:
-            for i in range(n):
-                fh.write(
-                    json.dumps(
-                        {
-                            "seq": i,
-                            "time": float(i),
-                            "metrics": {
-                                "serve_backlog": i * 10.0,
-                                "serve_round_seconds": {"count": i, "p95": 0.01 * i},
-                            },
-                        }
-                    )
-                    + "\n"
-                )
-        return path
-
-    def test_load_and_trajectory(self, tmp_path):
-        from repro.analysis import load_metric_snapshots, metric_trajectory
-
-        snaps = load_metric_snapshots(self._spool(tmp_path))
-        assert len(snaps) == 5
-        seq, vals = metric_trajectory(snaps, "serve_backlog")
-        assert np.array_equal(seq, np.arange(5))
-        assert np.array_equal(vals, np.arange(5) * 10.0)
-
-    def test_histogram_needs_field(self, tmp_path):
-        from repro.analysis import load_metric_snapshots, metric_trajectory
-
-        snaps = load_metric_snapshots(self._spool(tmp_path))
-        with pytest.raises(ValueError):
-            metric_trajectory(snaps, "serve_round_seconds")
-        _seq, p95 = metric_trajectory(snaps, "serve_round_seconds", field="p95")
-        assert p95[-1] == pytest.approx(0.04)
-
-    def test_torn_lines_skipped(self, tmp_path):
-        from repro.analysis import load_metric_snapshots
-
-        path = self._spool(tmp_path, n=3)
-        with open(path, "a") as fh:
-            fh.write('{"seq": 3, "time"')  # torn mid-write
-        snaps = load_metric_snapshots(path)
-        assert len(snaps) == 3

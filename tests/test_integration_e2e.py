@@ -8,7 +8,7 @@ between subsystems that the unit tests cover in isolation.
 import numpy as np
 
 import repro
-from repro.analysis import fit_powerlaw, format_table, load_stats
+from repro.analysis import fit_powerlaw, format_table
 from repro.graphs.io import load_npz, save_npz
 from repro.parallel import ParameterGrid, run_sweep, summarize
 
@@ -17,13 +17,11 @@ def _trial(point, seed_seq, trial):
     g_seed, p_seed = seed_seq.spawn(2)
     g = repro.graphs.trust_subsets(point["n"], point["n"], point["k"], seed=g_seed)
     res = repro.run_saer(g, point["c"], point["d"], seed=p_seed)
-    stats = load_stats(res.loads, capacity=res.params.capacity)
     return {
         "completed": res.completed,
         "rounds": res.rounds,
         "work": res.work,
         "max_load": res.max_load,
-        "gini": stats.gini,
     }
 
 
@@ -56,7 +54,6 @@ class TestEndToEnd:
                     "n": n,
                     "work_mean": summarize([r["work"] for r in bucket])["mean"],
                     "rounds_median": summarize([r["rounds"] for r in bucket])["median"],
-                    "gini_mean": round(summarize([r["gini"] for r in bucket])["mean"], 3),
                 }
             )
         fit = fit_powerlaw([r["n"] for r in rows], [r["work_mean"] for r in rows])

@@ -1,13 +1,11 @@
 """Parity suite for the batched engine's round kernels.
 
-The load-bearing contract: every kernel implementation — the numpy
-reference, the interpreted compiled-algorithm loops (``python``) and
-the C extension — produces **bit-identical** per-trial results (rounds,
+The load-bearing contract: the C extension (``cext``) produces
+**bit-identical** per-trial results to the numpy reference (rounds,
 work, assigned, completion, max load, blocked servers, full load
-vectors).  The ``python`` kernel is the C round's loop nest written out
-in Python, so parity here certifies the compiled algorithm on installs
-without a C compiler; CI's ``kernels`` job re-runs the suite with the C
-path built, at one and at four threads.
+vectors).  Without a C compiler the cext cases skip or fall back to
+numpy; CI's ``kernels`` job re-runs the suite with the C path built, at
+one and at four threads, and runs tier-1 once with no compiler at all.
 """
 
 from __future__ import annotations
@@ -52,9 +50,9 @@ RESULT_FIELDS = (
     "blocked_servers",
 )
 
-# Kernels testable on this install: "python" always runs the compiled
-# algorithm interpreted; cext joins in when it builds.
+# The compiled kernel, when it builds on this install.
 COMPILED = [k for k in available_kernels() if k != "numpy"]
+needs_cext = pytest.mark.skipif("cext" not in COMPILED, reason="needs a working C compiler")
 
 THREAD_COUNTS = (1, 2, 4)
 
@@ -237,13 +235,34 @@ class TestKernelGate:
         monkeypatch.delenv(KERNELS_ENV, raising=False)
         assert resolve_kernel().name == "numpy"
 
+    @needs_cext
     def test_env_gate(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV, "python")
-        assert resolve_kernel().name == "python"
+        monkeypatch.setenv(KERNELS_ENV, "cext")
+        assert resolve_kernel().name == "cext"
 
     def test_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV, "python")
+        monkeypatch.setenv(KERNELS_ENV, "cext")
         assert resolve_kernel("numpy").name == "numpy"
+
+    def test_python_gate_rejected(self, monkeypatch):
+        """The interpreted ``python`` gate is gone: the argument, the
+        environment, a plan's BackendSpec and ``repro-lb run --kernel``
+        all reject the name instead of falling back."""
+        from repro.cli import main
+        from repro.errors import PlanError
+        from repro.plan import BackendSpec
+
+        with pytest.raises(ValueError, match="unknown kernel 'python'"):
+            resolve_kernel("python")
+        monkeypatch.setenv(KERNELS_ENV, "python")
+        with pytest.raises(ValueError, match="unknown kernel 'python'"):
+            resolve_kernel()
+        with pytest.raises(PlanError, match="unknown kernel 'python'"):
+            BackendSpec(name="batched", kernel="python").validate()
+        monkeypatch.delenv(KERNELS_ENV)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "E1", "--kernel", "python"])
+        assert exc.value.code == 2
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel"):
@@ -388,27 +407,49 @@ class TestFillUniforms:
             assert np.array_equal(got, want), f"trial {t} stream diverged"
 
 
-@pytest.mark.skipif("cext" not in COMPILED, reason="needs a working C compiler")
+# The gates (and cext thread budgets) a caller's Generator must come
+# out of exactly where the reference engine leaves it.
+GENERATOR_GATES = [
+    pytest.param("numpy", 1, id="numpy"),
+    *(pytest.param("cext", t, id=f"cext{t}", marks=needs_cext) for t in THREAD_COUNTS),
+]
+
+
 class TestRunEntry:
     """The cext run entry steps each trial's PCG64 state in C and hands
     it back: one C call per engine call, Generators left exactly where
     the reference engine leaves them, other seeds routed to numpy."""
 
-    @pytest.mark.parametrize("threads", THREAD_COUNTS)
-    def test_caller_generators_end_after_served_draws(self, regular_graph, threads):
+    @pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.MT19937])
+    @pytest.mark.parametrize("kernel, threads", GENERATOR_GATES)
+    @pytest.mark.parametrize("policy", ["saer", "raes"])
+    def test_caller_generators_end_after_served_draws(
+        self, regular_graph, policy, kernel, threads, bitgen
+    ):
+        """On every gate, and on the numpy fallback that MT19937
+        Generators take from cext, each caller Generator ends exactly
+        after the draws its trial served (numpy reads them with no
+        read-ahead; cext writes the PCG64 states back).  RAES runs on
+        the starved trust graph, where cext jumps to the round cap."""
         from repro.core.engine import run_protocol
 
-        params = ProtocolParams(c=1.5, d=4)
-        seeds = spawn_seeds(47, 4)
-        gens = [make_rng(s) for s in seeds]
-        run_trials_batched(
-            regular_graph, params, "saer", seeds=gens, kernel="cext", threads=threads
-        )
+        if policy == "saer":
+            graph, params = regular_graph, ProtocolParams(c=1.5, d=4)
+        else:
+            graph, params = starved_graph("trust"), ProtocolParams(c=1.0, d=4)
+        seeds = spawn_seeds(47, 3)
+
+        def make(s):
+            return np.random.Generator(bitgen(s))
+
+        gens = [make(s) for s in seeds]
+        run_trials_batched(graph, params, policy, seeds=gens, kernel=kernel, threads=threads)
         for g, s in zip(gens, seeds):
-            clone = make_rng(s)
-            run_protocol(regular_graph, params, "saer", seed=clone)
+            clone = make(s)
+            run_protocol(graph, params, policy, seed=clone)
             assert g.random() == clone.random()
 
+    @needs_cext
     def test_foreign_and_shared_generators_match_numpy(self, regular_graph):
         params = ProtocolParams(c=1.5, d=4)
         seeds = spawn_seeds(53, 3)
@@ -427,6 +468,7 @@ class TestRunEntry:
                 assert np.array_equal(getattr(ref, f), getattr(got, f)), (make.__name__, f)
             assert np.array_equal(ref.loads, got.loads), make.__name__
 
+    @needs_cext
     def test_one_call_per_engine_run(self, regular_graph, monkeypatch):
         from repro.batch import kernels as kmod
 
@@ -470,7 +512,7 @@ def portable_cext(tmp_path_factory):
     return kern
 
 
-@pytest.mark.skipif("cext" not in COMPILED, reason="needs a working C compiler")
+@needs_cext
 class TestPortableBuild:
     """The native build (``-march=native``, so the AVX-512 PCG64 lanes
     where the CPU and compiler have them) against the portable one: the
@@ -574,7 +616,7 @@ SERVER_CURSOR_CASES = {
 }
 
 
-@pytest.mark.skipif("cext" not in COMPILED, reason="needs a working C compiler")
+@needs_cext
 class TestStarvationJump:
     """A cext trial whose remaining balls all belong to clients with only
     blocked servers jumps to the round cap in closed form.  The numpy
@@ -688,8 +730,7 @@ class TestThreadedParity:
     Each cell re-runs the full result comparison against the numpy
     reference; ``threads=1`` pins that the threaded plumbing collapses
     cleanly, >1 pins that cext's chunked execution (in parallel in the
-    OpenMP build) changes nothing and that ``python`` ignores the
-    budget.
+    OpenMP build) changes nothing.
     """
 
     @pytest.mark.parametrize("threads", THREAD_COUNTS)
@@ -840,18 +881,16 @@ class TestThreadsGate:
             )
             assert np.array_equal(ref.loads, got.loads), name
 
-    @pytest.mark.parametrize("kernel", ["numpy", "python"])
-    def test_gate_ignores_threads(self, regular_graph, monkeypatch, kernel):
-        """The numpy reference loop and the interpreted loops are
-        single-threaded by design: a thread budget on them is a silent
-        no-op, never a warning."""
+    def test_gate_ignores_threads(self, regular_graph, monkeypatch):
+        """The numpy reference loop is single-threaded by design: a
+        thread budget on it is a silent no-op, never a warning."""
         monkeypatch.delenv(THREADS_ENV, raising=False)
         seeds = spawn_seeds(41, 3)
         params = ProtocolParams(c=1.5, d=4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             a = run_trials_batched(
-                regular_graph, params, "saer", seeds=seeds, kernel=kernel,
+                regular_graph, params, "saer", seeds=seeds, kernel="numpy",
                 threads=4,
             )
         b = run_trials_batched(regular_graph, params, "saer", seeds=seeds, kernel="numpy")
@@ -878,9 +917,7 @@ class TestThreadedFallback:
         monkeypatch.setattr(kmod, "_warned", set())
         return kmod
 
-    @pytest.mark.skipif(
-        "cext" not in COMPILED, reason="needs a working C compiler"
-    )
+    @needs_cext
     def test_openmp_probe_failure_falls_back_sequential(
         self, regular_graph, monkeypatch
     ):
@@ -961,7 +998,7 @@ class TestKernelCacheKey:
         monkeypatch.setenv("CC", "no-such-compiler-cc")
         assert kmod._kernel_so_name(b"int x;", False, cpu) != base
 
-    @pytest.mark.skipif("cext" not in COMPILED, reason="needs a working C compiler")
+    @needs_cext
     def test_cached_load_runs_no_subprocess(self, monkeypatch):
         from repro.batch import kernels as kmod
 

@@ -7,7 +7,6 @@ from repro.parallel import (
     ParameterGrid,
     aggregate_records,
     map_parallel,
-    monte_carlo,
     run_sweep,
     summarize,
 )
@@ -18,28 +17,14 @@ def _square(x):
     return x * x
 
 
-def _trial(seed_seq, index):
-    rng = np.random.default_rng(seed_seq)
-    return {"index": index, "value": float(rng.random())}
-
-
 def _point(point, seed_seq, trial):
     rng = np.random.default_rng(seed_seq)
     return {"value": point["a"] * 10 + float(rng.random())}
 
 
-def _trial_block(seed_seqs, indices):
-    """Batch-capable twin of _trial: one call per block of trials."""
-    return [_trial(s, i) for s, i in zip(seed_seqs, indices)]
-
-
 def _point_block(point, seed_seqs, trials):
     """Batch-capable twin of _point: one call per grid point."""
     return [_point(point, s, t) for s, t in zip(seed_seqs, trials)]
-
-
-def _bad_block(seed_seqs, indices):
-    return [0]  # wrong cardinality
 
 
 class TestMapParallel:
@@ -59,69 +44,34 @@ class TestMapParallel:
 
 
 class TestMonteCarlo:
+    """Trials at one setting: :func:`run_sweep` on a one-point grid,
+    which spawns the per-trial seeds ``spawn_seeds(seed, n_trials)``."""
+
+    @staticmethod
+    def _run(n_trials, seed, processes=1):
+        return run_sweep(_point, [{"a": 0}], n_trials=n_trials, seed=seed, processes=processes)
+
     def test_trial_count_and_order(self):
-        out = monte_carlo(_trial, 5, seed=1, processes=1)
-        assert [r["index"] for r in out] == list(range(5))
+        out = self._run(5, seed=1)
+        assert [r["trial"] for r in out] == list(range(5))
 
     def test_deterministic_for_seed(self):
-        a = monte_carlo(_trial, 6, seed=42, processes=1)
-        b = monte_carlo(_trial, 6, seed=42, processes=1)
-        assert a == b
+        assert self._run(6, seed=42) == self._run(6, seed=42)
 
     def test_serial_parallel_identical(self):
         """Results must not depend on the degree of parallelism."""
-        a = monte_carlo(_trial, 8, seed=7, processes=1)
-        b = monte_carlo(_trial, 8, seed=7, processes=4)
-        assert a == b
+        assert self._run(8, seed=7) == self._run(8, seed=7, processes=4)
 
     def test_trials_independent(self):
-        out = monte_carlo(_trial, 10, seed=0, processes=1)
-        vals = [r["value"] for r in out]
+        vals = [r["value"] for r in self._run(10, seed=0)]
         assert len(set(vals)) == 10
 
     def test_zero_trials(self):
-        assert monte_carlo(_trial, 0, seed=0) == []
+        assert self._run(0, seed=0) == []
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            monte_carlo(_trial, -1, seed=0)
-
-
-class TestMonteCarloBatchedBackend:
-    """backend="batched": block execution, identical seeds and order."""
-
-    def test_matches_per_trial_backend(self):
-        a = monte_carlo(_trial, 9, seed=17, processes=1)
-        b = monte_carlo(_trial_block, 9, seed=17, processes=1, backend="batched")
-        assert a == b
-
-    def test_batch_size_does_not_change_results(self):
-        base = monte_carlo(_trial_block, 10, seed=3, processes=1, backend="batched")
-        for batch_size in (1, 3, 10, 99):
-            out = monte_carlo(
-                _trial_block, 10, seed=3, processes=1, backend="batched", batch_size=batch_size
-            )
-            assert out == base
-
-    def test_parallel_matches_serial(self):
-        a = monte_carlo(_trial_block, 8, seed=7, processes=1, backend="batched", batch_size=2)
-        b = monte_carlo(_trial_block, 8, seed=7, processes=4, backend="batched", batch_size=2)
-        assert a == b
-
-    def test_zero_trials(self):
-        assert monte_carlo(_trial_block, 0, seed=0, backend="batched") == []
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            monte_carlo(_trial, 3, seed=0, backend="threads")
-
-    def test_bad_batch_size_rejected(self):
-        with pytest.raises(ValueError):
-            monte_carlo(_trial_block, 3, seed=0, backend="batched", batch_size=0)
-
-    def test_cardinality_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            monte_carlo(_bad_block, 3, seed=0, processes=1, backend="batched")
+            self._run(-1, seed=0)
 
 
 class TestParameterGrid:

@@ -9,9 +9,9 @@ Three pillars:
   results-carrier must be *bit-identical* to the pre-refactor outputs
   captured in ``tests/data/plan_golden.json`` (generated at the seed
   commit, pinned seeds);
-* **columnar monte_carlo** — the results spool extended to
-  :func:`repro.parallel.monte_carlo` must match the per-trial objects
-  row-for-row.
+* **sweep and table helpers** — :func:`repro.parallel.run_sweep`'s
+  explicit point lists and seeds, and the ``ResultTable`` helpers the
+  runners read their rows with.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import pytest
 from repro.errors import PlanError
 from repro.experiments import runners as R
 from repro.graphs.families import build_point_graph, canonical_degree, family_spec
-from repro.parallel import ResultTable, monte_carlo
+from repro.parallel import ResultTable
 from repro.parallel.sweep import ParameterGrid, run_sweep
 from repro.plan import (
     BackendSpec,
@@ -269,17 +269,17 @@ class TestExecuteParityMatrix:
         ))
         assert list(a) == list(b) == GOLDEN["sweep/batched/generate"]
 
-    def test_kernel_python_gate_is_bit_identical(self):
+    def test_kernel_cext_gate_is_bit_identical(self):
         recs = execute(R._saer_plan(
             self._grid(), trials=self.TRIALS, seed=self.SEED, processes=1,
-            backend="batched", results="columnar", kernel="python",
+            backend="batched", results="columnar", kernel="cext",
         ))
         assert list(recs) == GOLDEN["sweep/batched/generate"]
 
-    @pytest.mark.parametrize("kernel", [None, "python"])
+    @pytest.mark.parametrize("kernel", [None, "cext"])
     def test_golden_holds_under_threads_4(self, kernel):
         """BackendSpec(threads=4) must not move a single bit: the numpy
-        gate ignores threads, the compiled gates partition trials with
+        gate ignores threads, the cext gate partitions trials with
         data-determined chunks — plan_golden.json pins both."""
         recs = execute(R._saer_plan(
             self._grid(), trials=self.TRIALS, seed=self.SEED, processes=1,
@@ -423,78 +423,18 @@ class TestKernelThreadsDispatch:
         recs = execute(self._probe_plan(threads=4, mode="serial"))
         assert recs and all(r["eff_threads"] == 4 for r in recs)
 
-    def test_monte_carlo_pool_workers_reset_env(self, monkeypatch):
+    def test_run_sweep_pool_workers_reset_env(self, monkeypatch):
         """The reset is a map_parallel property, not a plan-layer one:
-        every pooled dispatch (monte_carlo included) gets it."""
+        every pooled dispatch (a bare run_sweep included) gets it."""
         monkeypatch.setenv("REPRO_KERNEL_THREADS", "4")
-        recs = monte_carlo(
-            _mc_probe_block, 4, seed=0, processes=2, backend="batched",
-            batch_size=2,
-        )
+        recs = run_sweep(_threads_probe, [{}], n_trials=4, seed=0, processes=2)
         assert recs and all(r["eff_threads"] == 1 for r in recs)
 
 
-def _mc_probe_block(seed_seqs, indices):
+def _threads_probe(point, seed_seq, trial):
     from repro.batch.kernels import resolve_threads
 
-    eff = resolve_threads(None)
-    return [{"eff_threads": eff} for _ in indices]
-
-
-class TestMonteCarloColumnar:
-    """Satellite: the columnar spool extended to parallel.monte_carlo."""
-
-    @staticmethod
-    def _trial(seed_seq, index):
-        rng = np.random.default_rng(seed_seq)
-        return {"index": index, "value": float(rng.random())}
-
-    @classmethod
-    def _trial_block(cls, seed_seqs, indices):
-        return [cls._trial(s, i) for s, i in zip(seed_seqs, indices)]
-
-    def test_per_trial_row_for_row(self):
-        recs = monte_carlo(self._trial, 7, seed=3, processes=1)
-        table = monte_carlo(self._trial, 7, seed=3, processes=1, results="columnar")
-        assert isinstance(table, ResultTable)
-        assert list(table) == recs
-
-    def test_batched_row_for_row(self):
-        recs = monte_carlo(
-            self._trial_block, 9, seed=11, processes=1, backend="batched",
-            batch_size=4,
-        )
-        table = monte_carlo(
-            self._trial_block, 9, seed=11, processes=1, backend="batched",
-            batch_size=4, results="columnar",
-        )
-        assert isinstance(table, ResultTable)
-        assert list(table) == recs
-
-    def test_parallel_matches_serial(self):
-        a = monte_carlo(
-            self._trial_block, 8, seed=2, processes=1, backend="batched",
-            batch_size=2, results="columnar",
-        )
-        b = monte_carlo(
-            self._trial_block, 8, seed=2, processes=2, backend="batched",
-            batch_size=2, results="columnar",
-        )
-        assert list(a) == list(b)
-
-    def test_zero_trials(self):
-        table = monte_carlo(self._trial, 0, seed=0, results="columnar")
-        assert isinstance(table, ResultTable) and len(table) == 0
-
-    def test_non_dict_results_rejected(self):
-        with pytest.raises(ValueError, match="dict-like"):
-            monte_carlo(
-                lambda seed_seq, i: i, 3, seed=0, processes=1, results="columnar"
-            )
-
-    def test_unknown_results_mode_rejected(self):
-        with pytest.raises(ValueError, match="results mode"):
-            monte_carlo(self._trial, 3, seed=0, results="arrow")
+    return {"eff_threads": resolve_threads(None)}
 
 
 class TestRunSweepExtensions:

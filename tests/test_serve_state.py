@@ -199,8 +199,7 @@ class TestKernelParity:
     """Every kernel gate must produce identical assignments from an
     identical seed — the same exact-stream contract the batched engine
     pins, extended to the serving round.  ``cext`` routes through its
-    compiled serving round; ``python`` has none and takes the numpy
-    route, so its case compares that route with itself."""
+    compiled serving round."""
 
     @pytest.mark.parametrize("kernel", [k for k in available_kernels() if k != "numpy"])
     def test_kernel_matches_numpy_stream(self, graph, kernel):

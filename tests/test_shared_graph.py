@@ -12,7 +12,6 @@ from repro.parallel import (
     SharedGraph,
     current_task_graph,
     graph_context,
-    monte_carlo,
     run_sweep,
 )
 
@@ -26,15 +25,6 @@ def _graphs_equal(a, b) -> bool:
         and np.array_equal(a.server_indptr, b.server_indptr)
         and np.array_equal(a.server_indices, b.server_indices)
     )
-
-
-def _graph_trial(graph, seed_seq, index):
-    res = run_saer(graph, 2.0, 2, seed=seed_seq)
-    return {"index": index, "rounds": res.rounds, "work": res.work}
-
-
-def _graph_trial_block(graph, seed_seqs, indices):
-    return [_graph_trial(graph, s, i) for s, i in zip(seed_seqs, indices)]
 
 
 def _graph_point(graph, point, seed_seq, trial):
@@ -107,40 +97,45 @@ class TestGraphContext:
 
 
 class TestMonteCarloWithGraph:
+    """Trials at one setting with ``graph=``: :func:`run_sweep` on a
+    one-point grid, which spawns ``spawn_seeds(seed, n_trials)``."""
+
+    GRID = [{"c": 2.0}]
+
     def test_serial_matches_parallel(self, graph):
-        a = monte_carlo(_graph_trial, 6, seed=9, processes=1, graph=graph)
-        b = monte_carlo(_graph_trial, 6, seed=9, processes=2, graph=graph)
+        a = run_sweep(_graph_point, self.GRID, n_trials=6, seed=9, processes=1, graph=graph)
+        b = run_sweep(_graph_point, self.GRID, n_trials=6, seed=9, processes=2, graph=graph)
         assert a == b
 
     def test_shared_memory_handle_matches(self, graph):
-        a = monte_carlo(_graph_trial, 6, seed=9, processes=1, graph=graph)
+        a = run_sweep(_graph_point, self.GRID, n_trials=6, seed=9, processes=1, graph=graph)
         with SharedGraph.share(graph) as sg:
-            c = monte_carlo(_graph_trial, 6, seed=9, processes=2, graph=sg)
+            c = run_sweep(_graph_point, self.GRID, n_trials=6, seed=9, processes=2, graph=sg)
         assert a == c
 
     def test_batched_backend_matches(self, graph):
-        a = monte_carlo(_graph_trial, 8, seed=4, processes=1, graph=graph)
-        b = monte_carlo(
-            _graph_trial_block,
-            8,
+        a = run_sweep(_graph_point, self.GRID, n_trials=8, seed=4, processes=1, graph=graph)
+        b = run_sweep(
+            _graph_point_block,
+            self.GRID,
+            n_trials=8,
             seed=4,
             processes=2,
             graph=graph,
             backend="batched",
-            batch_size=3,
         )
         assert a == b
 
     def test_seeds_match_graphless_spawn(self, graph):
         # graph= must not change which seed a trial sees.
-        def bare_trial(seed_seq, index):
-            return {"index": index, "entropy": seed_seq.spawn_key}
+        def bare_trial(point, seed_seq, trial):
+            return {"entropy": seed_seq.spawn_key}
 
-        def with_graph(g, seed_seq, index):
-            return {"index": index, "entropy": seed_seq.spawn_key}
+        def with_graph(g, point, seed_seq, trial):
+            return {"entropy": seed_seq.spawn_key}
 
-        a = monte_carlo(bare_trial, 5, seed=77, processes=1)
-        b = monte_carlo(with_graph, 5, seed=77, processes=1, graph=graph)
+        a = run_sweep(bare_trial, self.GRID, n_trials=5, seed=77, processes=1)
+        b = run_sweep(with_graph, self.GRID, n_trials=5, seed=77, processes=1, graph=graph)
         assert a == b
 
 
