@@ -50,7 +50,14 @@
  *                      compaction over the alive balls in buffer order,
  *                      bit-identical to the state's numpy route;
  *   repro_philox_fill  the Philox uniform slab for the gates that still
- *                      consume one.
+ *                      consume one;
+ *   repro_repair_pass  one pass of the configuration model's repair walk
+ *                      (graphs/generators.py) on the cext gate: the
+ *                      previous pass's swaps in order, the next
+ *                      duplicate edges in (client, server, edge) order,
+ *                      and, once there are none, every row sorted; the
+ *                      caller draws the swap partners between calls, so
+ *                      the draws and the graph are the numpy walk's.
  *
  * Philox draws are bit-identical to philox_uniforms() in rng.py, PCG64
  * draws to Generator.random() (pure integer arithmetic plus one exact
@@ -932,6 +939,156 @@ int64_t repro_serve_round(
     }
     for (int64_t j = 0; j < n_s; j++) burned[j] = cum_received[j] > capacity;
     return asg;
+}
+
+/* ---- One pass of the configuration model's repair walk ----
+ *
+ * Edge e joins the client whose CSR row (indptr) holds it to servers[e].
+ * A call of repro_repair_pass
+ *   1. when k_prev > 0, clears touched, applies the previous pass's swaps
+ *      servers[dups[t]] <-> servers[partners[t]] for t = 0, 1, ... in
+ *      order, and marks the rows of both edges of every swap;
+ *   2. lists the duplicate edges of the touched rows (of every row when
+ *      all_rows), each an edge whose server a smaller edge index of its
+ *      row already holds, in (client, server, edge) order into dups, and
+ *      returns their number.  At most cap of them are written: a larger
+ *      count asks the caller to grow dups and list again with
+ *      k_prev == 0, which leaves servers and touched as they are;
+ *   3. when there are none, sorts every row in place, so servers leaves
+ *      as the forward CSR.
+ * These are the draw-free steps of _repair_walk in graphs/generators.py;
+ * _compiled_walk there draws the partners between calls.  A row is
+ * scanned in edge order against scratch[server], the edge that last
+ * claimed the server: the edge is a duplicate iff that edge lies earlier
+ * in the same row and still holds the server, so stale claims from
+ * earlier rows or passes need no clearing.  A row's duplicates, listed
+ * in edge order, are then put in server order by an insertion sort (few
+ * per row).  Every edge, client and server id fits in int32, and scratch
+ * holds max(n_s, 4) entries (the caller checks both). */
+
+/* The row holding edge e: the last row whose start is <= e (rows of
+ * degree 0 share their start with the next row). */
+static inline int64_t repro_row_of(const int64_t *indptr, int64_t n_rows, int64_t e)
+{
+    int64_t lo = 0, hi = n_rows; /* indptr[lo] <= e < indptr[hi] */
+    while (hi - lo > 1) {
+        int64_t mid = lo + (hi - lo) / 2;
+        if (indptr[mid] <= e) lo = mid; else hi = mid;
+    }
+    return lo;
+}
+
+/* Sort every row of distinct servers in place, in O(d + span / 4096)
+ * for a row of d servers spanning span server ids.  The row's servers
+ * are set in a bitmap over all n_s servers, whose 64-server words are
+ * marked in a summary bitmap, and read back in order through the marked
+ * words only, which clears both for the next row.  A word of at most
+ * four servers is read back with four fixed stores, not a loop.  The two
+ * bitmaps take the first 2 * (ceil(n_s / 64) + ceil(n_s / 4096)) <=
+ * max(n_s, 4) entries of scratch, an int32 array, so their words are
+ * read and written with memcpy. */
+static inline uint64_t repro_word(const int32_t *scratch, int64_t w)
+{
+    uint64_t x;
+    memcpy(&x, scratch + 2 * w, sizeof x);
+    return x;
+}
+
+static inline void repro_set_word(int32_t *scratch, int64_t w, uint64_t x)
+{
+    memcpy(scratch + 2 * w, &x, sizeof x);
+}
+
+static void repro_sort_rows(
+    const int64_t *indptr, int64_t n_rows, int64_t *servers, int64_t n_s,
+    int32_t *scratch)
+{
+    const uint64_t top = (uint64_t)1 << 63; /* ctz of an empty word: 63 */
+    int64_t n_words = (n_s + 63) >> 6, n_sum = (n_words + 63) >> 6;
+    int32_t *bits = scratch, *sum = scratch + 2 * n_words;
+    memset(scratch, 0, (size_t)(n_words + n_sum) * sizeof(uint64_t));
+    for (int64_t c = 0; c < n_rows; c++) {
+        int64_t *v = servers + indptr[c], d = indptr[c + 1] - indptr[c];
+        if (d < 2) continue;
+        int64_t lo = v[0], hi = v[0];
+        for (int64_t i = 0; i < d; i++) {
+            int64_t w = v[i] >> 6;
+            repro_set_word(bits, w, repro_word(bits, w) | (uint64_t)1 << (v[i] & 63));
+            repro_set_word(sum, w >> 6, repro_word(sum, w >> 6) | (uint64_t)1 << (w & 63));
+            if (v[i] < lo) lo = v[i];
+            if (v[i] > hi) hi = v[i];
+        }
+        int64_t k = 0;
+        for (int64_t sw = lo >> 12; sw <= hi >> 12; sw++) {
+            uint64_t y = repro_word(sum, sw);
+            repro_set_word(sum, sw, 0);
+            while (y) {
+                int64_t w = (sw << 6) + __builtin_ctzll(y);
+                uint64_t x = repro_word(bits, w);
+                int64_t base = w << 6, p = __builtin_popcountll(x);
+                y &= y - 1;
+                repro_set_word(bits, w, 0);
+                if (p <= 4 && k + 4 <= d) {
+                    v[k] = base + __builtin_ctzll(x | top);
+                    x &= x - 1;
+                    v[k + 1] = base + __builtin_ctzll(x | top);
+                    x &= x - 1;
+                    v[k + 2] = base + __builtin_ctzll(x | top);
+                    x &= x - 1;
+                    v[k + 3] = base + __builtin_ctzll(x | top);
+                } else {
+                    for (int64_t j = k; x; j++) {
+                        v[j] = base + __builtin_ctzll(x);
+                        x &= x - 1;
+                    }
+                }
+                k += p;
+            }
+        }
+    }
+}
+
+int64_t repro_repair_pass(
+    const int64_t *indptr, int64_t n_clients, int64_t *servers,
+    const int64_t *partners, int64_t k_prev, int32_t *dups, int64_t cap,
+    uint8_t *touched, int32_t *scratch, int64_t n_s, int64_t all_rows)
+{
+    if (k_prev > 0) {
+        memset(touched, 0, (size_t)n_clients);
+        for (int64_t t = 0; t < k_prev; t++) {
+            int64_t i = dups[t], j = partners[t], s = servers[i];
+            servers[i] = servers[j];
+            servers[j] = s;
+            touched[repro_row_of(indptr, n_clients, i)] = 1;
+            touched[repro_row_of(indptr, n_clients, j)] = 1;
+        }
+    }
+    int64_t k = 0;
+    for (int64_t c = 0; c < n_clients; c++) {
+        if (!all_rows && !touched[c]) continue;
+        int64_t start = indptr[c], end = indptr[c + 1], k0 = k;
+        for (int64_t e = start; e < end; e++) {
+            int64_t s = servers[e], f = scratch[s];
+            if (f >= start && f < e && servers[f] == s) {
+                if (k < cap) dups[k] = (int32_t)e;
+                k++;
+            } else {
+                scratch[s] = (int32_t)e;
+            }
+        }
+        if (k > cap) continue;
+        for (int64_t a = k0 + 1; a < k; a++) {
+            int32_t e = dups[a];
+            int64_t b = a;
+            while (b > k0 && servers[dups[b - 1]] > servers[e]) {
+                dups[b] = dups[b - 1];
+                b--;
+            }
+            dups[b] = e;
+        }
+    }
+    if (k == 0) repro_sort_rows(indptr, n_clients, servers, n_s, scratch);
+    return k;
 }
 
 #define REPRO_STATE int32_t

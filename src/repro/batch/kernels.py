@@ -22,7 +22,11 @@ run it two ways (:data:`KERNEL_NAMES`):
     once per trial.  A trial whose remaining balls see only blocked
     servers jumps to the round cap in closed form instead of grinding
     there (numpy grinds).  One more call runs a serving round
-    (:meth:`Kernel.serve_round_fn`).
+    (:meth:`Kernel.serve_round_fn`), and another one pass of the
+    configuration model's repair walk (:meth:`Kernel.repair_pass_fn`):
+    exact-degree graph builds on this gate list duplicates with a
+    per-server stamp instead of numpy's row sorts, with the same draws
+    and the same graph.
 
 ``cext`` is **bit-identical** to the numpy path: same uniforms
 consumed in the same canonical (trial-major, client-major) order, same
@@ -31,9 +35,12 @@ accept decisions, same policy state, same survivor order.
 
 Selection is a runtime gate: the ``kernel=`` argument to
 :func:`repro.batch.run_trials_batched` wins, else the ``REPRO_KERNELS``
-environment variable, else ``numpy``.  Requesting ``cext`` where it
-cannot be built (no C compiler) warns once and falls back to numpy —
-minimal installs never break, they just don't accelerate.
+environment variable, else ``numpy``.  Graph builds take no argument, so
+they follow ``REPRO_KERNELS`` (which ``repro-lb run --kernel`` exports).
+Requesting ``cext`` where it cannot be built (no C compiler) warns once
+and falls back to numpy — minimal installs never break, they just don't
+accelerate.  The compiled object is cached on disk beside a ``.sha256``
+sidecar and is loaded only when it matches; otherwise it is rebuilt.
 
 Threading
 ---------
@@ -296,6 +303,12 @@ class Kernel:
         round, with identical bits."""
         return None
 
+    def repair_pass_fn(self) -> Callable | None:
+        """One pass of the configuration model's repair walk in one call,
+        or ``None``: graph builds then run the numpy walk, with
+        identical bits."""
+        return None
+
 
 class NumpyKernel(Kernel):
     """Marker for the engine's vectorized reference loop."""
@@ -447,6 +460,14 @@ class CextKernel(Kernel):
 
         return call
 
+    def repair_pass_fn(self) -> Callable | None:
+        """``repro_repair_pass`` of the sequential object: apply a pass's
+        swaps, list the next duplicates and, once there are none, sort
+        every row (the contract is in ``_kernels.c``; the walk that calls
+        it is ``_compiled_walk`` in :mod:`repro.graphs.generators`)."""
+        lib = self._load()
+        return None if lib is None else lib.repro_repair_pass
+
 
 def _cc_candidates() -> list[str]:
     env = os.environ.get("CC")
@@ -520,42 +541,68 @@ def _kernel_cache_dir() -> Path:
     return Path(tempfile.gettempdir()) / f"repro-kernels-{uid}"
 
 
+def _checksum_path(so: Path) -> Path:
+    """The ``.sha256`` sidecar that vouches for the cached object ``so``."""
+    return so.with_name(so.name + ".sha256")
+
+
+def _object_intact(so: Path) -> bool:
+    """True when ``so`` exists and hashes to its sidecar's checksum
+    (about 0.1 ms for the 61 KB object)."""
+    try:
+        want = _checksum_path(so).read_text(encoding="ascii").strip()
+        return hashlib.sha256(so.read_bytes()).hexdigest() == want
+    except OSError:
+        return False
+
+
+def _build_object(src: Path, so: Path, openmp: bool) -> None:
+    """Compile ``src`` into ``so``, trying each compiler and flag set.
+
+    The sidecar goes into place before the object, each by an atomic
+    rename, so workers that race to build both end with a checksummed
+    object, and a torn or foreign object fails :func:`_object_intact`.
+    """
+    last_err: Exception | None = None
+    for cc in _cc_candidates():
+        for flags in _flag_sets(openmp):
+            tmp = so.with_name(f"{so.stem}.{os.getpid()}.tmp.so")
+            tmp_sum = so.with_name(f"{so.stem}.{os.getpid()}.tmp.sha256")
+            try:
+                subprocess.run(
+                    [cc, *flags, "-o", str(tmp), str(src)],
+                    check=True, capture_output=True, timeout=120,
+                )
+                tmp_sum.write_text(
+                    hashlib.sha256(tmp.read_bytes()).hexdigest() + "\n", encoding="ascii"
+                )
+                os.replace(tmp_sum, _checksum_path(so))
+                os.replace(tmp, so)
+                return
+            except Exception as exc:
+                last_err = exc
+                tmp.unlink(missing_ok=True)
+                tmp_sum.unlink(missing_ok=True)
+    raise RuntimeError(
+        f"C kernel build failed ({'OpenMP' if openmp else 'sequential'}): {last_err}"
+    )
+
+
 def _load_cext_library(openmp: bool = False):
     """Compile (once per :func:`_kernel_so_name` key) and load ``_kernels.c``.
 
     ``openmp=True`` builds a second object with ``-fopenmp`` (cached
     under its own name); the compile itself is the probe — a compiler
-    that lacks OpenMP fails it and the caller falls back.
+    that lacks OpenMP fails it and the caller falls back.  A cached
+    object is loaded only if it matches its ``.sha256`` sidecar; a
+    missing or mismatched sidecar rebuilds it.
     """
     src = Path(__file__).with_name("_kernels.c")
     cache = _kernel_cache_dir()
     cache.mkdir(parents=True, exist_ok=True)
     so = cache / _kernel_so_name(src.read_bytes(), openmp, _cpu_features())
-    if not so.exists():
-        last_err: Exception | None = None
-        done = False
-        for cc in _cc_candidates():
-            for flags in _flag_sets(openmp):
-                tmp = so.with_name(f"{so.stem}.{os.getpid()}.tmp.so")
-                cmd = [cc, *flags, "-o", str(tmp), str(src)]
-                try:
-                    subprocess.run(
-                        cmd, check=True, capture_output=True, timeout=120
-                    )
-                    os.replace(tmp, so)  # atomic: workers race safely
-                    last_err = None
-                    done = True
-                    break
-                except Exception as exc:
-                    last_err = exc
-                    tmp.unlink(missing_ok=True)
-            if done:
-                break
-        if last_err is not None:
-            raise RuntimeError(
-                f"C kernel build failed ({'OpenMP' if openmp else 'sequential'}): "
-                f"{last_err}"
-            )
+    if not _object_intact(so):
+        _build_object(src, so, openmp)
     lib = ctypes.CDLL(str(so))
     lib.repro_pcg64_lanes.restype = ctypes.c_int64
     lib.repro_pcg64_lanes.argtypes = []
@@ -563,6 +610,7 @@ def _load_cext_library(openmp: bool = False):
     _declare_run(lib.repro_run_i64, np.int64)
     _declare_serve(lib.repro_serve_round)
     _declare_fill(lib.repro_philox_fill)
+    _declare_repair(lib.repro_repair_pass)
     return lib
 
 
@@ -650,6 +698,26 @@ def _declare_fill(fn) -> None:
         ctypes.c_int64,         # n_active
         ptr(np.uint32, **c),    # words [n_active, 4]
         ctypes.c_uint32,        # round_ctr
+    ]
+
+
+def _declare_repair(fn) -> None:
+    ptr = np.ctypeslib.ndpointer
+    c = dict(flags="C_CONTIGUOUS")
+    i64 = ctypes.c_int64
+    fn.restype = i64
+    fn.argtypes = [
+        ptr(np.int64, **c),     # indptr [n_clients + 1]
+        i64,                    # n_clients
+        ptr(np.int64, **c),     # servers [m], rewritten
+        ptr(np.int64, **c),     # partners [k_prev]
+        i64,                    # k_prev
+        ptr(np.int32, **c),     # dups [cap]
+        i64,                    # cap
+        ptr(np.uint8, **c),     # touched [n_clients]
+        ptr(np.int32, **c),     # scratch [max(n_s, 4)]
+        i64,                    # n_s
+        i64,                    # all_rows
     ]
 
 

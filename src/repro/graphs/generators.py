@@ -22,6 +22,7 @@ Families provided (and where the paper needs them):
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -336,6 +337,64 @@ def _repair_walk(
     return False
 
 
+def _compiled_walk(
+    repair_pass, cap: int, indptr: np.ndarray, servers: np.ndarray, n_servers: int,
+    rng: np.random.Generator,
+) -> bool:
+    """:func:`_repair_walk` with each pass one call of the compiled
+    ``repair_pass`` (``repro_repair_pass`` in ``batch/_kernels.c``).
+
+    The draws, the swaps and the result are the numpy walk's.  A call
+    applies the last pass's swaps in order, lists the next duplicates in
+    (client, server, edge) order with a per-server stamp instead of a
+    row sort, and, once there are none, sorts every row in place.  The
+    duplicate list starts with ``cap`` slots and grows when a pass
+    lists more.  The pass trusts that ``indptr[-1] == servers.size`` and
+    that every server id lies in ``range(n_servers)``, as the build's
+    pairing guarantees.
+    """
+    n_clients = indptr.size - 1
+    touched = np.empty(n_clients, dtype=np.uint8)
+    scratch = np.zeros(max(n_servers, 4), dtype=np.int32)
+    dups = np.empty(cap, dtype=np.int32)
+    partners = np.empty(0, dtype=np.int64)
+    every_row = True
+    for _check in range(_MAX_REPAIR_PASSES):
+        k = repair_pass(indptr, n_clients, servers, partners, partners.size, dups,
+                        dups.size, touched, scratch, n_servers, every_row)
+        if k > dups.size:  # listed past the list: grow it and list again
+            dups = np.empty(k, dtype=np.int32)
+            k = repair_pass(indptr, n_clients, servers, partners, 0, dups, k, touched,
+                            scratch, n_servers, every_row)
+        if k == 0:
+            return True
+        partners = rng.integers(0, servers.size, size=k)
+        every_row = False
+    return False
+
+
+def _choose_walk(client_degrees: np.ndarray, server_degrees: np.ndarray, m: int):
+    """The repair walk a build of ``m`` edges runs: the compiled pass
+    when the round-kernel gate (``REPRO_KERNELS``, else numpy) resolves
+    to cext and the shape fits it, else :func:`_repair_walk`.  The
+    compiled pass keeps edge, client and server ids in int32 and a stamp
+    per server, which may be no larger than the edge array."""
+    from ..batch.kernels import resolve_kernel  # batch imports graphs
+
+    n_clients, n_servers = client_degrees.size, server_degrees.size
+    kern = resolve_kernel()
+    if kern.compiled and max(n_clients, n_servers, m) < 2**31 and 4 * n_servers <= 8 * m:
+        repair_pass = kern.repair_pass_fn()
+        if repair_pass is not None:
+            # Twice the first pass's expected duplicates: each pair of a
+            # client's stubs meets on one server with probability
+            # sum(d_s (d_s - 1)) / (m (m - 1)) in a uniform pairing.
+            pairs = float(client_degrees @ (client_degrees - 1)) / 2
+            meet = float(server_degrees @ (server_degrees - 1)) / max(m * (m - 1), 1)
+            return functools.partial(_compiled_walk, repair_pass, 64 + int(2 * pairs * meet))
+    return _repair_walk
+
+
 def _configuration_bipartite(
     client_degrees: np.ndarray,
     server_degrees: np.ndarray,
@@ -346,7 +405,10 @@ def _configuration_bipartite(
 
     Pairs client stubs with a random permutation of server stubs, then
     repairs parallel edges by degree-preserving swaps.  Restarts with a
-    fresh permutation if the repair walk stalls.
+    fresh permutation if the repair walk stalls.  When every restart
+    stalls and the active part (the clients and servers of nonzero
+    degree) holds more than half of its pairs, the active part's
+    complement is realized the same way and inverted.
     """
     client_degrees = np.asarray(client_degrees, dtype=np.int64)
     server_degrees = np.asarray(server_degrees, dtype=np.int64)
@@ -366,39 +428,32 @@ def _configuration_bipartite(
     indptr = np.zeros(n_clients + 1, dtype=np.int64)
     np.cumsum(client_degrees, out=indptr[1:])
     # Dense regime: the swap-repair walk stalls when few non-edges remain.
-    # Realize the complement sequence (sparse) and invert — complementation
-    # maps degree d to (other side size - d) exactly.
     if total > (n_clients * n_servers) // 2 and total < n_clients * n_servers:
-        if n_clients * n_servers > (1 << 26):
-            raise GraphConstructionError(
-                "dense degree sequence too large for complementation "
-                f"({n_clients}×{n_servers}); reduce density or size"
-            )
-        comp = _configuration_bipartite(
-            n_servers - client_degrees, n_clients - server_degrees, rng, name="tmp-complement"
+        return _complement_inverse(
+            client_degrees, server_degrees, np.arange(n_clients), np.arange(n_servers),
+            indptr, rng, name,
         )
-        mask = np.ones((n_clients, n_servers), dtype=bool)
-        e = comp.edges()
-        mask[e[:, 0], e[:, 1]] = False
-        indices = np.nonzero(mask)[1]  # row-major: each row's servers in order
-        return BipartiteGraph.from_csr(n_clients, n_servers, indptr, indices, name=name)
     if total == n_clients * n_servers:
         return dataclasses.replace(complete_bipartite(n_clients, n_servers), name=name)
+    walk = _choose_walk(client_degrees, server_degrees, total)
     for _ in range(_MAX_RESTARTS):
-        servers = rng.permutation(np.repeat(np.arange(n_servers, dtype=np.int64), server_degrees))
-        if _repair_walk(indptr, servers, n_servers, rng):
+        # In place: the same draws as rng.permutation, without its copy.
+        servers = np.repeat(np.arange(n_servers, dtype=np.int64), server_degrees)
+        rng.shuffle(servers)
+        if walk(indptr, servers, n_servers, rng):
             break
     else:
-        # A complete active part — every client and server of nonzero
-        # degree joined to all of the other side's — has exactly one
-        # simple realization, which the walk stops finding once the part
-        # is large.  Only a stalled walk gets here, so every sequence the
-        # walk realizes keeps its draws and its graph.
+        # The walk stalls when few non-edges remain among the clients and
+        # servers of nonzero degree, even if the whole sequence is sparse.
+        # Only a stalled walk gets here, so every sequence the walk
+        # realizes keeps its draws and its graph.  A complete active part
+        # is the empty complement: its one realization, with no draws.
         live_c = np.flatnonzero(client_degrees)
         live_s = np.flatnonzero(server_degrees)
-        if total == live_c.size * live_s.size:
-            indices = np.tile(live_s, live_c.size)
-            return BipartiteGraph.from_csr(n_clients, n_servers, indptr, indices, name=name)
+        if 2 * total > live_c.size * live_s.size:
+            return _complement_inverse(
+                client_degrees, server_degrees, live_c, live_s, indptr, rng, name
+            )
         raise GraphConstructionError(
             "configuration model failed to produce a simple graph "
             f"(n_clients={n_clients}, n_servers={n_servers}); degrees too close to complete?"
@@ -407,6 +462,40 @@ def _configuration_bipartite(
     # ``servers`` is the forward CSR; from_csr's strictly-sorted row check
     # re-proves the graph simple in O(m).
     return BipartiteGraph.from_csr(n_clients, n_servers, indptr, servers, name=name)
+
+
+def _complement_inverse(
+    client_degrees: np.ndarray,
+    server_degrees: np.ndarray,
+    live_c: np.ndarray,
+    live_s: np.ndarray,
+    indptr: np.ndarray,
+    rng: np.random.Generator,
+    name: str,
+) -> BipartiteGraph:
+    """Realize a dense sequence on clients ``live_c`` × servers ``live_s``
+    (every edge lies there) through its complement there, and invert.
+
+    Complementation maps a degree d to (the other side's size - d)
+    exactly, and the complement holds fewer than half of the pairs, the
+    walk's sparse regime.
+    """
+    n_c, n_s = live_c.size, live_s.size
+    if n_c * n_s > (1 << 26):
+        raise GraphConstructionError(
+            "dense degree sequence too large for complementation "
+            f"({n_c}×{n_s}); reduce density or size"
+        )
+    comp = _configuration_bipartite(
+        n_s - client_degrees[live_c], n_c - server_degrees[live_s], rng, name="tmp-complement"
+    )
+    mask = np.ones((n_c, n_s), dtype=bool)
+    e = comp.edges()
+    mask[e[:, 0], e[:, 1]] = False
+    indices = live_s[np.nonzero(mask)[1]]  # row-major: each row's servers in order
+    return BipartiteGraph.from_csr(
+        client_degrees.size, server_degrees.size, indptr, indices, name=name
+    )
 
 
 def random_regular_bipartite(n: int, degree: int, seed=None) -> BipartiteGraph:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.batch import available_kernels
 from repro.graphs import (
     complete_bipartite,
     paper_extremal,
@@ -40,3 +41,13 @@ def extremal_graph():
 def dense_graph():
     """Complete bipartite 64×64 — the classic balls-into-bins setting."""
     return complete_bipartite(64, 64)
+
+
+@pytest.fixture
+def cext_gate(monkeypatch):
+    """Run the test's graph builds on the cext round-kernel gate, set
+    through ``REPRO_KERNELS``, so exact-degree builds take the compiled
+    repair pass (skipped where cext cannot build)."""
+    if "cext" not in available_kernels():
+        pytest.skip("needs a working C compiler")
+    monkeypatch.setenv("REPRO_KERNELS", "cext")

@@ -6,7 +6,9 @@ the four CSR arrays (``client_indptr``, ``client_indices``,
 on-disk graph cache is keyed by generator arguments only, with no
 generator version, so a cached graph stays correct only while these
 bits do not move.  The perfbench digests see E1's regular family only
-through protocol outputs; this file pins the graphs themselves.
+through protocol outputs; this file pins the graphs themselves, on the
+gate ``REPRO_KERNELS`` selects (numpy by default) and again on cext,
+whose exact-degree builds run the compiled repair pass.
 
 Regenerate only when a generator's output is meant to change::
 
@@ -111,6 +113,12 @@ def test_golden_covers_every_case():
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_graph_matches_golden(case):
     assert fingerprint(CASES[case]()) == json.loads(GOLDEN.read_text())[case]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_graph_matches_golden_on_cext(cext_gate, case):
+    """The same bits when exact-degree builds run the compiled repair pass."""
+    test_graph_matches_golden(case)
 
 
 if __name__ == "__main__":

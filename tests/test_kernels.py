@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import shutil
 import time
 import warnings
 from pathlib import Path
@@ -1011,3 +1012,61 @@ class TestKernelCacheKey:
 
         monkeypatch.setattr(kmod.subprocess, "run", no_subprocess)
         assert kmod._load_cext_library() is not None
+
+
+@needs_cext
+class TestKernelChecksum:
+    """A cached kernel object is loaded only when it matches its
+    ``.sha256`` sidecar; anything else is rebuilt in its place."""
+
+    @staticmethod
+    def _built():
+        from repro.batch import kernels as kmod
+
+        source = Path(kmod.__file__).with_name("_kernels.c").read_bytes()
+        built = kmod._kernel_cache_dir() / kmod._kernel_so_name(
+            source, False, kmod._cpu_features()
+        )
+        assert kmod._object_intact(built)
+        return kmod, built
+
+    def test_truncated_object_is_rebuilt(self, tmp_path, monkeypatch, regular_graph):
+        kmod, built = self._built()
+        # A private cache with a torn object beside the intact object's
+        # sidecar; this process has never loaded anything from there.
+        monkeypatch.setenv(kmod.CACHE_ENV, str(tmp_path))
+        so = tmp_path / built.name
+        data = built.read_bytes()
+        so.write_bytes(data[: len(data) // 2])
+        shutil.copy(kmod._checksum_path(built), kmod._checksum_path(so))
+        kern = kmod.CextKernel()
+        assert kern.available()
+        assert kmod._object_intact(so) and so.stat().st_size > len(data) // 2
+        runs = []
+        for k in (kmod._REGISTRY["cext"], kern):
+            monkeypatch.setitem(kmod._REGISTRY, "cext", k)
+            runs.append(run_trials_batched(
+                regular_graph, ProtocolParams(c=1.5, d=4), "saer", n_trials=4, seed=3,
+                kernel="cext", threads=1, options=RunOptions(record_loads=True),
+            ))
+        assert_batch_results_equal(*runs)
+
+    @pytest.mark.parametrize("sidecar", ["missing", "mismatched"])
+    def test_unvouched_object_is_rebuilt(self, tmp_path, monkeypatch, sidecar):
+        kmod, built = self._built()
+        monkeypatch.setenv(kmod.CACHE_ENV, str(tmp_path))
+        so = tmp_path / built.name
+        shutil.copy(built, so)
+        if sidecar == "mismatched":
+            kmod._checksum_path(so).write_text("0" * 64 + "\n")
+        builds = []
+
+        def build(src, path, openmp):  # stands in for the compiler
+            builds.append(path)
+            shutil.copy(built, path)
+            shutil.copy(kmod._checksum_path(built), kmod._checksum_path(path))
+
+        monkeypatch.setattr(kmod, "_build_object", build)
+        assert kmod._load_cext_library() is not None
+        assert kmod._load_cext_library() is not None
+        assert builds == [so]

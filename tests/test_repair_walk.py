@@ -1,12 +1,18 @@
 """The configuration model's repair walk against the flat reference walk.
 
 ``generators._repair_walk`` sorts each degree class as a padded row
-matrix.  The walk it replaced sorted every ``client * n_servers +
-server`` key of the pairing as one flat array; that walk is kept here,
-verbatim apart from reading the pass budget from ``generators``, as the
-oracle.  Both must make the same draws and the same swaps, so a build
-through either leaves the same CSR arrays and the same generator state
-behind, restarts and stalls included.
+matrix, and on the cext gate ``generators._compiled_walk`` runs each
+pass as one call of the compiled ``repro_repair_pass``.  The walk they
+replaced sorted every ``client * n_servers + server`` key of the pairing
+as one flat array; that walk is kept here, apart from reading the pass
+budget from ``generators``, as the oracle, together with the build's
+rule for a dense active part once every restart has stalled.  All three
+must make the same draws and the same swaps, so a build through any of
+them leaves the same CSR arrays and the same generator state behind,
+restarts and stalls included.  The ``*_on_cext`` tests repeat the
+comparison with ``REPRO_KERNELS=cext``, so the builds take the compiled
+pass; the others run on the gate the environment selects (numpy by
+default).
 """
 
 from __future__ import annotations
@@ -15,9 +21,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from repro.batch import available_kernels, resolve_kernel
 from repro.errors import GraphConstructionError
 from repro.graphs import BipartiteGraph, near_regular, paper_extremal, random_regular_bipartite
 from repro.graphs import generators
@@ -119,10 +126,22 @@ def flat_configuration(client_degrees, server_degrees, rng) -> BipartiteGraph:
         if keys is not None:
             break
     else:
-        raise GraphConstructionError(
-            "configuration model failed to produce a simple graph "
-            f"(n_clients={n_clients}, n_servers={n_servers}); degrees too close to complete?"
+        # Every restart stalled.  A dense active part (the clients and
+        # servers of nonzero degree) is realized through its complement
+        # there, and inverted.
+        live_c, live_s = np.flatnonzero(client_degrees), np.flatnonzero(server_degrees)
+        if 2 * int(client_degrees.sum()) <= live_c.size * live_s.size:
+            raise GraphConstructionError(
+                "configuration model failed to produce a simple graph "
+                f"(n_clients={n_clients}, n_servers={n_servers}); degrees too close to complete?"
+            )
+        comp = flat_configuration(
+            live_s.size - client_degrees[live_c], live_c.size - server_degrees[live_s], rng
         )
+        keep = np.ones((live_c.size, live_s.size), dtype=bool)
+        keep[comp.edges()[:, 0], comp.edges()[:, 1]] = False
+        indices = live_s[np.nonzero(keep)[1]]
+        return BipartiteGraph.from_csr(n_clients, n_servers, indptr, indices, name="flat")
     del servers
     client *= np.int64(n_servers)
     keys -= client
@@ -206,26 +225,53 @@ def degree_sequences(draw):
     return cdeg, sdeg
 
 
-@settings(max_examples=200, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
-@given(degree_sequences(), st.integers(0, 2**32 - 1), st.sampled_from([None, 1, 2, 3]))
+def _against_flat_reference(test):
+    """The property both walk tests check: the same CSR and generator
+    state as the flat walk; a budget of 1-3 passes forces restarts and,
+    when every restart stalls, the same complement or the same error."""
+    # A dense active part (13 edges among 7 × 3 pairs): with one pass per
+    # restart every restart stalls, and both realize the complement.
+    test = example(([3, 2, 2, 1, 1, 0, 0, 0, 0, 3, 1], [5, 4, 4]), 0, 1)(test)
+    test = given(
+        degree_sequences(), st.integers(0, 2**32 - 1), st.sampled_from([None, 1, 2, 3])
+    )(test)
+    return settings(
+        max_examples=200, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much,
+                               HealthCheck.function_scoped_fixture],
+    )(test)
+
+
+@_against_flat_reference
 def test_walk_matches_flat_reference(seqs, seed, passes):
-    """Same CSR and generator state; a budget of 1-3 passes forces
-    restarts and, when every restart stalls, the same error."""
     assert_same_build(*seqs, seed, passes)
 
 
-@pytest.mark.parametrize("build", [
+@_against_flat_reference
+def test_walk_matches_flat_reference_on_cext(cext_gate, seqs, seed, passes):
+    assert_same_build(*seqs, seed, passes)
+
+
+FAMILIES = pytest.mark.parametrize("build", [
     lambda: random_regular_bipartite(512, 81, seed=4),
     lambda: near_regular(1024, 10, 200, seed=4),
     lambda: paper_extremal(2048, seed=4),
 ], ids=["regular", "near_regular-5-classes", "paper_extremal"])
+
+
+@FAMILIES
 @pytest.mark.parametrize("seed", [0, 1])
 def test_family_degree_sequences(build, seed):
     """Thousands of duplicates in the first pass, many of them sharing
     a swap index with another pair."""
     g = build()
     assert_same_build(g.client_degrees, g.server_degrees, seed)
+
+
+@FAMILIES
+@pytest.mark.parametrize("seed", [0, 1])
+def test_family_degree_sequences_on_cext(cext_gate, build, seed):
+    test_family_degree_sequences(build, seed)
 
 
 def test_int64_blocks_match():
@@ -245,3 +291,110 @@ def test_int64_blocks_match():
     assert ok and keys is not None
     assert np.array_equal(blocked, keys - client * np.int64(n_servers))
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_stalled_dense_active_part_builds_through_its_complement():
+    """K(34, 11) less one edge, beside 25 servers of degree 0: the whole
+    sequence is sparse, so the walk runs and stalls on every restart,
+    and the active part's complement (one edge) is inverted instead.
+    Small budgets keep the stalled restarts short."""
+    cdeg = [10] + [11] * 33
+    sdeg = [33] + [34] * 10 + [0] * 25
+    with mock.patch.object(generators, "_MAX_RESTARTS", 3):
+        assert_same_build(cdeg, sdeg, seed=5, passes=4)
+        g = generators._configuration_bipartite(cdeg, sdeg, np.random.default_rng(5), "k")
+    g.validate()
+    assert g.client_indices[:10].tolist() == list(range(1, 11))
+    assert np.array_equal(g.client_indices[10:], np.tile(np.arange(11), 33))
+    assert g.server_degrees.tolist() == sdeg
+
+
+# --- the compiled pass ---------------------------------------------------
+
+needs_cext = pytest.mark.skipif(
+    "cext" not in available_kernels(), reason="needs a working C compiler"
+)
+
+
+def _hub(rng):
+    # One hub of degree 200 over 40 servers (160 duplicates, more than
+    # the first list's 64 slots hold) among rows of degree 0 to 11, about
+    # a third of them of degree 0 or 1.
+    degrees = rng.integers(0, 12, size=60)
+    degrees[rng.random(60) < 0.3] = rng.integers(0, 2)
+    degrees[17] = 200
+    servers = rng.choice(400, size=degrees.sum())
+    servers[degrees[:17].sum():degrees[:18].sum()] = rng.choice(40, size=200)
+    return degrees, servers, 400
+
+
+def _sparse_servers(rng):
+    # Every third server id never appears (degree-0 servers), and many
+    # rows of degree 0 and 1.
+    degrees = rng.integers(0, 4, size=300)
+    return degrees, rng.choice(np.arange(0, 900, 3), size=degrees.sum()), 900
+
+
+def _regular(rng):
+    return np.full(64, 20), rng.permutation(np.repeat(np.arange(64), 20)), 64
+
+
+@needs_cext
+@pytest.mark.parametrize("shape", [_hub, _sparse_servers, _regular],
+                         ids=["hub", "sparse-servers", "regular"])
+@pytest.mark.parametrize("passes", [None, 1, 2])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_compiled_pass_matches_numpy_walk(shape, passes, seed):
+    """``_compiled_walk`` against ``_repair_walk`` on one pairing: the
+    same verdict, the same generator state and, when both finish, the
+    same sorted rows.  A stalled walk's pairing is thrown away by the
+    build, so only its draws are compared."""
+    degrees, servers, n_servers = shape(np.random.default_rng(100 + seed))
+    indptr = np.concatenate(([0], np.cumsum(degrees)))
+    repair_pass = resolve_kernel("cext").repair_pass_fn()
+    listed = []
+
+    def spy(*args):
+        k = repair_pass(*args)
+        listed.append(k > args[6])  # more duplicates than the list holds
+        return k
+
+    got, want = servers.copy(), servers.copy()
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    budget = passes or generators._MAX_REPAIR_PASSES
+    with mock.patch.object(generators, "_MAX_REPAIR_PASSES", budget):
+        ok = generators._compiled_walk(spy, 64, indptr, got, n_servers, got_rng)
+        assert ok == generators._repair_walk(indptr, want, n_servers, want_rng)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    if ok:
+        assert np.array_equal(got, want)
+    if shape is _hub:
+        assert listed[0]
+
+
+def test_shape_rule_picks_the_walk(monkeypatch):
+    """The compiled pass only where every id fits in int32 and a stamp
+    per server is no larger than the edge array; the numpy walk
+    elsewhere, and always on the numpy gate."""
+
+    def walk(n_clients, n_servers, m):
+        def degrees(n):  # zero-stride, so huge sides cost nothing
+            return np.broadcast_to(np.int64(1), (n,))
+
+        return generators._choose_walk(degrees(n_clients), degrees(n_servers), m)
+
+    monkeypatch.setenv("REPRO_KERNELS", "numpy")
+    assert walk(100, 100, 1000) is generators._repair_walk
+    if "cext" not in available_kernels():
+        return
+    monkeypatch.setenv("REPRO_KERNELS", "cext")
+    assert walk(100, 100, 1000).func is generators._compiled_walk
+    assert walk(100, 200, 100).func is generators._compiled_walk
+    for shape in [(100, 201, 100), (40, 2**40, 6000), (2**31, 100, 2**32), (10, 10, 2**31)]:
+        assert walk(*shape) is generators._repair_walk
+    # A build past the rule (4 stubs over 1,000 servers) takes the numpy walk.
+    with mock.patch.object(generators, "_compiled_walk", side_effect=AssertionError):
+        sdeg = np.zeros(1000, dtype=np.int64)
+        sdeg[[3, 500]] = 2
+        g = generators._configuration_bipartite([2, 2], sdeg, np.random.default_rng(0), "x")
+    assert g.client_indices.tolist() == [3, 500, 3, 500]
