@@ -162,14 +162,14 @@ def _column(values: list) -> np.ndarray:
 class ResultBlock:
     """One sweep point's trial records as typed columns.
 
-    The columnar results spool: instead of shipping ``R`` per-trial
-    dicts back from a worker (each pickled key by key), a batched sweep
-    task returns one :class:`ResultBlock` — the shared point parameters
-    once, the trial indices, and a structured array holding the
-    per-trial fields as typed columns.  The parent side assembles
-    blocks into a single columnar table
-    (:func:`repro.parallel.aggregate.assemble_blocks`); dicts are
-    materialized lazily only where legacy record consumers need them.
+    What every sweep task returns: instead of shipping ``R`` per-trial
+    dicts back from a worker (each pickled key by key), a task returns
+    one :class:`ResultBlock` — the shared point parameters once, the
+    trial indices, and a structured array holding the per-trial fields
+    as typed columns.  The parent side assembles blocks into a single
+    columnar table (:func:`repro.parallel.aggregate.assemble_blocks`)
+    or spools them to disk; dicts are materialized lazily only where
+    record consumers need them.
 
     Attributes
     ----------
@@ -269,18 +269,6 @@ class ResultBlock:
     ) -> "ResultBlock":
         """Wrap an existing structured array (zero-copy) as a block."""
         return cls(point=dict(point), trials=np.asarray(list(trials)), data=data)
-
-    def records(self) -> list[dict]:
-        """Materialize the legacy flat records: point + trial + fields."""
-        names = self.fields
-        out = []
-        for i in range(self.n_trials):
-            row = dict(self.point)
-            row["trial"] = int(self.trials[i])
-            for k in names:
-                row[k] = _pyvalue(self.data[k][i])
-            out.append(row)
-        return out
 
     # -- durable-spool payload (npz-safe, no pickle) ------------------------
 

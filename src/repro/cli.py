@@ -17,9 +17,11 @@ interactive regeneration of a single table.
 Every ``run`` flag maps 1:1 onto a :class:`repro.plan.RunPlan` axis
 (``--backend``/``--kernel``/``--kernel-threads`` → ``BackendSpec``, ``--share-graph``/
 ``--graph-cache`` → ``GraphSpec``, ``--processes`` → ``ExecSpec``,
-``--results``/``--spool`` → ``ResultSpec``, ``--resume`` →
+``--spool`` → ``ResultSpec``, ``--resume`` →
 ``execute(plan, resume=…)``, ``--trials``/``--seed`` → grid scale
-and seed policy).  Which axes an experiment supports comes from its
+and seed policy).  A plan the library rejects (``PlanError``, or a
+``--resume`` whose journal belongs to another plan) is reported as
+``error: …`` with exit status 2, like an unknown experiment.  Which axes an experiment supports comes from its
 registry declaration (:attr:`repro.experiments.ExperimentSpec.capabilities`)
 — not from signature probing — and an override the experiment does not
 support produces a warning instead of being silently dropped.
@@ -34,7 +36,7 @@ import warnings
 
 from .analysis.tables import format_table, write_csv
 from .batch.kernels import KERNEL_NAMES
-from .errors import ExperimentError
+from .errors import ExperimentError, PlanError, ResumeMismatchError
 from .experiments import get_experiment, list_experiments
 from .experiments import runners as runner_mod
 
@@ -50,7 +52,6 @@ def run_experiment(
     backend: str | None = None,
     share_graph: bool | None = None,
     graph_cache: str | None = None,
-    results: str | None = None,
     kernel: str | None = None,
     kernel_threads: int | None = None,
     spool: str | None = None,
@@ -75,7 +76,6 @@ def run_experiment(
         "backend": backend,
         "share_graph": share_graph,
         "graph_cache": graph_cache,
-        "results": results,
         "kernel": kernel,
         "kernel_threads": kernel_threads,
         "spool": spool,
@@ -195,7 +195,6 @@ def _cmd_run(args) -> int:
             backend=args.backend,
             share_graph=True if args.share_graph else None,
             graph_cache=args.graph_cache,
-            results=args.results,
             kernel=args.kernel,
             kernel_threads=args.kernel_threads,
             spool=args.spool,
@@ -323,15 +322,6 @@ def main(argv=None) -> int:
         "pool workers default to 1 to avoid oversubscription.",
     )
     p_run.add_argument(
-        "--results",
-        choices=("records", "columnar"),
-        default=None,
-        help="sweep results carrier: legacy per-trial record dicts, or "
-        "the columnar spool (typed ResultBlock arrays from batched "
-        "workers, assembled into one ResultTable).  Identical record "
-        "content; columnar is the sweep runners' default.",
-    )
-    p_run.add_argument(
         "--graph-cache",
         default=None,
         metavar="DIR",
@@ -408,7 +398,7 @@ def main(argv=None) -> int:
         if args.command == "smoke":
             return _cmd_smoke(args)
         return _cmd_run(args)
-    except ExperimentError as exc:
+    except (ExperimentError, PlanError, ResumeMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,7 +11,7 @@ Three cooperating pieces, layered under :func:`repro.plan.execute`:
 * :mod:`~repro.durable.spool` — atomic, checksummed per-grid-point
   block files plus :class:`SpoolReader`, the lazy read-side handle.
 
-``ResultSpec(sink="spool", dir=...)`` turns them on;
+``ResultSpec(dir=...)`` turns them on;
 ``execute(plan, resume=dir)`` replays a journal and runs only what is
 missing, bit-identical to an uninterrupted run.
 """

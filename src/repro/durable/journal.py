@@ -19,8 +19,8 @@ The **fingerprint** is what makes a journal resumable *safely*: a
 sha256 over the canonicalized axes of the :class:`~repro.plan.RunPlan`
 that can change result *bits* — grid points, trial count, seed lineage,
 backend, graph provisioning, the work's name.  Axes the library pins as
-bit-identical (kernel choice, thread budget, process count, results
-carrier) are deliberately excluded, so a run spooled under
+bit-identical (kernel choice, thread budget, process count) are
+deliberately excluded, so a run spooled under
 ``kernel="numpy"`` can resume under ``kernel="cext"`` — the parity
 goldens guarantee the spliced rows match.  A resume whose plan hashes
 differently raises :class:`~repro.errors.ResumeMismatchError` rather
@@ -127,21 +127,17 @@ def plan_fingerprint(plan) -> str:
     Included: grid points (values and order), trials, seed lineage and
     mode, backend name (reference and batched condition a point's
     trials on different graph draws), graph provisioning class (pinned
-    topology identity / builder identity; ``generate`` and ``cached``
-    hash alike — the cache is bit-transparent), and the work's name.
+    topology identity; generated and cached graphs hash alike — the
+    cache is bit-transparent), and the work's name.
 
     Excluded on purpose, because the library pins them bit-identical:
-    kernel choice, kernel threads, process count, chunk size, dispatch
-    mode, and the results carrier — a spool written serially under the
-    numpy kernel resumes under a pooled cext run.
+    kernel choice, kernel threads and process count — a spool written
+    serially under the numpy kernel resumes under a pooled cext run.
     """
-    graph = plan.graph
-    if graph.mode == "pinned":
-        graph_tok = ["pinned", _graph_token(graph.graph)]
+    if plan.graph.graph is not None:
+        graph_tok = ["pinned", _graph_token(plan.graph.graph)]
     else:
         graph_tok = ["generated"]
-    if graph.builder is not None:
-        graph_tok.append(_callable_token(graph.builder))
     payload = {
         "v": JOURNAL_VERSION,
         "work": plan.work.name or _callable_token(plan.work.record),

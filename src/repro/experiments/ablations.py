@@ -17,19 +17,22 @@ SAER makes three distinctive design choices; each ablation isolates one:
   collisions.
 
 All three run on the same graphs with the same ``(c, d)``, in the
-contended regime where the differences are visible.
+contended regime where the differences are visible.  The run is one
+:func:`repro.plan.execute` over one grid point per variant, so variant
+``v``'s trial ``r`` draws its graph and protocol seeds from task seed
+``v·trials + r`` of the root spawn.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Mapping
 
 from ..baselines.threshold import run_threshold_protocol
 from ..core.engine import run_raes, run_saer
 from ..graphs.families import canonical_degree
 from ..parallel.aggregate import summarize
-from ..parallel.pool import map_parallel
-from ..rng import spawn_seeds
+from ..plan import ExecSpec, RunPlan, SeedSpec, WorkSpec, execute
 
 __all__ = ["run_ablations"]
 
@@ -41,40 +44,26 @@ _VARIANTS = (
 )
 
 
-def _ablation_task(task) -> dict:
-    variant, n, c, d, degree, seed_seq = task
-    from ..graphs.generators import random_regular_bipartite
-
-    g_seed, p_seed = seed_seq.spawn(2)
-    graph = random_regular_bipartite(n, degree, seed=g_seed)
+def _ablation_record(graph, point: Mapping, p_seed) -> dict:
+    """One trial of the point's variant on ``graph`` → the ablation record."""
+    variant, c, d = point["variant"], point["c"], point["d"]
     capacity = int(math.floor(c * d))
     if variant == "saer (baseline)":
         r = run_saer(graph, c, d, seed=p_seed)
-        out = dict(
-            completed=r.completed, rounds=r.rounds, work=r.work, max_load=r.max_load
-        )
     elif variant == "partial-accept":
-        b = run_threshold_protocol(
+        r = run_threshold_protocol(
             graph, d, threshold=capacity, cumulative_cap=capacity, seed=p_seed
-        )
-        out = dict(
-            completed=b.completed, rounds=b.rounds, work=b.work, max_load=b.max_load
         )
     elif variant == "raes (transient)":
         r = run_raes(graph, c, d, seed=p_seed)
-        out = dict(
-            completed=r.completed, rounds=r.rounds, work=r.work, max_load=r.max_load
-        )
     elif variant == "distinct-sampling":
         r = run_saer(graph, c, d, seed=p_seed, sampling="without_replacement")
-        out = dict(
-            completed=r.completed, rounds=r.rounds, work=r.work, max_load=r.max_load
-        )
     else:  # pragma: no cover
         raise ValueError(variant)
-    out["variant"] = variant
-    out["capacity"] = capacity
-    return out
+    return dict(
+        completed=r.completed, rounds=r.rounds, work=r.work, max_load=r.max_load,
+        capacity=capacity,
+    )
 
 
 def run_ablations(
@@ -87,33 +76,35 @@ def run_ablations(
 ) -> tuple[list[dict], dict]:
     """Run all three ablations; one table row per variant."""
     degree = canonical_degree(n)
-    variants = [v for v, _, _ in _VARIANTS]
-    seeds = spawn_seeds(seed, len(variants) * trials)
-    tasks = []
-    i = 0
-    for variant in variants:
-        for _t in range(trials):
-            tasks.append((variant, n, c, d, degree, seeds[i]))
-            i += 1
-    recs = map_parallel(_ablation_task, tasks, processes=processes)
+    table = execute(RunPlan(
+        grid=[
+            {"variant": variant, "n": n, "c": c, "d": d, "degree": degree}
+            for variant, _, _ in _VARIANTS
+        ],
+        work=WorkSpec(record=_ablation_record, name="ablations"),
+        trials=trials,
+        seeds=SeedSpec(root=seed),
+        execution=ExecSpec(processes=processes),
+    ))
     rows = []
     for variant, abl_id, description in _VARIANTS:
-        bucket = [r for r in recs if r["variant"] == variant]
-        done_rounds = [r["rounds"] for r in bucket if r["completed"]]
+        bucket = table.where(variant=variant)
+        completed = bucket.column("completed").astype(bool)
+        done_rounds = bucket.column("rounds")[completed]
         rows.append(
             {
                 "ablation": abl_id,
                 "variant": variant,
                 "design_choice": description,
                 "trials": len(bucket),
-                "completed": sum(r["completed"] for r in bucket),
-                "rounds_median": summarize(done_rounds)["median"] if done_rounds else None,
+                "completed": int(completed.sum()),
+                "rounds_median": summarize(done_rounds)["median"] if done_rounds.size else None,
                 "work_per_client": round(
-                    summarize([r["work"] / n for r in bucket])["mean"], 2
+                    summarize(bucket.column("work") / n)["mean"], 2
                 ),
-                "max_load_worst": max(r["max_load"] for r in bucket),
-                "capacity": bucket[0]["capacity"] if bucket else None,
+                "max_load_worst": int(bucket.column("max_load").max()),
+                "capacity": bucket[0]["capacity"],
             }
         )
-    meta = {"n": n, "c": c, "d": d, "records": recs}
+    meta = {"n": n, "c": c, "d": d, "records": table}
     return rows, meta

@@ -3,7 +3,7 @@
 Besides the claim metadata, every entry *declares* its execution-plan
 support (``capabilities``): which :class:`repro.plan.RunPlan` axes the
 runner's kwargs expose — ``backend``, ``graph_cache``, ``share_graph``,
-``results``, ``kernel``, plus the universal ``trials`` / ``seed`` /
+``kernel``, ``spool``, plus the universal ``trials`` / ``seed`` /
 ``processes``.  The CLI forwards overrides from these declarations (and
 warns on unsupported flags) instead of probing runner signatures; a
 consistency test asserts the declarations against the actual
@@ -28,7 +28,7 @@ _COMMON = ("trials", "seed", "processes")
 #: the durable-execution axis (:mod:`repro.durable`): stream blocks to
 #: a crash-survivable on-disk spool, resume an interrupted sweep.
 _SWEEP = _COMMON + (
-    "backend", "graph_cache", "results", "kernel", "kernel_threads",
+    "backend", "graph_cache", "kernel", "kernel_threads",
     "spool", "resume", "seed_mode",
 )
 

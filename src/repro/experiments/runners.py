@@ -9,13 +9,14 @@ regardless of process count.
 
 Runners are **thin plan builders**: each one maps its kwargs onto a
 declarative :class:`repro.plan.RunPlan` (grid + trials + seed policy +
-backend + graph provisioning + dispatch + results carrier) and hands it
-to :func:`repro.plan.execute` — the single pipeline that owns backend
-resolution, graph provisioning, pool dispatch, and the columnar results
-spool.  What stays here is the science: the per-trial record functions
-(``record(graph, point, seed) -> dict`` / ``batch(graph, point, seeds)
--> ResultBlock``) and the table-row assembly, which reads typed
-:class:`~repro.parallel.aggregate.ResultTable` columns instead of
+backend + graph provisioning + dispatch + sink) and hands it to
+:func:`repro.plan.execute` — the single pipeline that owns backend
+resolution, graph provisioning, pool dispatch, and the memory or
+spool sink, and always returns a
+:class:`~repro.parallel.aggregate.ResultTable`.  What stays here is the
+science: the per-trial record functions (``record(graph, point, seed)
+-> dict`` / ``batch(graph, point, seeds) -> ResultBlock``) and the
+table-row assembly, which reads the table's typed columns instead of
 looping per-trial dicts.  Subpackages only some runners use
 (``baselines``, ``dynamic``, ``faults``, ``serve``) are imported inside
 the functions that use them, so a sweep loads only what it runs.
@@ -49,7 +50,7 @@ from ..core.metrics import TraceLevel
 from ..errors import ExperimentError
 from ..graphs import degree_report, random_regular_bipartite
 from ..graphs.families import build_point_graph, canonical_degree
-from ..parallel.aggregate import aggregate_records, as_table, summarize
+from ..parallel.aggregate import aggregate_records, summarize
 from ..parallel.pool import worker_state
 from ..parallel.sweep import ParameterGrid
 from ..plan import (
@@ -118,8 +119,7 @@ def _saer_batch_block(
     """One batched-engine trial block on ``graph`` → a columnar
     :class:`~repro.batch.results.ResultBlock` (field-for-field the
     schema of :func:`_saer_run_record`, built straight from the engine's
-    per-trial arrays — no per-dict loop; the plan executor unpacks it to
-    records only when a legacy carrier was asked for).
+    per-trial arrays — no per-dict loop).
 
     Runs on the worker's persistent engine buffers
     (:func:`repro.parallel.pool.worker_state`), so a process sweeping
@@ -169,8 +169,8 @@ _SAER_WORK = WorkSpec(record=_saer_run_record, batch=_saer_batch_block, name="sa
 
 def _saer_plan(
     grid, *, trials, seed, processes, backend="reference", graph=None,
-    graph_cache=None, results="columnar", kernel=None, kernel_threads=None,
-    spool=None, seed_mode=None,
+    graph_cache=None, kernel=None, kernel_threads=None, spool=None,
+    seed_mode=None,
 ) -> RunPlan:
     """Map the historical SAER-runner kwargs onto a :class:`RunPlan`.
 
@@ -182,23 +182,13 @@ def _saer_plan(
     is the compiled round kernel's trial-partitioned thread budget
     (bit-identical at every count; capped by ``execute`` so threads ×
     processes stays within the core budget).  ``spool`` switches the
-    results sink to the durable on-disk spool at that directory
+    sink to the durable on-disk spool at that directory
     (crash-supervised, resumable; see :mod:`repro.durable`).  ``seed_mode``
     selects the trial seed lineage (``"pair"`` default; ``"philox"``
     needs the batched backend — see :class:`repro.plan.SeedSpec`).
     """
     if backend not in ("reference", "batched"):
         raise ExperimentError(f"unknown backend {backend!r}; known: reference, batched")
-    if graph is not None:
-        gspec = GraphSpec(mode="pinned", graph=graph)
-    elif graph_cache:
-        gspec = GraphSpec(mode="cached", cache_dir=graph_cache)
-    else:
-        gspec = GraphSpec()
-    if spool:
-        rspec = ResultSpec(mode=results, sink="spool", dir=str(spool))
-    else:
-        rspec = ResultSpec(mode=results)
     return RunPlan(
         grid=grid,
         work=_SAER_WORK,
@@ -212,9 +202,9 @@ def _saer_plan(
             kernel=kernel if backend == "batched" else None,
             threads=kernel_threads if backend == "batched" else None,
         ),
-        graph=gspec,
+        graph=GraphSpec(cache_dir=graph_cache, graph=graph),
         execution=ExecSpec(processes=processes),
-        results=rspec,
+        results=ResultSpec(dir=str(spool) if spool else None),
     )
 
 
@@ -242,7 +232,6 @@ def run_e01_completion(
     processes: int | None = None,
     backend: str = "reference",
     graph_cache: str | None = None,
-    results: str = "columnar",
     kernel: str | None = None,
     kernel_threads: int | None = None,
     spool: str | None = None,
@@ -251,12 +240,11 @@ def run_e01_completion(
 ) -> tuple[list[dict], dict]:
     """E1: median completion rounds vs n, with the log fit and horizon."""
     grid = ParameterGrid(n=list(ns), c=[c], d=[d])
-    recs = execute(_saer_plan(
+    table = execute(_saer_plan(
         grid, trials=trials, seed=seed, processes=processes, backend=backend,
-        graph_cache=graph_cache, results=results, kernel=kernel,
+        graph_cache=graph_cache, kernel=kernel,
         kernel_threads=kernel_threads, spool=spool, seed_mode=seed_mode,
     ), resume=resume)
-    table = as_table(recs)  # row assembly reads typed columns, not dicts
     rows = []
     for n in ns:
         bucket = table.where(n=n)
@@ -286,7 +274,7 @@ def run_e01_completion(
         "log2_fit": fit.describe(),
         "log2_r2": fit.r2,
         "power_exponent": pw.slope,
-        "records": recs,
+        "records": table,
     }
     return rows, meta
 
@@ -300,7 +288,6 @@ def run_e02_work(
     processes: int | None = None,
     backend: str = "reference",
     graph_cache: str | None = None,
-    results: str = "columnar",
     kernel: str | None = None,
     kernel_threads: int | None = None,
     spool: str | None = None,
@@ -309,12 +296,11 @@ def run_e02_work(
 ) -> tuple[list[dict], dict]:
     """E2: work per client vs n (flat ⇔ Θ(n) total), plus power-law fit."""
     grid = ParameterGrid(n=list(ns), c=[c], d=[d])
-    recs = execute(_saer_plan(
+    table = execute(_saer_plan(
         grid, trials=trials, seed=seed, processes=processes, backend=backend,
-        graph_cache=graph_cache, results=results, kernel=kernel,
+        graph_cache=graph_cache, kernel=kernel,
         kernel_threads=kernel_threads, spool=spool, seed_mode=seed_mode,
     ), resume=resume)
-    table = as_table(recs)
     rows = []
     for n in ns:
         bucket = table.where(n=n)
@@ -338,7 +324,7 @@ def run_e02_work(
         "backend": backend,
         "power_fit": pw.describe(),
         "power_exponent": pw.slope,
-        "records": recs,
+        "records": table,
     }
     return rows, meta
 
@@ -392,7 +378,6 @@ def run_e03_max_load(
         trials=trials,
         seeds=SeedSpec(root=seed),
         execution=ExecSpec(processes=processes),
-        results=ResultSpec(mode="columnar"),
     ))
     rows = aggregate_records(
         recs, group_by=["family", "protocol", "c", "d"], fields=["max_load", "p99_load", "rounds"]
@@ -460,7 +445,6 @@ def run_e04_burned_fraction(
                 trials=trials,
                 seeds=SeedSpec(root=seed),
                 execution=ExecSpec(processes=processes),
-                results=ResultSpec(mode="columnar"),
             ))
             all_recs.extend(table)
             s_stats = summarize(table.column("max_s_t"))
@@ -515,7 +499,6 @@ def run_e05_dominance(
         trials=trials,
         seeds=SeedSpec(root=seed),
         execution=ExecSpec(processes=processes),
-        results=ResultSpec(mode="columnar"),
     ))
     rows = []
     for n in ns:
@@ -561,7 +544,6 @@ def run_e06_c_threshold(
     backend: str = "reference",
     share_graph: bool = False,
     graph_cache: str | None = None,
-    results: str = "columnar",
     kernel: str | None = None,
     kernel_threads: int | None = None,
     spool: str | None = None,
@@ -585,7 +567,7 @@ def run_e06_c_threshold(
         # children are exactly the sweep's spawn, so take the next one.
         g_seed = np.random.SeedSequence(seed).spawn(len(grid) * trials + 1)[-1]
         graph = build_point_graph({"n": n}, g_seed, graph_cache)
-    recs = execute(_saer_plan(
+    table = execute(_saer_plan(
         grid,
         trials=trials,
         seed=seed,
@@ -593,13 +575,11 @@ def run_e06_c_threshold(
         backend=backend,
         graph=graph,
         graph_cache=None if share_graph else graph_cache,
-        results=results,
         kernel=kernel,
         kernel_threads=kernel_threads,
         spool=spool,
         seed_mode=seed_mode,
     ), resume=resume)
-    table = as_table(recs)
     rows = []
     for c in cs:
         bucket = table.where(c=c)
@@ -628,7 +608,7 @@ def run_e06_c_threshold(
         "d": d,
         "backend": backend,
         "share_graph": share_graph,
-        "records": recs,
+        "records": table,
     }
     return rows, meta
 
@@ -647,7 +627,6 @@ def run_e07_degree_sweep(
     processes: int | None = None,
     backend: str = "reference",
     graph_cache: str | None = None,
-    results: str = "columnar",
     kernel: str | None = None,
     kernel_threads: int | None = None,
     spool: str | None = None,
@@ -669,12 +648,12 @@ def run_e07_degree_sweep(
     all_recs = []
     for part, (label, deg) in enumerate(degree_specs):
         grid = ParameterGrid(n=[n], c=[c], d=[d], degree=[deg])
-        table = as_table(execute(_saer_plan(
+        table = execute(_saer_plan(
             grid, trials=trials, seed=seed, processes=processes, backend=backend,
-            graph_cache=graph_cache, results=results, kernel=kernel,
+            graph_cache=graph_cache, kernel=kernel,
             kernel_threads=kernel_threads, spool=_part_dir(spool, part),
             seed_mode=seed_mode,
-        ), resume=_part_dir(resume, part)))
+        ), resume=_part_dir(resume, part))
         all_recs.extend(table)
         completed = table.column("completed").astype(bool)
         done = int(completed.sum())
@@ -711,7 +690,6 @@ def run_e08_almost_regular(
     processes: int | None = None,
     backend: str = "reference",
     graph_cache: str | None = None,
-    results: str = "columnar",
     kernel: str | None = None,
     kernel_threads: int | None = None,
     spool: str | None = None,
@@ -746,24 +724,24 @@ def run_e08_almost_regular(
             degree_lo=[base],
             degree_hi=[min(base * ratio, n)],
         )
-        table = as_table(execute(_saer_plan(
+        table = execute(_saer_plan(
             grid, trials=trials, seed=seed, processes=processes, backend=backend,
-            graph_cache=graph_cache, results=results, kernel=kernel,
+            graph_cache=graph_cache, kernel=kernel,
             kernel_threads=kernel_threads, spool=_part_dir(spool, part),
             seed_mode=seed_mode,
-        ), resume=_part_dir(resume, part)))
+        ), resume=_part_dir(resume, part))
         all_recs.extend(table)
         rows.append(
             _row(f"near_regular ρ≈{ratio}" if ratio > 1 else "regular (ρ=1)", table)
         )
     # The paper's extremal example (√n-degree clients, O(1)-degree servers).
     grid = ParameterGrid(n=[n], c=[c], d=[d], family=["paper_extremal"], eta=[0.5])
-    table = as_table(execute(_saer_plan(
+    table = execute(_saer_plan(
         grid, trials=trials, seed=seed, processes=processes, backend=backend,
-        graph_cache=graph_cache, results=results, kernel=kernel,
+        graph_cache=graph_cache, kernel=kernel,
         kernel_threads=kernel_threads, spool=_part_dir(spool, len(ratios)),
         seed_mode=seed_mode,
-    ), resume=_part_dir(resume, len(ratios))))
+    ), resume=_part_dir(resume, len(ratios)))
     all_recs.extend(table)
     rows.append(_row("paper_extremal (√n clients, O(1) servers)", table))
     meta = {"n": n, "c": c, "d": d, "backend": backend, "records": all_recs}
@@ -859,7 +837,6 @@ def run_e09_baselines(
         trials=trials,
         seeds=SeedSpec(root=seed),
         execution=ExecSpec(processes=processes),
-        results=ResultSpec(mode="columnar"),
     ))
     rows = aggregate_records(
         recs, group_by=["algorithm", "discloses_loads"], fields=["max_load", "rounds", "steps", "work"]
@@ -934,8 +911,8 @@ def run_e10_stage1(
         work=WorkSpec(record=_stage1_record, name="e10-stage1"),
         trials=1,
         seeds=SeedSpec(mode="direct", seeds=(p_seed, p2_seed)),
-        graph=GraphSpec(mode="pinned", graph=graph),
-        execution=ExecSpec(mode="serial"),
+        graph=GraphSpec(graph=graph),
+        execution=ExecSpec(processes=1),
     ))
 
     rows: list[dict] = []
@@ -1053,7 +1030,6 @@ def run_e11_alive_decay(
         trials=trials,
         seeds=SeedSpec(root=seed),
         execution=ExecSpec(processes=processes),
-        results=ResultSpec(mode="columnar"),
     ))
     rows = []
     for n in ns:
@@ -1138,7 +1114,6 @@ def run_e12_dynamic(
         trials=trials,
         seeds=SeedSpec(root=seed),
         execution=ExecSpec(processes=processes),
-        results=ResultSpec(mode="columnar"),
     ))
     rows = []
     for rate, rec_param, ch in combos:
@@ -1352,7 +1327,6 @@ def run_f1_faults(
         trials=trials,
         seeds=SeedSpec(root=seed),
         execution=ExecSpec(processes=processes),
-        results=ResultSpec(mode="columnar"),
     ))
     rows = []
     for point in points:

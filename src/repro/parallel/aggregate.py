@@ -1,14 +1,11 @@
-"""Aggregation of trial records into table rows.
+"""Aggregation of sweep results into table rows.
 
-Two record carriers flow through this module:
-
-* plain ``list[dict]`` — the legacy per-(point, trial) records;
-* :class:`ResultTable` — the columnar results spool: one typed array
-  per field, assembled from the :class:`~repro.batch.results.ResultBlock`
-  blocks that batched sweep workers return.  A table quacks like a
-  read-only list of dicts (rows are materialized lazily), so every
-  legacy consumer keeps working, while :func:`aggregate_records` gets a
-  vectorized group-by fast path over the columns.
+Every plan run returns a :class:`ResultTable`: one typed array per
+field, assembled from the :class:`~repro.batch.results.ResultBlock`
+blocks the sweep workers return.  A table quacks like a read-only list
+of dicts (rows are materialized lazily), and exposes its typed columns
+for vectorized row assembly; :func:`aggregate_records` groups any
+sequence of record dicts, a table included.
 """
 
 from __future__ import annotations
@@ -22,19 +19,29 @@ import numpy as np
 # this module instead, so no summarize() call pays for it mid-run.
 import numpy.ma  # noqa: F401
 
-from ..batch.results import _column, _pyvalue
+from ..batch.results import _pyvalue
 
 __all__ = [
     "summarize",
     "aggregate_records",
     "ResultTable",
     "assemble_blocks",
-    "as_table",
 ]
 
 
-def _stats_from_array(arr: np.ndarray) -> dict:
-    """The :func:`summarize` statistics for an already-float64 sample."""
+def summarize(values: Iterable[float]) -> dict:
+    """Summary statistics of a sample: mean, std, quantiles, 95% CI.
+
+    The CI half-width uses the normal approximation
+    ``1.96·s/√n`` — adequate for the trial counts experiments use (≥10)
+    and cheap; use :func:`repro.analysis.stats.bootstrap_ci` when the
+    statistic is a quantile or the sample is tiny.  Accepts any
+    iterable, including a typed :class:`ResultTable` column (no
+    python-list round-trip then).
+    """
+    if not isinstance(values, np.ndarray):
+        values = list(values)
+    arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         return {
             "n": 0,
@@ -59,21 +66,6 @@ def _stats_from_array(arr: np.ndarray) -> dict:
         "q90": float(np.quantile(arr, 0.90)),
         "ci95": 1.96 * std / math.sqrt(arr.size) if arr.size > 1 else 0.0,
     }
-
-
-def summarize(values: Iterable[float]) -> dict:
-    """Summary statistics of a sample: mean, std, quantiles, 95% CI.
-
-    The CI half-width uses the normal approximation
-    ``1.96·s/√n`` — adequate for the trial counts experiments use (≥10)
-    and cheap; use :func:`repro.analysis.stats.bootstrap_ci` when the
-    statistic is a quantile or the sample is tiny.  Accepts any
-    iterable, including a typed :class:`ResultTable` column (no
-    python-list round-trip then).
-    """
-    if not isinstance(values, np.ndarray):
-        values = list(values)
-    return _stats_from_array(np.asarray(values, dtype=np.float64))
 
 
 def _missing_part(count: int) -> np.ndarray:
@@ -101,10 +93,9 @@ class ResultTable(Sequence):
 
     ``table[i]`` materializes row ``i`` as a plain dict (python
     scalars), ``table.column(name)`` exposes the typed column array
-    for vectorized consumers.  Built either from worker-side
+    for vectorized consumers.  Built from worker-side
     :class:`~repro.batch.results.ResultBlock` blocks
-    (:meth:`from_blocks`) or from legacy record dicts
-    (:meth:`from_records`).
+    (:meth:`from_blocks`).
     """
 
     def __init__(self, columns: dict[str, np.ndarray], n_rows: int):
@@ -123,9 +114,8 @@ class ResultTable(Sequence):
         """Assemble per-point :class:`ResultBlock` s into one table.
 
         Point keys come first (in the first block's order), then
-        ``trial``, then the per-trial fields — matching the key order
-        of the legacy record dicts so materialized rows are
-        indistinguishable.
+        ``trial``, then the per-trial fields — the key order of
+        ``{**point, "trial": t, **record}``.
         """
         blocks = list(blocks)
         n = sum(b.n_trials for b in blocks)
@@ -171,43 +161,6 @@ class ResultTable(Sequence):
                     else _missing_part(b.n_trials)
                 )
                 for b in blocks
-            ]
-            columns[k] = _concat_parts(parts, n)
-        return cls(columns, n)
-
-    @classmethod
-    def from_records(cls, records: Sequence[Mapping]) -> "ResultTable":
-        """Columnarize legacy record dicts (parent-side assembly)."""
-        records = list(records)
-        keys: list[str] = []
-        for r in records:
-            for k in r:
-                if k not in keys:
-                    keys.append(k)
-        columns = {k: _column([r.get(k) for r in records]) for k in keys}
-        return cls(columns, len(records))
-
-    @classmethod
-    def concat(cls, tables: Sequence["ResultTable"]) -> "ResultTable":
-        """Stack tables row-wise (column union, first-seen order).
-
-        A table missing a column contributes ``None`` there (object
-        dtype), mirroring :meth:`from_blocks`' ragged-field handling.
-        """
-        tables = list(tables)
-        if not tables:
-            return cls({}, 0)
-        names: list[str] = []
-        for t in tables:
-            for k in t.fields:
-                if k not in names:
-                    names.append(k)
-        n = sum(len(t) for t in tables)
-        columns: dict[str, np.ndarray] = {}
-        for k in names:
-            parts = [
-                t._columns[k] if k in t._columns else _missing_part(len(t))
-                for t in tables
             ]
             columns[k] = _concat_parts(parts, n)
         return cls(columns, n)
@@ -294,18 +247,6 @@ def assemble_blocks(blocks: Sequence) -> ResultTable:
     return ResultTable.from_blocks(blocks)
 
 
-def as_table(records) -> ResultTable:
-    """Coerce any record carrier to a :class:`ResultTable`.
-
-    Tables pass through untouched; record lists are columnarized.  The
-    entry every row-assembly consumer uses so it can work on typed
-    columns regardless of the ``results=`` mode a sweep ran under.
-    """
-    if isinstance(records, ResultTable):
-        return records
-    return ResultTable.from_records(list(records))
-
-
 def aggregate_records(
     records: Sequence[Mapping],
     group_by: Sequence[str],
@@ -318,16 +259,8 @@ def aggregate_records(
     the grouping keys.  Boolean fields aggregate to their mean (i.e. a
     rate), which is how completion rates are reported.
 
-    A :class:`ResultTable` input takes a vectorized group-by over the
-    typed columns instead of iterating dicts; both paths produce
-    identical rows.
+    A :class:`ResultTable` input is read row by row.
     """
-    if isinstance(records, ResultTable):
-        try:
-            return _aggregate_table(records, group_by, fields)
-        except TypeError:
-            # un-sortable object columns: fall back to the dict path
-            pass
     groups: dict[tuple, list[Mapping]] = defaultdict(list)
     order: list[tuple] = []
     for rec in records:
@@ -343,73 +276,6 @@ def aggregate_records(
         for f in fields:
             vals = [float(rec[f]) for rec in bucket if rec.get(f) is not None]
             stats = summarize(vals)
-            row[f"{f}_mean"] = stats["mean"]
-            row[f"{f}_median"] = stats["median"]
-            row[f"{f}_max"] = stats["max"]
-            row[f"{f}_ci95"] = stats["ci95"]
-        rows.append(row)
-    return rows
-
-
-def _aggregate_table(
-    table: ResultTable, group_by: Sequence[str], fields: Sequence[str]
-) -> list[dict]:
-    """Vectorized group-by over a columnar table (first-seen order)."""
-    n = len(table)
-    if n == 0:
-        return []
-    # Factorize each key column, then combine into one group code.
-    codes = np.zeros(n, dtype=np.int64)
-    key_columns = []
-    for name in group_by:
-        col = table.column(name)
-        uniq, inv = np.unique(col, return_inverse=True)
-        codes = codes * len(uniq) + inv
-        key_columns.append(col)
-    _uniq_codes, first_idx, inv = np.unique(codes, return_index=True, return_inverse=True)
-    # Rank groups by first appearance so row order matches the dict path.
-    seen_order = np.argsort(first_idx, kind="stable")
-    rank = np.empty_like(seen_order)
-    rank[seen_order] = np.arange(seen_order.size)
-    group_of_row = rank[inv]
-    perm = np.argsort(group_of_row, kind="stable")  # rows grouped, original order kept
-    counts = np.bincount(group_of_row, minlength=seen_order.size)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    first_rows = first_idx[seen_order]
-
-    field_vals = {}
-    for f in fields:
-        if f not in table.fields:
-            # dict path treats a missing field as None everywhere
-            field_vals[f] = (np.empty(0, dtype=np.float64), np.zeros(n, dtype=bool))
-            continue
-        col = table.column(f)
-        if col.dtype == object:
-            colp = col[perm]
-            keep = np.array([v is not None for v in colp], dtype=bool)
-            vals = np.array([float(v) for v in colp[keep]], dtype=np.float64)
-            field_vals[f] = (vals, keep)
-        else:
-            field_vals[f] = (col[perm].astype(np.float64, copy=False), None)
-
-    rows: list[dict] = []
-    for g in range(seen_order.size):
-        lo, hi = starts[g], starts[g] + counts[g]
-        row: dict = {
-            name: _pyvalue(col[first_rows[g]])
-            for name, col in zip(group_by, key_columns)
-        }
-        row["trials"] = int(counts[g])
-        for f in fields:
-            vals, keep = field_vals[f]
-            if keep is None:
-                seg = vals[lo:hi]
-            else:
-                # object column: vals holds only the non-None entries in
-                # permuted order — recover this group's slice via keep.
-                offset = int(np.count_nonzero(keep[:lo]))
-                seg = vals[offset : offset + int(np.count_nonzero(keep[lo:hi]))]
-            stats = _stats_from_array(seg)
             row[f"{f}_mean"] = stats["mean"]
             row[f"{f}_median"] = stats["median"]
             row[f"{f}_max"] = stats["max"]

@@ -23,11 +23,11 @@ The library scales Monte-Carlo work along two orthogonal axes:
    typically 4-8× the per-trial throughput of calling
    :func:`repro.core.engine.run_protocol` in a loop.
 
-The two compose: :func:`repro.parallel.sweep.run_sweep` with
-``backend="batched"`` sends one trial block per grid point to the pool
-(processes across points, batched trials within).  Per-trial seeds are
-spawned identically under either backend, so switching backends never
-changes which seed a trial gets.
+The two compose: :func:`repro.plan.execute` on the batched backend
+sends one trial block per grid point to the pool (processes across
+points, batched trials within).  Per-trial seeds are spawned
+identically under either backend, so switching backends never changes
+which seed a trial gets.
 
 Persistent workers
 ------------------
@@ -61,7 +61,6 @@ import os
 from typing import Callable, Sequence, TypeVar
 
 from ..durable.supervisor import RetryPolicy, supervised_map
-from .shared import graph_context
 
 __all__ = [
     "map_parallel", "available_cpus", "default_processes",
@@ -146,7 +145,6 @@ def map_parallel(
     items: Sequence[T],
     *,
     processes: int | None = None,
-    chunksize: int = 1,
     initializer: Callable | None = None,
     initargs: tuple = (),
     policy: "RetryPolicy | None" = None,
@@ -173,9 +171,8 @@ def map_parallel(
     timeouts, exception retries, or quarantine-instead-of-raise
     (``on_failure="return"``), and ``on_result`` to observe each task's
     outcome in completion order — the hook the durable result spool
-    persists blocks through.  ``chunksize`` is accepted for
-    compatibility; the supervisor dispatches one task per future, which
-    is what gives it per-task crash/timeout granularity.
+    persists blocks through.  The supervisor dispatches one task per
+    future, which is what gives it per-task crash/timeout granularity.
     """
     items = list(items)
     if not items:
@@ -194,19 +191,3 @@ def map_parallel(
         policy=policy,
         on_result=on_result,
     )
-
-
-def _map_with_graph(fn, tasks, graph, *, processes, chunksize):
-    """map_parallel, optionally under a zero-copy task-graph context."""
-    if graph is None:
-        return map_parallel(fn, tasks, processes=processes, chunksize=chunksize)
-    nproc = default_processes(len(tasks)) if processes is None else processes
-    with graph_context(graph, processes=nproc) as (_view, initializer, initargs):
-        return map_parallel(
-            fn,
-            tasks,
-            processes=nproc,
-            chunksize=chunksize,
-            initializer=initializer,
-            initargs=initargs,
-        )

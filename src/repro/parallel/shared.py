@@ -19,9 +19,9 @@ This module moves the graph out of the task payload:
   workers inherit the pages copy-on-write.  :func:`graph_context` picks
   the right mechanism automatically.
 
-The worker-side entry is :func:`current_task_graph`, used by the
-graph-aware adapters in :mod:`repro.parallel.sweep`
-(``run_sweep(..., graph=...)``).
+The worker-side entry is :func:`current_task_graph`, which the plan
+workers (:mod:`repro.plan`) call on a pinned topology installed by
+``run_sweep(..., graph=...)``.
 """
 
 from __future__ import annotations

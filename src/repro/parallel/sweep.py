@@ -1,40 +1,25 @@
-"""Cartesian parameter sweeps over Monte-Carlo trials.
+"""Parameter grids and the sweep dispatch body.
 
 A :class:`ParameterGrid` is an ordered dict of ``name -> values``; its
 points enumerate the cartesian product in row-major order (first key
 slowest), which keeps experiment tables stable across runs.
 
-Sweeps support both halves of the library's two-level parallelism model
-(see :mod:`repro.parallel.pool`): ``backend="per_trial"`` fans every
-(point, trial) pair out as its own pool task, while
-``backend="batched"`` sends one task per grid point whose worker runs
-the point's whole trial block at once — the shape the trial-vectorized
-:mod:`repro.batch` engine wants — so processes parallelize across grid
-points and the trial axis is vectorized within each process.  Per-task
-seeds are spawned identically either way, so a given (point, trial)
-sees the same seed under both backends.
-
-Results travel back one of two ways (``results=``): ``"records"``, the
-legacy flat ``list[dict]``; or ``"columnar"``, the results spool —
-batched workers return one typed
-:class:`~repro.batch.results.ResultBlock` per grid point (a structured
-array instead of R pickled dicts), and the parent assembles the blocks
-into a single :class:`~repro.parallel.aggregate.ResultTable` that
-still behaves like a list of dicts.
+:func:`run_sweep` is the one place sweep tasks are dispatched:
+:func:`repro.plan.execute` cuts a plan into ``(point, seeds, trials)``
+tasks and hands them here, for either result sink.  It is
+:func:`~repro.parallel.pool.map_parallel`, run under
+:func:`~repro.parallel.shared.graph_context` when every task shares one
+pinned topology, so the CSR arrays are installed once per worker
+instead of being pickled into each task.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
-import numpy as np
-
-from ..batch.results import ResultBlock
-from ..rng import spawn_seeds
-from .aggregate import ResultTable, assemble_blocks
-from .pool import _map_with_graph
-from .shared import current_task_graph
+from .pool import map_parallel
+from .shared import graph_context
 
 __all__ = ["ParameterGrid", "run_sweep"]
 
@@ -68,210 +53,38 @@ class ParameterGrid:
         return iter(self.points())
 
 
-class _PointRunner:
-    """Picklable adapter: one sweep point × one trial → one record.
-
-    ``with_graph`` prepends the worker's zero-copy task graph to the
-    call (previously a separate ``_GraphPointRunner`` class).
-    """
-
-    def __init__(
-        self,
-        point_fn: Callable[[Mapping, np.random.SeedSequence, int], dict],
-        *,
-        with_graph: bool = False,
-    ):
-        self.point_fn = point_fn
-        self.with_graph = with_graph
-
-    def __call__(self, task) -> dict:
-        point, seed_seq, trial = task
-        if self.with_graph:
-            record = self.point_fn(current_task_graph(), point, seed_seq, trial)
-        else:
-            record = self.point_fn(point, seed_seq, trial)
-        out = dict(point)
-        out["trial"] = trial
-        out.update(record)
-        return out
-
-
-class _BatchPointRunner:
-    """Picklable adapter: one sweep point × a whole trial block → records.
-
-    ``with_graph`` prepends the worker's zero-copy task graph;
-    ``columnar`` packs the block's records into a typed
-    :class:`~repro.batch.results.ResultBlock` worker-side, so the
-    return payload is a handful of arrays instead of R dicts.  A
-    ``point_fn`` may also return a :class:`ResultBlock` itself (built
-    straight from engine arrays); it is validated and passed through —
-    or unpacked to records when ``columnar`` is off.
-    """
-
-    def __init__(
-        self,
-        point_fn: Callable[[Mapping, Sequence, Sequence], list],
-        *,
-        with_graph: bool = False,
-        columnar: bool = False,
-    ):
-        self.point_fn = point_fn
-        self.with_graph = with_graph
-        self.columnar = columnar
-
-    def __call__(self, task):
-        point, seed_seqs, trials = task
-        if self.with_graph:
-            result = self.point_fn(current_task_graph(), point, seed_seqs, trials)
-        else:
-            result = self.point_fn(point, seed_seqs, trials)
-        if isinstance(result, ResultBlock):
-            if result.n_trials != len(trials):
-                raise ValueError(
-                    f"batched point_fn returned a block of {result.n_trials} "
-                    f"trials for {len(trials)} trials"
-                )
-            return result if self.columnar else result.records()
-        records = list(result)
-        if len(records) != len(trials):
-            raise ValueError(
-                f"batched point_fn returned {len(records)} records "
-                f"for {len(trials)} trials"
-            )
-        if self.columnar:
-            return ResultBlock.from_records(point, trials, records)
-        out = []
-        for trial, record in zip(trials, records):
-            row = dict(point)
-            row["trial"] = trial
-            row.update(record)
-            out.append(row)
-        return out
-
-
-class _TrialBlockRunner:
-    """Picklable adapter: a *per-trial* worker run over a point's whole block.
-
-    The durable path's unit of work is one grid point (one spooled
-    block, one journal line), but the reference backend's worker is
-    per-trial.  This adapter bridges them: the task carries a point's
-    full seed slice, the worker loops the trials in order in-process,
-    and the records pack into one :class:`~repro.batch.results.
-    ResultBlock` — so both backends present the identical per-point
-    task shape to the supervisor, and a given (point, trial) consumes
-    exactly the seed it would under plain per-trial dispatch.
-    """
-
-    def __init__(self, trial_fn: Callable, *, with_graph: bool = False):
-        self.trial_fn = trial_fn
-        self.with_graph = with_graph
-
-    def __call__(self, task) -> ResultBlock:
-        point, seed_seqs, trials = task
-        records = []
-        for seed_seq, trial in zip(seed_seqs, trials):
-            if self.with_graph:
-                records.append(
-                    self.trial_fn(current_task_graph(), point, seed_seq, trial)
-                )
-            else:
-                records.append(self.trial_fn(point, seed_seq, trial))
-        return ResultBlock.from_records(point, trials, records)
-
-
 def run_sweep(
-    point_fn: Callable,
-    grid: "ParameterGrid | Sequence[Mapping]",
+    worker: Callable,
+    tasks: Sequence,
     *,
-    n_trials: int = 1,
-    seed=None,
-    seeds: Sequence | None = None,
-    processes: int | None = None,
-    chunksize: int = 1,
-    backend: str = "per_trial",
+    processes: int,
     graph=None,
-    results: str = "records",
-):
-    """Evaluate a worker over grid × trials; one flat record per (point, trial).
+    policy=None,
+    on_result: Callable[[int, object], None] | None = None,
+) -> list:
+    """``[worker(task) for task in tasks]`` on ``processes`` processes.
 
-    ``grid`` is a :class:`ParameterGrid` or an explicit sequence of
-    point dicts (for non-cartesian designs — the order given is the
-    sweep order).  ``seeds`` optionally supplies the per-(point, trial)
-    seeds explicitly (length = points × trials, point-major) instead of
-    spawning them from ``seed``.
-
-    With ``backend="per_trial"`` (default) the worker is
-    ``point_fn(point, seed_seq, trial) -> dict`` and every (point,
-    trial) pair is its own pool task.  With ``backend="batched"`` the
-    worker is ``point_fn(point, seed_seqs, trials) -> list[dict]`` and
-    each grid point is one task carrying its full trial block — the
-    natural entry for :func:`repro.batch.run_trials_batched` workers
-    (processes across points, vectorized trials within).
-
-    With ``graph=`` (a shared topology for *every* grid point — a
-    :class:`~repro.graphs.bipartite.BipartiteGraph` or pre-shared
-    :class:`~repro.parallel.shared.SharedGraph`), the CSR arrays are
-    installed once per worker process instead of being pickled into
-    each task, and the worker receives it as its first argument:
-    ``point_fn(graph, point, seed_seq, trial)`` (or ``point_fn(graph,
-    point, seed_seqs, trials)`` batched).
-
-    ``results="records"`` returns the legacy flat ``list[dict]``;
-    ``results="columnar"`` returns a
-    :class:`~repro.parallel.aggregate.ResultTable` (a lazy
-    sequence-of-dicts over typed columns).  Under the batched backend,
-    columnar mode also switches the *worker return payload* to typed
-    :class:`~repro.batch.results.ResultBlock` arrays — the spool that
-    shrinks the pickle traffic back from the pool.  Record content is
-    identical in all four combinations.
-
-    Each record carries the point's parameters, the trial index, and
-    whatever the worker returned.  Seeds are spawned deterministically
-    in (point index, trial index) order under *both* backends, so a
-    given (point, trial) always sees the same seed.
+    With ``graph`` (a :class:`~repro.graphs.bipartite.BipartiteGraph`
+    or pre-shared :class:`~repro.parallel.shared.SharedGraph` for every
+    task) the topology is installed once per worker process — fork page
+    inheritance or a shared-memory mapping — and the worker reads it
+    with :func:`~repro.parallel.shared.current_task_graph`.  ``policy``
+    and ``on_result`` pass through to
+    :func:`~repro.parallel.pool.map_parallel`: the default policy
+    raises on a worker exception; the spool sink passes a quarantining
+    one and persists each result as it lands.
     """
-    if backend not in ("per_trial", "batched"):
-        raise ValueError(f"unknown backend {backend!r}; known: per_trial, batched")
-    if results not in ("records", "columnar"):
-        raise ValueError(f"unknown results mode {results!r}; known: records, columnar")
-    columnar = results == "columnar"
-    points = grid.points() if hasattr(grid, "points") else [dict(p) for p in grid]
-    n_tasks = len(points) * n_trials
-    if seeds is not None:
-        if seed is not None:
-            raise ValueError("pass either a root seed or explicit seeds, not both")
-        seeds = list(seeds)
-        if len(seeds) != n_tasks:
-            raise ValueError(
-                f"explicit seeds: got {len(seeds)} for {n_tasks} (point, trial) tasks"
-            )
-    else:
-        seeds = spawn_seeds(seed, n_tasks)
-    if backend == "per_trial":
-        tasks = []
-        i = 0
-        for point in points:
-            for trial in range(n_trials):
-                tasks.append((point, seeds[i], trial))
-                i += 1
-        runner = _PointRunner(point_fn, with_graph=graph is not None)
-        records = _map_with_graph(
-            runner, tasks, graph, processes=processes, chunksize=chunksize
+    if graph is None:
+        return map_parallel(
+            worker, tasks, processes=processes, policy=policy, on_result=on_result
         )
-        return ResultTable.from_records(records) if columnar else records
-    if n_trials == 0:
-        return ResultTable.from_records([]) if columnar else []
-        # match per_trial: no records, no empty blocks to workers
-    tasks = [
-        (point, seeds[i * n_trials : (i + 1) * n_trials], list(range(n_trials)))
-        for i, point in enumerate(points)
-    ]
-    runner = _BatchPointRunner(
-        point_fn, with_graph=graph is not None, columnar=columnar
-    )
-    nested = _map_with_graph(
-        runner, tasks, graph, processes=processes, chunksize=chunksize
-    )
-    if columnar:
-        return assemble_blocks(nested)
-    return [record for block in nested for record in block]
+    with graph_context(graph, processes=processes) as (_view, initializer, initargs):
+        return map_parallel(
+            worker,
+            tasks,
+            processes=processes,
+            initializer=initializer,
+            initargs=initargs,
+            policy=policy,
+            on_result=on_result,
+        )

@@ -1,10 +1,10 @@
-"""Unified execution plans: one dispatch pipeline for every run axis.
+"""Execution plans: one dispatch pipeline for every run axis.
 
 Why
 ---
 Every experiment in this library is the same shape of computation — a
 grid of parameter points × independent Monte-Carlo trials — evaluated
-under four orthogonal execution axes that grew one PR at a time:
+under a few orthogonal axes:
 
 * **backend** — the per-trial reference engine vs the trial-vectorized
   batched engine (plus its compiled round-kernel gate);
@@ -12,17 +12,13 @@ under four orthogonal execution axes that grew one PR at a time:
   builds through the on-disk graph cache, or pin one pre-built
   topology and ship it zero-copy
   (:class:`~repro.parallel.shared.SharedGraph` / fork inheritance);
-* **dispatch** — serial in-process, a process pool, with persistent
+* **dispatch** — in-process or a process pool, with persistent
   per-worker state (:func:`repro.parallel.pool.worker_state`);
-* **results** — legacy per-trial record dicts vs the columnar
-  :class:`~repro.batch.results.ResultBlock` spool assembled into a
-  :class:`~repro.parallel.aggregate.ResultTable`.
+* **sink** — results assembled in memory, or streamed to the durable
+  on-disk spool (:mod:`repro.durable`).
 
-Before this module each axis was plumbed through ad-hoc kwargs at every
-layer (runner signatures, near-duplicate worker adapters, CLI signature
-probing).  A :class:`RunPlan` declares all axes once; :func:`execute`
-owns resolution and dispatch.  Adding a new backend, graph source,
-executor, or spool format is a change *here*, not a five-file sweep.
+A :class:`RunPlan` declares all axes once; :func:`execute` owns
+resolution and dispatch.
 
 How
 ---
@@ -34,14 +30,23 @@ callables:
 * ``record(graph, point, seed)   -> dict`` — one trial;
 * ``batch(graph, point, seeds)   -> list[dict] | ResultBlock`` — one
   point's whole trial block (optional; required by the batched
-  backend; may accept ``kernel=`` for the compiled-kernel gate).
+  backend; may accept ``kernel=``, ``threads=`` and ``seed_mode=``).
 
-:func:`execute` wraps them in the **two** canonical picklable workers
-(:class:`PerTrialWorker`, :class:`BatchWorker`) — these replace the
-per-experiment adapter variants that previously lived in
-``experiments/runners.py`` — and dispatches through
-:func:`repro.parallel.sweep.run_sweep`, which owns seed spawning, the
-pool, zero-copy graph installation, and columnar assembly.
+:func:`execute` spawns the task seeds once, cuts the grid into
+``(point, seeds, trials)`` tasks once, resolves the process count once
+from those tasks, and maps one of the two picklable workers
+(:class:`PerTrialWorker`, :class:`BatchWorker`) over them through
+:func:`repro.parallel.sweep.run_sweep`.  Every task returns a
+:class:`~repro.batch.results.ResultBlock`; the blocks go either to
+memory (:func:`~repro.parallel.aggregate.assemble_blocks`) or to the
+spool (one block file plus one journal line per grid point, read back
+by :meth:`~repro.durable.SpoolReader.table`).  Either way the caller
+gets a :class:`~repro.parallel.aggregate.ResultTable`.
+
+A task is one grid point, except that the reference backend on the
+memory sink sends one task per trial, so a pool can spread the trials
+of a one-point grid.  The spool keeps one task per point because its
+journal is keyed by point.
 
 Seed discipline
 ---------------
@@ -49,7 +54,7 @@ Seed discipline
 contract exactly: every (point, trial) task seed is spawned in
 point-major order, and the worker splits it into a ``(graph seed,
 protocol seed)`` pair — so a given (point, trial) sees bit-identical
-randomness under every backend × graph × dispatch × results
+randomness under every backend × graph × dispatch × sink
 combination.  ``mode="direct"`` hands the task seed straight to the
 record function (no pair spawn); it requires a pinned graph, since
 there is then no graph seed to build from.  ``mode="philox"`` keeps
@@ -72,9 +77,13 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from .batch.kernels import KERNEL_NAMES
-from .errors import PlanError
+from .batch.results import ResultBlock
+from .errors import PlanError, ResumeMismatchError
 from .graphs.families import build_point_graph
+from .parallel.aggregate import ResultTable, assemble_blocks
+from .parallel.shared import current_task_graph
 from .parallel.sweep import ParameterGrid, run_sweep
+from .rng import spawn_seeds
 
 __all__ = [
     "BackendSpec",
@@ -90,11 +99,7 @@ __all__ = [
 ]
 
 _BACKENDS = ("reference", "batched")
-_GRAPH_MODES = ("generate", "cached", "pinned")
 _SEED_MODES = ("pair", "direct", "philox")
-_EXEC_MODES = ("auto", "serial", "pool")
-_RESULT_MODES = ("records", "columnar")
-_RESULT_SINKS = ("memory", "spool")
 
 
 @dataclass(frozen=True)
@@ -151,35 +156,22 @@ class BackendSpec:
 class GraphSpec:
     """Where each task's topology comes from.
 
-    * ``"generate"`` (default) — the worker builds the graph from the
-      task's spawned graph seed via ``builder`` (default: the sweep
-      family vocabulary, :func:`repro.graphs.families.build_point_graph`);
-    * ``"cached"`` — same build, routed through the on-disk graph cache
-      in ``cache_dir``;
-    * ``"pinned"`` — one pre-built topology (a
+    * ``graph`` set — one pre-built topology (a
       :class:`~repro.graphs.bipartite.BipartiteGraph` or pre-shared
       :class:`~repro.parallel.shared.SharedGraph`) for *every* task,
-      installed once per worker zero-copy.
+      installed once per worker zero-copy;
+    * ``cache_dir`` set — the worker builds the graph from the task's
+      spawned graph seed (:func:`repro.graphs.families.build_point_graph`)
+      through the on-disk graph cache in ``cache_dir``;
+    * neither (default) — the same build, without the cache.
     """
 
-    mode: str = "generate"
     cache_dir: str | None = None
     graph: object | None = None
-    builder: Callable | None = None  # (point, seed, cache_dir) -> BipartiteGraph
 
     def validate(self) -> None:
-        if self.mode not in _GRAPH_MODES:
-            raise PlanError(
-                f"unknown graph mode {self.mode!r}; known: {', '.join(_GRAPH_MODES)}"
-            )
-        if self.mode == "cached" and not self.cache_dir:
-            raise PlanError("graph mode 'cached' needs cache_dir")
-        if self.mode == "pinned" and self.graph is None:
-            raise PlanError("graph mode 'pinned' needs a graph")
-        if self.mode != "pinned" and self.graph is not None:
-            raise PlanError(f"graph mode {self.mode!r} does not take a pinned graph")
-        if self.mode != "cached" and self.cache_dir:
-            raise PlanError(f"graph mode {self.mode!r} does not take cache_dir")
+        if self.graph is not None and self.cache_dir:
+            raise PlanError("a pinned graph is never rebuilt, so it takes no cache_dir")
 
 
 @dataclass(frozen=True)
@@ -214,37 +206,34 @@ class SeedSpec:
 class ExecSpec:
     """How tasks are dispatched.
 
-    ``"serial"`` forces in-process execution (exact tracebacks, no
-    pickling); ``"pool"``/``"auto"`` run on a process pool sized by
-    ``processes`` (``None`` = all-but-two cores).  Pool workers are
+    ``processes`` sizes the pool (``None`` = all-but-two cores; ``1``
+    runs in-process, with exact tracebacks and no pickling).
+    :func:`execute` never starts more processes than there are tasks
+    to run, except that a spool run given ``processes >= 2`` keeps a
+    supervised pool of two for a single task.  Pool workers are
     persistent for the whole map, so batched workers keep their
     :func:`~repro.parallel.pool.worker_state` engine buffers alive
     across grid points.
 
-    ``retries`` and ``task_timeout`` shape the durable path's
-    :class:`~repro.durable.supervisor.RetryPolicy` (spool-sink runs
-    only): a grid point whose worker keeps dying or overstaying the
-    timeout is quarantined as a structured failure row after
-    ``retries`` attempts instead of killing the sweep.
+    ``retries`` and ``task_timeout`` shape the spool sink's
+    :class:`~repro.durable.supervisor.RetryPolicy`: a grid point whose
+    worker keeps dying, raising or overstaying the timeout is
+    quarantined as a structured failure row after ``retries`` attempts
+    instead of killing the sweep.  The memory sink raises on the first
+    worker exception.
     """
 
-    mode: str = "auto"
     processes: int | None = None
-    chunksize: int = 1
     retries: int = 3
     task_timeout: float | None = None
 
     def validate(self) -> None:
-        if self.mode not in _EXEC_MODES:
+        if self.processes is not None and (
+            not isinstance(self.processes, int) or self.processes < 1
+        ):
             raise PlanError(
-                f"unknown exec mode {self.mode!r}; known: {', '.join(_EXEC_MODES)}"
+                f"processes must be a positive int or None; got {self.processes!r}"
             )
-        if self.mode == "serial" and self.processes not in (None, 0, 1):
-            raise PlanError(
-                f"exec mode 'serial' contradicts processes={self.processes}"
-            )
-        if self.chunksize < 1:
-            raise PlanError(f"chunksize must be >= 1; got {self.chunksize}")
         if not isinstance(self.retries, int) or self.retries < 1:
             raise PlanError(f"retries must be a positive int; got {self.retries!r}")
         if self.task_timeout is not None and self.task_timeout <= 0:
@@ -252,9 +241,6 @@ class ExecSpec:
                 f"task_timeout must be positive; got {self.task_timeout!r}"
             )
         _warn_oversubscribed(self.processes)
-
-    def resolve_processes(self) -> int | None:
-        return 1 if self.mode == "serial" else self.processes
 
 
 _OVERSUB_WARNED = False
@@ -283,13 +269,9 @@ def _warn_oversubscribed(processes: int | None) -> None:
 
 @dataclass(frozen=True)
 class ResultSpec:
-    """The results carrier: legacy record dicts or the columnar spool.
+    """Where the results live: memory (default) or the durable spool.
 
-    ``mode`` picks how rows travel and what :func:`execute` returns
-    (``"records"`` → ``list[dict]``, ``"columnar"`` →
-    :class:`~repro.parallel.aggregate.ResultTable`).  ``sink`` picks
-    where they live: ``"memory"`` (default) assembles in RAM;
-    ``"spool"`` streams every grid point's block to ``dir`` as an
+    With ``dir`` set, every grid point's block streams to ``dir`` as an
     atomic checksummed file with a JSONL journal — the durable path
     (:mod:`repro.durable`): the sweep survives worker crashes, can be
     resumed bit-identically after a SIGKILL (``execute(plan,
@@ -297,23 +279,7 @@ class ResultSpec:
     (:class:`~repro.durable.SpoolReader` iterates blocks lazily).
     """
 
-    mode: str = "records"
-    sink: str = "memory"
     dir: str | None = None
-
-    def validate(self) -> None:
-        if self.mode not in _RESULT_MODES:
-            raise PlanError(
-                f"unknown results mode {self.mode!r}; known: {', '.join(_RESULT_MODES)}"
-            )
-        if self.sink not in _RESULT_SINKS:
-            raise PlanError(
-                f"unknown results sink {self.sink!r}; known: {', '.join(_RESULT_SINKS)}"
-            )
-        if self.sink == "spool" and not self.dir:
-            raise PlanError("results sink 'spool' needs dir")
-        if self.sink != "spool" and self.dir:
-            raise PlanError(f"results sink {self.sink!r} does not take dir")
 
 
 @dataclass(frozen=True)
@@ -375,6 +341,10 @@ class RunPlan:
 
     def describe(self) -> dict:
         """A flat, log-friendly summary of every axis."""
+        if self.graph.graph is not None:
+            graph = "pinned"
+        else:
+            graph = "cached" if self.graph.cache_dir else "generate"
         return {
             "work": self.work.name or getattr(self.work.record, "__name__", "?"),
             "points": len(self.points()),
@@ -383,11 +353,9 @@ class RunPlan:
             "seed_mode": self.seeds.mode,
             "kernel": self.backend.kernel,
             "threads": self.backend.threads,
-            "graph": self.graph.mode,
-            "exec": self.execution.mode,
-            "processes": self.execution.resolve_processes(),
-            "results": self.results.mode,
-            "sink": self.results.sink,
+            "graph": graph,
+            "processes": self.execution.processes,
+            "spool": self.results.dir,
         }
 
     # -- validation ------------------------------------------------------
@@ -411,7 +379,6 @@ class RunPlan:
         self.backend.validate()
         self.graph.validate()
         self.execution.validate()
-        self.results.validate()
         if self.backend.name == "batched" and self.work.batch is None:
             raise PlanError(
                 "backend 'batched' needs work.batch (a block-of-trials callable)"
@@ -428,7 +395,7 @@ class RunPlan:
                     f"({getattr(self.work.batch, '__name__', self.work.batch)!r}) "
                     f"does not accept a {kw}= keyword"
                 )
-        if self.seeds.mode == "direct" and self.graph.mode != "pinned":
+        if self.seeds.mode == "direct" and self.graph.graph is None:
             raise PlanError(
                 "seed mode 'direct' needs a pinned graph (there is no graph "
                 "seed to build one from)"
@@ -452,12 +419,12 @@ class RunPlan:
                 f"explicit seeds: got {len(self.seeds.seeds)} for "
                 f"{self.n_tasks()} (point, trial) tasks"
             )
-        if self.results.sink == "spool":
+        if self.results.dir:
             from .durable.journal import seed_token
 
             if seed_token(self.seeds) is None:
                 raise PlanError(
-                    "results sink 'spool' needs a reproducible seed lineage "
+                    "the spool needs a reproducible seed lineage "
                     "(an int root or entropy-bearing SeedSequence); OS-entropy "
                     "seeds cannot resume bit-identically"
                 )
@@ -475,18 +442,19 @@ def _accepts_kw(fn: Callable, name: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The two canonical workers (picklable; replace per-experiment adapters).
+# The two canonical workers: one (point, seeds, trials) task → one block.
 # ---------------------------------------------------------------------------
 
 
 class PerTrialWorker:
     """Canonical per-trial execution path: resolve graph, run ``record``.
 
-    Handles every graph mode with the same seed discipline: under
-    ``pair_seeds`` the task seed spawns a ``(graph, protocol)`` pair —
-    pinned topologies consume only the protocol half, so a (point,
-    trial)'s protocol stream is identical across graph modes; the
-    statistical difference is only what the estimate conditions on.
+    Loops over the task's trials in order.  Under ``pair_seeds`` each
+    task seed spawns a ``(graph, protocol)`` pair and the trial builds
+    its own graph from the graph half; a pinned topology consumes only
+    the protocol half, so a (point, trial)'s protocol stream is
+    identical across graph sources — the statistical difference is only
+    what the estimate conditions on.
     """
 
     def __init__(
@@ -495,38 +463,35 @@ class PerTrialWorker:
         *,
         pinned: bool = False,
         pair_seeds: bool = True,
-        builder: Callable | None = None,
         cache_dir: str | None = None,
     ):
         self.record = record
         self.pinned = pinned
         self.pair_seeds = pair_seeds
-        self.builder = builder or build_point_graph
         self.cache_dir = cache_dir
 
-    def __call__(self, *task) -> dict:
-        if self.pinned:
-            graph, point, seed_seq, _trial = task
-        else:
-            point, seed_seq, _trial = task
-        if self.pair_seeds:
-            g_seed, p_seed = seed_seq.spawn(2)
-        else:
-            g_seed, p_seed = None, seed_seq
-        if not self.pinned:
-            graph = self.builder(point, g_seed, self.cache_dir)
-        return self.record(graph, point, p_seed)
+    def __call__(self, task) -> ResultBlock:
+        point, seeds, trials = task
+        graph = current_task_graph() if self.pinned else None
+        records = []
+        for seed in seeds:
+            g_seed, p_seed = seed.spawn(2) if self.pair_seeds else (None, seed)
+            if not self.pinned:
+                graph = build_point_graph(point, g_seed, self.cache_dir)
+            records.append(self.record(graph, point, p_seed))
+        return ResultBlock.from_records(point, trials, records)
 
 
 class BatchWorker:
-    """Canonical batched execution path: one task per point's trial block.
+    """Canonical batched execution path: a point's trial block at once.
 
     Spawns the same per-trial ``(graph, protocol)`` seed pairs as
     :class:`PerTrialWorker`, builds one graph per point (from the first
     trial's graph seed) unless pinned, and hands the protocol seeds to
     ``batch`` — so trial ``r`` of a point consumes a protocol stream
     bit-identical to the reference path's; the batched backend
-    conditions a point's trials on a single graph draw.
+    conditions a point's trials on a single graph draw.  Records the
+    batch function returns are packed into one block worker-side.
     """
 
     def __init__(
@@ -535,7 +500,6 @@ class BatchWorker:
         *,
         pinned: bool = False,
         pair_seeds: bool = True,
-        builder: Callable | None = None,
         cache_dir: str | None = None,
         kernel: str | None = None,
         threads: int | None = None,
@@ -544,37 +508,41 @@ class BatchWorker:
         self.batch = batch
         self.pinned = pinned
         self.pair_seeds = pair_seeds
-        self.builder = builder or build_point_graph
         self.cache_dir = cache_dir
-        self.kernel = kernel
-        self.threads = threads
-        self.seed_mode = seed_mode
+        # kernel and threads travel in the pickled worker: an explicit
+        # plan-level thread budget reaches pool processes even though
+        # their REPRO_KERNEL_THREADS environment half is reset to 1.
+        self.kwargs = {
+            k: v
+            for k, v in (("kernel", kernel), ("threads", threads), ("seed_mode", seed_mode))
+            if v is not None
+        }
 
-    def __call__(self, *task):
-        if self.pinned:
-            graph, point, seed_seqs, _trials = task
-        else:
-            point, seed_seqs, _trials = task
+    def __call__(self, task) -> ResultBlock:
+        point, seeds, trials = task
         if self.pair_seeds:
-            pairs = [ss.spawn(2) for ss in seed_seqs]
+            pairs = [seed.spawn(2) for seed in seeds]
             p_seeds = [p_seed for _g_seed, p_seed in pairs]
         else:
-            pairs = None
-            p_seeds = list(seed_seqs)
-        if not self.pinned:
-            g_seed = pairs[0][0] if pairs else None
-            graph = self.builder(point, g_seed, self.cache_dir)
-        kwargs = {}
-        if self.kernel is not None:
-            kwargs["kernel"] = self.kernel
-        if self.threads is not None:
-            # Travels in the pickled worker: an explicit plan-level
-            # thread budget reaches pool processes even though their
-            # REPRO_KERNEL_THREADS environment half is reset to 1.
-            kwargs["threads"] = self.threads
-        if self.seed_mode is not None:
-            kwargs["seed_mode"] = self.seed_mode
-        return self.batch(graph, point, p_seeds, **kwargs)
+            p_seeds = list(seeds)
+        if self.pinned:
+            graph = current_task_graph()
+        else:
+            graph = build_point_graph(point, pairs[0][0], self.cache_dir)
+        result = self.batch(graph, point, p_seeds, **self.kwargs)
+        if isinstance(result, ResultBlock):
+            if result.n_trials != len(trials):
+                raise ValueError(
+                    f"batched work returned a block of {result.n_trials} "
+                    f"trials for {len(trials)} trials"
+                )
+            return result
+        records = list(result)
+        if len(records) != len(trials):
+            raise ValueError(
+                f"batched work returned {len(records)} records for {len(trials)} trials"
+            )
+        return ResultBlock.from_records(point, trials, records)
 
 
 # ---------------------------------------------------------------------------
@@ -582,46 +550,66 @@ class BatchWorker:
 # ---------------------------------------------------------------------------
 
 
-def _capped_threads(plan: RunPlan) -> int | None:
+def _cut_tasks(points, seeds, trials: int, indices, per_trial: bool) -> list[tuple]:
+    """``(point, seeds, trials)`` tasks for the grid points ``indices``.
+
+    Point ``i``'s trials own the seed slice ``[i·trials, (i+1)·trials)``
+    of the point-major spawn, whatever the task granularity.
+    """
+    if not trials:
+        return []
+    if per_trial:
+        return [
+            (points[i], [seeds[i * trials + t]], [t])
+            for i in indices
+            for t in range(trials)
+        ]
+    return [
+        (points[i], seeds[i * trials : (i + 1) * trials], list(range(trials)))
+        for i in indices
+    ]
+
+
+def _resolve_processes(requested: int | None, n_tasks: int) -> int:
+    """The one process count of a run: never more than its tasks."""
+    from .parallel.pool import default_processes
+
+    if requested is None:
+        return default_processes(n_tasks)
+    return max(1, min(requested, n_tasks))
+
+
+def _capped_threads(threads: int | None, nproc: int) -> int | None:
     """The plan's kernel-thread budget, capped against its process count.
 
     Threads multiply processes — an explicit ``BackendSpec(threads=8)``
     on an 8-core box dispatched to an 8-worker pool would run 64
     runnable threads.  The cap keeps threads × processes at or below
-    the core count (serial runs keep the full budget); the capped value
-    travels inside the pickled worker.
+    the core count (in-process runs keep the full budget); the capped
+    value travels inside the pickled worker.
     """
-    threads = plan.backend.threads
-    if threads is None or threads <= 1:
+    if threads is None or threads <= 1 or nproc <= 1:
         return threads
-    from .parallel.pool import available_cpus, default_processes
+    from .parallel.pool import available_cpus
 
-    nproc = plan.execution.resolve_processes()
-    if nproc is None:
-        # The batched backend dispatches one task per grid point.
-        nproc = default_processes(len(plan.points()))
-    if nproc <= 1:
-        return threads
-    cores = available_cpus()
-    return max(1, min(threads, cores // nproc))
+    return max(1, min(threads, available_cpus() // nproc))
 
 
-def _build_worker(plan: RunPlan):
-    """The plan's canonical picklable worker + its sweep backend name."""
-    pinned = plan.graph.mode == "pinned"
+def _build_worker(plan: RunPlan, nproc: int):
+    """The plan's canonical picklable worker."""
+    pinned = plan.graph.graph is not None
+    cache_dir = plan.graph.cache_dir or None
     # philox keeps the (graph, protocol) pair spawn — only the protocol
     # halves' interpretation changes, inside the engine
-    pair = plan.seeds.mode in ("pair", "philox")
-    cache_dir = plan.graph.cache_dir if plan.graph.mode == "cached" else None
+    pair = plan.seeds.mode != "direct"
     if plan.backend.name == "batched":
-        worker = BatchWorker(
+        return BatchWorker(
             plan.work.batch,
             pinned=pinned,
             pair_seeds=pair,
-            builder=plan.graph.builder,
             cache_dir=cache_dir,
             kernel=plan.backend.kernel,
-            threads=_capped_threads(plan),
+            threads=_capped_threads(plan.backend.threads, nproc),
             # Pin the plan's seed mode whenever the batch fn can take it:
             # a plan's bits must not depend on REPRO_SEED_MODE in the
             # worker's environment.  Legacy batch fns without the keyword
@@ -633,138 +621,113 @@ def _build_worker(plan: RunPlan):
                 else None
             ),
         )
-        return worker, "batched"
-    worker = PerTrialWorker(
-        plan.work.record,
-        pinned=pinned,
-        pair_seeds=pair,
-        builder=plan.graph.builder,
-        cache_dir=cache_dir,
-    )
-    return worker, "per_trial"
+    return PerTrialWorker(plan.work.record, pinned=pinned, pair_seeds=pair, cache_dir=cache_dir)
 
 
-def execute(plan: RunPlan, *, resume: str | os.PathLike | None = None):
+def execute(plan: RunPlan, *, resume: str | os.PathLike | None = None) -> ResultTable:
     """Run a validated :class:`RunPlan`; the one dispatch pipeline.
 
     Owns backend resolution (reference/batched + kernel gate), graph
     provisioning (generate / cached / pinned zero-copy), dispatch
-    (serial, pool, persistent workers), and the results carrier
-    (``records`` → ``list[dict]``, ``columnar`` →
-    :class:`~repro.parallel.aggregate.ResultTable`).  Record content is
-    identical across every axis combination; seeds follow the
-    (point, trial) spawning contract, so switching any axis never
-    changes a trial's randomness.
+    (in-process or a pool of persistent workers), and the sink.  It
+    returns a :class:`~repro.parallel.aggregate.ResultTable` with one
+    row per (point, trial): the point's parameters, the trial index,
+    and the record fields.  Record content is identical across every
+    axis combination; seeds follow the (point, trial) spawning
+    contract, so switching any axis never changes a trial's randomness.
 
-    ``ResultSpec(sink="spool", dir=...)`` routes the run through the
-    durable path (:mod:`repro.durable`): per-grid-point blocks stream
-    to disk under a crash-supervised pool, and ``resume=dir`` replays
-    the journal of an interrupted run — completed points load from
-    their checksummed blocks, missing ones re-run with their original
-    seeds, and the assembled table is bit-identical to a run that was
-    never interrupted (a plan whose fingerprint disagrees with the
-    journal raises :class:`~repro.errors.ResumeMismatchError` instead).
-    ``resume=`` on a plan without a spool sink adopts ``dir`` as the
-    spool, so ``execute(plan, resume=d)`` alone round-trips.
+    ``ResultSpec(dir=...)`` routes the blocks to the durable spool
+    (:mod:`repro.durable`): one checksummed block file and one journal
+    line per grid point, dispatched under a crash supervisor that
+    quarantines a failing point instead of raising.  ``resume=dir``
+    replays the journal of an interrupted run — completed points load
+    from their checksummed blocks, missing ones re-run with their
+    original seeds, and the assembled table is bit-identical to a run
+    that was never interrupted (a plan whose fingerprint disagrees with
+    the journal raises :class:`~repro.errors.ResumeMismatchError`
+    instead).  ``resume=`` on a plan without a spool adopts ``dir`` as
+    the spool, so ``execute(plan, resume=d)`` alone round-trips.
     """
     if resume is not None:
-        rs = plan.results
-        if rs.sink == "spool" and rs.dir and Path(rs.dir).resolve() != Path(resume).resolve():
-            raise PlanError(
-                f"resume={str(resume)!r} contradicts results.dir={rs.dir!r}"
-            )
-        plan = plan.override(results=replace(rs, sink="spool", dir=str(resume)))
+        spool = plan.results.dir
+        if spool and Path(spool).resolve() != Path(resume).resolve():
+            raise PlanError(f"resume={str(resume)!r} contradicts results.dir={spool!r}")
+        plan = plan.override(results=ResultSpec(dir=str(resume)))
     plan.validate()
-    if plan.results.sink == "spool":
-        return _execute_durable(plan)
-    worker, sweep_backend = _build_worker(plan)
-    return run_sweep(
-        worker,
-        plan.grid,
-        n_trials=plan.trials,
-        seed=plan.seeds.root,
-        seeds=plan.seeds.seeds,
-        processes=plan.execution.resolve_processes(),
-        chunksize=plan.execution.chunksize,
-        backend=sweep_backend,
-        graph=plan.graph.graph if plan.graph.mode == "pinned" else None,
-        results=plan.results.mode,
-    )
-
-
-def _execute_durable(plan: RunPlan):
-    """The spool-sink pipeline: journal, supervised dispatch, assembly.
-
-    The unit of work is one grid point under *both* backends — the
-    reference backend's per-trial worker is looped over a point's trial
-    block in-process (:class:`~repro.parallel.sweep._TrialBlockRunner`)
-    — so every finished point is one atomic checksummed block file plus
-    one journal line, and crash/timeout blame lands on whole points.
-    Completed points found in a matching journal are skipped (their
-    blocks re-verified by checksum first); quarantined or torn points
-    re-run with the seeds the full spawn assigns them, which is what
-    makes a resumed table bit-identical to an uninterrupted one.
-    """
-    from .durable.journal import JOURNAL_NAME, JournalWriter, plan_fingerprint
-    from .durable.spool import SpoolReader, write_block
-    from .durable.supervisor import RetryPolicy, TaskFailure
-    from .errors import ResumeMismatchError
-    from .parallel.pool import default_processes, map_parallel
-    from .parallel.shared import graph_context
-    from .parallel.sweep import _BatchPointRunner, _TrialBlockRunner
-    from .rng import spawn_seeds
-
     points = plan.points()
     trials = plan.trials
-    fingerprint = plan_fingerprint(plan)
-    root = Path(plan.results.dir)
-    root.mkdir(parents=True, exist_ok=True)
-    journal_path = root / JOURNAL_NAME
-
-    done: dict[int, dict] = {}
-    fresh = not journal_path.exists()
-    if not fresh:
-        reader = SpoolReader(root)
-        found = reader.header.get("fingerprint")
-        if found != fingerprint:
-            raise ResumeMismatchError(
-                f"{journal_path}: journal belongs to a different plan "
-                f"(fingerprint {str(found)[:12]}…, this plan {fingerprint[:12]}…)"
-            )
-        done = reader.verified_completed()
+    spool = Path(plan.results.dir) if plan.results.dir else None
+    fingerprint, done = _open_spool(plan, spool) if spool else (None, {})
     pending = [i for i in range(len(points)) if i not in done]
-
-    nproc = plan.execution.resolve_processes()
-    if nproc is None:
-        nproc = default_processes(max(1, len(pending)))
-
     if plan.seeds.seeds is not None:
         seeds = list(plan.seeds.seeds)
     else:
         seeds = spawn_seeds(plan.seeds.root, len(points) * trials)
+    per_trial = spool is None and plan.backend.name == "reference"
+    tasks = _cut_tasks(points, seeds, trials, pending, per_trial)
+    nproc = _resolve_processes(plan.execution.processes, len(tasks))
+    worker = _build_worker(plan, nproc)
+    if spool is None:
+        return assemble_blocks(
+            run_sweep(worker, tasks, processes=nproc, graph=plan.graph.graph)
+        )
+    return _spool_sink(plan, spool, fingerprint, points, pending, tasks, worker, nproc)
 
-    worker, sweep_backend = _build_worker(plan)
-    pinned = plan.graph.mode == "pinned"
-    if sweep_backend == "batched":
-        runner = _BatchPointRunner(worker, with_graph=pinned, columnar=True)
-    else:
-        runner = _TrialBlockRunner(worker, with_graph=pinned)
-    tasks = [
-        (points[i], seeds[i * trials : (i + 1) * trials], list(range(trials)))
-        for i in pending
-    ]
-    if trials == 0:
-        tasks = []
-        pending = []
 
-    writer = JournalWriter(journal_path)
+def _open_spool(plan: RunPlan, root: Path) -> tuple[str, dict[int, dict]]:
+    """The plan's fingerprint and the verified completed points in ``root``.
+
+    A spool without a journal is fresh (nothing done).  An existing
+    journal must carry this plan's fingerprint; its completed points
+    count only if their block files still match their checksums, so
+    torn or missing blocks re-run.
+    """
+    from .durable.journal import JOURNAL_NAME, plan_fingerprint
+    from .durable.spool import SpoolReader
+
+    fingerprint = plan_fingerprint(plan)
+    root.mkdir(parents=True, exist_ok=True)
+    if not (root / JOURNAL_NAME).exists():
+        return fingerprint, {}
+    reader = SpoolReader(root)
+    found = reader.header.get("fingerprint")
+    if found != fingerprint:
+        raise ResumeMismatchError(
+            f"{root / JOURNAL_NAME}: journal belongs to a different plan "
+            f"(fingerprint {str(found)[:12]}…, this plan {fingerprint[:12]}…)"
+        )
+    return fingerprint, reader.verified_completed()
+
+
+def _spool_sink(plan, root, fingerprint, points, pending, tasks, worker, nproc):
+    """Write each point's block and journal line as it lands, then read back.
+
+    Tasks are one per pending point, so task ``pos`` is grid point
+    ``pending[pos]``.  A point whose worker keeps failing is journaled
+    as a failure after ``ExecSpec.retries`` attempts; one the supervisor
+    lost terminally stays pending for the next resume.
+
+    A plan that asked for a pool keeps one even with a single task to
+    run: only a task in a worker process can be timed out, or crash
+    without taking the run down with it.
+    """
+    from .durable.journal import JOURNAL_NAME, JournalWriter
+    from .durable.spool import SpoolReader, write_block
+    from .durable.supervisor import RetryPolicy, TaskFailure
+
+    if (plan.execution.processes or 1) > 1:
+        nproc = max(nproc, 2)
+
+    journal = root / JOURNAL_NAME
+    fresh = not journal.exists()
+    writer = JournalWriter(journal)
     try:
         if fresh:
             writer.write_header(
                 fingerprint=fingerprint,
                 work=plan.work.name or getattr(plan.work.record, "__name__", "?"),
                 points=len(points),
-                trials=trials,
+                trials=plan.trials,
                 backend=plan.backend.name,
                 processes=nproc,
             )
@@ -794,28 +757,10 @@ def _execute_durable(plan: RunPlan):
             retry_exceptions=True,
             on_failure="return",
         )
-        if tasks:
-            if pinned:
-                with graph_context(plan.graph.graph, processes=nproc) as (
-                    _view,
-                    initializer,
-                    initargs,
-                ):
-                    map_parallel(
-                        runner,
-                        tasks,
-                        processes=nproc,
-                        initializer=initializer,
-                        initargs=initargs,
-                        policy=policy,
-                        on_result=persist,
-                    )
-            else:
-                map_parallel(
-                    runner, tasks, processes=nproc, policy=policy, on_result=persist
-                )
+        run_sweep(
+            worker, tasks, processes=nproc, graph=plan.graph.graph,
+            policy=policy, on_result=persist,
+        )
     finally:
         writer.close()
-
-    table = SpoolReader(root).table()
-    return table if plan.results.mode == "columnar" else table.to_records()
+    return SpoolReader(root).table()

@@ -198,3 +198,35 @@ class TestSmokeCommand:
         out = capsys.readouterr().out
         assert "Plan smoke" in out
         assert out.count("E1") >= 2  # one row per backend
+
+
+class TestPlanErrorsReported:
+    """A plan the library rejects is an ``error:`` line and exit 2, like
+    an unknown experiment — never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "E1", "--trials", "-1"],
+            ["run", "E1", "--trials", "1", "--seed-mode", "philox"],
+            ["run", "E1", "--trials", "1", "--backend", "batched", "--kernel-threads", "0"],
+            ["run", "E1", "--trials", "1", "--processes", "0"],
+            ["run", "ablations", "--trials", "1", "--processes", "-3"],
+        ],
+        ids=["negative-trials", "philox-on-reference", "zero-threads", "zero-processes",
+             "negative-processes"],
+    )
+    def test_rejected_plan_exits_2(self, argv, capsys, monkeypatch):
+        # main() exports REPRO_SEED_MODE for --seed-mode; roll it back.
+        monkeypatch.setenv("REPRO_SEED_MODE", "pair")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_resume_of_another_plan_exits_2(self, capsys, tmp_path):
+        spool = str(tmp_path / "spool")
+        args = ["run", "E1", "--trials", "1", "--processes", "1", "--spool", spool]
+        assert main(args) == 0
+        capsys.readouterr()
+        assert main(["run", "E1", "--trials", "2", "--processes", "1", "--resume", spool]) == 2
+        assert capsys.readouterr().err.startswith("error: ")

@@ -50,6 +50,7 @@ from repro.errors import (
     SpoolCorruptError,
     WorkerCrashError,
 )
+from repro.parallel import assemble_blocks
 from repro.parallel.sweep import ParameterGrid
 from repro.plan import (
     BackendSpec,
@@ -123,6 +124,11 @@ def _seeded_record(graph, point, seed):
 
 def _seeded_batch(graph, point, seeds):
     return [_seeded_record(graph, point, s) for s in seeds]
+
+
+def _overstaying_record(graph, point, seed):
+    time.sleep(10.0)
+    return _seeded_record(graph, point, seed)
 
 
 def _poison_point_record(graph, point, seed):
@@ -322,14 +328,39 @@ class TestPlanFingerprint:
         base = plan_fingerprint(_fingerprint_plan())
         same = [
             _fingerprint_plan(execution=ExecSpec(processes=4)),
-            _fingerprint_plan(execution=ExecSpec(mode="serial")),
-            _fingerprint_plan(results=ResultSpec(mode="records")),
-            _fingerprint_plan(
-                results=ResultSpec(mode="columnar", sink="spool", dir="/tmp/x")
-            ),
+            _fingerprint_plan(execution=ExecSpec(processes=1)),
+            _fingerprint_plan(graph=GraphSpec(cache_dir="/tmp/cache")),
+            _fingerprint_plan(results=ResultSpec(dir="/tmp/x")),
         ]
         for plan in same:
             assert plan_fingerprint(plan) == base
+
+    def test_fingerprints_of_existing_spools_are_stable(self):
+        """The hex of one plan per graph source, as computed before the
+        plan fields that never reached the hash were removed: a spool
+        written then must still resume."""
+        from repro.experiments.runners import _saer_plan
+        from repro.graphs.families import build_point_graph
+
+        grid = ParameterGrid(n=[64], c=[1.5, 4.0], d=[4])
+        graph = build_point_graph({"n": 64}, np.random.SeedSequence(13).spawn(5)[-1])
+        plans = {
+            "generate": _saer_plan(grid, trials=2, seed=13, processes=1),
+            "cached": _saer_plan(
+                grid, trials=2, seed=13, processes=1, graph_cache="/nonexistent/cache"
+            ),
+            "pinned": _saer_plan(grid, trials=2, seed=13, processes=1, graph=graph),
+            "batched-spool": _saer_plan(
+                grid, trials=2, seed=13, processes=1, backend="batched", spool="/x"
+            ),
+        }
+        want = {
+            "generate": "b945456f1bc9f06809b777c311b35e449d6e35721bfd7492741bbe6cce927258",
+            "cached": "b945456f1bc9f06809b777c311b35e449d6e35721bfd7492741bbe6cce927258",
+            "pinned": "b34e92eb133122e5d2c7c0e83ba64e02aa933902c968473b8e4f0fe984417e6f",
+            "batched-spool": "f6e301c97e29d8ca84546043f3107fef65793001399c3d98449728abbecb76cd",
+        }
+        assert {k: plan_fingerprint(p) for k, p in plans.items()} == want
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +389,7 @@ class TestSpool:
         assert back.point == block.point
         assert back.fields == block.fields  # order preserved
         np.testing.assert_array_equal(back.trials, block.trials)
-        assert back.records() == block.records()
+        assert assemble_blocks([back]).equals(assemble_blocks([block]))
 
     def test_object_column_survives_without_pickle(self, tmp_path):
         rel, sha = write_block(tmp_path, 0, _sample_block())
@@ -396,7 +427,7 @@ class TestSpool:
             "attempts": 4,
         }
         block = failure_block(entry)
-        (row,) = block.records()
+        (row,) = assemble_blocks([block])
         assert row["trial"] == -1
         assert row["failed"] is True and row["failure_kind"] == "crash"
 
@@ -412,14 +443,11 @@ def _durable_plan(spool_dir=None, **overrides):
         work=WorkSpec(record=_seeded_record, batch=_seeded_batch, name="durable-test"),
         trials=2,
         seeds=SeedSpec(root=123),
-        results=ResultSpec(mode="columnar"),
     )
     base.update(overrides)
     plan = RunPlan(**base)
     if spool_dir is not None:
-        plan = plan.override(
-            results=ResultSpec(mode="columnar", sink="spool", dir=str(spool_dir))
-        )
+        plan = plan.override(results=ResultSpec(dir=str(spool_dir)))
     return plan
 
 
@@ -437,13 +465,6 @@ class TestDurableExecute:
             _durable_plan(tmp_path / "spool", execution=ExecSpec(processes=2))
         )
         assert spooled.equals(control)
-
-    def test_records_mode(self, tmp_path):
-        control = execute(_durable_plan(results=ResultSpec(mode="records")))
-        plan = _durable_plan().override(
-            results=ResultSpec(mode="records", sink="spool", dir=str(tmp_path / "s"))
-        )
-        assert execute(plan) == control
 
     def test_rerun_replays_without_recompute(self, tmp_path):
         spool = tmp_path / "spool"
@@ -509,6 +530,22 @@ class TestDurableExecute:
         # The quarantine is journaled, so a later resume sees it too.
         reader = SpoolReader(tmp_path / "spool")
         assert set(reader.failures) == {1}
+
+    def test_one_point_spool_run_stays_supervised(self, tmp_path):
+        # One task at processes=2 still runs in a pool worker: in-process,
+        # the timeout could not fire and the record would sleep it out.
+        plan = _durable_plan(
+            tmp_path / "spool",
+            grid=ParameterGrid(n=[64]),
+            trials=1,
+            work=WorkSpec(record=_overstaying_record, name="overstay-test"),
+            execution=ExecSpec(processes=2, retries=1, task_timeout=0.5),
+        )
+        t0 = time.monotonic()
+        (row,) = execute(plan)
+        assert time.monotonic() - t0 < 8.0
+        assert row["trial"] == -1 and row["failure_kind"] == "timeout"
+        assert set(SpoolReader(tmp_path / "spool").failures) == {0}
 
     def test_journal_header_records_resolved_processes(self, tmp_path):
         spool = tmp_path / "spool"

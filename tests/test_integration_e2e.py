@@ -10,19 +10,33 @@ import numpy as np
 import repro
 from repro.analysis import fit_powerlaw, format_table
 from repro.graphs.io import load_npz, save_npz
-from repro.parallel import ParameterGrid, run_sweep, summarize
+from repro.parallel import ParameterGrid, summarize
+from repro.plan import ExecSpec, RunPlan, SeedSpec, WorkSpec, execute
 
 
-def _trial(point, seed_seq, trial):
-    g_seed, p_seed = seed_seq.spawn(2)
-    g = repro.graphs.trust_subsets(point["n"], point["n"], point["k"], seed=g_seed)
-    res = repro.run_saer(g, point["c"], point["d"], seed=p_seed)
+def _trial(graph, point, p_seed):
+    res = repro.run_saer(graph, point["c"], point["d"], seed=p_seed)
     return {
         "completed": res.completed,
         "rounds": res.rounds,
         "work": res.work,
         "max_load": res.max_load,
     }
+
+
+def _sweep(grid, trials, seed, *, processes):
+    """The plan's worker builds each trial's trust-subsets graph
+    (``family="trust"``, degree ``k``) from the trial seed's graph half."""
+    points = [
+        dict(p, family="trust", degree=p["k"]) for p in grid.points()
+    ]
+    return execute(RunPlan(
+        grid=points,
+        work=WorkSpec(record=_trial, name="e2e"),
+        trials=trials,
+        seeds=SeedSpec(root=seed),
+        execution=ExecSpec(processes=processes),
+    ))
 
 
 class TestEndToEnd:
@@ -41,7 +55,7 @@ class TestEndToEnd:
 
         # 3. parallel sweep over n with per-trial independence
         grid = ParameterGrid(n=[64, 128, 256], k=[36], c=[2.0], d=[4])
-        recs = run_sweep(_trial, grid, n_trials=3, seed=11, processes=2)
+        recs = _sweep(grid, 3, 11, processes=2)
         assert len(recs) == 9
         assert all(r["completed"] for r in recs)
 
@@ -65,6 +79,6 @@ class TestEndToEnd:
 
     def test_pipeline_reproducible_across_process_counts(self):
         grid = ParameterGrid(n=[64], k=[36], c=[2.0], d=[4])
-        serial = run_sweep(_trial, grid, n_trials=4, seed=13, processes=1)
-        parallel = run_sweep(_trial, grid, n_trials=4, seed=13, processes=4)
-        assert serial == parallel
+        serial = _sweep(grid, 4, 13, processes=1)
+        parallel = _sweep(grid, 4, 13, processes=4)
+        assert list(serial) == list(parallel)

@@ -3,28 +3,58 @@
 import numpy as np
 import pytest
 
+from repro.errors import PlanError
+from repro.graphs import random_regular_bipartite
 from repro.parallel import (
     ParameterGrid,
     aggregate_records,
     map_parallel,
-    run_sweep,
     summarize,
 )
 from repro.parallel.pool import default_processes
+from repro.plan import (
+    BackendSpec,
+    ExecSpec,
+    GraphSpec,
+    RunPlan,
+    SeedSpec,
+    WorkSpec,
+    execute,
+)
 
 
 def _square(x):
     return x * x
 
 
-def _point(point, seed_seq, trial):
+def _point(graph, point, seed_seq):
     rng = np.random.default_rng(seed_seq)
     return {"value": point["a"] * 10 + float(rng.random())}
 
 
-def _point_block(point, seed_seqs, trials):
+def _point_block(graph, point, seed_seqs):
     """Batch-capable twin of _point: one call per grid point."""
-    return [_point(point, s, t) for s, t in zip(seed_seqs, trials)]
+    return [_point(graph, point, s) for s in seed_seqs]
+
+
+_GRAPH = random_regular_bipartite(8, 2, seed=0)
+
+
+def _sweep(grid, trials, seed, *, processes=1, record=_point, batch=None):
+    """``execute`` with each task seed handed unsplit to the work.
+
+    The work ignores its (pinned) graph, so the reference backend calls
+    ``record`` and the batched backend ``batch`` on the same seeds.
+    """
+    return execute(RunPlan(
+        grid=grid,
+        work=WorkSpec(record=record, batch=batch),
+        trials=trials,
+        seeds=SeedSpec(root=seed, mode="direct"),
+        backend=BackendSpec(name="batched" if batch is not None else "reference"),
+        graph=GraphSpec(graph=_GRAPH),
+        execution=ExecSpec(processes=processes),
+    ))
 
 
 class TestMapParallel:
@@ -44,12 +74,12 @@ class TestMapParallel:
 
 
 class TestMonteCarlo:
-    """Trials at one setting: :func:`run_sweep` on a one-point grid,
-    which spawns the per-trial seeds ``spawn_seeds(seed, n_trials)``."""
+    """Trials at one setting: ``execute`` on a one-point grid, which
+    spawns the per-trial seeds ``spawn_seeds(seed, n_trials)``."""
 
     @staticmethod
     def _run(n_trials, seed, processes=1):
-        return run_sweep(_point, [{"a": 0}], n_trials=n_trials, seed=seed, processes=processes)
+        return list(_sweep([{"a": 0}], n_trials, seed, processes=processes))
 
     def test_trial_count_and_order(self):
         out = self._run(5, seed=1)
@@ -70,7 +100,7 @@ class TestMonteCarlo:
         assert self._run(0, seed=0) == []
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PlanError):
             self._run(-1, seed=0)
 
 
@@ -101,35 +131,37 @@ class TestParameterGrid:
 class TestRunSweep:
     def test_record_shape(self):
         grid = ParameterGrid(a=[1, 2])
-        recs = run_sweep(_point, grid, n_trials=3, seed=0, processes=1)
+        recs = _sweep(grid, 3, 0)
         assert len(recs) == 6
         assert {r["a"] for r in recs} == {1, 2}
         assert {r["trial"] for r in recs} == {0, 1, 2}
 
     def test_deterministic_and_pool_invariant(self):
         grid = ParameterGrid(a=[1, 2, 3])
-        a = run_sweep(_point, grid, n_trials=2, seed=9, processes=1)
-        b = run_sweep(_point, grid, n_trials=2, seed=9, processes=3)
-        assert a == b
+        a = _sweep(grid, 2, 9, processes=1)
+        b = _sweep(grid, 2, 9, processes=3)
+        assert list(a) == list(b)
 
     def test_batched_backend_matches_per_trial(self):
         # Same (point, trial) seeds under both backends ⇒ same records.
         grid = ParameterGrid(a=[1, 2, 3])
-        a = run_sweep(_point, grid, n_trials=4, seed=9, processes=1)
-        b = run_sweep(
-            _point_block, grid, n_trials=4, seed=9, processes=1, backend="batched"
-        )
-        assert a == b
+        a = _sweep(grid, 4, 9)
+        b = _sweep(grid, 4, 9, batch=_point_block)
+        assert list(a) == list(b)
 
     def test_batched_backend_pool_invariant(self):
         grid = ParameterGrid(a=[1, 2])
-        a = run_sweep(_point_block, grid, n_trials=3, seed=5, processes=1, backend="batched")
-        b = run_sweep(_point_block, grid, n_trials=3, seed=5, processes=2, backend="batched")
-        assert a == b
+        a = _sweep(grid, 3, 5, processes=1, batch=_point_block)
+        b = _sweep(grid, 3, 5, processes=2, batch=_point_block)
+        assert list(a) == list(b)
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            run_sweep(_point, ParameterGrid(a=[1]), backend="gpu")
+        plan = RunPlan(
+            grid=ParameterGrid(a=[1]), work=WorkSpec(record=_point),
+            backend=BackendSpec(name="gpu"),
+        )
+        with pytest.raises(PlanError, match="unknown backend"):
+            execute(plan)
 
 
 class TestSummarize:
@@ -185,90 +217,62 @@ from repro.batch.results import ResultBlock  # noqa: E402
 from repro.parallel import ResultTable, assemble_blocks  # noqa: E402
 
 
-def _point_block_as_block(point, seed_seqs, trials):
+def _point_block_as_block(graph, point, seed_seqs):
     """Batch worker that returns a ResultBlock directly."""
-    records = [_point(point, s, t) for s, t in zip(seed_seqs, trials)]
-    return ResultBlock.from_records(point, trials, records)
+    records = [_point(graph, point, s) for s in seed_seqs]
+    return ResultBlock.from_records(point, range(len(records)), records)
 
 
-def _short_block(point, seed_seqs, trials):
-    return ResultBlock.from_records(point, trials[:1], [{"value": 0.0}])
+def _short_block(graph, point, seed_seqs):
+    return ResultBlock.from_records(point, [0], [{"value": 0.0}])
 
 
 class TestColumnarSweep:
-    """results="columnar" must be record-for-record identical."""
+    """Every sweep returns a ``ResultTable`` whose rows are exactly the
+    ``{**point, "trial": t, **record}`` dicts."""
 
     GRID = dict(a=[1, 2, 3], b=["x", "y"])
 
+    @staticmethod
+    def _records(grid, trials, seed):
+        """The rows a sweep must produce, built by hand."""
+        seeds = iter(np.random.SeedSequence(seed).spawn(len(grid) * trials))
+        return [
+            {**point, "trial": t, **_point(None, point, next(seeds))}
+            for point in grid.points()
+            for t in range(trials)
+        ]
+
     def test_batched_columnar_matches_records(self):
         grid = ParameterGrid(**self.GRID)
-        recs = run_sweep(
-            _point_block, grid, n_trials=4, seed=9, processes=1, backend="batched"
-        )
-        table = run_sweep(
-            _point_block, grid, n_trials=4, seed=9, processes=1,
-            backend="batched", results="columnar",
-        )
+        table = _sweep(grid, 4, 9, batch=_point_block)
         assert isinstance(table, ResultTable)
-        assert list(table) == recs
+        assert list(table) == self._records(grid, 4, 9)
 
     def test_per_trial_columnar_matches_records(self):
         grid = ParameterGrid(**self.GRID)
-        recs = run_sweep(_point, grid, n_trials=3, seed=2, processes=1)
-        table = run_sweep(
-            _point, grid, n_trials=3, seed=2, processes=1, results="columnar"
-        )
-        assert list(table) == recs
+        table = _sweep(grid, 3, 2)
+        assert isinstance(table, ResultTable)
+        assert list(table) == self._records(grid, 3, 2)
 
     def test_parallel_columnar_matches_serial(self):
         grid = ParameterGrid(a=[1, 2], b=["x"])
-        a = run_sweep(
-            _point_block, grid, n_trials=4, seed=5, processes=1,
-            backend="batched", results="columnar",
-        )
-        b = run_sweep(
-            _point_block, grid, n_trials=4, seed=5, processes=2,
-            backend="batched", results="columnar",
-        )
+        a = _sweep(grid, 4, 5, processes=1, batch=_point_block)
+        b = _sweep(grid, 4, 5, processes=2, batch=_point_block)
         assert list(a) == list(b)
 
     def test_point_fn_may_return_blocks(self):
         grid = ParameterGrid(**self.GRID)
-        via_dicts = run_sweep(
-            _point_block, grid, n_trials=3, seed=7, processes=1,
-            backend="batched", results="columnar",
-        )
-        via_blocks = run_sweep(
-            _point_block_as_block, grid, n_trials=3, seed=7, processes=1,
-            backend="batched", results="columnar",
-        )
+        via_dicts = _sweep(grid, 3, 7, batch=_point_block)
+        via_blocks = _sweep(grid, 3, 7, batch=_point_block_as_block)
         assert list(via_blocks) == list(via_dicts)
-        # and in records mode a returned block is unpacked to dicts
-        recs = run_sweep(
-            _point_block_as_block, grid, n_trials=3, seed=7, processes=1,
-            backend="batched",
-        )
-        assert recs == list(via_dicts)
 
     def test_wrong_length_block_rejected(self):
-        grid = ParameterGrid(a=[1])
         with pytest.raises(ValueError, match="block of 1"):
-            run_sweep(
-                _short_block, grid, n_trials=3, seed=0, processes=1,
-                backend="batched", results="columnar",
-            )
-
-    def test_unknown_results_mode_rejected(self):
-        with pytest.raises(ValueError, match="results mode"):
-            run_sweep(
-                _point, ParameterGrid(a=[1]), n_trials=1, seed=0, results="arrow"
-            )
+            _sweep(ParameterGrid(a=[1]), 3, 0, batch=_short_block)
 
     def test_zero_trials_columnar(self):
-        table = run_sweep(
-            _point_block, ParameterGrid(a=[1]), n_trials=0, seed=0,
-            backend="batched", results="columnar",
-        )
+        table = _sweep(ParameterGrid(a=[1]), 0, 0, batch=_point_block)
         assert len(table) == 0 and list(table) == []
 
 
@@ -290,11 +294,12 @@ class TestResultBlock:
             {"n": 4, "family": "regular", "trial": 0, "rounds": 3, "ok": True, "score": 0.5},
             {"n": 4, "family": "regular", "trial": 1, "rounds": 5, "ok": False, "score": 1.25},
         ]
-        assert block.records() == want
-        assert clone.records() == want
+        rows = assemble_blocks([block]).to_records()
+        assert rows == want
+        assert assemble_blocks([clone]).to_records() == want
         # materialized values are python scalars (json-safe)
-        assert type(block.records()[0]["rounds"]) is int
-        assert type(block.records()[0]["ok"]) is bool
+        assert type(rows[0]["rounds"]) is int
+        assert type(rows[0]["ok"]) is bool
 
     def test_cardinality_validated(self):
         with pytest.raises(ValueError):
@@ -327,12 +332,24 @@ class TestResultTable:
         assert t.nbytes > 0
 
     def test_from_records(self):
-        recs = [{"a": 1, "v": 2.0}, {"a": 2, "v": 3.0}]
-        t = ResultTable.from_records(recs)
-        assert list(t) == recs
+        recs = [{"v": 2.0, "tag": "x"}, {"v": 3.0, "tag": "yz"}]
+        t = assemble_blocks([ResultBlock.from_records({"a": 1}, [0, 1], recs)])
+        assert list(t) == [{"a": 1, "trial": i, **r} for i, r in enumerate(recs)]
+
+
+def _table_of(records):
+    """One table holding ``records``, each of which carries its ``trial``."""
+    block = ResultBlock.from_records(
+        {},
+        [r["trial"] for r in records],
+        [{k: v for k, v in r.items() if k != "trial"} for r in records],
+    )
+    return assemble_blocks([block])
 
 
 class TestAggregateColumnarFastPath:
+    """A table aggregates to the same rows as its record dicts."""
+
     def _records(self):
         rng = np.random.default_rng(3)
         recs = []
@@ -353,25 +370,25 @@ class TestAggregateColumnarFastPath:
 
     def test_matches_dict_path(self):
         recs = self._records()
-        table = ResultTable.from_records(recs)
+        table = _table_of(recs)
         want = aggregate_records(recs, ["family", "n"], ["rounds", "ok", "maybe"])
         got = aggregate_records(table, ["family", "n"], ["rounds", "ok", "maybe"])
         assert got == want
 
     def test_first_seen_group_order(self):
         recs = self._records()[::-1]  # reversed: order must follow input
-        table = ResultTable.from_records(recs)
+        table = _table_of(recs)
         want = aggregate_records(recs, ["family", "n"], ["rounds"])
         got = aggregate_records(table, ["family", "n"], ["rounds"])
         assert got == want
         assert [r["family"] for r in got] == [r["family"] for r in want]
 
     def test_empty_table(self):
-        assert aggregate_records(ResultTable.from_records([]), ["a"], ["v"]) == []
+        assert aggregate_records(assemble_blocks([]), ["a"], ["v"]) == []
 
     def test_missing_field_matches_dict_path(self):
         recs = self._records()
-        table = ResultTable.from_records(recs)
+        table = _table_of(recs)
         want = aggregate_records(recs, ["family"], ["absent"])
         got = aggregate_records(table, ["family"], ["absent"])
         assert got == want
@@ -387,11 +404,11 @@ class TestWorkerState:
         assert a.engine_buffers is b.engine_buffers
 
 
-def _ragged_block(point, seed_seqs, trials):
+def _ragged_block(graph, point, seed_seqs):
     """Worker with a conditional record key (trial 0 lacks 'err')."""
     out = []
-    for s, t in zip(seed_seqs, trials):
-        rec = _point(point, s, t)
+    for t, s in enumerate(seed_seqs):
+        rec = _point(graph, point, s)
         if t > 0:
             rec["err"] = float(t) / 10
         out.append(rec)
@@ -401,13 +418,13 @@ def _ragged_block(point, seed_seqs, trials):
 class TestColumnarHeterogeneousRecords:
     def test_conditional_keys_survive(self):
         grid = ParameterGrid(a=[1, 2])
-        table = run_sweep(
-            _ragged_block, grid, n_trials=3, seed=4, processes=1,
-            backend="batched", results="columnar",
-        )
-        recs = run_sweep(
-            _ragged_block, grid, n_trials=3, seed=4, processes=1, backend="batched"
-        )
+        table = _sweep(grid, 3, 4, batch=_ragged_block)
+        seeds = iter(np.random.SeedSequence(4).spawn(6))
+        recs = [
+            {**point, "trial": t, **rec}
+            for point in grid.points()
+            for t, rec in enumerate(_ragged_block(None, point, [next(seeds) for _ in range(3)]))
+        ]
         assert "err" in table.fields
         for got, want in zip(table, recs):
             want = dict(want)

@@ -33,7 +33,6 @@ from repro.errors import PlanError, ResumeMismatchError
 from repro.experiments.runners import _saer_plan
 from repro.graphs import near_regular, random_regular_bipartite
 from repro.durable.journal import plan_fingerprint, seed_token
-from repro.parallel.aggregate import as_table
 from repro.plan import ParameterGrid, SeedSpec, execute
 from repro.rng import (
     make_rng,
@@ -277,7 +276,7 @@ class TestStreamIdentity:
                 backend="batched", kernel="numpy", seed_mode="philox",
                 spool=spool,
             )
-            return as_table(execute(plan, resume=resume))
+            return execute(plan, resume=resume)
 
         serial = run(1)
         pooled = run(2)

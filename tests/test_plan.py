@@ -5,13 +5,13 @@ Three pillars:
 * **validation / round-trip** — a :class:`RunPlan` is data; bad axis
   combinations fail loudly at validation time, good ones survive a
   field round-trip;
-* **parity matrix** — ``execute(plan)`` across backend × graph-mode ×
-  results-carrier must be *bit-identical* to the pre-refactor outputs
-  captured in ``tests/data/plan_golden.json`` (generated at the seed
-  commit, pinned seeds);
-* **sweep and table helpers** — :func:`repro.parallel.run_sweep`'s
-  explicit point lists and seeds, and the ``ResultTable`` helpers the
-  runners read their rows with.
+* **parity matrix** — ``execute(plan)`` across backend × graph source ×
+  sink must be *bit-identical* to the pre-refactor outputs captured in
+  ``tests/data/plan_golden.json`` (generated at the seed commit, pinned
+  seeds);
+* **sweep and table helpers** — ``execute``'s explicit point lists and
+  seeds, and the ``ResultTable`` helpers the runners read their rows
+  with.
 """
 
 from __future__ import annotations
@@ -24,8 +24,10 @@ import pytest
 
 from repro.errors import PlanError
 from repro.experiments import runners as R
+from repro.graphs import random_regular_bipartite
 from repro.graphs.families import build_point_graph, canonical_degree, family_spec
-from repro.parallel import ResultTable
+from repro.batch.results import ResultBlock
+from repro.parallel import ResultTable, assemble_blocks
 from repro.parallel.sweep import ParameterGrid, run_sweep
 from repro.plan import (
     BackendSpec,
@@ -135,17 +137,9 @@ class TestPlanValidation:
         with pytest.raises(PlanError, match="threads= keyword"):
             plan.validate()
 
-    def test_cached_needs_dir(self):
+    def test_pinned_graph_takes_no_cache_dir(self):
         with pytest.raises(PlanError, match="cache_dir"):
-            _plan(graph=GraphSpec(mode="cached")).validate()
-
-    def test_pinned_needs_graph(self):
-        with pytest.raises(PlanError, match="pinned"):
-            _plan(graph=GraphSpec(mode="pinned")).validate()
-
-    def test_generate_rejects_pinned_graph(self):
-        with pytest.raises(PlanError, match="pinned graph"):
-            _plan(graph=GraphSpec(mode="generate", graph=object())).validate()
+            _plan(graph=GraphSpec(cache_dir="/tmp/c", graph=object())).validate()
 
     def test_direct_seeds_need_pinned_graph(self):
         plan = _plan(seeds=SeedSpec(mode="direct", seeds=(1,)))
@@ -161,13 +155,10 @@ class TestPlanValidation:
         with pytest.raises(PlanError, match="not both"):
             _plan(seeds=SeedSpec(root=1, seeds=(2,))).validate()
 
-    def test_serial_contradicting_processes(self):
-        with pytest.raises(PlanError, match="serial"):
-            _plan(execution=ExecSpec(mode="serial", processes=4)).validate()
-
-    def test_unknown_results_mode(self):
-        with pytest.raises(PlanError, match="results mode"):
-            _plan(results=ResultSpec(mode="arrow")).validate()
+    @pytest.mark.parametrize("bad", [0, -3, 1.5])
+    def test_processes_must_be_positive_int(self, bad):
+        with pytest.raises(PlanError, match="processes"):
+            _plan(execution=ExecSpec(processes=bad)).validate()
 
     def test_negative_trials(self):
         with pytest.raises(PlanError, match="trials"):
@@ -185,15 +176,18 @@ class TestPlanRoundTrip:
             seeds=SeedSpec(root=7),
             work=WorkSpec(record=_noop_record, batch=_noop_batch_kernel),
             backend=BackendSpec(name="batched", kernel="numpy"),
-            execution=ExecSpec(mode="serial"),
-            results=ResultSpec(mode="columnar"),
+            execution=ExecSpec(processes=1),
         )
         plan.validate()
         d = plan.describe()
         assert d["backend"] == "batched" and d["kernel"] == "numpy"
-        assert d["graph"] == "generate" and d["results"] == "columnar"
+        assert d["graph"] == "generate" and d["spool"] is None
         assert d["points"] == 1 and d["trials"] == 4
-        assert d["processes"] == 1  # serial resolves to one process
+        assert d["processes"] == 1
+        pinned = plan.override(
+            graph=GraphSpec(graph=object()), results=ResultSpec(dir="/tmp/s")
+        ).describe()
+        assert pinned["graph"] == "pinned" and pinned["spool"] == "/tmp/s"
 
     def test_override_returns_new_plan(self):
         plan = _plan()
@@ -212,9 +206,12 @@ class TestPlanRoundTrip:
 class TestExecuteParityMatrix:
     """execute(plan) must be bit-identical to the pre-refactor engine.
 
-    Goldens were captured from the pre-plan sweep dispatcher
-    (PR 3 state) with pinned seeds; every (backend × graph × results)
-    cell must reproduce them exactly.
+    Goldens were captured from the pre-plan sweep dispatcher with
+    pinned seeds; every (backend × graph × sink) cell must reproduce
+    them exactly, read both ways: as record dicts
+    (``records``, the table's rows) and as typed columns (``columnar``).
+    The ``*_on_spool`` cells write one block file and journal line per
+    point and read the table back from disk.
     """
 
     SEED, TRIALS = 13, 2
@@ -228,51 +225,86 @@ class TestExecuteParityMatrix:
         )[-1]
         return build_point_graph({"n": 64}, g_seed)
 
+    def _run(self, tmp_path, *, spool=False, processes=1, **kwargs):
+        table = execute(R._saer_plan(
+            self._grid(), trials=self.TRIALS, seed=self.SEED, processes=processes,
+            spool=str(tmp_path / "spool") if spool else None, **kwargs,
+        ))
+        assert isinstance(table, ResultTable)
+        assert (tmp_path / "spool" / "journal.jsonl").exists() == spool
+        return table
+
+    @staticmethod
+    def _assert_matches(table, want, results="records"):
+        if results == "records":
+            assert table.to_records() == want
+        else:
+            assert sorted(table.fields) == sorted(want[0])
+            for name in table.fields:
+                got = [v.item() if hasattr(v, "item") else v for v in table.column(name)]
+                assert got == [row[name] for row in want], name
+
     @pytest.mark.parametrize("backend", ["reference", "batched"])
     @pytest.mark.parametrize("results", ["records", "columnar"])
-    def test_generate(self, backend, results):
-        recs = execute(R._saer_plan(
-            self._grid(), trials=self.TRIALS, seed=self.SEED, processes=1,
-            backend=backend, results=results,
-        ))
-        if results == "columnar":
-            assert isinstance(recs, ResultTable)
-        assert list(recs) == GOLDEN[f"sweep/{backend}/generate"]
+    def test_generate(self, backend, results, tmp_path):
+        table = self._run(tmp_path, backend=backend)
+        self._assert_matches(table, GOLDEN[f"sweep/{backend}/generate"], results)
 
     @pytest.mark.parametrize("backend", ["reference", "batched"])
     @pytest.mark.parametrize("results", ["records", "columnar"])
     def test_cached(self, backend, results, tmp_path):
-        recs = execute(R._saer_plan(
-            self._grid(), trials=self.TRIALS, seed=self.SEED, processes=1,
-            backend=backend, graph_cache=str(tmp_path), results=results,
-        ))
-        assert list(recs) == GOLDEN[f"sweep/{backend}/cached"]
-        assert list(tmp_path.glob("regular-*.npz"))  # the cache was used
+        cache = tmp_path / "cache"
+        table = self._run(tmp_path, backend=backend, graph_cache=str(cache))
+        self._assert_matches(table, GOLDEN[f"sweep/{backend}/cached"], results)
+        assert list(cache.glob("regular-*.npz"))  # the cache was used
 
     @pytest.mark.parametrize("backend", ["reference", "batched"])
     @pytest.mark.parametrize("results", ["records", "columnar"])
-    def test_pinned(self, backend, results):
-        recs = execute(R._saer_plan(
-            self._grid(), trials=self.TRIALS, seed=self.SEED, processes=1,
-            backend=backend, graph=self._pinned_graph(), results=results,
-        ))
-        assert list(recs) == GOLDEN[f"sweep/{backend}/pinned"]
+    def test_pinned(self, backend, results, tmp_path):
+        table = self._run(tmp_path, backend=backend, graph=self._pinned_graph())
+        self._assert_matches(table, GOLDEN[f"sweep/{backend}/pinned"], results)
+
+    @pytest.mark.parametrize("backend", ["reference", "batched"])
+    def test_generate_on_spool(self, backend, tmp_path):
+        table = self._run(tmp_path, spool=True, backend=backend)
+        self._assert_matches(table, GOLDEN[f"sweep/{backend}/generate"])
+
+    @pytest.mark.parametrize("backend", ["reference", "batched"])
+    def test_cached_on_spool(self, backend, tmp_path):
+        cache = tmp_path / "cache"
+        table = self._run(tmp_path, spool=True, backend=backend, graph_cache=str(cache))
+        self._assert_matches(table, GOLDEN[f"sweep/{backend}/cached"])
+        assert list(cache.glob("regular-*.npz"))
+
+    @pytest.mark.parametrize("backend", ["reference", "batched"])
+    def test_pinned_on_spool(self, backend, tmp_path):
+        table = self._run(tmp_path, spool=True, backend=backend, graph=self._pinned_graph())
+        self._assert_matches(table, GOLDEN[f"sweep/{backend}/pinned"])
 
     def test_pool_matches_serial(self):
         a = execute(R._saer_plan(
             self._grid(), trials=self.TRIALS, seed=self.SEED, processes=1,
-            backend="batched", results="columnar",
+            backend="batched",
         ))
         b = execute(R._saer_plan(
             self._grid(), trials=self.TRIALS, seed=self.SEED, processes=2,
-            backend="batched", results="columnar",
+            backend="batched",
         ))
         assert list(a) == list(b) == GOLDEN["sweep/batched/generate"]
+
+    @pytest.mark.parametrize("spool", [False, True], ids=["memory", "spool"])
+    def test_reference_pool_matches_serial(self, spool, tmp_path):
+        """Two processes against one on the reference backend: one task
+        per trial on the memory sink, one per point on the spool."""
+        serial = self._run(tmp_path / "serial", spool=spool, backend="reference")
+        pooled = self._run(tmp_path / "pooled", spool=spool, processes=2, backend="reference")
+        want = GOLDEN["sweep/reference/generate"]
+        assert pooled.to_records() == serial.to_records() == want
 
     def test_kernel_cext_gate_is_bit_identical(self):
         recs = execute(R._saer_plan(
             self._grid(), trials=self.TRIALS, seed=self.SEED, processes=1,
-            backend="batched", results="columnar", kernel="cext",
+            backend="batched", kernel="cext",
         ))
         assert list(recs) == GOLDEN["sweep/batched/generate"]
 
@@ -283,8 +315,7 @@ class TestExecuteParityMatrix:
         data-determined chunks — plan_golden.json pins both."""
         recs = execute(R._saer_plan(
             self._grid(), trials=self.TRIALS, seed=self.SEED, processes=1,
-            backend="batched", results="columnar", kernel=kernel,
-            kernel_threads=4,
+            backend="batched", kernel=kernel, kernel_threads=4,
         ))
         assert list(recs) == GOLDEN["sweep/batched/generate"]
 
@@ -329,41 +360,45 @@ class TestRunnerRowsGolden:
     def test_per_trial_records_match_golden(self, backend):
         _rows, meta = R.run_e01_completion(
             ns=(64, 128), trials=2, seed=1, processes=1, backend=backend,
-            results="records",
         )
         assert list(meta["records"]) == GOLDEN[f"records/e01/{backend}"]
 
 
 class TestCanonicalWorkers:
-    """The two canonical paths replace the old per-experiment adapters."""
+    """The two canonical paths replace the old per-experiment adapters.
+
+    Both take a ``(point, seeds, trials)`` task and return one block.
+    """
 
     def test_per_trial_worker_pair_spawn_matches_manual(self):
         point = {"n": 64, "c": 2.0, "d": 2}
-        seed = np.random.SeedSequence(5)
-        worker = PerTrialWorker(R._saer_run_record)
-        got = worker(point, seed, 0)
-        g_seed, p_seed = np.random.SeedSequence(5).spawn(2)
-        want = R._saer_run_record(build_point_graph(point, g_seed), point, p_seed)
-        assert got == want
+        block = PerTrialWorker(R._saer_run_record)(
+            (point, np.random.SeedSequence(5).spawn(2), [0, 1])
+        )
+        want = []
+        for trial, seed in enumerate(np.random.SeedSequence(5).spawn(2)):
+            g_seed, p_seed = seed.spawn(2)
+            rec = R._saer_run_record(build_point_graph(point, g_seed), point, p_seed)
+            want.append(dict(point, trial=trial, **rec))
+        assert assemble_blocks([block]).to_records() == want
 
     def test_batch_worker_matches_per_trial_worker(self):
         point = {"n": 64, "c": 2.0, "d": 2}
         seeds = np.random.SeedSequence(6).spawn(3)
-        block = BatchWorker(R._saer_batch_block)(point, seeds, [0, 1, 2])
-        per_trial = [
-            PerTrialWorker(R._saer_run_record)(point, ss, i)
-            for i, ss in enumerate(np.random.SeedSequence(6).spawn(3))
-        ]
+        block = BatchWorker(R._saer_batch_block)((point, seeds, [0, 1, 2]))
+        per_trial = PerTrialWorker(R._saer_run_record)(
+            (point, np.random.SeedSequence(6).spawn(3), [0, 1, 2])
+        )
         # The batched path conditions all trials on the first trial's
         # graph seed; compare protocol outcomes on that shared graph.
         g_seed, _ = np.random.SeedSequence(6).spawn(3)[0].spawn(2)
         graph = build_point_graph(point, g_seed)
         p_seeds = [ss.spawn(2)[1] for ss in np.random.SeedSequence(6).spawn(3)]
         want = [R._saer_run_record(graph, point, ps) for ps in p_seeds]
-        assert block.records() == [
+        assert assemble_blocks([block]).to_records() == [
             dict(point, trial=i, **rec) for i, rec in enumerate(want)
         ]
-        assert len(per_trial) == 3  # reference path: one fresh graph each
+        assert per_trial.n_trials == 3  # reference path: one fresh graph each
 
     def test_worker_cardinality_check_still_applies(self):
         def short_batch(graph, point, seeds):
@@ -389,94 +424,147 @@ class TestKernelThreadsDispatch:
     by ``execute`` against the process count) threads pooled kernels.
     """
 
-    def _probe_plan(self, *, threads=None, mode="auto", processes=1):
+    def _probe_plan(self, *, threads=None, processes=1):
         return RunPlan(
             grid=ParameterGrid(n=[16, 32]),
             work=WorkSpec(record=_noop_record, batch=_probe_threads_batch),
             trials=2,
             seeds=SeedSpec(root=3),
             backend=BackendSpec(name="batched", threads=threads),
-            execution=ExecSpec(mode=mode, processes=processes),
+            execution=ExecSpec(processes=processes),
         )
 
     def test_pool_workers_default_to_one_thread(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL_THREADS", "4")
-        recs = execute(self._probe_plan(mode="pool", processes=2))
+        recs = execute(self._probe_plan(processes=2))
         assert recs and all(r["eff_threads"] == 1 for r in recs)
         assert any(r["worker_pid"] != __import__("os").getpid() for r in recs)
 
     def test_serial_runs_keep_the_env_budget(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL_THREADS", "4")
-        recs = execute(self._probe_plan(mode="serial"))
+        recs = execute(self._probe_plan(processes=1))
         assert recs and all(r["eff_threads"] == 4 for r in recs)
 
     def test_explicit_plan_budget_reaches_pool_workers_capped(self, monkeypatch):
         from repro.parallel.pool import available_cpus
 
         monkeypatch.delenv("REPRO_KERNEL_THREADS", raising=False)
-        recs = execute(self._probe_plan(threads=4, mode="pool", processes=2))
+        recs = execute(self._probe_plan(threads=4, processes=2))
         want = max(1, min(4, available_cpus() // 2))
         assert recs and all(r["eff_threads"] == want for r in recs)
 
     def test_explicit_budget_uncapped_when_serial(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL_THREADS", raising=False)
-        recs = execute(self._probe_plan(threads=4, mode="serial"))
+        recs = execute(self._probe_plan(threads=4, processes=1))
         assert recs and all(r["eff_threads"] == 4 for r in recs)
 
     def test_run_sweep_pool_workers_reset_env(self, monkeypatch):
         """The reset is a map_parallel property, not a plan-layer one:
         every pooled dispatch (a bare run_sweep included) gets it."""
         monkeypatch.setenv("REPRO_KERNEL_THREADS", "4")
-        recs = run_sweep(_threads_probe, [{}], n_trials=4, seed=0, processes=2)
+        recs = run_sweep(_threads_probe, list(range(4)), processes=2)
         assert recs and all(r["eff_threads"] == 1 for r in recs)
 
+    def test_one_task_runs_in_the_calling_process(self):
+        """An explicit process count is capped at the task count: a
+        one-point batched plan forks no pool for its one task."""
+        import os
 
-def _threads_probe(point, seed_seq, trial):
+        plan = self._probe_plan(processes=2).override(grid=ParameterGrid(n=[16]))
+        recs = execute(plan)
+        assert [r["worker_pid"] for r in recs] == [os.getpid()] * 2
+
+    def test_resume_keeps_the_full_thread_budget(self, monkeypatch, tmp_path):
+        """The thread cap sizes against the tasks that run: a resume
+        with one point pending runs in-process with the whole budget."""
+        import repro.parallel.pool as pool
+
+        plan = RunPlan(
+            grid=ParameterGrid(n=list(range(16, 26))),
+            work=WorkSpec(record=_noop_record, batch=_record_threads_batch),
+            trials=1,
+            seeds=SeedSpec(root=3),
+            backend=BackendSpec(name="batched", threads=8),
+            results=ResultSpec(dir=str(tmp_path)),
+        )
+        execute(plan.override(execution=ExecSpec(processes=1)))
+        from repro.durable import SpoolReader
+
+        (tmp_path / SpoolReader(tmp_path).entries[9]["file"]).unlink()
+        monkeypatch.setattr(pool, "available_cpus", lambda: 16)
+        table = execute(plan)  # processes=None: sized from the one pending task
+        assert [r["threads"] for r in table] == [8] * 10
+
+
+def _threads_probe(_task):
     from repro.batch.kernels import resolve_threads
 
     return {"eff_threads": resolve_threads(None)}
 
 
+def _record_threads_batch(graph, point, seeds, kernel=None, threads=None):
+    """Worker-side probe: the thread budget the worker was handed."""
+    return [{"threads": threads} for _ in seeds]
+
+
+def _tiny_graph():
+    return random_regular_bipartite(8, 2, seed=0)
+
+
+def _value_record(graph, point, seed):
+    rng = np.random.default_rng(seed)
+    return {"value": point["a"] * 10 + float(rng.random())}
+
+
+def _direct_plan(grid, trials, *, seed=None, seeds=None):
+    """The task seeds handed unsplit to ``_value_record`` on a pinned graph."""
+    return RunPlan(
+        grid=grid,
+        work=WorkSpec(record=_value_record),
+        trials=trials,
+        seeds=SeedSpec(root=seed, mode="direct", seeds=seeds),
+        graph=GraphSpec(graph=_tiny_graph()),
+        execution=ExecSpec(processes=1),
+    )
+
+
 class TestRunSweepExtensions:
-    @staticmethod
-    def _point(point, seed_seq, trial):
-        rng = np.random.default_rng(seed_seq)
-        return {"value": point["a"] * 10 + float(rng.random())}
+    """Explicit point lists and explicit seeds through ``execute``."""
 
     def test_explicit_point_list(self):
         pts = [{"a": 2}, {"a": 1}]  # order preserved, not re-sorted
-        recs = run_sweep(self._point, pts, n_trials=2, seed=4, processes=1)
+        recs = execute(_direct_plan(pts, 2, seed=4))
         assert [r["a"] for r in recs] == [2, 2, 1, 1]
 
     def test_explicit_seeds_override_spawn(self):
         grid = ParameterGrid(a=[1, 2])
-        seeds = np.random.SeedSequence(9).spawn(4)
-        via_root = run_sweep(self._point, grid, n_trials=2, seed=9, processes=1)
-        via_seeds = run_sweep(self._point, grid, n_trials=2, seeds=seeds, processes=1)
-        assert via_root == via_seeds
+        seeds = tuple(np.random.SeedSequence(9).spawn(4))
+        via_root = execute(_direct_plan(grid, 2, seed=9))
+        via_seeds = execute(_direct_plan(grid, 2, seeds=seeds))
+        assert list(via_root) == list(via_seeds)
 
     def test_seed_and_seeds_conflict(self):
-        with pytest.raises(ValueError, match="not both"):
-            run_sweep(
-                self._point, ParameterGrid(a=[1]), n_trials=1, seed=1,
-                seeds=[np.random.SeedSequence(0)],
-            )
+        plan = _direct_plan(
+            ParameterGrid(a=[1]), 1, seed=1, seeds=(np.random.SeedSequence(0),)
+        )
+        with pytest.raises(PlanError, match="not both"):
+            execute(plan)
 
     def test_wrong_seed_count(self):
-        with pytest.raises(ValueError, match="explicit seeds"):
-            run_sweep(
-                self._point, ParameterGrid(a=[1, 2]), n_trials=2,
-                seeds=[np.random.SeedSequence(0)],
-            )
+        plan = _direct_plan(
+            ParameterGrid(a=[1, 2]), 2, seeds=(np.random.SeedSequence(0),)
+        )
+        with pytest.raises(PlanError, match="explicit seeds"):
+            execute(plan)
 
 
 class TestResultTableHelpers:
     def _table(self):
-        return ResultTable.from_records(
+        return assemble_blocks(
             [
-                {"n": 64, "fam": "a", "v": 1.0},
-                {"n": 128, "fam": "a", "v": 2.0},
-                {"n": 64, "fam": "b", "v": 3.0},
+                ResultBlock.from_records({"n": 64, "fam": "a"}, [0], [{"v": 1.0}]),
+                ResultBlock.from_records({"n": 128, "fam": "a"}, [0], [{"v": 2.0}]),
+                ResultBlock.from_records({"n": 64, "fam": "b"}, [0], [{"v": 3.0}]),
             ]
         )
 
@@ -485,22 +573,16 @@ class TestResultTableHelpers:
         sub = t.where(n=64)
         assert len(sub) == 2 and [r["v"] for r in sub] == [1.0, 3.0]
         sub2 = t.where(n=64, fam="b")
-        assert list(sub2) == [{"n": 64, "fam": "b", "v": 3.0}]
+        assert list(sub2) == [{"n": 64, "fam": "b", "trial": 0, "v": 3.0}]
 
     def test_where_on_object_column(self):
-        t = ResultTable.from_records(
-            [{"k": None, "v": 1}, {"k": 2, "v": 2}, {"k": None, "v": 3}]
-        )
+        t = assemble_blocks([
+            ResultBlock.from_records(
+                {}, [0, 1, 2], [{"k": None, "v": 1}, {"k": 2, "v": 2}, {"k": None, "v": 3}]
+            )
+        ])
+        assert t.column("k").dtype == object
         assert [r["v"] for r in t.where(k=None)] == [1, 3]
-
-    def test_concat_unions_columns(self):
-        a = ResultTable.from_records([{"x": 1}])
-        b = ResultTable.from_records([{"x": 2, "y": 3.0}])
-        t = ResultTable.concat([a, b])
-        assert list(t) == [{"x": 1, "y": None}, {"x": 2, "y": 3.0}]
-
-    def test_concat_empty(self):
-        assert len(ResultTable.concat([])) == 0
 
 
 class TestPlanSmoke:

@@ -12,7 +12,15 @@ from repro.parallel import (
     SharedGraph,
     current_task_graph,
     graph_context,
-    run_sweep,
+)
+from repro.plan import (
+    BackendSpec,
+    ExecSpec,
+    GraphSpec,
+    RunPlan,
+    SeedSpec,
+    WorkSpec,
+    execute,
 )
 
 
@@ -27,13 +35,30 @@ def _graphs_equal(a, b) -> bool:
     )
 
 
-def _graph_point(graph, point, seed_seq, trial):
+def _graph_point(graph, point, seed_seq):
     res = run_saer(graph, point["c"], 2, seed=seed_seq)
     return {"rounds": res.rounds}
 
 
-def _graph_point_block(graph, point, seed_seqs, trials):
-    return [_graph_point(graph, point, s, t) for s, t in zip(seed_seqs, trials)]
+def _graph_point_block(graph, point, seed_seqs):
+    return [_graph_point(graph, point, s) for s in seed_seqs]
+
+
+def _sweep(grid, trials, seed, graph, *, processes=1, batch=None, record=_graph_point):
+    """``execute`` on a pinned ``graph``, task seeds handed unsplit."""
+    return list(execute(RunPlan(
+        grid=grid,
+        work=WorkSpec(record=record, batch=batch),
+        trials=trials,
+        seeds=SeedSpec(root=seed, mode="direct"),
+        backend=BackendSpec(name="batched" if batch is not None else "reference"),
+        graph=GraphSpec(graph=graph),
+        execution=ExecSpec(processes=processes),
+    )))
+
+
+def _spawn_key(graph, point, seed_seq):
+    return {"entropy": list(seed_seq.spawn_key)}
 
 
 @pytest.fixture(scope="module")
@@ -97,70 +122,49 @@ class TestGraphContext:
 
 
 class TestMonteCarloWithGraph:
-    """Trials at one setting with ``graph=``: :func:`run_sweep` on a
+    """Trials at one setting on a pinned graph: ``execute`` on a
     one-point grid, which spawns ``spawn_seeds(seed, n_trials)``."""
 
     GRID = [{"c": 2.0}]
 
     def test_serial_matches_parallel(self, graph):
-        a = run_sweep(_graph_point, self.GRID, n_trials=6, seed=9, processes=1, graph=graph)
-        b = run_sweep(_graph_point, self.GRID, n_trials=6, seed=9, processes=2, graph=graph)
+        a = _sweep(self.GRID, 6, 9, graph, processes=1)
+        b = _sweep(self.GRID, 6, 9, graph, processes=2)
         assert a == b
 
     def test_shared_memory_handle_matches(self, graph):
-        a = run_sweep(_graph_point, self.GRID, n_trials=6, seed=9, processes=1, graph=graph)
+        a = _sweep(self.GRID, 6, 9, graph, processes=1)
         with SharedGraph.share(graph) as sg:
-            c = run_sweep(_graph_point, self.GRID, n_trials=6, seed=9, processes=2, graph=sg)
+            c = _sweep(self.GRID, 6, 9, sg, processes=2)
         assert a == c
 
     def test_batched_backend_matches(self, graph):
-        a = run_sweep(_graph_point, self.GRID, n_trials=8, seed=4, processes=1, graph=graph)
-        b = run_sweep(
-            _graph_point_block,
-            self.GRID,
-            n_trials=8,
-            seed=4,
-            processes=2,
-            graph=graph,
-            backend="batched",
-        )
+        a = _sweep(self.GRID, 8, 4, graph, processes=1)
+        b = _sweep(self.GRID, 8, 4, graph, processes=2, batch=_graph_point_block)
         assert a == b
 
     def test_seeds_match_graphless_spawn(self, graph):
-        # graph= must not change which seed a trial sees.
-        def bare_trial(point, seed_seq, trial):
-            return {"entropy": seed_seq.spawn_key}
-
-        def with_graph(g, point, seed_seq, trial):
-            return {"entropy": seed_seq.spawn_key}
-
-        a = run_sweep(bare_trial, self.GRID, n_trials=5, seed=77, processes=1)
-        b = run_sweep(with_graph, self.GRID, n_trials=5, seed=77, processes=1, graph=graph)
-        assert a == b
+        # A pinned graph must not change which seed a trial sees: trial
+        # r gets child r of the root's spawn, as without a graph.
+        got = _sweep(self.GRID, 5, 77, graph, record=_spawn_key)
+        want = [list(s.spawn_key) for s in np.random.SeedSequence(77).spawn(5)]
+        assert [r["entropy"] for r in got] == want
 
 
 class TestRunSweepWithGraph:
     def test_serial_matches_parallel(self, graph):
         grid = ParameterGrid(c=[1.5, 2.0, 4.0])
-        a = run_sweep(_graph_point, grid, n_trials=3, seed=5, processes=1, graph=graph)
-        b = run_sweep(_graph_point, grid, n_trials=3, seed=5, processes=2, graph=graph)
+        a = _sweep(grid, 3, 5, graph, processes=1)
+        b = _sweep(grid, 3, 5, graph, processes=2)
         assert a == b
 
     def test_batched_matches_per_trial(self, graph):
         grid = ParameterGrid(c=[1.5, 4.0])
-        a = run_sweep(_graph_point, grid, n_trials=4, seed=2, processes=1, graph=graph)
-        b = run_sweep(
-            _graph_point_block,
-            grid,
-            n_trials=4,
-            seed=2,
-            processes=2,
-            graph=graph,
-            backend="batched",
-        )
+        a = _sweep(grid, 4, 2, graph, processes=1)
+        b = _sweep(grid, 4, 2, graph, processes=2, batch=_graph_point_block)
         assert a == b
 
     def test_records_carry_point_and_trial(self, graph):
         grid = ParameterGrid(c=[2.0])
-        recs = run_sweep(_graph_point, grid, n_trials=2, seed=0, processes=1, graph=graph)
+        recs = _sweep(grid, 2, 0, graph, processes=1)
         assert [(r["c"], r["trial"]) for r in recs] == [(2.0, 0), (2.0, 1)]
