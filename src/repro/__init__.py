@@ -6,7 +6,7 @@ A production-quality reproduction of Clementi, Natale & Ziccardi (SPAA
 substrates they run on, sequential and parallel baselines, the theory
 module implementing the paper's recurrences and bounds, and a Monte
 Carlo experiment harness that regenerates every quantitative claim of
-the paper (see DESIGN.md §5 and EXPERIMENTS.md).
+the paper (see the "Experiments" section of README.md).
 
 Quickstart::
 

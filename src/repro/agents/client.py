@@ -38,7 +38,7 @@ class ClientAgent:
         self.client_id = client_id
         self.n_links = n_links
         # Alive ball slots in ascending local-label order; this ordering
-        # is part of the canonical tape contract (DESIGN.md §6).
+        # is part of the canonical tape order (see repro.core.engine).
         self.alive_slots: list[int] = list(range(demand))
         self.done = demand == 0
 

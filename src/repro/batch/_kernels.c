@@ -28,14 +28,13 @@
  *                      512-slot chunk at a time, from its own numpy
  *                      PCG64 state (stepped in place and handed back, so
  *                      the caller's Generators end exactly after the
- *                      draws served) or from the counter-based
- *                      Philox4x32-10 lineage of repro/rng.py.  Each
- *                      round splits the active trials into balanced
- *                      chunks that run phases 1-3 independently on
- *                      their own scratch rows (OpenMP in the threaded
- *                      build); chunk boundaries, per-trial streams and
- *                      output offsets are data, not scheduling, so the
- *                      results are byte-identical for ANY thread count —
+ *                      draws served).  Each round splits the active
+ *                      trials into balanced chunks that run phases 1-3
+ *                      independently on their own scratch rows (OpenMP
+ *                      in the threaded build); chunk boundaries,
+ *                      per-trial streams and output offsets are data,
+ *                      not scheduling, so the results are
+ *                      byte-identical for ANY thread count —
  *                      including a build without OpenMP, where the
  *                      pragma is ignored and the chunks run in order.
  *                      A trial whose remaining balls all belong to
@@ -49,8 +48,6 @@
  *                      gather, SAER decide and in-place survivor
  *                      compaction over the alive balls in buffer order,
  *                      bit-identical to the state's numpy route;
- *   repro_philox_fill  the Philox uniform slab for the gates that still
- *                      consume one;
  *   repro_repair_pass  one pass of the configuration model's repair walk
  *                      (graphs/generators.py) on the cext gate: the
  *                      previous pass's swaps in order, the next
@@ -59,16 +56,15 @@
  *                      caller draws the swap partners between calls, so
  *                      the draws and the graph are the numpy walk's.
  *
- * Philox draws are bit-identical to philox_uniforms() in rng.py, PCG64
- * draws to Generator.random() (pure integer arithmetic plus one exact
- * double scale in both).  Both have SIMD fills selected by the
- * compiler's predefined macros under -march=native, with scalar
- * fallbacks that give the same bits.  The PCG64 one
- * (REPRO_PCG_LANES == 8, needs AVX-512 F, DQ and VL) steps eight lanes
- * of one trial's stream at once: lane k yields draws k, k + 8, ...,
- * stepping s <- M^8·s + inc·(M^7 + ... + M + 1) mod 2^128, and the
- * state written back is the lane state of the last draw, never an
- * inverse step; repro_pcg64_lanes() reports which fill was built.
+ * PCG64 draws are bit-identical to Generator.random() (pure integer
+ * arithmetic plus one exact double scale).  The compiler's predefined
+ * macros under -march=native select the fill; the scalar loop gives the
+ * same bits as the SIMD one (REPRO_PCG_LANES == 8, needs AVX-512 F, DQ
+ * and VL), which steps eight lanes of one trial's stream at once: lane
+ * k yields draws k, k + 8, ..., stepping s <- M^8·s + inc·(M^7 + ... +
+ * M + 1) mod 2^128, and the state written back is the lane state of the
+ * last draw, never an inverse step; repro_pcg64_lanes() reports which
+ * fill was built.
  *
  * The engine entry is instantiated for two state widths via
  * self-inclusion: int32 when every cumulative counter provably fits,
@@ -85,420 +81,12 @@
 #include <stdint.h>
 #include <string.h>
 
-/* ---- Philox4x32-10 (Random123 constants; KAT-pinned in tests) ---- */
-
-#define REPRO_PHILOX_M0 0xD2511F53u
-#define REPRO_PHILOX_M1 0xCD9E8D57u
-#define REPRO_PHILOX_W0 0x9E3779B9u
-#define REPRO_PHILOX_W1 0xBB67AE85u
 #define REPRO_SCALE_53 (1.0 / 9007199254740992.0) /* 2^-53 */
-#define REPRO_PH_CHUNK 512 /* doubles per trial chunk row; power of two */
-
-static inline void repro_philox4x32_10(
-    uint32_t c0, uint32_t c1, uint32_t c2, uint32_t c3,
-    uint32_t k0, uint32_t k1, uint32_t out[4])
-{
-    for (int r = 0; r < 10; r++) {
-        uint64_t p0 = (uint64_t)c0 * REPRO_PHILOX_M0;
-        uint64_t p1 = (uint64_t)c2 * REPRO_PHILOX_M1;
-        c0 = (uint32_t)(p1 >> 32) ^ c1 ^ k0;
-        c1 = (uint32_t)p1;
-        c2 = (uint32_t)(p0 >> 32) ^ c3 ^ k1;
-        c3 = (uint32_t)p0;
-        k0 += REPRO_PHILOX_W0;
-        k1 += REPRO_PHILOX_W1;
-    }
-    out[0] = c0; out[1] = c1; out[2] = c2; out[3] = c3;
-}
-
-/* One counter block -> two doubles in [0, 1): high pair then low pair,
- * exactly philox_uniforms() in rng.py. */
-static inline void repro_philox_block(
-    uint32_t blk, uint32_t rnd, const uint32_t *w, double *d0, double *d1)
-{
-    uint32_t o[4];
-    repro_philox4x32_10(blk, rnd, w[2], w[3], w[0], w[1], o);
-    *d0 = (double)((((uint64_t)o[0] << 32) | o[1]) >> 11) * REPRO_SCALE_53;
-    *d1 = (double)((((uint64_t)o[2] << 32) | o[3]) >> 11) * REPRO_SCALE_53;
-}
-
-/* ---- Bulk segment fill: dst[0..n) = uniforms for slots [slot0,
- * slot0 + n) of one trial's round-r stream.  The SIMD paths batch many
- * counter blocks per iteration; both are bit-identical to the scalar
- * path because Philox is pure integer arithmetic and the only float
- * ops are single exact multiplies/adds (no contraction sites).  The
- * 53-bit mantissa -> double conversion splits the value into a 32-bit
- * high and 21-bit low part so each half fits the 2^52 magic-constant
- * trick and the recombining add is exact. ---- */
-
-#if defined(__AVX2__) || defined(__SSE2__)
-#include <immintrin.h>
-#endif
+#define REPRO_DRAW_CHUNK 512 /* draws per trial chunk row; power of two */
 
 #if defined(__AVX2__)
-
-#define REPRO_PH_NV 4 /* interleaved chains: latency-bound otherwise */
-
-static inline __m256d repro_conv53_avx2(__m256i v53)
-{
-    const __m256i expo = _mm256_set1_epi64x(0x4330000000000000LL);
-    const __m256d two52 = _mm256_set1_pd(4503599627370496.0);
-    __m256i vhi = _mm256_srli_epi64(v53, 21);
-    __m256i vlo = _mm256_and_si256(v53, _mm256_set1_epi64x(0x1FFFFF));
-    __m256d dhi =
-        _mm256_sub_pd(_mm256_castsi256_pd(_mm256_or_si256(vhi, expo)), two52);
-    __m256d dlo =
-        _mm256_sub_pd(_mm256_castsi256_pd(_mm256_or_si256(vlo, expo)), two52);
-    return _mm256_add_pd(_mm256_mul_pd(dhi, _mm256_set1_pd(2097152.0)), dlo);
-}
-
-static void repro_philox_fill_seg(
-    double *dst, int64_t slot0, int64_t n, uint32_t rnd, const uint32_t *w)
-{
-    double d0, d1;
-    if (n > 0 && (slot0 & 1)) { /* odd entry: low double of a half block */
-        repro_philox_block((uint32_t)(slot0 >> 1), rnd, w, &d0, &d1);
-        *dst++ = d1;
-        slot0++;
-        n--;
-    }
-    int64_t blk0 = slot0 >> 1;
-    const __m256i m0 = _mm256_set1_epi64x(REPRO_PHILOX_M0);
-    const __m256i m1 = _mm256_set1_epi64x(REPRO_PHILOX_M1);
-    const __m256i mask = _mm256_set1_epi64x(0xFFFFFFFFLL);
-    const __m256d scale = _mm256_set1_pd(REPRO_SCALE_53);
-    const __m256i rndv = _mm256_set1_epi64x(rnd);
-    const __m256i c2i = _mm256_set1_epi64x(w[2]);
-    const __m256i c3i = _mm256_set1_epi64x(w[3]);
-    __m256i k0v[10], k1v[10];
-    {
-        uint32_t k0 = w[0], k1 = w[1];
-        for (int r = 0; r < 10; r++) {
-            k0v[r] = _mm256_set1_epi64x(k0);
-            k1v[r] = _mm256_set1_epi64x(k1);
-            k0 += REPRO_PHILOX_W0;
-            k1 += REPRO_PHILOX_W1;
-        }
-    }
-    __m256i ctr[REPRO_PH_NV], x0[REPRO_PH_NV], x1[REPRO_PH_NV];
-    __m256i x2[REPRO_PH_NV], x3[REPRO_PH_NV];
-    for (int v = 0; v < REPRO_PH_NV; v++)
-        ctr[v] = _mm256_set_epi64x(
-            (uint32_t)(blk0 + 4 * v + 3), (uint32_t)(blk0 + 4 * v + 2),
-            (uint32_t)(blk0 + 4 * v + 1), (uint32_t)(blk0 + 4 * v));
-    int64_t nbf = n >> 1; /* full pairs only; odd tail goes scalar */
-    int64_t b = 0;
-    for (; b + 4 * REPRO_PH_NV <= nbf; b += 4 * REPRO_PH_NV) {
-        for (int v = 0; v < REPRO_PH_NV; v++) {
-            x0[v] = ctr[v];
-            x1[v] = rndv;
-            x2[v] = c2i;
-            x3[v] = c3i;
-            ctr[v] = _mm256_and_si256(
-                _mm256_add_epi64(ctr[v], _mm256_set1_epi64x(4 * REPRO_PH_NV)),
-                mask);
-        }
-        for (int r = 0; r < 10; r++)
-            for (int v = 0; v < REPRO_PH_NV; v++) {
-                __m256i p0 = _mm256_mul_epu32(x0[v], m0);
-                __m256i p1 = _mm256_mul_epu32(x2[v], m1);
-                /* dword-swap instead of >>32: the junk it leaves in the
-                 * high dwords of x0/x2 only ever feeds mul_epu32 (reads
-                 * the low dword) or <<32 (clears it), and the shuffle
-                 * runs on a different port than the multiplies. */
-                x0[v] = _mm256_xor_si256(
-                    _mm256_xor_si256(_mm256_shuffle_epi32(p1, 0xB1), x1[v]),
-                    k0v[r]);
-                x1[v] = _mm256_and_si256(p1, mask);
-                x2[v] = _mm256_xor_si256(
-                    _mm256_xor_si256(_mm256_shuffle_epi32(p0, 0xB1), x3[v]),
-                    k1v[r]);
-                x3[v] = _mm256_and_si256(p0, mask);
-            }
-        for (int v = 0; v < REPRO_PH_NV; v++) {
-            __m256i hi0 = _mm256_srli_epi64(
-                _mm256_or_si256(_mm256_slli_epi64(x0[v], 32), x1[v]), 11);
-            __m256i hi1 = _mm256_srli_epi64(
-                _mm256_or_si256(_mm256_slli_epi64(x2[v], 32), x3[v]), 11);
-            __m256d d0v = _mm256_mul_pd(repro_conv53_avx2(hi0), scale);
-            __m256d d1v = _mm256_mul_pd(repro_conv53_avx2(hi1), scale);
-            __m256d lo = _mm256_unpacklo_pd(d0v, d1v);
-            __m256d hi = _mm256_unpackhi_pd(d0v, d1v);
-            double *p = dst + 2 * (b + 4 * v);
-            _mm256_storeu_pd(p, _mm256_permute2f128_pd(lo, hi, 0x20));
-            _mm256_storeu_pd(p + 4, _mm256_permute2f128_pd(lo, hi, 0x31));
-        }
-    }
-    for (; b < nbf; b++) {
-        repro_philox_block((uint32_t)(blk0 + b), rnd, w, &d0, &d1);
-        dst[2 * b] = d0;
-        dst[2 * b + 1] = d1;
-    }
-    if (n & 1) {
-        repro_philox_block((uint32_t)(blk0 + nbf), rnd, w, &d0, &d1);
-        dst[n - 1] = d0;
-    }
-}
-
-/* Regular-graph twin of fill_seg: emit int32 CSR offsets
- * min((int)(u * deg), deg - 1) instead of the doubles — the multiply,
- * truncation (vcvttpd2dq truncates like the C cast), and clip all stay
- * in vector registers, so the uniform values never touch memory. */
-static void repro_philox_fill_off(
-    int32_t *dst, int64_t slot0, int64_t n, uint32_t rnd, const uint32_t *w,
-    int64_t deg)
-{
-    double d0, d1;
-    const double degd = (double)deg;
-    const int32_t dmax = (int32_t)(deg - 1);
-    if (n > 0 && (slot0 & 1)) {
-        repro_philox_block((uint32_t)(slot0 >> 1), rnd, w, &d0, &d1);
-        int32_t off = (int32_t)(d1 * degd);
-        *dst++ = off > dmax ? dmax : off;
-        slot0++;
-        n--;
-    }
-    int64_t blk0 = slot0 >> 1;
-    const __m256i m0 = _mm256_set1_epi64x(REPRO_PHILOX_M0);
-    const __m256i m1 = _mm256_set1_epi64x(REPRO_PHILOX_M1);
-    const __m256i mask = _mm256_set1_epi64x(0xFFFFFFFFLL);
-    const __m256d dscale = _mm256_set1_pd(REPRO_SCALE_53 * 1.0);
-    const __m256d degv = _mm256_set1_pd(degd);
-    const __m128i dmaxv = _mm_set1_epi32(dmax);
-    const __m256i rndv = _mm256_set1_epi64x(rnd);
-    const __m256i c2i = _mm256_set1_epi64x(w[2]);
-    const __m256i c3i = _mm256_set1_epi64x(w[3]);
-    __m256i k0v[10], k1v[10];
-    {
-        uint32_t k0 = w[0], k1 = w[1];
-        for (int r = 0; r < 10; r++) {
-            k0v[r] = _mm256_set1_epi64x(k0);
-            k1v[r] = _mm256_set1_epi64x(k1);
-            k0 += REPRO_PHILOX_W0;
-            k1 += REPRO_PHILOX_W1;
-        }
-    }
-    __m256i ctr[REPRO_PH_NV], x0[REPRO_PH_NV], x1[REPRO_PH_NV];
-    __m256i x2[REPRO_PH_NV], x3[REPRO_PH_NV];
-    for (int v = 0; v < REPRO_PH_NV; v++)
-        ctr[v] = _mm256_set_epi64x(
-            (uint32_t)(blk0 + 4 * v + 3), (uint32_t)(blk0 + 4 * v + 2),
-            (uint32_t)(blk0 + 4 * v + 1), (uint32_t)(blk0 + 4 * v));
-    int64_t nbf = n >> 1;
-    int64_t b = 0;
-    for (; b + 4 * REPRO_PH_NV <= nbf; b += 4 * REPRO_PH_NV) {
-        for (int v = 0; v < REPRO_PH_NV; v++) {
-            x0[v] = ctr[v];
-            x1[v] = rndv;
-            x2[v] = c2i;
-            x3[v] = c3i;
-            ctr[v] = _mm256_and_si256(
-                _mm256_add_epi64(ctr[v], _mm256_set1_epi64x(4 * REPRO_PH_NV)),
-                mask);
-        }
-        for (int r = 0; r < 10; r++)
-            for (int v = 0; v < REPRO_PH_NV; v++) {
-                __m256i p0 = _mm256_mul_epu32(x0[v], m0);
-                __m256i p1 = _mm256_mul_epu32(x2[v], m1);
-                x0[v] = _mm256_xor_si256(
-                    _mm256_xor_si256(_mm256_shuffle_epi32(p1, 0xB1), x1[v]),
-                    k0v[r]);
-                x1[v] = _mm256_and_si256(p1, mask);
-                x2[v] = _mm256_xor_si256(
-                    _mm256_xor_si256(_mm256_shuffle_epi32(p0, 0xB1), x3[v]),
-                    k1v[r]);
-                x3[v] = _mm256_and_si256(p0, mask);
-            }
-        for (int v = 0; v < REPRO_PH_NV; v++) {
-            __m256i hi0 = _mm256_srli_epi64(
-                _mm256_or_si256(_mm256_slli_epi64(x0[v], 32), x1[v]), 11);
-            __m256i hi1 = _mm256_srli_epi64(
-                _mm256_or_si256(_mm256_slli_epi64(x2[v], 32), x3[v]), 11);
-            __m256d d0v = _mm256_mul_pd(repro_conv53_avx2(hi0), dscale);
-            __m256d d1v = _mm256_mul_pd(repro_conv53_avx2(hi1), dscale);
-            __m256d lo = _mm256_unpacklo_pd(d0v, d1v);
-            __m256d hi = _mm256_unpackhi_pd(d0v, d1v);
-            __m256d u0 = _mm256_permute2f128_pd(lo, hi, 0x20);
-            __m256d u1 = _mm256_permute2f128_pd(lo, hi, 0x31);
-            __m128i o0 = _mm256_cvttpd_epi32(_mm256_mul_pd(u0, degv));
-            __m128i o1 = _mm256_cvttpd_epi32(_mm256_mul_pd(u1, degv));
-            int32_t *p = dst + 2 * (b + 4 * v);
-            _mm_storeu_si128((__m128i *)p, _mm_min_epi32(o0, dmaxv));
-            _mm_storeu_si128((__m128i *)(p + 4), _mm_min_epi32(o1, dmaxv));
-        }
-    }
-    for (; b < nbf; b++) {
-        repro_philox_block((uint32_t)(blk0 + b), rnd, w, &d0, &d1);
-        int32_t o0 = (int32_t)(d0 * degd);
-        int32_t o1 = (int32_t)(d1 * degd);
-        dst[2 * b] = o0 > dmax ? dmax : o0;
-        dst[2 * b + 1] = o1 > dmax ? dmax : o1;
-    }
-    if (n & 1) {
-        repro_philox_block((uint32_t)(blk0 + nbf), rnd, w, &d0, &d1);
-        int32_t o0 = (int32_t)(d0 * degd);
-        dst[n - 1] = o0 > dmax ? dmax : o0;
-    }
-}
-
-#elif defined(__SSE2__)
-
-#define REPRO_PH_NV 4
-
-static inline __m128d repro_conv53_sse2(__m128i v53)
-{
-    const __m128i expo = _mm_set1_epi64x(0x4330000000000000LL);
-    const __m128d two52 = _mm_set1_pd(4503599627370496.0);
-    __m128i vhi = _mm_srli_epi64(v53, 21);
-    __m128i vlo = _mm_and_si128(v53, _mm_set1_epi64x(0x1FFFFF));
-    __m128d dhi =
-        _mm_sub_pd(_mm_castsi128_pd(_mm_or_si128(vhi, expo)), two52);
-    __m128d dlo =
-        _mm_sub_pd(_mm_castsi128_pd(_mm_or_si128(vlo, expo)), two52);
-    return _mm_add_pd(_mm_mul_pd(dhi, _mm_set1_pd(2097152.0)), dlo);
-}
-
-static void repro_philox_fill_seg(
-    double *dst, int64_t slot0, int64_t n, uint32_t rnd, const uint32_t *w)
-{
-    double d0, d1;
-    if (n > 0 && (slot0 & 1)) {
-        repro_philox_block((uint32_t)(slot0 >> 1), rnd, w, &d0, &d1);
-        *dst++ = d1;
-        slot0++;
-        n--;
-    }
-    int64_t blk0 = slot0 >> 1;
-    const __m128i m0 = _mm_set1_epi64x(REPRO_PHILOX_M0);
-    const __m128i m1 = _mm_set1_epi64x(REPRO_PHILOX_M1);
-    const __m128i mask = _mm_set1_epi64x(0xFFFFFFFFLL);
-    const __m128d scale = _mm_set1_pd(REPRO_SCALE_53);
-    const __m128i rndv = _mm_set1_epi64x(rnd);
-    const __m128i c2i = _mm_set1_epi64x(w[2]);
-    const __m128i c3i = _mm_set1_epi64x(w[3]);
-    __m128i k0v[10], k1v[10];
-    {
-        uint32_t k0 = w[0], k1 = w[1];
-        for (int r = 0; r < 10; r++) {
-            k0v[r] = _mm_set1_epi64x(k0);
-            k1v[r] = _mm_set1_epi64x(k1);
-            k0 += REPRO_PHILOX_W0;
-            k1 += REPRO_PHILOX_W1;
-        }
-    }
-    __m128i ctr[REPRO_PH_NV], x0[REPRO_PH_NV], x1[REPRO_PH_NV];
-    __m128i x2[REPRO_PH_NV], x3[REPRO_PH_NV];
-    for (int v = 0; v < REPRO_PH_NV; v++)
-        ctr[v] = _mm_set_epi64x((uint32_t)(blk0 + 2 * v + 1),
-                                (uint32_t)(blk0 + 2 * v));
-    int64_t nbf = n >> 1;
-    int64_t b = 0;
-    for (; b + 2 * REPRO_PH_NV <= nbf; b += 2 * REPRO_PH_NV) {
-        for (int v = 0; v < REPRO_PH_NV; v++) {
-            x0[v] = ctr[v];
-            x1[v] = rndv;
-            x2[v] = c2i;
-            x3[v] = c3i;
-            ctr[v] = _mm_and_si128(
-                _mm_add_epi64(ctr[v], _mm_set1_epi64x(2 * REPRO_PH_NV)),
-                mask);
-        }
-        for (int r = 0; r < 10; r++)
-            for (int v = 0; v < REPRO_PH_NV; v++) {
-                __m128i p0 = _mm_mul_epu32(x0[v], m0);
-                __m128i p1 = _mm_mul_epu32(x2[v], m1);
-                x0[v] = _mm_xor_si128(
-                    _mm_xor_si128(_mm_shuffle_epi32(p1, 0xB1), x1[v]),
-                    k0v[r]);
-                x1[v] = _mm_and_si128(p1, mask);
-                x2[v] = _mm_xor_si128(
-                    _mm_xor_si128(_mm_shuffle_epi32(p0, 0xB1), x3[v]),
-                    k1v[r]);
-                x3[v] = _mm_and_si128(p0, mask);
-            }
-        for (int v = 0; v < REPRO_PH_NV; v++) {
-            __m128i hi0 = _mm_srli_epi64(
-                _mm_or_si128(_mm_slli_epi64(x0[v], 32), x1[v]), 11);
-            __m128i hi1 = _mm_srli_epi64(
-                _mm_or_si128(_mm_slli_epi64(x2[v], 32), x3[v]), 11);
-            __m128d d0v = _mm_mul_pd(repro_conv53_sse2(hi0), scale);
-            __m128d d1v = _mm_mul_pd(repro_conv53_sse2(hi1), scale);
-            double *p = dst + 2 * (b + 2 * v);
-            _mm_storeu_pd(p, _mm_unpacklo_pd(d0v, d1v));
-            _mm_storeu_pd(p + 2, _mm_unpackhi_pd(d0v, d1v));
-        }
-    }
-    for (; b < nbf; b++) {
-        repro_philox_block((uint32_t)(blk0 + b), rnd, w, &d0, &d1);
-        dst[2 * b] = d0;
-        dst[2 * b + 1] = d1;
-    }
-    if (n & 1) {
-        repro_philox_block((uint32_t)(blk0 + nbf), rnd, w, &d0, &d1);
-        dst[n - 1] = d0;
-    }
-}
-
-#else /* portable scalar fallback */
-
-static void repro_philox_fill_seg(
-    double *dst, int64_t slot0, int64_t n, uint32_t rnd, const uint32_t *w)
-{
-    double d0, d1;
-    if (n > 0 && (slot0 & 1)) {
-        repro_philox_block((uint32_t)(slot0 >> 1), rnd, w, &d0, &d1);
-        *dst++ = d1;
-        slot0++;
-        n--;
-    }
-    int64_t blk0 = slot0 >> 1;
-    int64_t nb = n >> 1;
-    for (int64_t b = 0; b < nb; b++) {
-        repro_philox_block((uint32_t)(blk0 + b), rnd, w, &d0, &d1);
-        dst[2 * b] = d0;
-        dst[2 * b + 1] = d1;
-    }
-    if (n & 1) {
-        repro_philox_block((uint32_t)(blk0 + nb), rnd, w, &d0, &d1);
-        dst[n - 1] = d0;
-    }
-}
-
+#include <immintrin.h>
 #endif
-
-#if !defined(__AVX2__)
-/* SSE2/scalar builds: offsets via a stack round-trip through fill_seg
- * (the AVX2 build folds the conversion into its SIMD epilogue).  Only
- * ever called with n <= REPRO_PH_CHUNK — one chunk row. */
-static void repro_philox_fill_off(
-    int32_t *dst, int64_t slot0, int64_t n, uint32_t rnd, const uint32_t *w,
-    int64_t deg)
-{
-    double tmp[REPRO_PH_CHUNK];
-    const double degd = (double)deg;
-    const int32_t dmax = (int32_t)(deg - 1);
-    repro_philox_fill_seg(tmp, slot0, n, rnd, w);
-    for (int64_t j = 0; j < n; j++) {
-        int32_t off = (int32_t)(tmp[j] * degd);
-        dst[j] = off > dmax ? dmax : off;
-    }
-}
-#endif
-
-/* Fill the canonical flat uniform slab from counters: active trial a
- * (words[4a..4a+3]) owns slots [seg_a, seg_a + sent[a]) where seg is
- * the running prefix sum. */
-void repro_philox_fill(
-    double *u, const int64_t *sent, int64_t n_active,
-    const uint32_t *words, uint32_t round_ctr)
-{
-    int64_t seg = 0;
-    for (int64_t a = 0; a < n_active; a++) {
-        int64_t n = sent[a];
-        repro_philox_fill_seg(u + seg, 0, n, round_ctr, words + 4 * a);
-        seg += n;
-    }
-}
 
 /* ---- PCG64: numpy's np.random.PCG64, stepped in place ----
  *
@@ -723,35 +311,18 @@ static void repro_pcg64_fill_off(
     st[1] = (uint64_t)s;
 }
 
-/* Where the fused gathers draw from: per-trial PCG64 state rows when
- * pcg is non-NULL, else the Philox words of round rnd.  Both are
- * indexed by global trial id. */
-typedef struct {
-    uint64_t *pcg;
-    const uint32_t *words;
-    uint32_t rnd;
-} repro_src;
-
-/* Draw slots [slot, slot + n) of trial t's current round into one
- * chunk row, as doubles or (deg > 0) as CSR offsets.  PCG64 is a
- * sequential stream, so this is only ever called with the trial's
- * slots in order — which the walk below guarantees. */
-static inline void repro_src_fill(
-    const repro_src *src, int64_t t, double *row, int64_t slot, int64_t n,
-    int64_t deg)
+/* Draw the next n uniforms of trial t's stream (its row of the R x 4
+ * PCG64 states in pcg) into one chunk row, as doubles or (deg > 0) as
+ * CSR offsets.  PCG64 is a sequential stream, so this is only ever
+ * called with the trial's slots in order — which the walk below
+ * guarantees. */
+static inline void repro_fill_chunk(
+    uint64_t *pcg, int64_t t, double *row, int64_t n, int64_t deg)
 {
-    if (src->pcg) {
-        if (deg > 0)
-            repro_pcg64_fill_off((int32_t *)row, n, src->pcg + 4 * t, deg);
-        else
-            repro_pcg64_fill(row, n, src->pcg + 4 * t);
-    } else {
-        if (deg > 0)
-            repro_philox_fill_off((int32_t *)row, slot, n, src->rnd,
-                                  src->words + 4 * t, deg);
-        else
-            repro_philox_fill_seg(row, slot, n, src->rnd, src->words + 4 * t);
-    }
+    if (deg > 0)
+        repro_pcg64_fill_off((int32_t *)row, n, pcg + 4 * t, deg);
+    else
+        repro_pcg64_fill(row, n, pcg + 4 * t);
 }
 
 /* Fused client-blocked gathers over the trial range [a0, a1) — the
@@ -763,18 +334,17 @@ static inline void repro_src_fill(
  * uniforms are drawn just in time — when the walk first reaches a
  * 512-slot chunk boundary of a trial's segment, the whole chunk is
  * drawn into the trial's own row of the uchunk scratch and then
- * consumed from there.  Per-trial consumption is
- * strictly sequential, so each chunk is drawn exactly once and in slot
- * order (the trigger sits after the block-end check: a walk suspended
- * mid-chunk resumes on the same row without re-triggering, and one
- * suspended exactly at a boundary draws the next chunk on re-entry,
- * its first visit) — which is what lets a sequential PCG64 stream feed
- * it as well as the counter-based Philox one.  uchunk is n_active ×
+ * consumed from there.  Per-trial consumption is strictly sequential,
+ * so each chunk is drawn exactly once and in slot order (the trigger
+ * sits after the block-end check: a walk suspended mid-chunk resumes on
+ * the same row without re-triggering, and one suspended exactly at a
+ * boundary draws the next chunk on re-entry, its first visit) — which
+ * is what lets a sequential PCG64 stream feed it.  uchunk is n_active ×
  * 512 doubles — a quarter-megabyte at 64 trials, so the uniforms never
  * leave L2 and no full-size uniform slab is ever written or read. */
 
 static void phase1_regular_fused(
-    const repro_src *src, double *uchunk, const int32_t *ball_key,
+    uint64_t *pcg, double *uchunk, const int32_t *ball_key,
     int32_t *dest, int64_t a0, int64_t a1, const int64_t *trial_ids,
     const int64_t *seg_start, const int64_t *seg_end, int64_t *cur,
     int64_t reg_deg, const int32_t *indices, int64_t n_clients,
@@ -788,21 +358,21 @@ static void phase1_regular_fused(
             /* with a fixed degree the chunk is drawn directly as int32
              * CSR offsets — the uniform doubles never exist in memory;
              * the trial's chunk row is reused as int32 space */
-            double *row = uchunk + a * REPRO_PH_CHUNK;
+            double *row = uchunk + a * REPRO_DRAW_CHUNK;
             const int32_t *oc = (const int32_t *)row;
             while (i < e && ball_key[i] < block_end) {
                 int64_t slot = i - s0;
-                if ((slot & (REPRO_PH_CHUNK - 1)) == 0) {
+                if ((slot & (REPRO_DRAW_CHUNK - 1)) == 0) {
                     int64_t len = e - i;
-                    if (len > REPRO_PH_CHUNK) len = REPRO_PH_CHUNK;
-                    repro_src_fill(src, trial_ids[a], row, slot, len, reg_deg);
+                    if (len > REPRO_DRAW_CHUNK) len = REPRO_DRAW_CHUNK;
+                    repro_fill_chunk(pcg, trial_ids[a], row, len, reg_deg);
                 }
                 /* ball_key is sorted, so the block's run ends at the
                  * first key >= block_end: binary-search it (bounded by
                  * the chunk so oc stays valid) and consume the run in
                  * a straight branch-free loop instead of re-testing
                  * the block condition per draw. */
-                int64_t hi = i + REPRO_PH_CHUNK - (slot & (REPRO_PH_CHUNK - 1));
+                int64_t hi = i + REPRO_DRAW_CHUNK - (slot & (REPRO_DRAW_CHUNK - 1));
                 if (hi > e) hi = e;
                 int64_t lo = i;
                 while (lo < hi) {
@@ -818,7 +388,7 @@ static void phase1_regular_fused(
                         (const __m256i *)(ball_key + j));
                     __m256i of = _mm256_loadu_si256(
                         (const __m256i *)(oc +
-                                          ((j - s0) & (REPRO_PH_CHUNK - 1))));
+                                          ((j - s0) & (REPRO_DRAW_CHUNK - 1))));
                     __m256i ix = _mm256_add_epi32(bk, of);
                     __m256i dv = _mm256_i32gather_epi32(
                         (const int *)indices, ix, 4);
@@ -827,7 +397,7 @@ static void phase1_regular_fused(
 #endif
                 for (; j < run; j++)
                     dest[j] = indices[ball_key[j] +
-                                      oc[(j - s0) & (REPRO_PH_CHUNK - 1)]];
+                                      oc[(j - s0) & (REPRO_DRAW_CHUNK - 1)]];
                 i = run;
             }
             cur[a] = i;
@@ -836,7 +406,7 @@ static void phase1_regular_fused(
 }
 
 static void phase1_irregular_fused(
-    const repro_src *src, double *uchunk, const int32_t *ball_key,
+    uint64_t *pcg, double *uchunk, const int32_t *ball_key,
     int32_t *dest, int64_t a0, int64_t a1, const int64_t *trial_ids,
     const int64_t *seg_start, const int64_t *seg_end, int64_t *cur,
     const int32_t *indptr, const int32_t *degrees, const int32_t *indices,
@@ -847,18 +417,18 @@ static void phase1_irregular_fused(
         int64_t block_end = v0 + block_clients;
         for (int64_t a = a0; a < a1; a++) {
             int64_t i = cur[a], e = seg_end[a], s0 = seg_start[a];
-            double *ub = uchunk + a * REPRO_PH_CHUNK;
+            double *ub = uchunk + a * REPRO_DRAW_CHUNK;
             while (i < e && ball_key[i] < block_end) {
                 int64_t slot = i - s0;
-                if ((slot & (REPRO_PH_CHUNK - 1)) == 0) {
+                if ((slot & (REPRO_DRAW_CHUNK - 1)) == 0) {
                     int64_t len = e - i;
-                    if (len > REPRO_PH_CHUNK) len = REPRO_PH_CHUNK;
-                    repro_src_fill(src, trial_ids[a], ub, slot, len, 0);
+                    if (len > REPRO_DRAW_CHUNK) len = REPRO_DRAW_CHUNK;
+                    repro_fill_chunk(pcg, trial_ids[a], ub, len, 0);
                 }
                 int32_t v = ball_key[i];
                 int64_t dg = degrees[v];
                 int64_t off = (int64_t)(
-                    ub[slot & (REPRO_PH_CHUNK - 1)] * (double)dg);
+                    ub[slot & (REPRO_DRAW_CHUNK - 1)] * (double)dg);
                 if (off > dg - 1) off = dg - 1;
                 dest[i] = indices[indptr[v] + off];
                 i++;
@@ -1224,12 +794,11 @@ static int REPRO_NAME(starved)(
 
 /* A whole engine run: every round of every trial in one call.
  *
- * pcg (R x 4 PCG64 state rows, stepped in place) or, when pcg is NULL,
- * words (R x 4 Philox words) supplies each trial's uniforms, drawn in
- * phase 1 into its row of uchunk (R x REPRO_PH_CHUNK doubles).
- * ball_key arrives holding every trial's initial balls (R segments of
- * total_balls); ball_key, alt_key and dest are R * total_balls int32
- * each and are scratch from then on.  counts/toucheds/accs are
+ * pcg (R x 4 PCG64 state rows, stepped in place) supplies each trial's
+ * uniforms, drawn in phase 1 into its row of uchunk (R x
+ * REPRO_DRAW_CHUNK doubles).  ball_key arrives holding every trial's
+ * initial balls (R segments of total_balls); ball_key, alt_key and dest
+ * are R * total_balls int32 each and are scratch from then on.  counts/toucheds/accs are
  * n_threads x n_s scratch rows (counts and accs zeroed).  cursors is
  * R x n_clients int32 scratch for the starvation check below; a
  * trial's row is zeroed the first time it is used, which the per-trial
@@ -1257,13 +826,12 @@ static int REPRO_NAME(starved)(
  * (blocked_servers is unchanged) and a RAES load does not move.  Only
  * the counters and the draws advance, by closed forms: with k = cap -
  * round rounds left and `alive` balls, rounds grows by k, work by
- * 2·alive·k, and the trial's PCG64 row jumps ahead by alive·k draws
- * (Philox draws are counter-based, nothing to do).  The trial then
- * drops out with its balls alive, ending exactly where grinding to the
- * cap would leave it — except cum_received on already-burned servers,
- * which stays a lower bound. */
+ * 2·alive·k, and the trial's PCG64 row jumps ahead by alive·k draws.
+ * The trial then drops out with its balls alive, ending exactly where
+ * grinding to the cap would leave it — except cum_received on
+ * already-burned servers, which stays a lower bound. */
 void REPRO_NAME(repro_run)(
-    uint64_t *pcg, const uint32_t *words, double *uchunk,
+    uint64_t *pcg, double *uchunk,
     int32_t *ball_key, int32_t *alt_key, int32_t *dest,
     int64_t R, int64_t total_balls, int64_t cap,
     int64_t reg_deg, const int32_t *indptr, const int32_t *degrees,
@@ -1304,7 +872,6 @@ void REPRO_NAME(repro_run)(
         chunk_starts[0] = 0;
         for (int64_t ci = 0; ci < nc; ci++)
             chunk_starts[ci + 1] = chunk_starts[ci] + base + (ci < rem);
-        const repro_src src = {pcg, words, (uint32_t)round_no};
 
 #ifdef _OPENMP
 #pragma omp parallel for schedule(static) num_threads(nthr)
@@ -1315,12 +882,12 @@ void REPRO_NAME(repro_run)(
             int32_t *touched = toucheds + ci * n_s;
             uint8_t *acc = accs + ci * n_s;
             if (reg_deg > 0)
-                phase1_regular_fused(&src, uchunk, ball_key, dest, a0, a1,
+                phase1_regular_fused(pcg, uchunk, ball_key, dest, a0, a1,
                                      active, seg_start, seg_end, cur,
                                      reg_deg, indices, n_clients,
                                      block_clients);
             else
-                phase1_irregular_fused(&src, uchunk, ball_key, dest, a0, a1,
+                phase1_irregular_fused(pcg, uchunk, ball_key, dest, a0, a1,
                                        active, seg_start, seg_end, cur,
                                        indptr, degrees, indices, n_clients,
                                        block_clients);
@@ -1346,9 +913,8 @@ void REPRO_NAME(repro_run)(
                         int64_t alive = seg_end[a] - seg_start[a];
                         rounds[t] += k;
                         work[t] += 2 * alive * k;
-                        if (pcg)
-                            repro_pcg64_advance(pcg + 4 * t,
-                                                (uint64_t)(alive * k));
+                        repro_pcg64_advance(pcg + 4 * t,
+                                            (uint64_t)(alive * k));
                         n_keep[a] = 0; /* drop it: no survivors packed */
                     }
                 }

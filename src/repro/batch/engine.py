@@ -83,19 +83,17 @@ from ..core.config import ProtocolParams, RunOptions
 from ..core.engine import _resolve_demands
 from ..errors import NonTerminationError, ProtocolConfigError
 from ..graphs.bipartite import BipartiteGraph
-from ..rng import make_rng, philox_trial_words, spawn_seeds
+from ..rng import make_rng, spawn_seeds
 from .kernels import (
+    DRAW_CHUNK,
     RNG_BLOCK,
     EngineBuffers,
     Kernel,
-    PHILOX_CHUNK,
     _pcg64_load,
     _pcg64_store,
     block_clients_for,
     fill_uniforms,
-    philox_fill,
     resolve_kernel,
-    resolve_seed_mode,
     resolve_threads,
 )
 from .policies import BatchedRaesPolicy, BatchedSaerPolicy, BatchedServerPolicy
@@ -169,7 +167,6 @@ def run_trials_batched(
     options: RunOptions | None = None,
     kernel: str | None = None,
     threads: int | None = None,
-    seed_mode: str | None = None,
     buffers: EngineBuffers | None = None,
     faults=None,
 ) -> BatchResult:
@@ -210,16 +207,6 @@ def run_trials_batched(
         not scheduling.  Ignored by the ``numpy`` gate; without an
         OpenMP build ``cext`` warns once per (gate, threads) and runs
         sequentially.
-    seed_mode:
-        Seed lineage: ``"pair"`` / ``"direct"`` (synonyms here) run the
-        PCG64 per-trial generators; ``"philox"`` switches the uniform
-        supply to the counter-based Philox4x32 lineage of
-        :mod:`repro.rng` — a *different* deterministic stream with its
-        own goldens, bit-identical across every kernel gate, thread
-        count, and chunking by construction (each draw is a pure
-        function of ``(trial words, round, slot)``).  ``None`` reads
-        ``REPRO_SEED_MODE``; default ``pair``.  Philox mode requires
-        seed-likes (not pre-built Generators) in ``seeds``.
     buffers:
         Optional :class:`~repro.batch.kernels.EngineBuffers` scratch
         pool, reused across calls (persistent sweep workers pass their
@@ -275,18 +262,7 @@ def run_trials_batched(
 
         policy = faulty_policy_factory(policy.lower(), faults, n_c)
     pol = _make_batch_policy(policy, R, n_s, params.capacity)
-    smode = resolve_seed_mode(seed_mode)
-    if smode == "philox":
-        try:
-            words = philox_trial_words(seed_list)
-        except TypeError as exc:
-            raise ProtocolConfigError(
-                f'seed_mode="philox" derives counter words from seed-likes; {exc}'
-            ) from None
-        gens = None
-    else:
-        words = None
-        gens = [make_rng(s) for s in seed_list]
+    gens = [make_rng(s) for s in seed_list]
     # Only a Generator the caller passed can be observed after the run.
     passed = [t for t, s in enumerate(seed_list) if isinstance(s, np.random.Generator)]
     bufs = buffers if buffers is not None else EngineBuffers()
@@ -297,13 +273,13 @@ def run_trials_batched(
         pol.astype_state(state_dtype, state_dtype)
         rounds, work, assigned, alive_total = _run_rounds_compiled(
             kern, graph, pol, dem, total_balls, n_c, n_s, cap, R,
-            params.capacity, gens, bufs, state_dtype, n_threads, words, passed,
+            params.capacity, gens, bufs, state_dtype, n_threads, passed,
         )
     else:
         pol.astype_state(state_dtype, load_dtype)
         rounds, work, assigned, alive_total = _run_rounds_numpy(
             graph, pol, dem, total_balls, n_c, n_s, cap, R, gens, bufs,
-            state_dtype, words, passed,
+            state_dtype, passed,
         )
 
     result = BatchResult(
@@ -334,7 +310,7 @@ def run_trials_batched(
 
 def _compiled_supported(
     kern: Kernel, graph: BipartiteGraph, pol: BatchedServerPolicy, dem, n_c, n_s,
-    gens=None,
+    gens,
 ) -> bool:
     """Whether this run's shape fits the fused compiled kernels.
 
@@ -343,18 +319,17 @@ def _compiled_supported(
     types qualify), needs int32-addressable CSR tables, and does not
     reproduce the numpy path's clip semantics for degree-0 clients
     that somehow carry demand.  The ``cext`` run entry steps each
-    trial's PCG64 state in C, so PCG64-lineage trials must each own a
+    trial's PCG64 state in C, so every trial must own a
     ``np.random.PCG64``.  Anything else falls back to numpy — same
     results, just without the fusion.
     """
     if type(pol) not in (BatchedSaerPolicy, BatchedRaesPolicy):
         return False
-    if gens is not None:
-        bitgens = [g.bit_generator for g in gens]
-        if len({id(b) for b in bitgens}) < len(bitgens):
-            return False
-        if any(type(b) is not np.random.PCG64 for b in bitgens):
-            return False
+    bitgens = [g.bit_generator for g in gens]
+    if len({id(b) for b in bitgens}) < len(bitgens):
+        return False
+    if any(type(b) is not np.random.PCG64 for b in bitgens):
+        return False
     if n_c <= 0 or n_s <= 0 or graph.n_edges <= 0:
         return False
     if graph.n_edges >= 2**31 - 1 or n_s >= 2**31 - 1:
@@ -367,17 +342,16 @@ def _compiled_supported(
 
 def _run_rounds_compiled(
     kern, graph, pol, dem, total_balls, n_c, n_s, cap, R, capacity, gens,
-    bufs, state_dtype, threads=1, words=None, passed=(),
+    bufs, state_dtype, threads=1, passed=(),
 ):
     """Every round of the call in one call to the ``cext`` run entry
     (:meth:`~repro.batch.kernels.Kernel.run_round_fn`).
 
-    The run entry draws each trial's uniforms inside the round: from
-    its PCG64 state, copied in before the call and written back after
-    it to the Generators the caller passed (trials ``passed``; one
-    built here from a seed-like is never read again), or (``words is
-    not None``) from its Philox words.  After a round in which a trial
-    accepted no ball, the run entry checks whether each of its
+    The run entry draws each trial's uniforms inside the round from its
+    PCG64 state, copied in before the call and written back after it to
+    the Generators the caller passed (trials ``passed``; one built here
+    from a seed-like is never read again).  After a round in which a
+    trial accepted no ball, the run entry checks whether each of its
     remaining balls' clients sees only blocked servers (the predicates
     of ``blocked_counts()``): first with a per-trial server cursor over
     its state row, which settles it once every server is blocked, else
@@ -420,12 +394,10 @@ def _run_rounds_compiled(
 
     run_fn = kern.run_round_fn(threads if R > 1 else 1)
     T = max(1, min(threads, R))
-    pcg = None
-    if words is None:
-        pcg = bufs.get("cpcg", (R, 4), np.uint64)
-        _pcg64_load(gens, pcg)
+    pcg = bufs.get("cpcg", (R, 4), np.uint64)
+    _pcg64_load(gens, pcg)
     run_fn(
-        pcg, words, bufs.get("cuchunk", (R, PHILOX_CHUNK), np.float64),
+        pcg, bufs.get("cuchunk", (R, DRAW_CHUNK), np.float64),
         ball_key, alt_buf, dest_buf, total_balls, cap, reg_deg, indptr,
         degrees, indices, n_c, block_clients, state1, state2, capacity,
         is_raes, bufs.get("ccount", (T, n_s), state_dtype, zero=True),
@@ -435,24 +407,20 @@ def _run_rounds_compiled(
         bufs.get("ccursor", (R, n_c), np.int32),
         rounds, work, assigned, alive_total,
     )
-    if pcg is not None and passed:
+    if passed:
         _pcg64_store([gens[t] for t in passed], pcg[passed])
     return rounds, work, assigned, alive_total
 
 
 def _run_rounds_numpy(
     graph, pol, dem, total_balls, n_c, n_s, cap, R, gens, bufs, state_dtype,
-    words, passed,
+    passed,
 ):
     """The vectorized reference round loop (the ``numpy`` kernel).
 
-    ``words is not None`` selects the philox lineage: Phase-0 becomes
-    :func:`repro.batch.kernels.philox_fill` (stateless counter draws,
-    C-accelerated when a compiler exists) and the per-trial generators
-    and RNG read-ahead slab are never touched.  Otherwise the trials
-    ``passed`` (those whose Generator the caller handed in) draw with
-    no read-ahead, so each such Generator ends exactly after the draws
-    it served.
+    The trials ``passed`` (those whose Generator the caller handed in)
+    draw with no read-ahead, so each such Generator ends exactly after
+    the draws it served.
     """
     # Narrow index dtypes cut memory traffic on the per-ball passes (the
     # engine's dominant cost): edge offsets need to span n_edges (int32
@@ -514,11 +482,10 @@ def _run_rounds_numpy(
     alt_full = bufs.get("alt", B0, ball_dtype)  # compaction ping-pong partner
     if R:
         ball_full.reshape(R, total_balls)[:] = template
-    if words is None:
-        slab = bufs.get("rng_slab", (R, RNG_BLOCK), np.float64)
-        slab_pos = bufs.get("rng_pos", R, np.int64)
-        slab_pos[:] = RNG_BLOCK  # empty: streams are fresh per engine call
-        slab_pos[passed] = -1  # the caller's Generators: no read-ahead
+    slab = bufs.get("rng_slab", (R, RNG_BLOCK), np.float64)
+    slab_pos = bufs.get("rng_pos", R, np.int64)
+    slab_pos[:] = RNG_BLOCK  # empty: streams are fresh per engine call
+    slab_pos[passed] = -1  # the caller's Generators: no read-ahead
     ball_key = ball_full[: B0 if active.size else 0]
     # The R × n_s received slab is the engine's largest allocation, but
     # only the dense Phase-2 path reads it — sparse-dominated runs (big
@@ -537,14 +504,11 @@ def _run_rounds_numpy(
         work[active] += 2 * sent
 
         # Phase 1: per-trial uniforms — trial r consumes exactly the
-        # stream run_protocol(seed=seeds[r]) would (PCG64 mode), or the
-        # counter-determined philox stream — then the shared-graph
-        # destination map of Algorithm 1 line 3, fused over all trials.
+        # stream run_protocol(seed=seeds[r]) would — then the
+        # shared-graph destination map of Algorithm 1 line 3, fused
+        # over all trials.
         u = u_buf[:B]
-        if words is not None:
-            philox_fill(u, active, sent, words, round_no)
-        else:
-            fill_uniforms(u, active, sent, gens, slab, slab_pos)
+        fill_uniforms(u, active, sent, gens, slab, slab_pos)
         offsets = off_buf[:B]
         base = base_buf[:B]
         dest = dest_buf[:B]
@@ -619,7 +583,6 @@ def run_saer_batched(
     options: RunOptions | None = None,
     kernel: str | None = None,
     threads: int | None = None,
-    seed_mode: str | None = None,
     buffers: EngineBuffers | None = None,
     faults=None,
 ) -> BatchResult:
@@ -635,7 +598,6 @@ def run_saer_batched(
         options=options,
         kernel=kernel,
         threads=threads,
-        seed_mode=seed_mode,
         buffers=buffers,
         faults=faults,
     )
@@ -653,7 +615,6 @@ def run_raes_batched(
     options: RunOptions | None = None,
     kernel: str | None = None,
     threads: int | None = None,
-    seed_mode: str | None = None,
     buffers: EngineBuffers | None = None,
     faults=None,
 ) -> BatchResult:
@@ -669,7 +630,6 @@ def run_raes_batched(
         options=options,
         kernel=kernel,
         threads=threads,
-        seed_mode=seed_mode,
         buffers=buffers,
         faults=faults,
     )

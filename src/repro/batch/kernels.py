@@ -17,7 +17,7 @@ run it two ways (:data:`KERNEL_NAMES`):
     One call runs a whole engine call — every round of every trial —
     and draws each trial's uniforms inside the round, from its PCG64
     state (eight AVX-512 lanes of the stream at once where the native
-    build has them, with the scalar loop's bits) or its Philox words;
+    build has them, with the scalar loop's bits);
     the CSR adjacency streams through cache once per round instead of
     once per trial.  A trial whose remaining balls see only blocked
     servers jumps to the round cap in closed form instead of grinding
@@ -86,37 +86,23 @@ __all__ = [
     "KERNELS_ENV",
     "KERNEL_NAMES",
     "THREADS_ENV",
-    "SEED_MODE_ENV",
     "DEFAULT_KERNEL",
-    "SEED_MODES",
     "EngineBuffers",
     "available_kernels",
     "resolve_kernel",
     "resolve_threads",
-    "resolve_seed_mode",
     "fill_uniforms",
-    "philox_fill",
 ]
 
 KERNELS_ENV = "REPRO_KERNELS"
 THREADS_ENV = "REPRO_KERNEL_THREADS"
-SEED_MODE_ENV = "REPRO_SEED_MODE"
 
-# Must mirror REPRO_PH_CHUNK in _kernels.c: the C run entry takes an
-# [R, PHILOX_CHUNK] float64 scratch (one cache-resident chunk row of
-# draws per trial; never read by the caller).
-PHILOX_CHUNK = 512
+# Must mirror REPRO_DRAW_CHUNK in _kernels.c: the run entry draws each
+# trial's uniforms a chunk at a time into its row of an [R, DRAW_CHUNK]
+# float64 scratch (cache-resident; never read by the caller).
+DRAW_CHUNK = 512
 CACHE_ENV = "REPRO_KERNEL_CACHE"
 DEFAULT_KERNEL = "numpy"
-
-# Engine-level seed lineages.  "pair" and "direct" are synonyms here —
-# both mean per-trial PCG64 Generators, stepped inside the C run entry
-# on cext and read through fill_uniforms on numpy (the
-# distinction between them is a plan-level seed-derivation choice, see
-# repro.plan) — while "philox" switches the whole uniform supply to
-# the counter-based Philox4x32 lineage of repro.rng: a different
-# deterministic stream with its own goldens, NOT bit-parity with PCG64.
-SEED_MODES = ("pair", "direct", "philox")
 
 # Read-ahead block of fill_uniforms (the numpy round loop): uniforms
 # are pre-drawn per trial in slabs of this many doubles; rounds needing
@@ -236,47 +222,6 @@ def fill_uniforms(
         pos += k
 
 
-def philox_fill(
-    u: np.ndarray,
-    active: np.ndarray,
-    sent: np.ndarray,
-    words: np.ndarray,
-    round_ctr: int,
-) -> None:
-    """Counter-based Phase-0: fill ``u`` from Philox counters, no state.
-
-    The philox twin of :func:`fill_uniforms`: active trial ``active[a]``
-    (rows of ``words``, the per-trial ``(k0, k1, c2, c3)`` uint32 words
-    from :func:`repro.rng.philox_trial_words`) gets ``sent[a]`` doubles
-    at the canonical packed offset.  Draw ``s`` of round ``round_ctr``
-    reads counter ``(s >> 1, round_ctr, c2, c3)`` — a pure function of
-    position, so any chunking, threading, or over-fill produces
-    identical bits.
-
-    Prefers the C ``repro_philox_fill`` (releases the GIL) and falls
-    back to the numpy reference :func:`repro.rng.philox_uniforms` per
-    trial when no C library can be built — same bits either way.
-    """
-    n_active = len(active)
-    if n_active == 0:
-        return
-    sent = np.ascontiguousarray(sent[:n_active], dtype=np.int64)
-    w = np.ascontiguousarray(words[active])
-    cext: CextKernel = _REGISTRY["cext"]  # type: ignore[assignment]
-    lib = cext._load()
-    if lib is not None:
-        total = int(sent.sum())
-        lib.repro_philox_fill(u[:total], sent, n_active, w, round_ctr)
-        return
-    from ..rng import philox_uniforms
-
-    pos = 0
-    for a in range(n_active):
-        k = int(sent[a])
-        philox_uniforms(w[a], round_ctr, k, out=u[pos : pos + k])
-        pos += k
-
-
 # ---------------------------------------------------------------------------
 # Kernel implementations
 # ---------------------------------------------------------------------------
@@ -389,8 +334,7 @@ class CextKernel(Kernel):
 
         Each trial's uniforms are drawn inside phase 1 from its row of
         ``pcg`` (``[R, 4]`` uint64 PCG64 states as ``state_hi,
-        state_lo, inc_hi, inc_lo``, stepped in place) or, with
-        ``pcg=None``, from its row of the Philox ``words``.  Rounds are
+        state_lo, inc_hi, inc_lo``, stepped in place).  Rounds are
         split into trial chunks over the ``counts``/``toucheds``/``accs``
         scratch rows — run in parallel by the OpenMP build when
         ``threads > 1``; without it, warns once per (gate, threads) and
@@ -410,16 +354,13 @@ class CextKernel(Kernel):
             return None
         threaded = lib is self._mt_lib
 
-        def call(pcg, words, uchunk, ball_key, alt_key, dest, total_balls,
-                 cap, reg_deg, indptr, degrees, indices, n_clients,
-                 block_clients, state1, state2, capacity, is_raes, counts,
-                 toucheds, accs, ws, cursors, rounds, work, assigned,
-                 alive_total):
+        def call(pcg, uchunk, ball_key, alt_key, dest, total_balls, cap,
+                 reg_deg, indptr, degrees, indices, n_clients, block_clients,
+                 state1, state2, capacity, is_raes, counts, toucheds, accs,
+                 ws, cursors, rounds, work, assigned, alive_total):
             fn = lib.repro_run_i64 if state1.dtype == np.int64 else lib.repro_run_i32
             fn(
-                None if pcg is None else pcg.ctypes.data,
-                None if words is None else words.ctypes.data,
-                uchunk, ball_key, alt_key, dest, rounds.shape[0],
+                pcg, uchunk, ball_key, alt_key, dest, rounds.shape[0],
                 total_balls, cap, reg_deg, indptr, degrees, indices,
                 n_clients, block_clients, state1, state2, state1.shape[1],
                 capacity, is_raes, counts, toucheds, accs,
@@ -478,10 +419,11 @@ def _flag_sets(openmp: bool) -> list[list[str]]:
     """The compiler flags the build tries, in order.
 
     ``-march=native`` first, plain ``-O3`` as the portable fallback.
-    The native flags turn on the SIMD fills the compiler's predefined
-    macros select: the Philox fill on AVX2, and the eight-lane PCG64
-    fill on AVX-512 (F, DQ and VL); the portable build runs the scalar
-    PCG64 loop (``repro_pcg64_lanes()`` reports 8 or 1).  Both builds
+    The native flags turn on the SIMD paths the compiler's predefined
+    macros select: the AVX2 gather of the regular-graph walk, and the
+    eight-lane PCG64 fill on AVX-512 (F, DQ and VL); the portable build
+    runs the scalar PCG64 loop (``repro_pcg64_lanes()`` reports 8 or
+    1).  Both builds
     give the same bits: the kernels are integer arithmetic plus
     isolated double multiplies and conversions, so there is still no
     multiply-add chain for ``-mfma`` to contract.
@@ -609,7 +551,6 @@ def _load_cext_library(openmp: bool = False):
     _declare_run(lib.repro_run_i32, np.int32)
     _declare_run(lib.repro_run_i64, np.int64)
     _declare_serve(lib.repro_serve_round)
-    _declare_fill(lib.repro_philox_fill)
     _declare_repair(lib.repro_repair_pass)
     return lib
 
@@ -620,9 +561,8 @@ def _declare_run(fn, state_dtype) -> None:
     i64 = ctypes.c_int64
     fn.restype = None
     fn.argtypes = [
-        ctypes.c_void_p,        # pcg [R, 4] uint64, or NULL
-        ctypes.c_void_p,        # words [R, 4] uint32 (when pcg is NULL)
-        ptr(np.float64, **c),   # uchunk [R, PHILOX_CHUNK]
+        ptr(np.uint64, **c),    # pcg [R, 4], stepped in place
+        ptr(np.float64, **c),   # uchunk [R, DRAW_CHUNK]
         ptr(np.int32, **c),     # ball_key (initial balls)
         ptr(np.int32, **c),     # alt_key
         ptr(np.int32, **c),     # dest
@@ -685,19 +625,6 @@ def _declare_serve(fn) -> None:
         ptr(np.int64, **c),              # out [3, n]
         _optional(ptr(np.int64, **c)),   # received [n_s] or NULL
         _optional(ptr(np.int64, **c)),   # accepted [n_s] or NULL
-    ]
-
-
-def _declare_fill(fn) -> None:
-    ptr = np.ctypeslib.ndpointer
-    c = dict(flags="C_CONTIGUOUS")
-    fn.restype = None
-    fn.argtypes = [
-        ptr(np.float64, **c),   # u (canonical packed layout)
-        ptr(np.int64, **c),     # sent (per active trial)
-        ctypes.c_int64,         # n_active
-        ptr(np.uint32, **c),    # words [n_active, 4]
-        ctypes.c_uint32,        # round_ctr
     ]
 
 
@@ -803,22 +730,6 @@ def resolve_threads(threads: int | None = None) -> int:
     if threads < 1:
         raise ValueError(f"kernel threads must be >= 1; got {threads}")
     return threads
-
-
-def resolve_seed_mode(mode: str | None = None) -> str:
-    """Resolve the seed-lineage gate: argument > ``REPRO_SEED_MODE`` > pair.
-
-    Plan execution always passes the plan's mode explicitly, so the
-    environment variable can steer ad-hoc engine calls but never alter
-    the bits of a plan run.
-    """
-    requested = mode or os.environ.get(SEED_MODE_ENV) or "pair"
-    requested = requested.strip().lower()
-    if requested not in SEED_MODES:
-        raise ValueError(
-            f"unknown seed mode {requested!r}; known: {list(SEED_MODES)}"
-        )
-    return requested
 
 
 def _warn_sequential(kern: Kernel, threads: int) -> None:

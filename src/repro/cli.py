@@ -100,10 +100,6 @@ def run_experiment(
             # Same story for the thread budget: already exported via
             # REPRO_KERNEL_THREADS for serial kernel-agnostic runners.
             continue
-        if name == "seed_mode" and os.environ.get("REPRO_SEED_MODE") == value:
-            # And for the seed lineage: REPRO_SEED_MODE reaches every
-            # batched-engine call regardless of plan capabilities.
-            continue
         warnings.warn(
             f"{spec.id} does not support the {name!r} override "
             f"(declared capabilities: {', '.join(spec.capabilities)}); ignoring it",
@@ -160,10 +156,6 @@ def _cmd_run(args) -> int:
         # exactly what kernel-capable experiments get via
         # BackendSpec.threads below.
         os.environ["REPRO_KERNEL_THREADS"] = str(args.kernel_threads)
-    if args.seed_mode:
-        # Like --kernel: the batched engine resolves the seed lineage at
-        # call time from REPRO_SEED_MODE, and forked workers inherit it.
-        os.environ["REPRO_SEED_MODE"] = args.seed_mode
     target = args.experiment.lower()
     if target == "all" and (args.spool or args.resume):
         # One spool directory belongs to one plan fingerprint; spreading
@@ -295,17 +287,14 @@ def main(argv=None) -> int:
     )
     p_run.add_argument(
         "--seed-mode",
-        choices=("pair", "direct", "philox"),
+        choices=("pair", "direct"),
         default=None,
-        help="per-trial seed lineage: 'pair' spawns a child "
-        "SeedSequence per trial (default, matches the reference "
-        "engine), 'direct' seeds each trial's generator with the raw "
-        "entry, 'philox' derives counter-based Philox4x32 streams "
-        "(batched engine only; its own golden lineage — distinct bits "
-        "from pair/direct — enabling vectorized, chunking-invariant "
-        "fills).  Maps onto the plan's SeedSpec.mode "
-        "for sweep experiments and sets REPRO_SEED_MODE for "
-        "everything else.",
+        help="how each trial's seed is used: 'pair' (default) splits "
+        "it into a graph seed and a protocol seed; 'direct' hands it "
+        "to the trial unsplit, which needs a pinned graph "
+        "(--share-graph).  Either way the trial draws from one PCG64 "
+        "stream.  Maps onto the plan's SeedSpec.mode for sweep "
+        "experiments.",
     )
     p_run.add_argument(
         "--kernel-threads",

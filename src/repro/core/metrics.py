@@ -11,8 +11,9 @@ The analysis of Theorem 1 tracks, for each round ``t``:
   (Definition 6 / eq. 26), the proxy satisfying ``S_t ≤ K_t``.
 
 These are exactly the series the Stage-I/Stage-II experiments (E4, E10,
-E11) need.  Computing them costs one sparse matvec per round, so tracing
-is opt-in via :class:`TraceLevel`.
+E11) need.  Computing them costs two passes over the edges per round
+(the neighbourhood sums ``A @ x`` as segment sums over the CSR rows),
+so tracing is opt-in via :class:`TraceLevel`.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ class TraceLevel(enum.Enum):
     * ``BASIC`` — scalar counters: alive balls, requests, acceptances,
       newly blocked servers, cumulative work.
     * ``FULL`` — BASIC plus the proof quantities ``S_t``, ``K_t``,
-      ``max_v r_t(N(v))`` and ``max_u r_t(u)`` (one sparse matvec/round).
+      ``max_v r_t(N(v))`` and ``max_u r_t(u)`` (two edge passes/round).
     """
 
     NONE = 0
@@ -69,7 +70,9 @@ class Trace:
     r_server_max: list[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self._adj = None  # scipy CSR client×server, lazily bound
+        self._edge_server = None  # server id of each CSR edge, lazily bound
+        self._rows = None  # clients with at least one edge
+        self._row_starts = None  # their first edge
         self._cum_r_neigh = None  # Σ_{i≤t} r_i(N(v)) per client
         self._inv_deg = None  # 1/Δ_v per client (inf-guarded)
         self._cd = 1.0  # c·d normalizer for K_t
@@ -81,7 +84,9 @@ class Trace:
         """Prepare FULL-level machinery for ``graph`` (no-op otherwise)."""
         if self.level is not TraceLevel.FULL:
             return
-        self._adj = graph.to_scipy()
+        self._edge_server = graph.client_indices
+        self._rows = np.flatnonzero(graph.client_degrees)
+        self._row_starts = graph.client_indptr[self._rows]
         self._cum_r_neigh = np.zeros(graph.n_clients, dtype=np.float64)
         deg = graph.client_degrees.astype(np.float64)
         with np.errstate(divide="ignore"):
@@ -109,16 +114,26 @@ class Trace:
         self.blocked_total.append(int(blocked_mask.sum()) if blocked_mask is not None else 0)
         self.work_cum.append(work_cum)
         if self.level is TraceLevel.FULL:
-            assert self._adj is not None, "Trace.bind() was not called"
-            r_neigh = self._adj @ received.astype(np.float64)
+            assert self._edge_server is not None, "Trace.bind() was not called"
+            r_neigh = self._neigh_sum(received)
             self._cum_r_neigh += r_neigh
-            blocked_in_neigh = self._adj @ blocked_mask.astype(np.float64)
+            blocked_in_neigh = self._neigh_sum(blocked_mask)
             s_v = blocked_in_neigh * self._inv_deg
             self.s_t.append(float(s_v.max()) if s_v.size else 0.0)
             k_v = self._cum_r_neigh * self._inv_deg / self._cd
             self.k_t.append(float(k_v.max()) if k_v.size else 0.0)
             self.r_neigh_max.append(int(r_neigh.max()) if r_neigh.size else 0)
             self.r_server_max.append(int(received.max()) if received.size else 0)
+
+    def _neigh_sum(self, per_server: np.ndarray) -> np.ndarray:
+        """``A @ per_server`` in float64: each client's sum over its
+        neighbours, summed as int64, so the sums are exact."""
+        out = np.zeros(self._inv_deg.size, dtype=np.float64)
+        if self._rows.size:
+            out[self._rows] = np.add.reduceat(
+                per_server[self._edge_server], self._row_starts, dtype=np.int64
+            )
+        return out
 
     # -- finalized views ----------------------------------------------------
 

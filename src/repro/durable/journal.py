@@ -84,9 +84,9 @@ def seed_token(seeds) -> object | None:
         if any(t is None for t in toks):
             return None
         # The derivation mode changes bits even for explicit seeds
-        # (philox derives counter words from each seed's SeedSequence),
-        # so it must be part of the token.  Keep the historical 2-element
-        # shape for "pair" so pre-existing spools still resume.
+        # ("direct" hands each seed to the trial unsplit), so it must be
+        # part of the token.  Keep the historical 2-element shape for
+        # "pair" so pre-existing spools still resume.
         if seeds.mode == "pair":
             return ["explicit", toks]
         return ["explicit", toks, seeds.mode]

@@ -1,8 +1,8 @@
 """Experiment registry and runners regenerating every paper claim.
 
 The paper has no numeric tables (it is a theory paper), so each
-"experiment" regenerates one quantitative claim — see DESIGN.md §5 for
-the full index.  Each runner returns ``(rows, meta)`` where ``rows`` is
+"experiment" regenerates one quantitative claim — see the "Experiments"
+section of README.md for the full index.  Each runner returns ``(rows, meta)`` where ``rows`` is
 a list of table-row dicts and ``meta`` holds fits/derived scalars; the
 benches in ``benchmarks/`` and the CLI print them via
 :func:`repro.analysis.format_table`.

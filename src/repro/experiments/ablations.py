@@ -1,4 +1,4 @@
-"""Ablation experiments on the protocol's design choices (DESIGN.md §5).
+"""Ablation experiments on the protocol's design choices (A1–A3).
 
 SAER makes three distinctive design choices; each ablation isolates one:
 

@@ -44,8 +44,8 @@ class ExperimentSpec:
 
     ``runner`` names the function in :mod:`repro.experiments.runners`;
     ``bench`` names the pytest-benchmark module; ``expected_shape`` is
-    the acceptance criterion (shape, not absolute numbers — see
-    DESIGN.md §5); ``capabilities`` declares which plan-axis overrides
+    the acceptance criterion (shape, not absolute numbers);
+    ``capabilities`` declares which plan-axis overrides
     the runner accepts; ``smoke`` holds tiny-scale kwargs for the
     plan-smoke harness.
     """

@@ -2,10 +2,10 @@
 
 Every runner returns ``(rows, meta)``: ``rows`` are table records ready
 for :func:`repro.analysis.format_table`; ``meta`` carries fits and
-derived scalars (and is what EXPERIMENTS.md quotes).  All workers are
-module-level so the process pool can pickle them; every trial gets a
-spawned seed, so runs are reproducible for a fixed root ``seed``
-regardless of process count.
+derived scalars (``repro-lb run`` prints it after the table).  All
+workers are module-level so the process pool can pickle them; every
+trial gets a spawned seed, so runs are reproducible for a fixed root
+``seed`` regardless of process count.
 
 Runners are **thin plan builders**: each one maps its kwargs onto a
 declarative :class:`repro.plan.RunPlan` (grid + trials + seed policy +
@@ -22,7 +22,8 @@ looping per-trial dicts.  Subpackages only some runners use
 the functions that use them, so a sweep loads only what it runs.
 
 Default parameter choices were calibrated so the *shape* under test is
-visible (see DESIGN.md §5):
+visible (the claims are listed in the "Experiments" section of
+README.md):
 
 * ``c = 1.5, d = 4`` — the contended-but-terminating regime where
   completion time clearly grows with ``log n``;
@@ -114,7 +115,7 @@ def _saer_run_record(graph, point: Mapping, p_seed) -> dict:
 
 def _saer_batch_block(
     graph, point: Mapping, p_seeds, kernel: str | None = None,
-    threads: int | None = None, seed_mode: str | None = None,
+    threads: int | None = None,
 ) -> ResultBlock:
     """One batched-engine trial block on ``graph`` → a columnar
     :class:`~repro.batch.results.ResultBlock` (field-for-field the
@@ -127,8 +128,6 @@ def _saer_batch_block(
     RNG read-ahead once.  ``kernel`` pins the round-kernel gate and
     ``threads`` the compiled kernel's trial-partitioned thread budget
     (``None`` defers to ``REPRO_KERNELS`` / ``REPRO_KERNEL_THREADS``).
-    ``seed_mode="philox"`` switches the per-trial draw stream to the
-    counter-based Philox lineage (distinct bits from the default PCG64).
     """
     opts = RunOptions(max_rounds=point.get("max_rounds"))
     p_seeds = list(p_seeds)
@@ -140,7 +139,6 @@ def _saer_batch_block(
         options=opts,
         kernel=kernel,
         threads=threads,
-        seed_mode=seed_mode,
         buffers=worker_state().engine_buffers,
     )
     rep = degree_report(graph)
@@ -184,8 +182,8 @@ def _saer_plan(
     processes stays within the core budget).  ``spool`` switches the
     sink to the durable on-disk spool at that directory
     (crash-supervised, resumable; see :mod:`repro.durable`).  ``seed_mode``
-    selects the trial seed lineage (``"pair"`` default; ``"philox"``
-    needs the batched backend — see :class:`repro.plan.SeedSpec`).
+    is :class:`repro.plan.SeedSpec`'s ``mode`` (``"pair"`` default;
+    ``"direct"`` needs the pinned ``graph``).
     """
     if backend not in ("reference", "batched"):
         raise ExperimentError(f"unknown backend {backend!r}; known: reference, batched")

@@ -17,14 +17,11 @@ global node ids are needed; separate spaces make that explicit).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..errors import GraphValidationError
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 __all__ = ["BipartiteGraph"]
 
@@ -302,22 +299,6 @@ class BipartiteGraph:
         return bool(np.any(self.client_degrees == 0))
 
     # -- conversions -------------------------------------------------------
-
-    def to_scipy(self) -> sp.csr_matrix:
-        """Client×server 0/1 adjacency as ``scipy.sparse.csr_matrix``.
-
-        Used by the metric layer for ``r_t(N(v)) = A @ r_t`` and
-        ``S_t(v) = (A @ burned) / Δ_v`` matvecs.  scipy is imported
-        here, not with the module: nothing else in the graph layer
-        needs it.
-        """
-        import scipy.sparse as sp
-
-        data = np.ones(self.n_edges, dtype=np.float64)
-        return sp.csr_matrix(
-            (data, self.client_indices.astype(np.int64), self.client_indptr.astype(np.int64)),
-            shape=(self.n_clients, self.n_servers),
-        )
 
     def edges(self) -> np.ndarray:
         """All edges as an ``(m, 2)`` array of (client, server), row-sorted."""

@@ -30,7 +30,7 @@ callables:
 * ``record(graph, point, seed)   -> dict`` — one trial;
 * ``batch(graph, point, seeds)   -> list[dict] | ResultBlock`` — one
   point's whole trial block (optional; required by the batched
-  backend; may accept ``kernel=``, ``threads=`` and ``seed_mode=``).
+  backend; may accept ``kernel=`` and ``threads=``).
 
 :func:`execute` spawns the task seeds once, cuts the grid into
 ``(point, seeds, trials)`` tasks once, resolves the process count once
@@ -56,15 +56,8 @@ point-major order, and the worker splits it into a ``(graph seed,
 protocol seed)`` pair — so a given (point, trial) sees bit-identical
 randomness under every backend × graph × dispatch × sink
 combination.  ``mode="direct"`` hands the task seed straight to the
-record function (no pair spawn); it requires a pinned graph, since
-there is then no graph seed to build from.  ``mode="philox"`` keeps
-the pair spawn but switches the batched engine to the counter-based
-Philox lineage (:func:`repro.rng.philox_trial_words`): each trial's
-protocol stream becomes a pure function of its spawned words and the
-(round, slot) counter — its own golden lineage, deliberately NOT
-bit-compatible with the PCG64 modes — which unlocks the fused
-generate-at-consumption kernels.  It requires the batched backend (``work.batch`` must accept
-``seed_mode=``).
+work function (no pair spawn); it requires a pinned graph, since
+there is then no graph seed to build from.
 """
 
 from __future__ import annotations
@@ -99,7 +92,7 @@ __all__ = [
 ]
 
 _BACKENDS = ("reference", "batched")
-_SEED_MODES = ("pair", "direct", "philox")
+_SEED_MODES = ("pair", "direct")
 
 
 @dataclass(frozen=True)
@@ -183,10 +176,7 @@ class SeedSpec:
     supplies the task seeds explicitly (length = points × trials).
     ``mode="pair"`` (default) makes the worker split each task seed
     into a ``(graph, protocol)`` pair; ``mode="direct"`` hands it to
-    the record function unsplit (requires a pinned graph);
-    ``mode="philox"`` spawns pairs like ``"pair"`` but runs the
-    batched engine under the counter-based Philox lineage (a distinct
-    golden stream — see the module docstring).
+    the work function unsplit (requires a pinned graph).
     """
 
     root: object = None
@@ -400,20 +390,6 @@ class RunPlan:
                 "seed mode 'direct' needs a pinned graph (there is no graph "
                 "seed to build one from)"
             )
-        if self.seeds.mode == "philox":
-            if self.backend.name != "batched":
-                raise PlanError(
-                    "seed mode 'philox' needs backend 'batched' (the counter "
-                    "lineage lives in the batched engine)"
-                )
-            if self.work.batch is not None and not _accepts_kw(
-                self.work.batch, "seed_mode"
-            ):
-                raise PlanError(
-                    "seed mode 'philox' is set but work.batch "
-                    f"({getattr(self.work.batch, '__name__', self.work.batch)!r}) "
-                    "does not accept a seed_mode= keyword"
-                )
         if self.seeds.seeds is not None and len(self.seeds.seeds) != self.n_tasks():
             raise PlanError(
                 f"explicit seeds: got {len(self.seeds.seeds)} for "
@@ -503,7 +479,6 @@ class BatchWorker:
         cache_dir: str | None = None,
         kernel: str | None = None,
         threads: int | None = None,
-        seed_mode: str | None = None,
     ):
         self.batch = batch
         self.pinned = pinned
@@ -514,7 +489,7 @@ class BatchWorker:
         # their REPRO_KERNEL_THREADS environment half is reset to 1.
         self.kwargs = {
             k: v
-            for k, v in (("kernel", kernel), ("threads", threads), ("seed_mode", seed_mode))
+            for k, v in (("kernel", kernel), ("threads", threads))
             if v is not None
         }
 
@@ -599,8 +574,6 @@ def _build_worker(plan: RunPlan, nproc: int):
     """The plan's canonical picklable worker."""
     pinned = plan.graph.graph is not None
     cache_dir = plan.graph.cache_dir or None
-    # philox keeps the (graph, protocol) pair spawn — only the protocol
-    # halves' interpretation changes, inside the engine
     pair = plan.seeds.mode != "direct"
     if plan.backend.name == "batched":
         return BatchWorker(
@@ -610,16 +583,6 @@ def _build_worker(plan: RunPlan, nproc: int):
             cache_dir=cache_dir,
             kernel=plan.backend.kernel,
             threads=_capped_threads(plan.backend.threads, nproc),
-            # Pin the plan's seed mode whenever the batch fn can take it:
-            # a plan's bits must not depend on REPRO_SEED_MODE in the
-            # worker's environment.  Legacy batch fns without the keyword
-            # are only valid for non-philox modes (validate() enforces
-            # this), where the engine default already matches "pair".
-            seed_mode=(
-                plan.seeds.mode
-                if _accepts_kw(plan.work.batch, "seed_mode")
-                else None
-            ),
         )
     return PerTrialWorker(plan.work.record, pinned=pinned, pair_seeds=pair, cache_dir=cache_dir)
 

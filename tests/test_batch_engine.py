@@ -268,6 +268,26 @@ class TestEngineApi:
             )
             assert np.all(batch.max_load <= batch.params.capacity)
 
+    def test_bits_immune_to_seed_mode_env(self, regular_graph, monkeypatch, capsys):
+        """Every trial draws from its PCG64 stream whatever the
+        environment says: an exported ``REPRO_SEED_MODE`` changes no bit
+        and prints nothing."""
+
+        def run():
+            return run_trials_batched(
+                regular_graph, ProtocolParams(c=1.5, d=4), "saer",
+                n_trials=4, seed=5, options=RunOptions(record_loads=True),
+            )
+
+        monkeypatch.delenv("REPRO_SEED_MODE", raising=False)
+        clean = run()
+        capsys.readouterr()
+        monkeypatch.setenv("REPRO_SEED_MODE", "philox")
+        polluted = run()
+        assert capsys.readouterr() == ("", "")
+        for field in ("rounds", "work", "assigned_balls", "max_load", "loads"):
+            assert np.array_equal(getattr(clean, field), getattr(polluted, field)), field
+
 
 class TestBatchedPolicies:
     def test_saer_burned_is_derived(self):

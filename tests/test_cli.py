@@ -208,17 +208,15 @@ class TestPlanErrorsReported:
         "argv",
         [
             ["run", "E1", "--trials", "-1"],
-            ["run", "E1", "--trials", "1", "--seed-mode", "philox"],
+            ["run", "E1", "--trials", "1", "--seed-mode", "direct"],
             ["run", "E1", "--trials", "1", "--backend", "batched", "--kernel-threads", "0"],
             ["run", "E1", "--trials", "1", "--processes", "0"],
             ["run", "ablations", "--trials", "1", "--processes", "-3"],
         ],
-        ids=["negative-trials", "philox-on-reference", "zero-threads", "zero-processes",
-             "negative-processes"],
+        ids=["negative-trials", "direct-without-pinned-graph", "zero-threads",
+             "zero-processes", "negative-processes"],
     )
-    def test_rejected_plan_exits_2(self, argv, capsys, monkeypatch):
-        # main() exports REPRO_SEED_MODE for --seed-mode; roll it back.
-        monkeypatch.setenv("REPRO_SEED_MODE", "pair")
+    def test_rejected_plan_exits_2(self, argv, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err

@@ -5,8 +5,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import ProtocolParams
+from repro.core.metrics import Trace, TraceLevel
 from repro.errors import GraphValidationError
 from repro.graphs import BipartiteGraph, bipartite
+
+
+def full_trace(graph) -> Trace:
+    """A FULL trace bound to ``graph``: its ``A @ x`` neighbourhood sums."""
+    trace = Trace(level=TraceLevel.FULL)
+    trace.bind(graph, ProtocolParams(c=1.5, d=4))
+    return trace
 
 
 def tiny() -> BipartiteGraph:
@@ -126,19 +135,24 @@ class TestConversions:
         assert np.array_equal(g.client_indptr, g2.client_indptr)
         assert np.array_equal(g.client_indices, g2.client_indices)
 
-    def test_to_scipy_shape_and_degrees(self):
-        g = tiny()
-        a = g.to_scipy()
-        assert a.shape == (3, 4)
-        assert np.array_equal(np.asarray(a.sum(axis=1)).ravel(), g.client_degrees)
-        assert np.array_equal(np.asarray(a.sum(axis=0)).ravel(), g.server_degrees)
+    def test_neighbourhood_sums_of_ones_are_degrees(self):
+        sums = full_trace(tiny())._neigh_sum(np.ones(4, dtype=np.int64))
+        assert sums.dtype == np.float64 and sums.shape == (3,)
+        assert np.array_equal(sums, tiny().client_degrees)
 
-    def test_scipy_matvec_counts_neighborhood_mass(self):
-        g = tiny()
-        served = np.array([1.0, 0.0, 1.0, 0.0])
-        per_client = g.to_scipy() @ served
+    def test_neighbourhood_sums_count_mass(self):
+        served = np.array([True, False, True, False])
+        per_client = full_trace(tiny())._neigh_sum(served)
         # client 0 neighbors {0,2} -> 2; client 1 {1,2,3} -> 1; client 2 {0} -> 1
         assert per_client.tolist() == [2.0, 1.0, 1.0]
+        # integer sums are exact: they match a dense adjacency product
+        g = BipartiteGraph.from_edges(
+            40, 30, [(v, (7 * v + 3 * k) % 30) for v in range(40) for k in range(v % 6)]
+        )
+        dense = np.zeros((g.n_clients, g.n_servers), dtype=np.int64)
+        dense[np.repeat(np.arange(g.n_clients), g.client_degrees), g.client_indices] = 1
+        x = np.random.default_rng(0).integers(0, 10**6, g.n_servers)
+        assert np.array_equal(full_trace(g)._neigh_sum(x), dense @ x)
 
     def test_to_networkx(self):
         g = tiny()

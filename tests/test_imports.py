@@ -2,10 +2,10 @@
 
 The checks run in a fresh interpreter, because this process has already
 imported whatever the rest of the suite needed.  scipy stays a
-dependency, but only ``to_scipy``, the reference engine's FULL-level
-metric traces, intervals at a level other than 0.95 and
+dependency, but only intervals at a level other than 0.95 and
 ``theory.concentration`` use it (``tests/test_analysis.py`` pins the
-0.95 literal against ``ndtri``).
+0.95 literal against ``ndtri``); the reference engine's FULL-level
+metric traces run on numpy alone.
 """
 
 import json
@@ -102,4 +102,21 @@ class TestWithoutScipy:
             "print(test_imports.small_runs())\n"
         )
         assert _python(code).strip() == small_runs()
+
+    def test_full_trace_leaves_scipy_out(self):
+        """E4 and E10 read FULL traces; their neighbourhood sums are
+        numpy segment sums, so a traced run never loads scipy."""
+        code = (
+            "import sys\n"
+            "from repro.core.config import ProtocolParams\n"
+            "from repro.core.engine import run_protocol\n"
+            "from repro.core.metrics import TraceLevel\n"
+            "from repro.graphs import near_regular\n"
+            "g = near_regular(256, 8, 24, seed=1)\n"
+            "res = run_protocol(g, ProtocolParams(c=1.2, d=4), 'saer', seed=2,\n"
+            "                   trace=TraceLevel.FULL)\n"
+            "assert len(res.trace.s_t) == res.rounds > 0\n"
+            "print('scipy.sparse' in sys.modules)\n"
+        )
+        assert _python(code).strip() == "False"
 

@@ -32,8 +32,8 @@ from repro.batch import (
     run_trials_batched,
 )
 from repro.batch.kernels import (
+    DRAW_CHUNK,
     KERNELS_ENV,
-    PHILOX_CHUNK,
     RNG_BLOCK,
     THREADS_ENV,
     fill_uniforms,
@@ -59,7 +59,7 @@ THREAD_COUNTS = (1, 2, 4)
 
 # Per-trial ball counts at the edges of the 512-slot chunks in which the
 # cext run entry draws each trial's uniforms.
-CHUNK_EDGES = (PHILOX_CHUNK - 1, PHILOX_CHUNK, PHILOX_CHUNK + 1, 2 * PHILOX_CHUNK + 1)
+CHUNK_EDGES = (DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 2 * DRAW_CHUNK + 1)
 
 # A round cap this large makes total_balls * cap overflow int32, so the
 # engine keeps policy state in int64 (the other state width).
@@ -407,6 +407,17 @@ class TestFillUniforms:
             got = np.concatenate(served[t])
             assert np.array_equal(got, want), f"trial {t} stream diverged"
 
+    def test_accepts_ndarray_active_and_sent(self):
+        # Call sites pass the engine's arrays straight through.
+        gens = [make_rng(s) for s in spawn_seeds(5, 3)]
+        gens2 = [make_rng(s) for s in spawn_seeds(5, 3)]
+        u1, u2 = np.empty(60), np.empty(60)
+        fill_uniforms(u1, np.array([0, 2]), np.array([25, 35]), gens,
+                      np.empty((3, 256)), np.full(3, 256, dtype=np.int64))
+        fill_uniforms(u2, [0, 2], [25, 35], gens2, np.empty((3, 256)),
+                      np.full(3, 256, dtype=np.int64))
+        assert np.array_equal(u1, u2)
+
 
 # The gates (and cext thread budgets) a caller's Generator must come
 # out of exactly where the reference engine leaves it.
@@ -492,7 +503,7 @@ class TestRunEntry:
 # scalar loop alone), 16-23 (one lane step and a scalar tail), exact
 # multiples of 8, and tails past one or two 512-slot chunks.  Rounds
 # then send every smaller count as balls are accepted.
-LANE_EDGES = (1, 9, 15, 16, 23, 24, 64, 200, PHILOX_CHUNK + 8, 2 * PHILOX_CHUNK + 13)
+LANE_EDGES = (1, 9, 15, 16, 23, 24, 64, 200, DRAW_CHUNK + 8, 2 * DRAW_CHUNK + 13)
 
 
 @pytest.fixture(scope="module")
@@ -568,11 +579,11 @@ def starved_graph(family):
 
 
 @functools.lru_cache(maxsize=None)
-def numpy_oracle(family, policy, c, seed_mode):
+def numpy_oracle(family, policy, c):
     """The numpy engine, which grinds every trial to the round cap."""
     return run_trials_batched(
         starved_graph(family), ProtocolParams(c=c, d=4), policy,
-        seeds=spawn_seeds(61, 6), kernel="numpy", seed_mode=seed_mode,
+        seeds=spawn_seeds(61, 6), kernel="numpy",
         options=RunOptions(record_loads=True),
     )
 
@@ -624,29 +635,29 @@ class TestStarvationJump:
     engine grinds those rounds, so every output must still match it."""
 
     @pytest.mark.parametrize("threads", THREAD_COUNTS)
-    @pytest.mark.parametrize("seed_mode", ["pair", "philox"])
+    # One value, kept so that every case keeps its id.
+    @pytest.mark.parametrize("seeds_kind", ["pair"])
     @pytest.mark.parametrize("family", sorted(STARVED_GRAPHS))
     @pytest.mark.parametrize("policy", ["saer", "raes"])
     @pytest.mark.parametrize("c", [1.0, 1.2, 1.35, 1.5])
-    def test_matches_numpy_oracle(self, c, policy, family, seed_mode, threads):
-        ref = numpy_oracle(family, policy, c, seed_mode)
+    def test_matches_numpy_oracle(self, c, policy, family, seeds_kind, threads):
+        ref = numpy_oracle(family, policy, c)
         seeds = spawn_seeds(61, 6)
         g, params = starved_graph(family), ProtocolParams(c=c, d=4)
         opts = RunOptions(record_loads=True)
         got = run_trials_batched(
-            g, params, policy, seeds=seeds, kernel="cext", seed_mode=seed_mode,
-            threads=threads, options=opts,
+            g, params, policy, seeds=seeds, kernel="cext", threads=threads,
+            options=opts,
         )
         assert_batch_results_equal(ref, got)
-        if seed_mode == "pair":
-            # caller Generators must end where the grind leaves them
-            gens = [make_rng(s) for s in seeds]
-            got = run_trials_batched(
-                g, params, policy, seeds=gens, kernel="cext", seed_mode="pair",
-                threads=threads, options=opts,
-            )
-            assert_batch_results_equal(ref, got, skip=("seed_infos",))
-            assert_generators_advanced(gens, seeds, got.work)
+        # caller Generators must end where the grind leaves them
+        gens = [make_rng(s) for s in seeds]
+        got = run_trials_batched(
+            g, params, policy, seeds=gens, kernel="cext", threads=threads,
+            options=opts,
+        )
+        assert_batch_results_equal(ref, got, skip=("seed_infos",))
+        assert_generators_advanced(gens, seeds, got.work)
 
     @pytest.mark.parametrize("policy", ["saer", "raes"])
     def test_grid_holds_capped_and_finished_trials(self, policy):
@@ -654,8 +665,8 @@ class TestStarvationJump:
         trial on every graph, and on the regular graph c = 1.5 lets
         trials finish."""
         for family in STARVED_GRAPHS:
-            assert not numpy_oracle(family, policy, 1.0, "pair").completed.any()
-        assert numpy_oracle("regular", policy, 1.5, "pair").completed.any()
+            assert not numpy_oracle(family, policy, 1.0).completed.any()
+        assert numpy_oracle("regular", policy, 1.5).completed.any()
 
     @pytest.mark.parametrize("policy", ["saer", "raes"])
     def test_jump_reaches_a_huge_cap_at_once(self, policy):
@@ -668,8 +679,8 @@ class TestStarvationJump:
         gens = [make_rng(s) for s in seeds]
         start = time.perf_counter()
         got = run_trials_batched(
-            g, params, policy, seeds=gens, kernel="cext", seed_mode="pair",
-            threads=1, options=RunOptions(max_rounds=cap, record_loads=True),
+            g, params, policy, seeds=gens, kernel="cext", threads=1,
+            options=RunOptions(max_rounds=cap, record_loads=True),
         )
         elapsed = time.perf_counter() - start
         # Grinding 10**7 rounds takes seconds (RAES, a few balls left)
@@ -680,7 +691,7 @@ class TestStarvationJump:
         # 2·alive per round.
         lo, hi = (
             run_trials_batched(
-                g, params, policy, seeds=seeds, kernel="numpy", seed_mode="pair",
+                g, params, policy, seeds=seeds, kernel="numpy",
                 options=RunOptions(max_rounds=m, record_loads=True),
             )
             for m in (low, 2 * low)

@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.errors import PlanError
+from repro.durable.journal import plan_fingerprint, seed_token
+from repro.errors import PlanError, ResumeMismatchError
 from repro.experiments import runners as R
 from repro.graphs import random_regular_bipartite
 from repro.graphs.families import build_point_graph, canonical_degree, family_spec
@@ -556,6 +557,42 @@ class TestRunSweepExtensions:
         )
         with pytest.raises(PlanError, match="explicit seeds"):
             execute(plan)
+
+
+class TestPlanSeedMode:
+    """``SeedSpec.mode`` decides whether a trial's seed is split into a
+    ``(graph, protocol)`` pair, so it changes bits: it is part of the
+    fingerprint and of an explicit seed token, and a spool written under
+    one mode does not resume under the other."""
+
+    GRID = ParameterGrid(n=[64], c=[1.5], d=[4])
+
+    def _plan(self, mode, **kw):
+        graph = build_point_graph({"n": 64}, np.random.SeedSequence(5).spawn(3)[-1])
+        return R._saer_plan(
+            self.GRID, trials=2, seed=5, processes=1, graph=graph,
+            seed_mode=mode, **kw,
+        )
+
+    def test_fingerprint_includes_seed_mode(self):
+        pair = plan_fingerprint(self._plan("pair"))
+        direct = plan_fingerprint(self._plan("direct"))
+        assert pair != direct
+
+    def test_describe_reports_seed_mode(self):
+        assert self._plan("direct").describe()["seed_mode"] == "direct"
+
+    def test_resume_under_different_mode_rejected(self, tmp_path):
+        spool = str(tmp_path / "spool")
+        execute(self._plan("direct", spool=spool))
+        with pytest.raises(ResumeMismatchError):
+            execute(self._plan("pair", spool=spool), resume=spool)
+
+    def test_explicit_seed_token_carries_mode(self):
+        pair = seed_token(SeedSpec(seeds=(1, 2, 3)))
+        direct = seed_token(SeedSpec(seeds=(1, 2, 3), mode="direct"))
+        assert len(pair) == 2  # historical 2-element shape kept for "pair"
+        assert direct == pair + ["direct"]  # the mode is bit-determining
 
 
 class TestResultTableHelpers:
