@@ -54,7 +54,11 @@
  *                      duplicate edges in (client, server, edge) order,
  *                      and, once there are none, every row sorted; the
  *                      caller draws the swap partners between calls, so
- *                      the draws and the graph are the numpy walk's.
+ *                      the draws and the graph are the numpy walk's;
+ *   repro_shuffle      the same build's stub shuffle on the cext gate:
+ *                      Generator.shuffle of an int64 array, with its
+ *                      draws, its order and its end state, the 32-bit
+ *                      draw buffer included.
  *
  * PCG64 draws are bit-identical to Generator.random() (pure integer
  * arithmetic plus one exact double scale).  The compiler's predefined
@@ -94,20 +98,26 @@
  * draw steps the 128-bit LCG s <- s*M + inc and emits XSL-RR of the
  * stepped state, rotr64(hi(s) ^ lo(s), s >> 122); the double is the top
  * 53 bits times 2^-53 — exactly Generator.random(), so the caller's
- * Generator resumes in step once the row is written back.  The
- * has_uint32 buffer of numpy's state is never touched by double draws. */
+ * Generator resumes in step once the row is written back.  Double draws
+ * never touch the has_uint32 buffer of numpy's state; the stub shuffle's
+ * 32-bit draws do, so its row carries the buffer too (repro_shuffle). */
 
 typedef unsigned __int128 repro_u128;
 #define REPRO_PCG_MULT \
     (((repro_u128)2549297995355413924ULL << 64) | 4865540595714422341ULL)
 
-static inline double repro_pcg64_double(repro_u128 *s, repro_u128 inc)
+/* One 64-bit output: step, then XSL-RR of the stepped state. */
+static inline uint64_t repro_pcg64_next(repro_u128 *s, repro_u128 inc)
 {
     *s = *s * REPRO_PCG_MULT + inc;
     uint64_t x = (uint64_t)(*s >> 64) ^ (uint64_t)*s;
     unsigned rot = (unsigned)(*s >> 122);
-    x = (x >> rot) | (x << ((64 - rot) & 63));
-    return (double)(x >> 11) * REPRO_SCALE_53;
+    return (x >> rot) | (x << ((64 - rot) & 63));
+}
+
+static inline double repro_pcg64_double(repro_u128 *s, repro_u128 inc)
+{
+    return (double)(repro_pcg64_next(s, inc) >> 11) * REPRO_SCALE_53;
 }
 
 /* Jump a state row ahead by n draws in O(log n) steps, as numpy's
@@ -659,6 +669,55 @@ int64_t repro_repair_pass(
     }
     if (k == 0) repro_sort_rows(indptr, n_clients, servers, n_s, scratch);
     return k;
+}
+
+/* ---- The configuration model's stub shuffle ----
+ *
+ * repro_shuffle(x, m, st) is numpy's Generator.shuffle(x) on m int64
+ * entries: for i = m - 1 down to 1 it swaps x[i] with x[j], j drawn
+ * uniform on [0, i] by numpy's random_interval — 32-bit draws masked to
+ * the smallest all-ones mask >= i, redrawn while above i.  The caller
+ * guarantees m <= 2^32, so every draw is 32-bit.  A 32-bit draw takes
+ * the buffered upper half of the last 64-bit output when there is one,
+ * else the lower half of a fresh output, buffering its upper half —
+ * PCG64's has_uint32/uinteger pair.  st is the six-word row [state_hi,
+ * state_lo, inc_hi, inc_lo, has_uint32, uinteger], written back, so a
+ * shuffle that starts with a half buffered (the walk's rng.integers
+ * draws can leave one) and one that ends with it match numpy's.  Each
+ * draw depends on the last, so the loop is scalar. */
+void repro_shuffle(int64_t *x, int64_t m, uint64_t *st)
+{
+    repro_u128 s = ((repro_u128)st[0] << 64) | st[1];
+    const repro_u128 inc = ((repro_u128)st[2] << 64) | st[3];
+    uint64_t has = st[4];
+    uint32_t half = (uint32_t)st[5];
+    for (int64_t i = m - 1; i > 0; i--) {
+        uint32_t mask = (uint32_t)i, v;
+        mask |= mask >> 1;
+        mask |= mask >> 2;
+        mask |= mask >> 4;
+        mask |= mask >> 8;
+        mask |= mask >> 16;
+        do {
+            if (has) {
+                v = half;
+                has = 0;
+            } else {
+                uint64_t r = repro_pcg64_next(&s, inc);
+                v = (uint32_t)r;
+                half = (uint32_t)(r >> 32);
+                has = 1;
+            }
+            v &= mask;
+        } while (v > (uint64_t)i);
+        int64_t t = x[i];
+        x[i] = x[v];
+        x[v] = t;
+    }
+    st[0] = (uint64_t)(s >> 64);
+    st[1] = (uint64_t)s;
+    st[4] = has;
+    st[5] = half;
 }
 
 #define REPRO_STATE int32_t

@@ -269,14 +269,18 @@ def run_trials_batched(
 
     n_threads = resolve_threads(threads)
     kern = resolve_kernel(kernel, threads=n_threads)
-    if kern.compiled and _compiled_supported(kern, graph, pol, dem, n_c, n_s, gens):
-        pol.astype_state(state_dtype, state_dtype)
+    compiled = kern.compiled and _compiled_supported(kern, graph, pol, dem, n_c, n_s, gens)
+    dtypes = (state_dtype, state_dtype if compiled else load_dtype)
+    if isinstance(policy, str):  # built here from a name: its state is ours
+        pol.take_state(bufs, *dtypes)
+    else:
+        pol.astype_state(*dtypes)
+    if compiled:
         rounds, work, assigned, alive_total = _run_rounds_compiled(
             kern, graph, pol, dem, total_balls, n_c, n_s, cap, R,
             params.capacity, gens, bufs, state_dtype, n_threads, passed,
         )
     else:
-        pol.astype_state(state_dtype, load_dtype)
         rounds, work, assigned, alive_total = _run_rounds_numpy(
             graph, pol, dem, total_balls, n_c, n_s, cap, R, gens, bufs,
             state_dtype, passed,

@@ -22,11 +22,11 @@ run it two ways (:data:`KERNEL_NAMES`):
     once per trial.  A trial whose remaining balls see only blocked
     servers jumps to the round cap in closed form instead of grinding
     there (numpy grinds).  One more call runs a serving round
-    (:meth:`Kernel.serve_round_fn`), and another one pass of the
-    configuration model's repair walk (:meth:`Kernel.repair_pass_fn`):
-    exact-degree graph builds on this gate list duplicates with a
-    per-server stamp instead of numpy's row sorts, with the same draws
-    and the same graph.
+    (:meth:`Kernel.serve_round_fn`), and two serve exact-degree graph
+    builds: the stub shuffle (:meth:`Kernel.shuffle_fn`) and one pass of
+    the configuration model's repair walk (:meth:`Kernel.repair_pass_fn`),
+    which lists duplicates with a per-server stamp instead of numpy's
+    row sorts.  Both make the same draws and the same graph as numpy.
 
 ``cext`` is **bit-identical** to the numpy path: same uniforms
 consumed in the same canonical (trial-major, client-major) order, same
@@ -254,6 +254,12 @@ class Kernel:
         identical bits."""
         return None
 
+    def shuffle_fn(self) -> Callable | None:
+        """``rng.shuffle(x)`` of an int64 stub array in one call, or
+        ``None``: graph builds then call ``rng.shuffle``, with identical
+        bits."""
+        return None
+
 
 class NumpyKernel(Kernel):
     """Marker for the engine's vectorized reference loop."""
@@ -409,6 +415,38 @@ class CextKernel(Kernel):
         lib = self._load()
         return None if lib is None else lib.repro_repair_pass
 
+    def shuffle_fn(self) -> Callable | None:
+        """``repro_shuffle`` as ``call(rng, x)``: ``rng.shuffle(x)`` for a
+        C-contiguous int64 array ``x`` of at most 2³² entries, with the
+        same order and the same Generator state after it, its
+        ``has_uint32``/``uinteger`` buffer included (the contract is in
+        ``_kernels.c``).  A Generator on another bit generator than
+        PCG64 shuffles through numpy."""
+        lib = self._load()
+        if lib is None:
+            return None
+        fn = lib.repro_shuffle
+
+        def call(rng, x):
+            if x.ndim != 1 or x.size > 2**32:
+                raise ValueError("repro_shuffle: x must be 1-D with at most 2**32 entries")
+            bg = rng.bit_generator
+            if type(bg) is not np.random.PCG64:
+                rng.shuffle(x)
+                return
+            st = bg.state
+            s, inc = st["state"]["state"], st["state"]["inc"]
+            row = np.array(
+                [s >> 64, s & _U64, inc >> 64, inc & _U64, st["has_uint32"], st["uinteger"]],
+                dtype=np.uint64,
+            )
+            fn(x, x.size, row)
+            st["state"]["state"] = (int(row[0]) << 64) | int(row[1])
+            st["has_uint32"], st["uinteger"] = int(row[4]), int(row[5])
+            bg.state = st
+
+        return call
+
 
 def _cc_candidates() -> list[str]:
     env = os.environ.get("CC")
@@ -552,6 +590,12 @@ def _load_cext_library(openmp: bool = False):
     _declare_run(lib.repro_run_i64, np.int64)
     _declare_serve(lib.repro_serve_round)
     _declare_repair(lib.repro_repair_pass)
+    lib.repro_shuffle.restype = None
+    lib.repro_shuffle.argtypes = [
+        np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS"),   # x [m], shuffled
+        ctypes.c_int64,                                            # m
+        np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS"),  # st [6], stepped
+    ]
     return lib
 
 

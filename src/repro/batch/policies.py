@@ -101,6 +101,16 @@ class BatchedServerPolicy:
         ``load_dtype`` bounds accepted loads (≤ capacity by invariant)."""
         self.loads = self.loads.astype(load_dtype or counter_dtype, copy=False)
 
+    def take_state(self, buffers, counter_dtype, load_dtype=None) -> None:
+        """:meth:`astype_state` for a policy that has decided nothing yet:
+        the state arrives zeroed in those dtypes from ``buffers`` (an
+        :class:`~repro.batch.kernels.EngineBuffers`), so the engine calls
+        of a sweep worker share one allocation instead of mapping and
+        faulting a fresh ``[R, n_servers]`` slab each.  The state then
+        belongs to the pool: it is valid until the pool's next call."""
+        shape = (self.n_trials, self.n_servers)
+        self.loads = buffers.get("policy_loads", shape, load_dtype or counter_dtype, zero=True)
+
     def _rows(self, trials: np.ndarray) -> Union[slice, np.ndarray]:
         """Index all state rows via a view when every trial is active."""
         return slice(None) if trials.size == self.n_trials else trials
@@ -124,6 +134,11 @@ class BatchedSaerPolicy(BatchedServerPolicy):
     def astype_state(self, counter_dtype, load_dtype=None) -> None:
         super().astype_state(counter_dtype, load_dtype)
         self.cum_received = self.cum_received.astype(counter_dtype, copy=False)
+
+    def take_state(self, buffers, counter_dtype, load_dtype=None) -> None:
+        super().take_state(buffers, counter_dtype, load_dtype)
+        shape = (self.n_trials, self.n_servers)
+        self.cum_received = buffers.get("policy_cum", shape, counter_dtype, zero=True)
 
     # Definition 3 burns a server the round its cumulative received count
     # first exceeds capacity, and cum_received is non-decreasing, so

@@ -64,6 +64,7 @@ from ..plan import (
     WorkSpec,
     execute,
 )
+from ..rng import child_seed
 from ..theory.bounds import c_min_regular, completion_horizon
 from ..theory.recurrences import delta_sequence, gamma_products, gamma_sequence, stage1_length
 
@@ -563,7 +564,7 @@ def run_e06_c_threshold(
     if share_graph:
         # Disjoint from the sweep's task seeds: the first len(grid)*trials
         # children are exactly the sweep's spawn, so take the next one.
-        g_seed = np.random.SeedSequence(seed).spawn(len(grid) * trials + 1)[-1]
+        g_seed = child_seed(np.random.SeedSequence(seed), len(grid) * trials)
         graph = build_point_graph({"n": n}, g_seed, graph_cache)
     table = execute(_saer_plan(
         grid,

@@ -3,11 +3,15 @@
 Design notes
 ------------
 The hot loops of the simulation index client neighborhoods millions of
-times per run, so the representation is two flat CSR adjacency
-structures (client→server and server→client) built once and never
-mutated.  Multi-edges are disallowed: Algorithm 1 samples *with
-replacement from the neighbor set*, so parallel edges would silently
-bias the destination distribution.
+times per run, so the representation is a flat client→server CSR
+adjacency, built once and never mutated.  No protocol reads the
+server→client direction: it is derived from the client rows on first
+read and kept (by ``graphs/io.py``'s cache writer, ``SharedGraph``'s
+share, the journal's pinned-graph hash, :meth:`BipartiteGraph.validate`
+and :meth:`~BipartiteGraph.neighbors_of_server`).  Server degrees come
+from the client rows too.  Multi-edges are disallowed: Algorithm 1
+samples *with replacement from the neighbor set*, so parallel edges
+would silently bias the destination distribution.
 
 Clients are indexed ``0..n_clients-1`` and servers ``0..n_servers-1``
 in separate index spaces (the paper's local-labels assumption means no
@@ -16,6 +20,7 @@ global node ids are needed; separate spaces make that explicit).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -49,15 +54,13 @@ def _rows_strictly_sorted(indptr: np.ndarray, indices: np.ndarray) -> bool:
     """True iff every CSR row is strictly increasing (sorted, no duplicates)."""
     if indices.size < 2:
         return True
-    gaps = np.diff(indices)
-    # Gap i sits between indices[i] and indices[i+1]; it is within a row
-    # unless position i+1 starts a new row.  Empty rows repeat indptr
-    # values, which just re-clears the same position.
-    within = np.ones(indices.size - 1, dtype=bool)
+    # Pair i compares indices[i] and indices[i+1]; it is within a row
+    # unless position i+1 starts a new row, so those pairs pass.  Empty
+    # rows repeat indptr values, which just re-set the same pair.
+    ok = indices[1:] > indices[:-1]
     starts = indptr[1:-1]
-    starts = starts[(starts > 0) & (starts < indices.size)]
-    within[starts - 1] = False
-    return bool(np.all(gaps[within] > 0))
+    ok[starts[(starts > 0) & (starts < indices.size)] - 1] = True
+    return bool(ok.all())
 
 
 def _transpose_csr(
@@ -88,9 +91,9 @@ def _transpose_csr(
     return rev_indptr, keys
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BipartiteGraph:
-    """An immutable bipartite client-server graph in dual-CSR form.
+    """An immutable bipartite client-server graph in CSR form.
 
     Attributes
     ----------
@@ -102,16 +105,57 @@ class BipartiteGraph:
         CSR adjacency client→server: the neighbors of client ``v`` are
         ``client_indices[client_indptr[v]:client_indptr[v+1]]``, sorted.
     server_indptr, server_indices:
-        CSR adjacency server→client, derived from the same edge set.
+        CSR adjacency server→client of the same edge set.  Derived from
+        the client rows by :func:`_transpose_csr` on first read and kept,
+        unless the constructor was given both (the on-disk cache, shared
+        memory and :func:`~repro.graphs.generators.complete_bipartite`
+        pass them).  Only the cache writer, ``SharedGraph``, the
+        journal's pinned-graph hash, :meth:`validate` and
+        :meth:`neighbors_of_server` read them.
     """
 
     n_clients: int
     n_servers: int
     client_indptr: np.ndarray
     client_indices: np.ndarray
-    server_indptr: np.ndarray
-    server_indices: np.ndarray
     name: str = field(default="bipartite", compare=False)
+
+    def __init__(
+        self,
+        n_clients: int,
+        n_servers: int,
+        client_indptr: np.ndarray,
+        client_indices: np.ndarray,
+        server_indptr: np.ndarray | None = None,
+        server_indices: np.ndarray | None = None,
+        name: str = "bipartite",
+    ):
+        if (server_indptr is None) != (server_indices is None):
+            raise TypeError("pass both server_indptr and server_indices, or neither")
+        set_field = object.__setattr__  # the class is frozen
+        set_field(self, "n_clients", n_clients)
+        set_field(self, "n_servers", n_servers)
+        set_field(self, "client_indptr", client_indptr)
+        set_field(self, "client_indices", client_indices)
+        set_field(self, "name", name)
+        if server_indptr is not None:
+            self.__dict__["_server_csr"] = (server_indptr, server_indices)
+
+    @functools.cached_property
+    def _server_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        return _transpose_csr(
+            self.n_clients, self.n_servers, self.client_indptr, self.client_indices
+        )
+
+    @property
+    def server_indptr(self) -> np.ndarray:
+        """CSR row pointers server→client (derived on first read)."""
+        return self._server_csr[0]
+
+    @property
+    def server_indices(self) -> np.ndarray:
+        """CSR neighbor ids server→client, rows sorted (derived on first read)."""
+        return self._server_csr[1]
 
     # -- constructors --------------------------------------------------
 
@@ -172,11 +216,10 @@ class BipartiteGraph:
 
         The fast path for vectorized generators: rows must already be
         strictly sorted (sorted neighbor ids, no parallel edges), so no
-        edge-list round-trip and no re-sort of the forward direction is
-        needed — only the reverse adjacency is derived (an O(m) counting
-        sort).  With ``validate=True`` the CSR invariants, integer dtypes
-        included, are checked with whole-array operations (still no
-        Python loop).
+        edge-list round-trip and no re-sort is needed; the reverse
+        adjacency waits for its first read.  With ``validate=True`` the
+        CSR invariants, integer dtypes included, are checked with
+        whole-array operations (still no Python loop).
         """
         indptr = _index_array(client_indptr, "client_indptr", validate)
         indices = _index_array(client_indices, "client_indices", validate)
@@ -195,16 +238,7 @@ class BipartiteGraph:
                 raise GraphValidationError(
                     "client rows must be strictly sorted (no parallel edges)"
                 )
-        s_indptr, s_indices = _transpose_csr(n_clients, n_servers, indptr, indices)
-        return BipartiteGraph(
-            n_clients=n_clients,
-            n_servers=n_servers,
-            client_indptr=indptr,
-            client_indices=indices,
-            server_indptr=s_indptr,
-            server_indices=s_indices,
-            name=name,
-        )
+        return BipartiteGraph(n_clients, n_servers, indptr, indices, name=name)
 
     @staticmethod
     def from_neighbor_lists(
@@ -273,8 +307,9 @@ class BipartiteGraph:
 
     @property
     def server_degrees(self) -> np.ndarray:
-        """Degree of every server, ``Δ_u`` for ``u ∈ S``."""
-        return np.diff(self.server_indptr)
+        """Degree of every server, ``Δ_u`` for ``u ∈ S`` (counted from
+        the client rows; the reverse adjacency is not built)."""
+        return np.bincount(self.client_indices, minlength=self.n_servers)
 
     def neighbors_of_client(self, v: int) -> np.ndarray:
         """Sorted server neighborhood ``N(v)`` (a view, do not mutate)."""

@@ -374,25 +374,30 @@ def _compiled_walk(
 
 
 def _choose_walk(client_degrees: np.ndarray, server_degrees: np.ndarray, m: int):
-    """The repair walk a build of ``m`` edges runs: the compiled pass
-    when the round-kernel gate (``REPRO_KERNELS``, else numpy) resolves
-    to cext and the shape fits it, else :func:`_repair_walk`.  The
-    compiled pass keeps edge, client and server ids in int32 and a stamp
-    per server, which may be no larger than the edge array."""
+    """The stub shuffle and the repair walk a build of ``m`` edges runs,
+    as ``(shuffle, walk)``: the compiled shuffle and pass when the
+    round-kernel gate (``REPRO_KERNELS``, else numpy) resolves to cext
+    and the shape fits them, else ``Generator.shuffle`` (called as
+    ``shuffle(rng, x)``, like the compiled one) and
+    :func:`_repair_walk`.  The compiled pass keeps edge, client and
+    server ids in int32 and a stamp per server, which may be no larger
+    than the edge array; the compiled shuffle makes ``rng.shuffle``'s
+    draws, so either shuffle goes with either walk."""
     from ..batch.kernels import resolve_kernel  # batch imports graphs
 
     n_clients, n_servers = client_degrees.size, server_degrees.size
     kern = resolve_kernel()
     if kern.compiled and max(n_clients, n_servers, m) < 2**31 and 4 * n_servers <= 8 * m:
-        repair_pass = kern.repair_pass_fn()
-        if repair_pass is not None:
+        repair_pass, shuffle = kern.repair_pass_fn(), kern.shuffle_fn()
+        if repair_pass is not None and shuffle is not None:
             # Twice the first pass's expected duplicates: each pair of a
             # client's stubs meets on one server with probability
             # sum(d_s (d_s - 1)) / (m (m - 1)) in a uniform pairing.
             pairs = float(client_degrees @ (client_degrees - 1)) / 2
             meet = float(server_degrees @ (server_degrees - 1)) / max(m * (m - 1), 1)
-            return functools.partial(_compiled_walk, repair_pass, 64 + int(2 * pairs * meet))
-    return _repair_walk
+            cap = 64 + int(2 * pairs * meet)
+            return shuffle, functools.partial(_compiled_walk, repair_pass, cap)
+    return np.random.Generator.shuffle, _repair_walk
 
 
 def _configuration_bipartite(
@@ -435,11 +440,11 @@ def _configuration_bipartite(
         )
     if total == n_clients * n_servers:
         return dataclasses.replace(complete_bipartite(n_clients, n_servers), name=name)
-    walk = _choose_walk(client_degrees, server_degrees, total)
+    shuffle, walk = _choose_walk(client_degrees, server_degrees, total)
     for _ in range(_MAX_RESTARTS):
         # In place: the same draws as rng.permutation, without its copy.
         servers = np.repeat(np.arange(n_servers, dtype=np.int64), server_degrees)
-        rng.shuffle(servers)
+        shuffle(rng, servers)
         if walk(indptr, servers, n_servers, rng):
             break
     else:

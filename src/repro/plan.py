@@ -76,7 +76,7 @@ from .graphs.families import build_point_graph
 from .parallel.aggregate import ResultTable, assemble_blocks
 from .parallel.shared import current_task_graph
 from .parallel.sweep import ParameterGrid, run_sweep
-from .rng import spawn_seeds
+from .rng import child_seed, spawn_seeds
 
 __all__ = [
     "BackendSpec",
@@ -426,11 +426,13 @@ class PerTrialWorker:
     """Canonical per-trial execution path: resolve graph, run ``record``.
 
     Loops over the task's trials in order.  Under ``pair_seeds`` each
-    task seed spawns a ``(graph, protocol)`` pair and the trial builds
-    its own graph from the graph half; a pinned topology consumes only
-    the protocol half, so a (point, trial)'s protocol stream is
-    identical across graph sources — the statistical difference is only
-    what the estimate conditions on.
+    task seed gives a ``(graph, protocol)`` pair, its children 0 and 1
+    (:func:`~repro.rng.child_seed`; what ``seed.spawn(2)`` gives on a
+    fresh seed, without spawning), and the trial builds its own graph
+    from the graph half; a pinned topology consumes only the protocol
+    half, so a (point, trial)'s protocol stream is identical across
+    graph sources — the statistical difference is only what the
+    estimate conditions on.
     """
 
     def __init__(
@@ -451,9 +453,9 @@ class PerTrialWorker:
         graph = current_task_graph() if self.pinned else None
         records = []
         for seed in seeds:
-            g_seed, p_seed = seed.spawn(2) if self.pair_seeds else (None, seed)
             if not self.pinned:
-                graph = build_point_graph(point, g_seed, self.cache_dir)
+                graph = build_point_graph(point, child_seed(seed, 0), self.cache_dir)
+            p_seed = child_seed(seed, 1) if self.pair_seeds else seed
             records.append(self.record(graph, point, p_seed))
         return ResultBlock.from_records(point, trials, records)
 
@@ -461,7 +463,7 @@ class PerTrialWorker:
 class BatchWorker:
     """Canonical batched execution path: a point's trial block at once.
 
-    Spawns the same per-trial ``(graph, protocol)`` seed pairs as
+    Derives the same per-trial ``(graph, protocol)`` seed pairs as
     :class:`PerTrialWorker`, builds one graph per point (from the first
     trial's graph seed) unless pinned, and hands the protocol seeds to
     ``batch`` — so trial ``r`` of a point consumes a protocol stream
@@ -495,15 +497,13 @@ class BatchWorker:
 
     def __call__(self, task) -> ResultBlock:
         point, seeds, trials = task
-        if self.pair_seeds:
-            pairs = [seed.spawn(2) for seed in seeds]
-            p_seeds = [p_seed for _g_seed, p_seed in pairs]
-        else:
-            p_seeds = list(seeds)
+        # Of each trial's (graph, protocol) pair only the protocol child,
+        # and the first trial's graph child, are read: build just those.
+        p_seeds = [child_seed(s, 1) for s in seeds] if self.pair_seeds else list(seeds)
         if self.pinned:
             graph = current_task_graph()
         else:
-            graph = build_point_graph(point, pairs[0][0], self.cache_dir)
+            graph = build_point_graph(point, child_seed(seeds[0], 0), self.cache_dir)
         result = self.batch(graph, point, p_seeds, **self.kwargs)
         if isinstance(result, ResultBlock):
             if result.n_trials != len(trials):

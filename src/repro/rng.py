@@ -26,6 +26,7 @@ from .errors import TapeExhaustedError
 __all__ = [
     "make_rng",
     "spawn_seeds",
+    "child_seed",
     "spawn_rngs",
     "RandomTape",
     "TapeRecorder",
@@ -55,6 +56,15 @@ def spawn_seeds(seed: int | None | np.random.SeedSequence, n: int) -> list[np.ra
         raise ValueError(f"cannot spawn a negative number of seeds: {n}")
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     return ss.spawn(n)
+
+
+def child_seed(parent: np.random.SeedSequence, k: int) -> np.random.SeedSequence:
+    """Child ``k`` of ``parent``'s spawn: the ``SeedSequence`` that
+    ``parent.spawn(k + 1)[k]`` builds on a fresh ``parent``, without
+    building the ``k`` before it or advancing ``parent``'s spawn count."""
+    return np.random.SeedSequence(
+        parent.entropy, spawn_key=parent.spawn_key + (k,), pool_size=parent.pool_size
+    )
 
 
 def spawn_rngs(seed: int | None | np.random.SeedSequence, n: int) -> list[np.random.Generator]:

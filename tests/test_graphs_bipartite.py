@@ -256,3 +256,193 @@ class TestTransposeParity:
             assert [a.dtype for a in ours] == [np.int64, np.int64]
             assert np.array_equal(ours[0], ref.indptr)
             assert np.array_equal(ours[1], ref.indices)
+
+
+def _old_rows_strictly_sorted(indptr, indices) -> bool:
+    """The row check ``from_csr`` used before: every within-row gap of
+    ``np.diff(indices)``, gathered through a boolean mask, is positive."""
+    if indices.size < 2:
+        return True
+    gaps = np.diff(indices)
+    within = np.ones(indices.size - 1, dtype=bool)
+    starts = indptr[1:-1]
+    starts = starts[(starts > 0) & (starts < indices.size)]
+    within[starts - 1] = False
+    return bool(np.all(gaps[within] > 0))
+
+
+class TestRowsStrictlySorted:
+    """The one-pass row check keeps the diff-and-mask formula's verdict."""
+
+    CASES = [
+        ([], [0]),                               # no rows, no edges
+        ([5], [0, 1]),                           # one edge
+        ([2, 1], [0, 2]),                        # size 2, one row, decreasing
+        ([1, 1], [0, 2]),                        # size 2, one row, equal
+        ([1, 1], [0, 1, 2]),                     # size 2, equal across rows
+        ([3, 1], [0, 1, 2]),                     # size 2, decreasing across rows
+        ([0, 1, 2], [0, 0, 3]),                  # empty row first
+        ([0, 1, 2], [0, 2, 2, 3]),               # empty row in the middle
+        ([0, 1, 2], [0, 3, 3]),                  # empty row last
+        ([0, 1, 2], [0, 0, 0, 3, 3]),            # empty rows first and last
+        ([4, 4, 4, 4], [0, 1, 2, 3, 4]),         # one-element rows, all equal
+        ([4, 2, 7, 0], [0, 1, 2, 3, 4]),         # one-element rows, unsorted
+        ([1, 3, 3, 5], [0, 2, 4]),               # equal pair across a boundary
+        ([1, 3, 3, 5], [0, 1, 4]),               # equal pair within a row
+        ([1, 3, 2, 5], [0, 1, 4]),               # decreasing pair within a row
+        ([1, 3, 2, 5], [0, 2, 2, 4]),            # decreasing across rows only
+        ([0, 1, 0, 1], [0, 2, 2, 2, 4]),         # empty rows between equal rows
+        ([0, 1, 1, 2], [0, 2, 2, 2, 4]),         # ... and a duplicate after them
+    ]
+
+    @pytest.mark.parametrize("indices, indptr", CASES)
+    def test_matches_diff_and_mask(self, indices, indptr):
+        indptr = np.array(indptr, dtype=np.int64)
+        indices = np.array(indices, dtype=np.int64)
+        got = bipartite._rows_strictly_sorted(indptr, indices)
+        assert got == _old_rows_strictly_sorted(indptr, indices)
+
+    def test_verdicts(self):
+        ok = np.array([1, 3, 3, 5]), np.array([0, 2, 4])
+        assert bipartite._rows_strictly_sorted(ok[1], ok[0])
+        bad = np.array([1, 3, 3, 5]), np.array([0, 1, 4])
+        assert not bipartite._rows_strictly_sorted(bad[1], bad[0])
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(0, 6), max_size=12), st.lists(st.integers(0, 5), max_size=12))
+    def test_random_rows(self, values, lengths):
+        indices = np.array(values[: sum(lengths)], dtype=np.int64)
+        indptr = np.minimum(np.concatenate(([0], np.cumsum(lengths))), indices.size)
+        indptr[-1] = indices.size
+        got = bipartite._rows_strictly_sorted(indptr, indices)
+        assert got == _old_rows_strictly_sorted(indptr, indices)
+
+
+class TestReverseOnFirstRead:
+    """``server_indptr``/``server_indices`` are built by the first read,
+    not by ``from_csr``, and then kept."""
+
+    @staticmethod
+    def fresh():
+        g = tiny()
+        return BipartiteGraph.from_csr(3, 4, g.client_indptr, g.client_indices, name="t")
+
+    @staticmethod
+    def assert_reverse(g):
+        want = bipartite._transpose_csr(g.n_clients, g.n_servers, g.client_indptr,
+                                        g.client_indices)
+        assert np.array_equal(g.server_indptr, want[0])
+        assert np.array_equal(g.server_indices, want[1])
+
+    def test_not_built_by_from_csr_or_degrees(self, monkeypatch):
+        calls = []
+        real = bipartite._transpose_csr
+        monkeypatch.setattr(
+            bipartite, "_transpose_csr", lambda *a: calls.append(1) or real(*a)
+        )
+        g = self.fresh()
+        assert g.server_degrees.tolist() == [2, 1, 2, 1]
+        assert g.degree_max_servers() == 2
+        assert calls == [] and "_server_csr" not in vars(g)
+
+    def test_first_read_transposes_once(self, monkeypatch):
+        calls = []
+        real = bipartite._transpose_csr
+        monkeypatch.setattr(
+            bipartite, "_transpose_csr", lambda *a: calls.append(1) or real(*a)
+        )
+        g = self.fresh()
+        ptr, idx = g.server_indptr, g.server_indices
+        assert g.server_indptr is ptr and g.server_indices is idx
+        assert len(calls) == 1
+        monkeypatch.undo()
+        self.assert_reverse(g)
+        assert g.neighbors_of_server(2).tolist() == [0, 1]
+        assert np.array_equal(g.server_degrees, np.diff(g.server_indptr))
+
+    def test_given_arrays_are_kept(self):
+        g = tiny()
+        ptr, idx = g.server_indptr.copy(), g.server_indices.copy()
+        h = BipartiteGraph(3, 4, g.client_indptr, g.client_indices, ptr, idx)
+        assert h.server_indptr is ptr and h.server_indices is idx
+        with pytest.raises(TypeError, match="both"):
+            BipartiteGraph(3, 4, g.client_indptr, g.client_indices, server_indptr=ptr)
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_pickles(self, read_first):
+        import pickle
+
+        g = self.fresh()
+        if read_first:
+            g.server_indices
+        h = pickle.loads(pickle.dumps(g))
+        assert ("_server_csr" in vars(h)) is read_first
+        assert h.name == "t"
+        assert np.array_equal(h.client_indices, g.client_indices)
+        self.assert_reverse(h)
+        h.validate()
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_survives_replace(self, read_first):
+        import dataclasses
+
+        g = self.fresh()
+        if read_first:
+            g.server_indptr
+        h = dataclasses.replace(g, name="renamed")
+        assert h.name == "renamed" and h.n_edges == g.n_edges
+        self.assert_reverse(h)
+        h.validate()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            h.name = "x"
+
+
+class TestNoReverseOnRunPaths:
+    """No run or serving path reads the reverse adjacency: a counting
+    hook on ``_transpose_csr`` sees no call through a batched E1 run
+    (graph builds, batched engine, spool) or a serving replay's set-up
+    and rounds."""
+
+    @pytest.fixture
+    def transposes(self, monkeypatch):
+        calls = []
+        real = bipartite._transpose_csr
+        monkeypatch.setattr(
+            bipartite, "_transpose_csr", lambda *a: calls.append(a[:2]) or real(*a)
+        )
+        return calls
+
+    @staticmethod
+    def gate(monkeypatch, name):
+        from repro.batch import available_kernels
+
+        if name not in available_kernels():
+            pytest.skip("needs a working C compiler")
+        monkeypatch.setenv("REPRO_KERNELS", name)
+
+    @pytest.mark.parametrize("kernel", ["numpy", "cext"])
+    def test_batched_e1(self, transposes, monkeypatch, tmp_path, kernel):
+        from repro.experiments.runners import run_e01_completion
+
+        self.gate(monkeypatch, kernel)
+        rows, _meta = run_e01_completion(
+            ns=(64, 128), trials=3, seed=1, processes=1, backend="batched",
+            kernel=kernel, spool=str(tmp_path / "spool"),
+        )
+        assert len(rows) == 2
+        assert transposes == []
+
+    @pytest.mark.parametrize("kernel", ["numpy", "cext"])
+    def test_serving_replay(self, transposes, monkeypatch, kernel):
+        from repro.graphs.families import build_point_graph
+        from repro.serve import SaerService, ServeConfig, ServingState
+        from repro.serve.loadgen import make_arrivals, run_inprocess, sample_trace
+
+        self.gate(monkeypatch, kernel)
+        graph = build_point_graph({"family": "trust", "n": 256}, 3)
+        state = ServingState(graph, 2.0, 4, recovery=8, seed=4, kernel=kernel, track_tags=True)
+        service = SaerService(state, ServeConfig(max_batch=1 << 30))
+        trace = sample_trace(make_arrivals("poisson", 0.5), graph.n_clients, 20, 5)
+        run = run_inprocess(service, trace)
+        assert run["tally"]["assigned"] > 0
+        assert transposes == []

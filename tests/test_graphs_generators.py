@@ -1,11 +1,15 @@
 """Tests for the graph generator zoo."""
 
+import ctypes
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.batch import resolve_kernel
 from repro.errors import GraphConstructionError
+from repro.graphs import generators
 from repro.graphs import (
     biregular,
     complete_bipartite,
@@ -311,3 +315,84 @@ class TestVectorizedGeneratorInvariants:
             own = (nb // group) == (v // group)
             assert int(own.sum()) == kin
             assert int((~own).sum()) == kout
+
+
+class TestCompiledShuffle:
+    """The cext gate's stub shuffle is ``Generator.shuffle`` bit for bit:
+    the same order, the same PCG64 state after it (its ``has_uint32``
+    buffer included) and so the same next draw."""
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 17, 1_023, 4_096, 70_001])
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_matches_generator_shuffle(self, cext_gate, m, buffered):
+        shuffle = resolve_kernel().shuffle_fn()
+        assert shuffle is not None
+        got_rng, want_rng = np.random.default_rng(m), np.random.default_rng(m)
+        if buffered:  # one 32-bit draw leaves the upper half buffered
+            got_rng.integers(0, 5)
+            want_rng.integers(0, 5)
+            assert got_rng.bit_generator.state["has_uint32"] == 1
+        stubs = np.repeat(np.arange(m // 3 + 1, dtype=np.int64), 3)[:m]
+        got, want = stubs.copy(), stubs.copy()
+        shuffle(got_rng, got)
+        want_rng.shuffle(want)
+        assert np.array_equal(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert got_rng.integers(0, 2**62) == want_rng.integers(0, 2**62)
+
+    def test_other_bit_generators_shuffle_through_numpy(self, cext_gate):
+        shuffle = resolve_kernel().shuffle_fn()
+        got_rng = np.random.Generator(np.random.MT19937(5))
+        want_rng = np.random.Generator(np.random.MT19937(5))
+        got, want = np.arange(100, dtype=np.int64), np.arange(100, dtype=np.int64)
+        shuffle(got_rng, got)
+        want_rng.shuffle(want)
+        assert np.array_equal(got, want)
+
+    def test_rejects_what_it_cannot_shuffle(self, cext_gate):
+        shuffle = resolve_kernel().shuffle_fn()
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="1-D"):
+            shuffle(rng, np.zeros((3, 4), dtype=np.int64))
+        with pytest.raises(ctypes.ArgumentError):  # ctypes checks dtype and layout
+            shuffle(rng, np.zeros(8, dtype=np.int32))
+        with pytest.raises(ctypes.ArgumentError):
+            shuffle(rng, np.zeros(8, dtype=np.int64)[::2])
+
+    def test_numpy_gate_has_none(self):
+        assert resolve_kernel("numpy").shuffle_fn() is None
+
+    def test_restart_after_a_buffered_half(self, cext_gate, monkeypatch):
+        """A one-pass budget restarts the build after the walk's
+        ``rng.integers`` draws, which leave half of a 64-bit draw
+        buffered; the restart's compiled shuffle must read it first."""
+        choose = generators._choose_walk
+        degrees = np.full(64, 3)
+
+        def build(gate):
+            monkeypatch.setenv("REPRO_KERNELS", gate)
+            shuffles, starts = [], []
+
+            def spy_choose(*args):
+                shuffle, walk = choose(*args)
+                shuffles.append(shuffle)
+
+                def spy(rng, x):
+                    starts.append(rng.bit_generator.state["has_uint32"])
+                    shuffle(rng, x)
+
+                return spy, walk
+
+            rng = np.random.default_rng(1)
+            with mock.patch.object(generators, "_choose_walk", spy_choose), \
+                    mock.patch.object(generators, "_MAX_REPAIR_PASSES", 1):
+                g = generators._configuration_bipartite(degrees, degrees, rng, "restart")
+            arrays = [g.client_indptr.tolist(), g.client_indices.tolist()]
+            return arrays, rng.bit_generator.state, shuffles, starts
+
+        got, got_state, shuffles, starts = build("cext")
+        assert shuffles[0] is not np.random.Generator.shuffle
+        assert len(starts) > 1 and starts[1] == 1
+        want, want_state, shuffles, want_starts = build("numpy")
+        assert shuffles[0] is np.random.Generator.shuffle
+        assert (got, got_state, starts) == (want, want_state, want_starts)

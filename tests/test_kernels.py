@@ -365,6 +365,40 @@ class TestEngineBuffers:
         for name, got in runs.items():
             assert np.array_equal(ref.loads, got.loads), name
 
+    @pytest.mark.parametrize("kernel", ["numpy"] + COMPILED)
+    @pytest.mark.parametrize("policy", ["saer", "raes"])
+    def test_builtin_policy_state_lives_in_the_pool(self, regular_graph, kernel, policy):
+        """A policy built from its name takes its state zeroed from the
+        pool, in the run's dtype, and every call reuses it; a returned
+        result never aliases it."""
+        bufs = EngineBuffers()
+        seeds = spawn_seeds(47, 4)
+        opts = RunOptions(record_loads=True)
+
+        def run(c, buffers):
+            return run_trials_batched(
+                regular_graph, ProtocolParams(c=c, d=4), policy, seeds=seeds,
+                kernel=kernel, buffers=buffers, options=opts,
+            )
+
+        first = run(1.5, bufs)
+        names = {"saer": ["policy_cum", "policy_loads"], "raes": ["policy_loads"]}[policy]
+        held = {n: bufs._arrays[n] for n in names}
+        assert all(a.dtype != np.int64 for a in held.values())
+        second = run(2.0, bufs)
+        assert all(bufs._arrays[n] is a for n, a in held.items())
+        for got, want in ((first, run(1.5, None)), (second, run(2.0, None))):
+            for field in ("rounds", "work", "max_load", "blocked_servers", "loads"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+    def test_policy_instance_keeps_its_arrays(self, regular_graph):
+        bufs = EngineBuffers()
+        params = ProtocolParams(c=1.5, d=4)
+        pol = BatchedSaerPolicy(3, regular_graph.n_servers, params.capacity)
+        run_trials_batched(regular_graph, params, pol, seeds=spawn_seeds(5, 3), buffers=bufs)
+        assert not {"policy_cum", "policy_loads"} & set(bufs._arrays)
+        assert pol.cum_received.sum() > 0
+
     def test_get_grows_and_retypes(self):
         bufs = EngineBuffers()
         a = bufs.get("x", 8, np.int32)

@@ -69,11 +69,13 @@ def test_every_trace_target_resolves(workloads):
 
 def test_round_kernel_accessors_stay_out_of_batch_kernel():
     """perfbench times every ``Kernel`` method ending in ``round_fn`` as
-    ``batch.kernel``; the repair pass is graph construction."""
+    ``batch.kernel``; the repair pass and the stub shuffle are graph
+    construction."""
     from repro.batch.kernels import Kernel
 
     methods = [n for n, _ in inspect.getmembers(Kernel, inspect.isfunction)]
     assert "repair_pass_fn" in methods
+    assert "shuffle_fn" in methods
     assert sorted(n for n in methods if n.endswith("round_fn")) == [
         "run_round_fn", "serve_round_fn"
     ]

@@ -383,6 +383,26 @@ class TestCanonicalWorkers:
             want.append(dict(point, trial=trial, **rec))
         assert assemble_blocks([block]).to_records() == want
 
+    @pytest.mark.parametrize("worker", ["batch", "per_trial"])
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_workers_leave_task_seeds_unspawned(self, worker, pinned):
+        """The workers build the children they read from each task seed
+        without spawning it, so an in-process run leaves the caller's
+        seeds as a pooled run (which works on pickled copies) does, and
+        a second run of the same task gives the same block."""
+        point = {"n": 64, "c": 2.0, "d": 2}
+        graph = build_point_graph(point, 3) if pinned else None
+        if worker == "batch":
+            w = BatchWorker(R._saer_batch_block, pinned=pinned)
+        else:
+            w = PerTrialWorker(R._saer_run_record, pinned=pinned)
+        seeds = np.random.SeedSequence(6).spawn(3)
+        tasks = [(point, seeds, [0, 1, 2])]
+        first = assemble_blocks(run_sweep(w, tasks, processes=1, graph=graph)).to_records()
+        again = assemble_blocks(run_sweep(w, tasks, processes=1, graph=graph)).to_records()
+        assert [s.n_children_spawned for s in seeds] == [0, 0, 0]
+        assert again == first
+
     def test_batch_worker_matches_per_trial_worker(self):
         point = {"n": 64, "c": 2.0, "d": 2}
         seeds = np.random.SeedSequence(6).spawn(3)

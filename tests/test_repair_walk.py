@@ -375,23 +375,27 @@ def test_compiled_pass_matches_numpy_walk(shape, passes, seed):
 def test_shape_rule_picks_the_walk(monkeypatch):
     """The compiled pass only where every id fits in int32 and a stamp
     per server is no larger than the edge array; the numpy walk
-    elsewhere, and always on the numpy gate."""
+    elsewhere, and always on the numpy gate.  The stub shuffle follows
+    the same rule."""
+    numpy_pair = (np.random.Generator.shuffle, generators._repair_walk)
 
-    def walk(n_clients, n_servers, m):
+    def choose(n_clients, n_servers, m):
         def degrees(n):  # zero-stride, so huge sides cost nothing
             return np.broadcast_to(np.int64(1), (n,))
 
         return generators._choose_walk(degrees(n_clients), degrees(n_servers), m)
 
     monkeypatch.setenv("REPRO_KERNELS", "numpy")
-    assert walk(100, 100, 1000) is generators._repair_walk
+    assert choose(100, 100, 1000) == numpy_pair
     if "cext" not in available_kernels():
         return
     monkeypatch.setenv("REPRO_KERNELS", "cext")
-    assert walk(100, 100, 1000).func is generators._compiled_walk
-    assert walk(100, 200, 100).func is generators._compiled_walk
+    for shape in [(100, 100, 1000), (100, 200, 100)]:
+        shuffle, walk = choose(*shape)
+        assert walk.func is generators._compiled_walk
+        assert shuffle is not np.random.Generator.shuffle
     for shape in [(100, 201, 100), (40, 2**40, 6000), (2**31, 100, 2**32), (10, 10, 2**31)]:
-        assert walk(*shape) is generators._repair_walk
+        assert choose(*shape) == numpy_pair
     # A build past the rule (4 stubs over 1,000 servers) takes the numpy walk.
     with mock.patch.object(generators, "_compiled_walk", side_effect=AssertionError):
         sdeg = np.zeros(1000, dtype=np.int64)

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from repro.errors import TapeExhaustedError
-from repro.rng import RandomTape, TapeRecorder, make_rng, spawn_rngs, spawn_seeds
+from repro.rng import (
+    RandomTape,
+    TapeRecorder,
+    child_seed,
+    make_rng,
+    spawn_rngs,
+    spawn_seeds,
+)
 
 
 class TestMakeRng:
@@ -50,6 +57,31 @@ class TestSpawnSeeds:
         rngs = spawn_rngs(3, 4)
         assert len(rngs) == 4
         assert all(isinstance(r, np.random.Generator) for r in rngs)
+
+
+class TestChildSeed:
+    @pytest.mark.parametrize("k", [0, 1, 5, 640])
+    @pytest.mark.parametrize(
+        "parent",
+        [np.random.SeedSequence(606), spawn_seeds(7, 3)[2],
+         np.random.SeedSequence(9, pool_size=8)],
+        ids=["root", "child", "pool8"],
+    )
+    def test_is_the_spawned_child(self, parent, k):
+        fresh = np.random.SeedSequence(
+            parent.entropy, spawn_key=parent.spawn_key, pool_size=parent.pool_size
+        )
+        want = fresh.spawn(k + 1)[k]
+        got = child_seed(parent, k)
+        assert got.spawn_key == want.spawn_key
+        assert np.array_equal(got.generate_state(8), want.generate_state(8))
+        assert parent.n_children_spawned == 0
+
+    def test_children_differ(self):
+        parent = np.random.SeedSequence(3)
+        assert not np.array_equal(
+            child_seed(parent, 0).generate_state(4), child_seed(parent, 1).generate_state(4)
+        )
 
 
 class TestRandomTapeLive:
