@@ -83,7 +83,7 @@ from ..core.config import ProtocolParams, RunOptions
 from ..core.engine import _resolve_demands
 from ..errors import NonTerminationError, ProtocolConfigError
 from ..graphs.bipartite import BipartiteGraph
-from ..rng import make_rng, spawn_seeds
+from ..rng import SeedBlock, make_rng, spawn_seeds
 from .kernels import (
     DRAW_CHUNK,
     RNG_BLOCK,
@@ -97,13 +97,13 @@ from .kernels import (
     resolve_threads,
 )
 from .policies import BatchedRaesPolicy, BatchedSaerPolicy, BatchedServerPolicy
-from .results import BatchResult
+from .results import BatchResult, SeedInfos
 
 __all__ = ["run_trials_batched", "run_saer_batched", "run_raes_batched"]
 
 BatchPolicyLike = Union[str, BatchedServerPolicy, Callable[[int, int, int], BatchedServerPolicy]]
 
-_BATCH_POLICY_REGISTRY: dict[str, Callable[[int, int, int], BatchedServerPolicy]] = {
+_BATCH_POLICY_REGISTRY: dict[str, type[BatchedServerPolicy]] = {
     "saer": BatchedSaerPolicy,
     "raes": BatchedRaesPolicy,
 }
@@ -121,12 +121,13 @@ def _make_batch_policy(
         return policy
     if isinstance(policy, str):
         try:
-            factory = _BATCH_POLICY_REGISTRY[policy.lower()]
+            cls = _BATCH_POLICY_REGISTRY[policy.lower()]
         except KeyError:
             raise ProtocolConfigError(
                 f"unknown batched policy {policy!r}; known: {sorted(_BATCH_POLICY_REGISTRY)}"
             ) from None
-        return factory(n_trials, n_servers, capacity)
+        # Its state arrives from the engine's buffers (take_state).
+        return cls._stateless(n_trials, n_servers, capacity)
     return policy(n_trials, n_servers, capacity)
 
 
@@ -183,6 +184,15 @@ def run_trials_batched(
         stream is exactly what ``run_protocol(seed=seeds[r])`` would
         consume), or ``n_trials`` plus a root ``seed`` that is spawned
         into per-trial children via :func:`repro.rng.spawn_seeds`.
+        ``seeds`` may be a :class:`~repro.rng.SeedBlock` (what
+        ``spawn_seeds`` returns and the plan layer passes): on the
+        compiled path its PCG64 states come straight from
+        :meth:`~repro.rng.SeedBlock.pcg64_rows`, with no
+        ``SeedSequence`` or ``Generator`` per trial.  The numpy gate,
+        a run shape the compiled path does not take, and any other
+        sequence of seed-likes build one Generator per trial, and a
+        Generator the caller passed ends exactly after the draws it
+        served.
     demands:
         Optional per-client ball counts in ``[0, d]``, shared by every
         trial (trial randomness is in the destination draws, not the
@@ -227,7 +237,7 @@ def run_trials_batched(
         :meth:`BatchResult.to_run_results` for the per-trial adapter.
     """
     if seeds is not None:
-        seed_list = list(seeds)
+        seed_list = seeds if isinstance(seeds, SeedBlock) else list(seeds)
         if n_trials is not None and n_trials != len(seed_list):
             raise ProtocolConfigError(
                 f"n_trials={n_trials} disagrees with len(seeds)={len(seed_list)}"
@@ -262,14 +272,19 @@ def run_trials_batched(
 
         policy = faulty_policy_factory(policy.lower(), faults, n_c)
     pol = _make_batch_policy(policy, R, n_s, params.capacity)
-    gens = [make_rng(s) for s in seed_list]
-    # Only a Generator the caller passed can be observed after the run.
-    passed = [t for t, s in enumerate(seed_list) if isinstance(s, np.random.Generator)]
     bufs = buffers if buffers is not None else EngineBuffers()
 
     n_threads = resolve_threads(threads)
     kern = resolve_kernel(kernel, threads=n_threads)
+    gens = _generators(seed_list, kern.compiled)
     compiled = kern.compiled and _compiled_supported(kern, graph, pol, dem, n_c, n_s, gens)
+    if gens is None and not compiled:  # a run shape the compiled path does not take
+        gens = _generators(seed_list, False)
+    # Only a Generator the caller passed can be observed after the run.
+    block = isinstance(seed_list, SeedBlock)
+    passed = [] if block else [
+        t for t, s in enumerate(seed_list) if isinstance(s, np.random.Generator)
+    ]
     dtypes = (state_dtype, state_dtype if compiled else load_dtype)
     if isinstance(policy, str):  # built here from a name: its state is ours
         pol.take_state(bufs, *dtypes)
@@ -278,7 +293,7 @@ def run_trials_batched(
     if compiled:
         rounds, work, assigned, alive_total = _run_rounds_compiled(
             kern, graph, pol, dem, total_balls, n_c, n_s, cap, R,
-            params.capacity, gens, bufs, state_dtype, n_threads, passed,
+            params.capacity, seed_list, gens, bufs, state_dtype, n_threads, passed,
         )
     else:
         rounds, work, assigned, alive_total = _run_rounds_numpy(
@@ -301,7 +316,7 @@ def run_trials_batched(
         max_load=pol.max_loads().astype(np.int64),
         blocked_servers=pol.blocked_counts().astype(np.int64),
         loads=pol.loads.astype(np.int64) if opts.record_loads else None,
-        seed_infos=[repr(s) for s in seed_list],
+        seed_infos=SeedInfos(seed_list) if block else [repr(s) for s in seed_list],
     )
     if opts.raise_on_cap and not result.completed.all():
         incomplete = int((~result.completed).sum())
@@ -310,6 +325,17 @@ def run_trials_batched(
             result=result,
         )
     return result
+
+
+def _generators(seeds, compiled_gate: bool) -> list | None:
+    """One Generator per trial, or ``None`` for a
+    :class:`~repro.rng.SeedBlock` on a compiled gate: the run entry then
+    seeds its PCG64 rows from the block's spawn keys
+    (:meth:`~repro.rng.SeedBlock.pcg64_rows`), bit for bit the states
+    these Generators would hold."""
+    if compiled_gate and isinstance(seeds, SeedBlock):
+        return None
+    return [make_rng(s) for s in seeds]
 
 
 def _compiled_supported(
@@ -324,16 +350,18 @@ def _compiled_supported(
     reproduce the numpy path's clip semantics for degree-0 clients
     that somehow carry demand.  The ``cext`` run entry steps each
     trial's PCG64 state in C, so every trial must own a
-    ``np.random.PCG64``.  Anything else falls back to numpy — same
-    results, just without the fusion.
+    ``np.random.PCG64`` (``gens`` is ``None`` for a seed block, whose
+    trials do by construction).  Anything else falls back to numpy —
+    same results, just without the fusion.
     """
     if type(pol) not in (BatchedSaerPolicy, BatchedRaesPolicy):
         return False
-    bitgens = [g.bit_generator for g in gens]
-    if len({id(b) for b in bitgens}) < len(bitgens):
-        return False
-    if any(type(b) is not np.random.PCG64 for b in bitgens):
-        return False
+    if gens is not None:
+        bitgens = [g.bit_generator for g in gens]
+        if len({id(b) for b in bitgens}) < len(bitgens):
+            return False
+        if any(type(b) is not np.random.PCG64 for b in bitgens):
+            return False
     if n_c <= 0 or n_s <= 0 or graph.n_edges <= 0:
         return False
     if graph.n_edges >= 2**31 - 1 or n_s >= 2**31 - 1:
@@ -345,22 +373,24 @@ def _compiled_supported(
 
 
 def _run_rounds_compiled(
-    kern, graph, pol, dem, total_balls, n_c, n_s, cap, R, capacity, gens,
+    kern, graph, pol, dem, total_balls, n_c, n_s, cap, R, capacity, seeds, gens,
     bufs, state_dtype, threads=1, passed=(),
 ):
     """Every round of the call in one call to the ``cext`` run entry
     (:meth:`~repro.batch.kernels.Kernel.run_round_fn`).
 
     The run entry draws each trial's uniforms inside the round from its
-    PCG64 state, copied in before the call and written back after it to
-    the Generators the caller passed (trials ``passed``; one built here
-    from a seed-like is never read again).  After a round in which a
-    trial accepted no ball, the run entry checks whether each of its
-    remaining balls' clients sees only blocked servers (the predicates
-    of ``blocked_counts()``): first with a per-trial server cursor over
-    its state row, which settles it once every server is blocked, else
-    by walking a per-(trial, client) neighbour cursor in the
-    ``[R, n_clients]`` int32 ``ccursor`` scratch.  If so, the trial
+    PCG64 state: derived from the spawn keys of a seed block (``gens``
+    is ``None``), else copied from the Generators, and written back
+    after the call to the Generators the caller passed (trials
+    ``passed``; one built here from a seed-like is never read again).
+    After a round in which a trial accepted no ball, the run entry
+    checks whether each of its remaining balls' clients sees only
+    blocked servers (the predicates of ``blocked_counts()``): first
+    with a per-trial server cursor over its state row, which settles it
+    once every server is blocked, else by walking a per-(trial, client)
+    neighbour cursor in the ``[R, n_clients]`` int32 ``ccursor``
+    scratch.  If so, the trial
     takes the ``k = cap - round`` rounds left in closed form
     (``rounds += k``, ``work += 2·alive·k``, its PCG64 row jumped ahead
     ``alive·k`` draws) and drops out with its balls alive: the outputs
@@ -399,7 +429,10 @@ def _run_rounds_compiled(
     run_fn = kern.run_round_fn(threads if R > 1 else 1)
     T = max(1, min(threads, R))
     pcg = bufs.get("cpcg", (R, 4), np.uint64)
-    _pcg64_load(gens, pcg)
+    if gens is None:
+        seeds.pcg64_rows(pcg)
+    else:
+        _pcg64_load(gens, pcg)
     run_fn(
         pcg, bufs.get("cuchunk", (R, DRAW_CHUNK), np.float64),
         ball_key, alt_buf, dest_buf, total_balls, cap, reg_deg, indptr,

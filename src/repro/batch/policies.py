@@ -44,12 +44,33 @@ __all__ = [
 ]
 
 
+def _zeroed(buffers, name: str, shape, dtype) -> np.ndarray:
+    """Zeroed state: a view of ``buffers``' slot ``name``, or a fresh
+    array the policy owns when ``buffers`` is ``None``."""
+    if buffers is None:
+        return np.zeros(shape, dtype=dtype)
+    return buffers.get(name, shape, dtype, zero=True)
+
+
 class BatchedServerPolicy:
     """Interface for Phase-2 rules with per-trial state ``[R, n_servers]``."""
 
     name: str = "abstract"
 
     def __init__(self, n_trials: int, n_servers: int, capacity: int):
+        self._configure(n_trials, n_servers, capacity)
+        self.take_state(None, np.int64)
+
+    @classmethod
+    def _stateless(cls, n_trials: int, n_servers: int, capacity: int):
+        """A policy with no state arrays yet: the engine builds a named
+        policy this way and hands it its state with :meth:`take_state`,
+        so no ``[R, n_servers]`` slab is allocated only to be dropped."""
+        policy = cls.__new__(cls)
+        policy._configure(n_trials, n_servers, capacity)
+        return policy
+
+    def _configure(self, n_trials: int, n_servers: int, capacity: int) -> None:
         if n_trials < 0:
             raise ProtocolConfigError("n_trials must be non-negative")
         if n_servers < 0:
@@ -59,7 +80,6 @@ class BatchedServerPolicy:
         self.n_trials = n_trials
         self.n_servers = n_servers
         self.capacity = capacity
-        self.loads = np.zeros((n_trials, n_servers), dtype=np.int64)
         # Rounds this policy has decided.  The engine calls exactly one
         # decide path per round, so subclasses that need a round index
         # (e.g. the fault overlays in repro.faults.policies) advance it
@@ -107,9 +127,10 @@ class BatchedServerPolicy:
         :class:`~repro.batch.kernels.EngineBuffers`), so the engine calls
         of a sweep worker share one allocation instead of mapping and
         faulting a fresh ``[R, n_servers]`` slab each.  The state then
-        belongs to the pool: it is valid until the pool's next call."""
+        belongs to the pool: it is valid until the pool's next call.
+        With ``buffers=None`` the policy allocates and owns its arrays."""
         shape = (self.n_trials, self.n_servers)
-        self.loads = buffers.get("policy_loads", shape, load_dtype or counter_dtype, zero=True)
+        self.loads = _zeroed(buffers, "policy_loads", shape, load_dtype or counter_dtype)
 
     def _rows(self, trials: np.ndarray) -> Union[slice, np.ndarray]:
         """Index all state rows via a view when every trial is active."""
@@ -127,10 +148,6 @@ class BatchedSaerPolicy(BatchedServerPolicy):
 
     name = "saer"
 
-    def __init__(self, n_trials: int, n_servers: int, capacity: int):
-        super().__init__(n_trials, n_servers, capacity)
-        self.cum_received = np.zeros((n_trials, n_servers), dtype=np.int64)
-
     def astype_state(self, counter_dtype, load_dtype=None) -> None:
         super().astype_state(counter_dtype, load_dtype)
         self.cum_received = self.cum_received.astype(counter_dtype, copy=False)
@@ -138,7 +155,7 @@ class BatchedSaerPolicy(BatchedServerPolicy):
     def take_state(self, buffers, counter_dtype, load_dtype=None) -> None:
         super().take_state(buffers, counter_dtype, load_dtype)
         shape = (self.n_trials, self.n_servers)
-        self.cum_received = buffers.get("policy_cum", shape, counter_dtype, zero=True)
+        self.cum_received = _zeroed(buffers, "policy_cum", shape, counter_dtype)
 
     # Definition 3 burns a server the round its cumulative received count
     # first exceeds capacity, and cum_received is non-decreasing, so

@@ -3,15 +3,43 @@
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
 from ..core.config import ProtocolParams
 from ..core.results import RunResult
 
-__all__ = ["BatchResult", "ResultBlock"]
+__all__ = ["BatchResult", "ResultBlock", "SeedInfos"]
+
+
+class SeedInfos(Sequence):
+    """The ``repr`` of each seed of a :class:`~repro.rng.SeedBlock`,
+    built on first read.  A block's elements are rebuilt from immutable
+    fields, so a late ``repr`` is the one the run would have taken;
+    equal to any sequence of the same strings."""
+
+    def __init__(self, seeds: Sequence) -> None:
+        self._seeds = seeds
+        self._strings: list[str] | None = None
+
+    def _list(self) -> list[str]:
+        if self._strings is None:
+            self._strings = [repr(s) for s in self._seeds]
+        return self._strings
+
+    def __getitem__(self, i):
+        return self._list()[i]
+
+    def __len__(self) -> int:
+        return len(self._seeds)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (SeedInfos, list, tuple)):
+            return self._list() == list(other)
+        return NotImplemented
 
 
 @dataclass
@@ -36,7 +64,9 @@ class BatchResult:
         Optional ``[R, n_servers]`` final load matrix (row ``r`` is trial
         ``r``'s per-server loads).
     seed_infos:
-        Per-trial provenance strings (mirrors ``RunResult.seed_info``).
+        Per-trial provenance strings (mirrors ``RunResult.seed_info``);
+        for a run seeded by a :class:`~repro.rng.SeedBlock`, a
+        :class:`SeedInfos` that builds them on first read.
     """
 
     protocol: str
@@ -53,7 +83,7 @@ class BatchResult:
     max_load: np.ndarray
     blocked_servers: np.ndarray
     loads: Optional[np.ndarray] = field(default=None, repr=False)
-    seed_infos: Optional[list] = field(default=None, repr=False)
+    seed_infos: Optional[Sequence[str]] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("completed", "rounds", "work", "assigned_balls", "max_load", "blocked_servers"):

@@ -131,7 +131,6 @@ def _saer_batch_block(
     (``None`` defers to ``REPRO_KERNELS`` / ``REPRO_KERNEL_THREADS``).
     """
     opts = RunOptions(max_rounds=point.get("max_rounds"))
-    p_seeds = list(p_seeds)
     res = run_trials_batched(
         graph,
         ProtocolParams(c=point["c"], d=point["d"]),

@@ -8,10 +8,11 @@ adjacency, built once and never mutated.  No protocol reads the
 server→client direction: it is derived from the client rows on first
 read and kept (by ``graphs/io.py``'s cache writer, ``SharedGraph``'s
 share, the journal's pinned-graph hash, :meth:`BipartiteGraph.validate`
-and :meth:`~BipartiteGraph.neighbors_of_server`).  Server degrees come
-from the client rows too.  Multi-edges are disallowed: Algorithm 1
-samples *with replacement from the neighbor set*, so parallel edges
-would silently bias the destination distribution.
+and :meth:`~BipartiteGraph.neighbors_of_server`).  Server degrees are
+counted from the client rows once, on first read, and kept read-only.
+Multi-edges are disallowed: Algorithm 1 samples *with replacement from
+the neighbor set*, so parallel edges would silently bias the
+destination distribution.
 
 Clients are indexed ``0..n_clients-1`` and servers ``0..n_servers-1``
 in separate index spaces (the paper's local-labels assumption means no
@@ -146,6 +147,21 @@ class BipartiteGraph:
         return _transpose_csr(
             self.n_clients, self.n_servers, self.client_indptr, self.client_indices
         )
+
+    @functools.cached_property
+    def server_degrees(self) -> np.ndarray:
+        """Degree of every server, ``Δ_u`` for ``u ∈ S``: counted from the
+        client rows on first read (the reverse adjacency is not built)
+        and kept read-only, so every report on one graph shares it."""
+        deg = np.bincount(self.client_indices, minlength=self.n_servers)
+        deg.setflags(write=False)
+        return deg
+
+    def __getstate__(self) -> dict:
+        # An unpickled array is writable again: recount on first read.
+        state = dict(self.__dict__)
+        state.pop("server_degrees", None)
+        return state
 
     @property
     def server_indptr(self) -> np.ndarray:
@@ -304,12 +320,6 @@ class BipartiteGraph:
     def client_degrees(self) -> np.ndarray:
         """Degree of every client, ``Δ_v`` for ``v ∈ C``."""
         return np.diff(self.client_indptr)
-
-    @property
-    def server_degrees(self) -> np.ndarray:
-        """Degree of every server, ``Δ_u`` for ``u ∈ S`` (counted from
-        the client rows; the reverse adjacency is not built)."""
-        return np.bincount(self.client_indices, minlength=self.n_servers)
 
     def neighbors_of_client(self, v: int) -> np.ndarray:
         """Sorted server neighborhood ``N(v)`` (a view, do not mutate)."""

@@ -32,16 +32,17 @@ callables:
   point's whole trial block (optional; required by the batched
   backend; may accept ``kernel=`` and ``threads=``).
 
-:func:`execute` spawns the task seeds once, cuts the grid into
-``(point, seeds, trials)`` tasks once, resolves the process count once
-from those tasks, and maps one of the two picklable workers
-(:class:`PerTrialWorker`, :class:`BatchWorker`) over them through
-:func:`repro.parallel.sweep.run_sweep`.  Every task returns a
-:class:`~repro.batch.results.ResultBlock`; the blocks go either to
-memory (:func:`~repro.parallel.aggregate.assemble_blocks`) or to the
-spool (one block file plus one journal line per grid point, read back
-by :meth:`~repro.durable.SpoolReader.table`).  Either way the caller
-gets a :class:`~repro.parallel.aggregate.ResultTable`.
+:func:`execute` spawns the task seeds once (one
+:class:`~repro.rng.SeedBlock`, with no per-seed object), cuts the grid
+into ``(point, seeds, trials)`` tasks carrying slices of it once,
+resolves the process count once from those tasks, and maps one of the
+two picklable workers (:class:`PerTrialWorker`, :class:`BatchWorker`)
+over them through :func:`repro.parallel.sweep.run_sweep`.  Every task
+returns a :class:`~repro.batch.results.ResultBlock`; the blocks go
+either to memory (:func:`~repro.parallel.aggregate.assemble_blocks`)
+or to the spool (one block file plus one journal line per grid point,
+read back by :meth:`~repro.durable.SpoolReader.table`).  Either way the
+caller gets a :class:`~repro.parallel.aggregate.ResultTable`.
 
 A task is one grid point, except that the reference backend on the
 memory sink sends one task per trial, so a pool can spread the trials
@@ -76,7 +77,7 @@ from .graphs.families import build_point_graph
 from .parallel.aggregate import ResultTable, assemble_blocks
 from .parallel.shared import current_task_graph
 from .parallel.sweep import ParameterGrid, run_sweep
-from .rng import child_seed, spawn_seeds
+from .rng import SeedBlock, child_seed, spawn_seeds
 
 __all__ = [
     "BackendSpec",
@@ -498,8 +499,14 @@ class BatchWorker:
     def __call__(self, task) -> ResultBlock:
         point, seeds, trials = task
         # Of each trial's (graph, protocol) pair only the protocol child,
-        # and the first trial's graph child, are read: build just those.
-        p_seeds = [child_seed(s, 1) for s in seeds] if self.pair_seeds else list(seeds)
+        # and the first trial's graph child, are read: take just those
+        # (a block's protocol children stay a block, with no object each).
+        if not self.pair_seeds:
+            p_seeds = seeds
+        elif isinstance(seeds, SeedBlock):
+            p_seeds = seeds.child(1)
+        else:  # explicit SeedSpec.seeds
+            p_seeds = [child_seed(s, 1) for s in seeds]
         if self.pinned:
             graph = current_task_graph()
         else:
@@ -529,13 +536,14 @@ def _cut_tasks(points, seeds, trials: int, indices, per_trial: bool) -> list[tup
     """``(point, seeds, trials)`` tasks for the grid points ``indices``.
 
     Point ``i``'s trials own the seed slice ``[i·trials, (i+1)·trials)``
-    of the point-major spawn, whatever the task granularity.
+    of the point-major spawn, whatever the task granularity; a slice of
+    a :class:`~repro.rng.SeedBlock` is a block.
     """
     if not trials:
         return []
     if per_trial:
         return [
-            (points[i], [seeds[i * trials + t]], [t])
+            (points[i], seeds[i * trials + t : i * trials + t + 1], [t])
             for i in indices
             for t in range(trials)
         ]

@@ -289,6 +289,60 @@ class TestEngineApi:
             assert np.array_equal(getattr(clean, field), getattr(polluted, field)), field
 
 
+class TestPolicyState:
+    """A policy the engine builds from its name gets its state from the
+    engine's buffers alone; one the caller passes keeps its own arrays."""
+
+    @pytest.mark.parametrize("policy", ["saer", "raes"])
+    def test_named_policy_allocates_no_state_before_take_state(
+        self, regular_graph, monkeypatch, policy
+    ):
+        R, n_s = 6, regular_graph.n_servers
+        events = []
+        real_zeros = np.zeros
+        monkeypatch.setattr(np, "zeros", lambda shape, *a, **k: events.append(
+            ("zeros", np.atleast_1d(shape).tolist())) or real_zeros(shape, *a, **k))
+        cls = BatchedSaerPolicy if policy == "saer" else BatchedRaesPolicy
+        real_take = cls.take_state
+
+        def take_state(pol, *args):
+            events.append(("take_state", sorted(
+                name for name, v in vars(pol).items() if isinstance(v, np.ndarray)
+            )))
+            return real_take(pol, *args)
+
+        monkeypatch.setattr(cls, "take_state", take_state)
+        run_trials_batched(regular_graph, ProtocolParams(c=1.5, d=4), policy,
+                           n_trials=R, seed=2)
+        takes = [i for i, e in enumerate(events) if e[0] == "take_state"]
+        assert len(takes) == 1 and events[takes[0]][1] == []
+        assert ("zeros", [R, n_s]) not in events[: takes[0]]
+
+    @pytest.mark.parametrize("policy_cls", [BatchedSaerPolicy, BatchedRaesPolicy])
+    def test_caller_policy_keeps_its_arrays(self, regular_graph, policy_cls):
+        from repro.batch import EngineBuffers
+
+        R, n_s = 5, regular_graph.n_servers
+        bufs = EngineBuffers()
+        pol = policy_cls(R, n_s, 6)
+        res = run_trials_batched(regular_graph, ProtocolParams(c=1.5, d=4), pol,
+                                 seeds=spawn_seeds(4, R), buffers=bufs)
+        named = run_trials_batched(regular_graph, ProtocolParams(c=1.5, d=4),
+                                   pol.name, seeds=spawn_seeds(4, R))
+        assert np.array_equal(res.loads, named.loads)
+        state = [pol.loads] + ([pol.cum_received] if policy_cls is BatchedSaerPolicy else [])
+        for arr in state:
+            assert arr.shape == (R, n_s) and arr.flags.owndata
+            assert not any(np.shares_memory(arr, b) for b in bufs._arrays.values())
+        assert np.array_equal(pol.loads, res.loads)
+
+    def test_constructor_state(self):
+        pol = BatchedSaerPolicy(3, 5, 2)
+        for arr in (pol.loads, pol.cum_received):
+            assert arr.dtype == np.int64 and arr.shape == (3, 5) and not arr.any()
+        assert BatchedRaesPolicy(3, 5, 2).loads.shape == (3, 5)
+
+
 class TestBatchedPolicies:
     def test_saer_burned_is_derived(self):
         pol = BatchedSaerPolicy(2, 4, capacity=3)

@@ -397,6 +397,75 @@ class TestReverseOnFirstRead:
             h.name = "x"
 
 
+def family_graphs():
+    """One small graph of every generator family."""
+    from repro import graphs as G
+
+    return {
+        "regular": G.random_regular_bipartite(48, 6, seed=1),
+        "biregular": G.biregular(40, 20, 5, seed=2),
+        "near_regular": G.near_regular(48, 4, 7, seed=3),
+        "extremal": G.paper_extremal(64, eta=0.5, seed=4),
+        "erdos_renyi": G.erdos_renyi_bipartite(30, 40, 0.2, seed=5),
+        "geometric": G.geometric_bipartite(30, 40, 0.3, seed=6),
+        "trust": G.trust_subsets(30, 40, 6, seed=7),
+        "community": G.community_bipartite(48, 4, 5, 2, seed=8),
+        "complete": G.complete_bipartite(7, 9),
+        "tiny": tiny(),
+    }
+
+
+class TestServerDegreeCache:
+    """``server_degrees`` is counted once per graph and kept read-only."""
+
+    @pytest.mark.parametrize("family", sorted(family_graphs()))
+    def test_values(self, family):
+        g = family_graphs()[family]
+        want = np.bincount(g.client_indices, minlength=g.n_servers)
+        assert np.array_equal(g.server_degrees, want)
+        assert g.server_degrees is g.server_degrees
+
+    def test_read_only(self):
+        g = tiny()
+        with pytest.raises(ValueError):
+            g.server_degrees[0] = 7
+        assert g.server_degrees.tolist() == [2, 1, 2, 1]
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_pickles(self, read_first):
+        import pickle
+
+        g = tiny()
+        if read_first:
+            g.server_degrees
+        h = pickle.loads(pickle.dumps(g))
+        assert h.server_degrees.tolist() == [2, 1, 2, 1]
+        assert not h.server_degrees.flags.writeable
+
+    def test_replace_gives_a_fresh_graph(self):
+        import dataclasses
+
+        g = tiny()
+        g.server_degrees
+        other = BipartiteGraph.from_edges(3, 4, [(0, 3), (1, 3), (2, 3)])
+        h = dataclasses.replace(
+            g, client_indptr=other.client_indptr, client_indices=other.client_indices
+        )
+        assert h.server_degrees.tolist() == [0, 0, 0, 3]
+        assert g.server_degrees.tolist() == [2, 1, 2, 1]
+
+    def test_degree_report_counts_once(self, monkeypatch):
+        from repro.graphs import degree_report
+
+        g = family_graphs()["near_regular"]
+        counts = []
+        real = np.bincount
+        monkeypatch.setattr(np, "bincount", lambda *a, **k: counts.append(1) or real(*a, **k))
+        first = degree_report(g)
+        assert degree_report(g) == first
+        assert len(counts) == 1
+
+
 class TestNoReverseOnRunPaths:
     """No run or serving path reads the reverse adjacency: a counting
     hook on ``_transpose_csr`` sees no call through a batched E1 run

@@ -38,6 +38,7 @@ from repro.batch.kernels import (
     THREADS_ENV,
     fill_uniforms,
 )
+from repro.batch.results import SeedInfos
 from repro.core.config import ProtocolParams, RunOptions
 from repro.graphs import BipartiteGraph, near_regular, random_regular_bipartite, trust_subsets
 from repro.rng import make_rng, spawn_seeds
@@ -531,6 +532,67 @@ class TestRunEntry:
             kernel="cext", options=RunOptions(max_rounds=12),
         )
         assert res.rounds.max() == 12 and len(calls) == 1
+
+
+class TestSeedBlockEntry:
+    """A :class:`~repro.rng.SeedBlock` seeds the cext run entry's PCG64
+    rows from its spawn keys: no Generator is built, and the results
+    equal those of the block's SeedSequences and of the numpy gate."""
+
+    PARAMS = ProtocolParams(c=1.5, d=4)
+
+    @needs_cext
+    @pytest.mark.parametrize("policy", ["saer", "raes"])
+    def test_block_list_and_numpy_agree(self, regular_graph, policy):
+        block = spawn_seeds(71, 9)[1:8].child(1)
+        ref = run_trials_batched(regular_graph, self.PARAMS, policy, seeds=list(block),
+                                 kernel="cext")
+        for kernel in ("cext", "numpy"):
+            got = run_trials_batched(regular_graph, self.PARAMS, policy, seeds=block,
+                                     kernel=kernel)
+            assert isinstance(got.seed_infos, SeedInfos)
+            assert_batch_results_equal(ref, got)
+        assert got.seed_infos == [repr(s) for s in block]
+
+    @needs_cext
+    def test_compiled_block_builds_no_generator(self, regular_graph, monkeypatch):
+        built = []
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: built.append(1) or real(*a))
+        run_trials_batched(regular_graph, self.PARAMS, "saer", seeds=spawn_seeds(3, 5),
+                           kernel="cext")
+        run_trials_batched(regular_graph, self.PARAMS, "saer", n_trials=5, seed=3,
+                           kernel="cext")
+        assert built == []
+        run_trials_batched(regular_graph, self.PARAMS, "saer", seeds=spawn_seeds(3, 5),
+                           kernel="numpy")
+        assert len(built) == 5
+
+    @needs_cext
+    def test_block_on_an_uncompiled_shape(self, regular_graph):
+        """A policy subclass takes the numpy path, which builds the
+        block's Generators after all."""
+
+        class Subclass(BatchedSaerPolicy):
+            pass
+
+        block = spawn_seeds(17, 4)
+        ref = run_trials_batched(regular_graph, self.PARAMS, "saer", seeds=block,
+                                 kernel="numpy")
+        got = run_trials_batched(regular_graph, self.PARAMS, Subclass, seeds=block,
+                                 kernel="cext")
+        assert_batch_results_equal(ref, got)
+
+    @pytest.mark.parametrize("kernel", ["numpy", *COMPILED])
+    def test_mixed_seeds_write_generators_back(self, regular_graph, kernel):
+        seeds = list(spawn_seeds(19, 4))
+        mixed = [make_rng(seeds[0]), seeds[1], make_rng(seeds[2]), seeds[3]]
+        ref = run_trials_batched(regular_graph, self.PARAMS, "saer", seeds=seeds,
+                                 kernel="numpy")
+        got = run_trials_batched(regular_graph, self.PARAMS, "saer", seeds=mixed,
+                                 kernel=kernel)
+        assert_batch_results_equal(ref, got, skip=("seed_infos",))
+        assert_generators_advanced(mixed[::2], seeds[::2], got.work[::2])
 
 
 # Per-trial ball counts for the PCG64 lane fill: sends of 1-15 (the

@@ -81,6 +81,41 @@ def test_round_kernel_accessors_stay_out_of_batch_kernel():
     ]
 
 
+def test_seed_count_hook_sees_one_sized_spawn_per_plan(monkeypatch):
+    """The traced ``rng.seeds`` count is ``len()`` of what
+    ``repro.rng:spawn_seeds`` returns, summed over its calls: that
+    needs a sized sequence, and one call per plan (640 on ``sweep-e6``)."""
+    from collections.abc import Sequence
+
+    from repro import plan as plan_mod
+    from repro import rng
+    from repro.experiments.runners import run_e06_c_threshold
+
+    spawned = []
+    real = rng.spawn_seeds
+
+    def counting(seed, n):
+        out = real(seed, n)
+        spawned.append(len(out))
+        return out
+
+    assert isinstance(real(0, 3), Sequence) and len(real(0, 3)) == 3
+    # Rebind every alias, as the tracer's patch does.
+    aliases = [
+        m for m in list(sys.modules.values())
+        if (getattr(m, "__name__", None) or "").startswith("repro")
+        and getattr(m, "spawn_seeds", None) is real
+    ]
+    assert plan_mod in aliases
+    for module in aliases:
+        monkeypatch.setattr(module, "spawn_seeds", counting)
+    run_e06_c_threshold(
+        n=64, cs=(1.5, 4.0), trials=3, seed=1, processes=1, backend="batched",
+        share_graph=True,
+    )
+    assert spawned == [2 * 3]
+
+
 @pytest.fixture(scope="module")
 def checker():
     return _load(ROOT / "scripts" / "check_perfbench_result.py", "check_perfbench_result")

@@ -294,6 +294,36 @@ class TestExecuteParityMatrix:
         assert list(a) == list(b) == GOLDEN["sweep/batched/generate"]
 
     @pytest.mark.parametrize("spool", [False, True], ids=["memory", "spool"])
+    def test_batched_pool_ships_block_slices(self, spool, tmp_path):
+        """Pool workers get pickled slices of one seed block; two
+        processes equal one on both sinks."""
+        from repro.plan import _cut_tasks
+        from repro.rng import SeedBlock, spawn_seeds
+
+        points = self._grid().points()
+        seeds = spawn_seeds(self.SEED, len(points) * self.TRIALS)
+        for _point, task_seeds, _trials in _cut_tasks(
+            points, seeds, self.TRIALS, range(len(points)), False
+        ):
+            assert isinstance(task_seeds, SeedBlock) and len(task_seeds) == self.TRIALS
+        serial = self._run(tmp_path / "serial", spool=spool, backend="batched")
+        pooled = self._run(tmp_path / "pooled", spool=spool, processes=2, backend="batched")
+        assert pooled.to_records() == serial.to_records() == GOLDEN["sweep/batched/generate"]
+
+    @pytest.mark.parametrize("backend", ["reference", "batched"])
+    def test_explicit_seeds_still_run(self, backend):
+        """Explicit ``SeedSpec.seeds`` (a list, not a block) give the
+        root spawn's rows when they are that spawn's elements."""
+        from repro.rng import spawn_seeds
+
+        plan = R._saer_plan(
+            self._grid(), trials=self.TRIALS, seed=None, processes=1, backend=backend,
+        )
+        n = len(self._grid()) * self.TRIALS
+        plan = plan.override(seeds=SeedSpec(seeds=tuple(spawn_seeds(self.SEED, n))))
+        assert execute(plan).to_records() == GOLDEN[f"sweep/{backend}/generate"]
+
+    @pytest.mark.parametrize("spool", [False, True], ids=["memory", "spool"])
     def test_reference_pool_matches_serial(self, spool, tmp_path):
         """Two processes against one on the reference backend: one task
         per trial on the memory sink, one per point on the spool."""
