@@ -270,25 +270,38 @@ class NumpyKernel(Kernel):
 _U64 = (1 << 64) - 1
 
 
-def _pcg64_load(gens, rows) -> None:
-    """Copy each PCG64 Generator's state into ``rows[t]`` as
+def _pcg64_copy_in(bg, row) -> dict:
+    """Copy a PCG64 bit generator's state into ``row[:4]`` as
     ``(state_hi, state_lo, inc_hi, inc_lo)`` — numpy's documented
     ``bit_generator.state`` dict, split into the 64-bit words the C
-    entries step in place."""
+    entries step in place; returns the dict for :func:`_pcg64_copy_out`."""
+    st = bg.state
+    s, inc = st["state"]["state"], st["state"]["inc"]
+    row[:4] = (s >> 64, s & _U64, inc >> 64, inc & _U64)
+    return st
+
+
+def _pcg64_copy_out(bg, st, row) -> None:
+    """Write ``row``'s stepped state back into ``bg`` through its state
+    dict ``st``: double draws move ``state`` alone (``inc`` and the
+    ``has_uint32`` buffer stay), so the dict :func:`_pcg64_copy_in`
+    returned needs no second read."""
+    hi, lo = row[:2].tolist()
+    st["state"]["state"] = (hi << 64) | lo
+    bg.state = st
+
+
+def _pcg64_load(gens, rows) -> None:
+    """:func:`_pcg64_copy_in` for each Generator, into ``rows[t]``."""
     for t, g in enumerate(gens):
-        st = g.bit_generator.state["state"]
-        s, inc = st["state"], st["inc"]
-        rows[t] = (s >> 64, s & _U64, inc >> 64, inc & _U64)
+        _pcg64_copy_in(g.bit_generator, rows[t])
 
 
 def _pcg64_store(gens, rows) -> None:
-    """Write the stepped states back (``inc`` and the ``has_uint32``
-    buffer are unchanged by double draws)."""
+    """:func:`_pcg64_copy_out` for each Generator, from ``rows[t]``."""
     for t, g in enumerate(gens):
         bg = g.bit_generator
-        st = bg.state
-        st["state"]["state"] = (int(rows[t, 0]) << 64) | int(rows[t, 1])
-        bg.state = st
+        _pcg64_copy_out(bg, bg.state, rows[t])
 
 
 class CextKernel(Kernel):
@@ -383,6 +396,16 @@ class CextKernel(Kernel):
         order (the contract is in ``_kernels.c``).  ``tags``,
         ``received`` and ``accepted`` may be ``None``; returns the
         number of balls assigned.
+
+        The call hands C raw addresses, so before C runs it makes the
+        checks ``ndpointer`` argtypes would make, and more.  First the sizes
+        (``ValueError``): ``pcg`` has 4 entries, ``births`` and ``tags``
+        one per owner, ``out`` is ``(3, n)``, ``burned``, ``received``
+        and ``accepted`` one per server, and ``indptr[-1] ==
+        indices.size``.  Then each array (``TypeError``): an ndarray of
+        its C type (``pcg`` uint64, ``burned`` bool, the rest int64),
+        C-contiguous, and writable unless C only reads it (``indptr``
+        and ``indices``).
         """
         lib = self._load()
         if lib is None:
@@ -401,8 +424,15 @@ class CextKernel(Kernel):
             ):
                 raise ValueError("repro_serve_round: mismatched array sizes")
             return fn(
-                pcg, n, owners, births, tags, indptr, indices, cum_received,
-                burned, n_s, capacity, round_no, out, received, accepted,
+                _address(pcg, _UINT64), n, _address(owners, _INT64),
+                _address(births, _INT64),
+                None if tags is None else _address(tags, _INT64),
+                _address(indptr, _INT64, written=False),
+                _address(indices, _INT64, written=False),
+                _address(cum_received, _INT64), _address(burned, _BOOL), n_s,
+                capacity, round_no, _address(out, _INT64),
+                None if received is None else _address(received, _INT64),
+                None if accepted is None else _address(accepted, _INT64),
             )
 
         return call
@@ -637,38 +667,49 @@ def _declare_run(fn, state_dtype) -> None:
     ]
 
 
-def _optional(ptr_type):
-    """``ptr_type`` that also takes ``None``, passed to C as NULL."""
+_UINT64, _INT64, _BOOL = np.dtype(np.uint64), np.dtype(np.int64), np.dtype(np.bool_)
+_NO_BYTES = ctypes.c_char * 0
 
-    class Optional(ptr_type):
-        @classmethod
-        def from_param(cls, obj):
-            return None if obj is None else ptr_type.from_param(obj)
 
-    return Optional
+def _address(a, dtype: np.dtype, *, written: bool = True) -> int:
+    """The data address of ``a`` for a ``void *`` argument, after the
+    checks an ``ndpointer(dtype, flags="C_CONTIGUOUS")`` argtype makes,
+    plus writability when C writes the array.
+
+    A zero-length ctypes view borrows the buffer, which refuses an
+    array that is not C-contiguous or not writable (``TypeError``), for
+    about a fifth of what ``a.ctypes.data`` costs; only a read-only
+    array that C just reads takes that slower road.
+    """
+    if not isinstance(a, np.ndarray) or a.dtype != dtype:
+        raise TypeError(f"argument must be an ndarray of dtype {dtype}")
+    if written or a.flags.writeable:
+        return ctypes.addressof(_NO_BYTES.from_buffer(a))
+    if not a.flags.c_contiguous:
+        raise TypeError("argument must be C-contiguous")
+    return a.ctypes.data
 
 
 def _declare_serve(fn) -> None:
-    ptr = np.ctypeslib.ndpointer
-    c = dict(flags="C_CONTIGUOUS")
+    ptr = ctypes.c_void_p  # checked by _address in serve_round_fn's call
     i64 = ctypes.c_int64
     fn.restype = i64
     fn.argtypes = [
-        ptr(np.uint64, **c),             # pcg [4], stepped in place
-        i64,                             # n (alive balls)
-        ptr(np.int64, **c),              # owners [n], compacted
-        ptr(np.int64, **c),              # births [n], compacted
-        _optional(ptr(np.int64, **c)),   # tags [n] or NULL, compacted
-        ptr(np.int64, **c),              # indptr [n_clients + 1]
-        ptr(np.int64, **c),              # indices
-        ptr(np.int64, **c),              # cum_received [n_s]
-        ptr(np.bool_, **c),              # burned [n_s], rewritten
-        i64,                             # n_s
-        i64,                             # capacity
-        i64,                             # round_no
-        ptr(np.int64, **c),              # out [3, n]
-        _optional(ptr(np.int64, **c)),   # received [n_s] or NULL
-        _optional(ptr(np.int64, **c)),   # accepted [n_s] or NULL
+        ptr,    # pcg [4] uint64, stepped in place
+        i64,    # n (alive balls)
+        ptr,    # owners [n], compacted
+        ptr,    # births [n], compacted
+        ptr,    # tags [n] or NULL, compacted
+        ptr,    # indptr [n_clients + 1]
+        ptr,    # indices
+        ptr,    # cum_received [n_s]
+        ptr,    # burned [n_s] bool, rewritten
+        i64,    # n_s
+        i64,    # capacity
+        i64,    # round_no
+        ptr,    # out [3, n]
+        ptr,    # received [n_s] or NULL
+        ptr,    # accepted [n_s] or NULL
     ]
 
 

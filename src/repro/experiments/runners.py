@@ -130,7 +130,8 @@ def _saer_batch_block(
     ``threads`` the compiled kernel's trial-partitioned thread budget
     (``None`` defers to ``REPRO_KERNELS`` / ``REPRO_KERNEL_THREADS``).
     """
-    opts = RunOptions(max_rounds=point.get("max_rounds"))
+    # The block reads no final loads, so the engine keeps none.
+    opts = RunOptions(max_rounds=point.get("max_rounds"), record_loads=False)
     res = run_trials_batched(
         graph,
         ProtocolParams(c=point["c"], d=point["d"]),

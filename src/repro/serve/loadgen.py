@@ -226,36 +226,53 @@ class _Replay:
         self.latencies_total = np.empty(balls if retry is not None else 0, dtype=np.int64)
 
     def step(self, counts: np.ndarray | None) -> None:
-        clients = np.flatnonzero(counts) if counts is not None else _NO_BALLS
+        # Through a mask: nonzero() on the int64 counts takes ~3x longer.
+        clients = np.flatnonzero(counts != 0) if counts is not None else _NO_BALLS
         balls = counts[clients] if counts is not None else _NO_BALLS
         self.submitted += int(balls.sum())
-        entries = np.zeros((clients.size, 3), dtype=np.int64)
-        entries[:, 0] = clients
-        entries[:, 2] = self.round
-        due = self.backlog.pop(self.round, None)
-        if due is not None:
-            # Resubmissions go first, one ball per request.
-            resub = np.concatenate(due)
-            self.resubmitted += len(resub)
-            entries = np.concatenate([resub, entries])
-            balls = np.concatenate([np.ones(len(resub), dtype=np.int64), balls])
-        if len(entries):
-            first = self.service.submit_many(entries[:, 0], balls)
-            if self.first_tag is None:
-                self.first_tag = first
-            if self.ledger is not None:
+        if self.ledger is None:
+            # Without retries nothing is tabled: the requests go in as they are.
+            self._submit(clients, balls)
+        else:
+            entries = np.zeros((clients.size, 3), dtype=np.int64)
+            entries[:, 0] = clients
+            entries[:, 2] = self.round
+            due = self.backlog.pop(self.round, None)
+            if due is not None:
+                # Resubmissions go first, one ball per request.
+                resub = np.concatenate(due)
+                self.resubmitted += len(resub)
+                entries = np.concatenate([resub, entries])
+                balls = np.concatenate([np.ones(len(resub), dtype=np.int64), balls])
+            first = self._submit(entries[:, 0], balls)
+            if first is not None:
                 self.ledger.add(first, np.repeat(entries, balls, axis=0))
         self.service.run_round()
         self._collect(self.service.outcomes)
         self.round += 1
 
+    def _submit(self, clients: np.ndarray, balls: np.ndarray) -> int | None:
+        """Submit the round's requests; returns their first tag, if any."""
+        if not len(clients):
+            return None
+        first = self.service.submit_many(clients, balls)
+        if self.first_tag is None:
+            self.first_tag = first
+        return first
+
     def _collect(self, rec) -> None:
         if not len(rec) or self.first_tag is None:
             return
-        mine = rec.tags >= self.first_tag
-        if not mine.all():
-            rec = rec[mine]
+        if rec.tags.min() < self.first_tag:
+            rec = rec[rec.tags >= self.first_tag]
         code = rec.outcome
+        if self.ledger is None and not code.any():
+            # Every ball assigned (ASSIGNED is code 0): no masks.
+            lo = self.n_assigned
+            self.n_assigned += len(rec)
+            self.tally[ASSIGNED] += len(rec)
+            self.latencies[lo : self.n_assigned] = rec.latency_rounds
+            return
         self.tally += np.bincount(code, minlength=len(OUTCOMES))
         assigned = code == ASSIGNED
         retried = code == RETRY

@@ -57,6 +57,9 @@ DEFAULT_BUCKETS = (
     1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0,
 )
 
+# Every integer of magnitude below this is a float64 (2**53).
+_EXACT_INT_SUM = 1 << 53
+
 
 class Counter:
     """Monotonically increasing count."""
@@ -152,12 +155,25 @@ class Histogram:
     def observe_many(self, values) -> None:
         """:meth:`observe` every value in order, in a few array passes.
 
-        Bit-identical to the loop: buckets by ``searchsorted`` (the
-        same ``bisect_left`` rule), ``sum`` by a sequential running sum
+        Bit-identical to the loop.  An integer or bool ndarray whose
+        values all lie in ``[0, len(values))`` is counted per value with
+        one ``bincount`` (a table no longer than the array) when the
+        prior ``sum`` is integral and ``|sum| + len(values) *
+        max(values) < 2**53``: every running sum of the loop is then an
+        integer that float64 holds exactly, so adding the exact integer
+        total at once gives the loop's bits.  Any other input takes the
+        float path: buckets by ``searchsorted`` (the same
+        ``bisect_left`` rule), ``sum`` by a sequential running sum
         (``np.add.accumulate``, not numpy's pairwise ``sum``), and
         ``min``/``max`` keep the first-seen extreme, so ``0.0`` seen
         before ``-0.0`` stays ``0.0``.
         """
+        if (
+            isinstance(values, np.ndarray)
+            and values.dtype.kind in "biu"
+            and self._observe_counts(np.asarray(values).ravel())
+        ):
+            return
         if not hasattr(values, "__len__"):
             values = list(values)
         v = np.asarray(values, dtype=np.float64).ravel()
@@ -184,6 +200,42 @@ class Histogram:
             self.min = float(lo)
         if hi > self.max:
             self.max = float(hi)
+
+    def _observe_counts(self, v: np.ndarray) -> bool:
+        """:meth:`observe_many`'s integer path for the 1-D integer array
+        ``v``; ``False``, with nothing changed, where it would not be
+        exact or its count table would outgrow ``v``."""
+        n = v.size
+        if not n:
+            return True
+        lo, hi = int(v.min()), int(v.max())
+        prior = float(self.sum)
+        if (
+            lo < 0
+            or hi >= n
+            or not prior.is_integer()
+            or int(abs(prior)) + n * hi >= _EXACT_INT_SUM
+        ):
+            return False
+        per_value = np.bincount(v.astype(np.intp, copy=False))
+        seen = np.flatnonzero(per_value)
+        times = per_value[seen]
+        # Value k goes to bucket searchsorted(bounds, float(k)), as on
+        # the float path; the weighted per-bucket counts are below 2**53.
+        added = np.bincount(
+            np.searchsorted(self._bounds, seen, side="left"),
+            weights=times,
+            minlength=len(self.counts),
+        )
+        for i in np.flatnonzero(added).tolist():
+            self.counts[i] += int(added[i])
+        self.total += n
+        self.sum = prior + int(times @ seen)
+        if lo < self.min:
+            self.min = float(lo)
+        if hi > self.max:
+            self.max = float(hi)
+        return True
 
     def quantile(self, q: float) -> float:
         """Prometheus-style interpolated quantile estimate (nan if empty)."""

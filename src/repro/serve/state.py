@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..batch.kernels import EngineBuffers, _pcg64_load, _pcg64_store, resolve_kernel
+from ..batch.kernels import EngineBuffers, _pcg64_copy_in, _pcg64_copy_out, resolve_kernel
 from ..core.config import ProtocolParams
 from ..errors import CheckpointError, ProtocolConfigError, ServeError
 from ..graphs.bipartite import BipartiteGraph
@@ -132,8 +132,7 @@ class ServingState:
         ]
         self.track_tags = track_tags
         self.buffers = buffers if buffers is not None else EngineBuffers()
-        self._kern = resolve_kernel(kernel)
-        self._serve_fn = self._kern.serve_round_fn()
+        self._bind_kernel(kernel)
 
         # Server state (SAER with optional epoch recovery).
         self.cum_received = np.zeros(self.n_servers, dtype=np.int64)
@@ -167,6 +166,13 @@ class ServingState:
         self.track_health = False
         self._rebuild_flat()
 
+    def _bind_kernel(self, kernel: str | None) -> None:
+        """Resolve the round-kernel gate and what its compiled call reads."""
+        self._kern = resolve_kernel(kernel)
+        self._serve_fn = self._kern.serve_round_fn()
+        # The Generator's PCG64 state, copied in and out around each call.
+        self._pcg_row = np.empty(4, dtype=np.uint64)
+
     # -- topology ----------------------------------------------------------
 
     def _rebuild_flat(self) -> None:
@@ -185,19 +191,26 @@ class ServingState:
             else np.empty(0, dtype=np.int64)
         )
         self.degs, self.indptr, self.indices = degs, indptr, indices
+        # Admission looks for balls at isolated clients only when some
+        # client has degree 0.
+        self._isolated = not degs.all()
 
     # -- verbs -------------------------------------------------------------
 
     def round_begin(self) -> int:
         """Heal recovered servers, then apply churn; returns rewired count."""
-        if self.recovery is not None and self.burned.any():
-            # Flat passes: burned servers' clocks tick, and those that
-            # reach `recovery` heal (flag, counter and clock reset).
-            self.burn_clock += self.burned
-            healed = (self.burn_clock >= self.recovery) & self.burned
-            np.copyto(self.burned, False, where=healed)
-            np.copyto(self.cum_received, 0, where=healed)
-            np.copyto(self.burn_clock, 0, where=healed)
+        if self.recovery is not None:
+            # Only burned servers' clocks tick, and those that reach
+            # `recovery` heal (flag, counter and clock reset).
+            burned = np.flatnonzero(self.burned)
+            if burned.size:
+                clock = self.burn_clock[burned]
+                clock += 1
+                self.burn_clock[burned] = clock
+                healed = burned[clock >= self.recovery]
+                self.burned[healed] = False
+                self.cum_received[healed] = 0
+                self.burn_clock[healed] = 0
         rewired = 0
         if self.churn is not None:
             # With quarantine active, churn rewires the *full* lists (the
@@ -246,8 +259,8 @@ class ServingState:
         new_counts = np.asarray(new_counts)
         if self.faults is not None:
             new_counts = self.faults.transform_counts(self.round_no, new_counts)
-        deg0 = self.degs == 0
-        if deg0.any():
+        if self._isolated:
+            deg0 = self.degs == 0
             self.dropped += int(new_counts[deg0].sum())
             new_counts = new_counts.copy()
             new_counts[deg0] = 0
@@ -282,8 +295,8 @@ class ServingState:
                     tags = np.concatenate(
                         [tags, np.full(extra.size, -1, dtype=np.int64)]
                     )
-        servable = self.degs[owners] > 0
-        if not servable.all():
+        servable = self.degs[owners] > 0 if self._isolated else None
+        if servable is not None and not servable.all():
             n_drop = owners.size - int(np.count_nonzero(servable))
             self.dropped += n_drop
             dropped_tags = (
@@ -463,8 +476,8 @@ class ServingState:
         :class:`RoundOutcome` array aliases what the next round writes.
         """
         n = self.n_alive
-        pcg = self.buffers.get("serve.pcg", (1, 4), np.uint64)
-        _pcg64_load((self.rng,), pcg)
+        bg, pcg = self.rng.bit_generator, self._pcg_row
+        st = _pcg64_copy_in(bg, pcg)
         out = self.buffers.get("serve.out", (3, n), np.int64)
         tags = self._tags[:n] if self._tags is not None else None
         received = accepted = None
@@ -476,7 +489,7 @@ class ServingState:
             self.indices, self.cum_received, self.burned, self.capacity, t,
             out, received, accepted,
         )
-        _pcg64_store((self.rng,), pcg)
+        _pcg64_copy_out(bg, st, pcg)
         return (
             asg,
             out[0, :asg].copy(),
@@ -676,8 +689,7 @@ class ServingState:
         self.track_tags = bool(ckpt["track_tags"])
         self.track_health = bool(ckpt["track_health"])
         self.buffers = buffers if buffers is not None else EngineBuffers()
-        self._kern = resolve_kernel(kernel)
-        self._serve_fn = self._kern.serve_round_fn()
+        self._bind_kernel(kernel)
         self.cum_received = np.array(ckpt["cum_received"], dtype=np.int64)
         self.burned = np.array(ckpt["burned"], dtype=bool)
         self.burn_clock = np.array(ckpt["burn_clock"], dtype=np.int64)

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.batch import available_kernels
 from repro.errors import CheckpointError
 from repro.faults import FaultSchedule, FaultSpec, HealthPolicy
 from repro.graphs import trust_subsets
@@ -40,6 +41,11 @@ from repro.serve.protocol import REASON_BROWNOUT, Retry
 @pytest.fixture()
 def graph():
     return trust_subsets(128, 128, 12, seed=4)
+
+
+#: The checkpoint tests restore on every gate this host runs: a restored
+#: state must rebind its gate's compiled call, whatever REPRO_KERNELS says.
+KERNELS = available_kernels()
 
 
 def _state(graph, **kw):
@@ -93,37 +99,51 @@ class TestStateCheckpoint:
             (FaultSpec("crash", 0.15, start=3), FaultSpec("byz_server", 0.1)),
             seed=7,
         )
-        cont = _state(graph, faults=sch, track_tags=False)
         rng = np.random.default_rng(1)
         trace = [rng.poisson(0.3, graph.n_clients).astype(np.int64) for _ in range(20)]
-        for counts in trace[:10]:
-            cont.round_begin()
-            cont.admit_counts(counts)
-            cont.route()
-        path = tmp_path / "state.ckpt"
-        cont.save(path)
-        rest = ServingState.load(path)
-        for counts in trace[10:]:
-            for state in (cont, rest):
-                state.round_begin()
-                state.admit_counts(counts)
-            a, b = cont.route(), rest.route()
-            assert a.assigned == b.assigned
-            assert a.backlog == b.backlog
-            assert np.array_equal(a.latencies, b.latencies)
-            assert np.array_equal(a.assigned_servers, b.assigned_servers)
-        assert cont.assigned_total == rest.assigned_total
-        assert cont.byz_absorbed == rest.byz_absorbed
-        assert np.array_equal(cont.cum_received, rest.cum_received)
+        for kernel in KERNELS:
+            cont = _state(graph, faults=sch, track_tags=False, kernel=kernel)
+            for counts in trace[:10]:
+                cont.round_begin()
+                cont.admit_counts(counts)
+                cont.route()
+            path = tmp_path / f"{kernel}.ckpt"
+            cont.save(path)
+            rest = ServingState.load(path, kernel=kernel)
+            assert rest.kernel_name == kernel
+            for counts in trace[10:]:
+                for state in (cont, rest):
+                    state.round_begin()
+                    state.admit_counts(counts)
+                a, b = cont.route(), rest.route()
+                assert a.assigned == b.assigned
+                assert a.backlog == b.backlog
+                assert np.array_equal(a.latencies, b.latencies)
+                assert np.array_equal(a.assigned_servers, b.assigned_servers)
+            assert cont.assigned_total == rest.assigned_total
+            assert cont.byz_absorbed == rest.byz_absorbed
+            assert np.array_equal(cont.cum_received, rest.cum_received)
+            assert cont.rng.bit_generator.state == rest.rng.bit_generator.state
 
     def test_checkpoint_is_picklable_with_quarantine(self, graph):
-        state = _state(graph)
-        state.set_quarantine([0, 1, 2])
-        ckpt = pickle.loads(pickle.dumps(state.checkpoint()))
-        rest = ServingState.from_checkpoint(ckpt)
-        assert rest.quarantined_count == 3
-        rest.readmit([0, 1, 2])
-        assert rest.quarantined is None  # collapsed back to the fast path
+        counts = np.ones(graph.n_clients, dtype=np.int64)
+        for kernel in KERNELS:
+            state = _state(graph, kernel=kernel)
+            state.set_quarantine([0, 1, 2])
+            ckpt = pickle.loads(pickle.dumps(state.checkpoint()))
+            rest = ServingState.from_checkpoint(ckpt, kernel=kernel)
+            assert rest.quarantined_count == 3
+            rest.readmit([0, 1, 2])
+            assert rest.quarantined is None  # collapsed back to the fast path
+            # Both readmit, then route the same round alike.
+            state.readmit([0, 1, 2])
+            for st in (state, rest):
+                st.round_begin()
+                st.admit_counts(counts)
+            a, b = state.route(), rest.route()
+            assert a.assigned == b.assigned > 0
+            assert np.array_equal(a.assigned_servers, b.assigned_servers)
+            assert state.rng.bit_generator.state == rest.rng.bit_generator.state
 
     def test_rejects_garbage(self):
         with pytest.raises(CheckpointError):
@@ -148,29 +168,31 @@ class TestServiceCheckpoint:
         # the checkpoint really carries mid-flight balls (both queued
         # and inside the state's ball table).
         sch = FaultSchedule((FaultSpec("crash", 0.4, start=4, end=12),), seed=5)
-        control = SaerService(_state(graph, faults=sch), config)
-        victim = SaerService(_state(graph, faults=sch), config)
         trace = sample_trace(make_arrivals("poisson", 0.6), graph.n_clients, 16, 6)
+        for kernel in KERNELS:
+            control = SaerService(_state(graph, faults=sch, kernel=kernel), config)
+            victim = SaerService(_state(graph, faults=sch, kernel=kernel), config)
 
-        _drive(control, trace)
-        _drain(control)
+            _drive(control, trace)
+            _drain(control)
 
-        _drive(victim, trace[:8])
-        for client in np.nonzero(trace[8])[0].tolist():
-            victim.submit(int(client), int(trace[8][client]))
-        assert victim.pending > 0  # queued balls at checkpoint time
-        assert victim.state.n_alive > 0  # admitted backlog too
-        ckpt = pickle.loads(pickle.dumps(victim.checkpoint()))
-        restored = SaerService.from_checkpoint(ckpt, config)
-        # Every admitted in-flight ball got a fresh future, so drain
-        # accounting (timeout evictions included) matches the original.
-        assert restored.in_flight == victim.in_flight
-        restored.run_round()  # round 8's balls were already queued
-        _drive(restored, trace[9:])
-        _drain(restored)
+            _drive(victim, trace[:8])
+            for client in np.nonzero(trace[8])[0].tolist():
+                victim.submit(int(client), int(trace[8][client]))
+            assert victim.pending > 0  # queued balls at checkpoint time
+            assert victim.state.n_alive > 0  # admitted backlog too
+            ckpt = pickle.loads(pickle.dumps(victim.checkpoint()))
+            restored = SaerService.from_checkpoint(ckpt, config, kernel=kernel)
+            assert restored.state.kernel_name == kernel
+            # Every admitted in-flight ball got a fresh future, so drain
+            # accounting (timeout evictions included) matches the original.
+            assert restored.in_flight == victim.in_flight
+            restored.run_round()  # round 8's balls were already queued
+            _drive(restored, trace[9:])
+            _drain(restored)
 
-        assert restored.in_flight == 0
-        _assert_same_accounting(_accounting(control), _accounting(restored))
+            assert restored.in_flight == 0
+            _assert_same_accounting(_accounting(control), _accounting(restored))
 
     def test_checkpoint_changes_nothing(self, graph):
         """Taking a checkpoint must not touch the live service: two in a
@@ -203,22 +225,27 @@ class TestServiceCheckpoint:
                 records.append([col.tolist() for col in svc.outcomes.columns()])
             return records, ckpt
 
-        control, _ = replay(SaerService(_state(graph, faults=sch), config), trace)
-        probed, ckpt = replay(
-            SaerService(_state(graph, faults=sch), config), trace, checkpoint_at=8
-        )
-        assert probed == control
-        assert len(ckpt["pending_tags"]) and len(ckpt["rejected"][0])
-        restored = SaerService.from_checkpoint(ckpt, config)
-        tail = []
-        for counts in trace[9:]:
+        for kernel in KERNELS:
+            control, _ = replay(
+                SaerService(_state(graph, faults=sch, kernel=kernel), config), trace
+            )
+            probed, ckpt = replay(
+                SaerService(_state(graph, faults=sch, kernel=kernel), config), trace,
+                checkpoint_at=8,
+            )
+            assert probed == control
+            assert len(ckpt["pending_tags"]) and len(ckpt["rejected"][0])
+            restored = SaerService.from_checkpoint(ckpt, config, kernel=kernel)
+            assert restored.state.kernel_name == kernel
+            tail = []
+            for counts in trace[9:]:
+                restored.run_round()
+                tail.append([col.tolist() for col in restored.outcomes.columns()])
+                clients = np.flatnonzero(counts)
+                restored.submit_many(clients, counts[clients])
             restored.run_round()
             tail.append([col.tolist() for col in restored.outcomes.columns()])
-            clients = np.flatnonzero(counts)
-            restored.submit_many(clients, counts[clients])
-        restored.run_round()
-        tail.append([col.tolist() for col in restored.outcomes.columns()])
-        assert tail == control[8:]
+            assert tail == control[8:]
 
     def test_restored_tags_never_collide(self, graph):
         svc = SaerService(_state(graph), ServeConfig(max_batch=1 << 30))

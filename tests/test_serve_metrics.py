@@ -261,6 +261,58 @@ class TestObserveManyMatchesObserve:
     def test_int_arrays(self, values, prior):
         self._check(values, prior)
 
+    @pytest.mark.parametrize(
+        "values, prior",
+        [
+            (np.array([3, 0, 3, 1]), ()),  # every value below the length: counted
+            (np.array([4, 0, 3, 1]), ()),  # a value at the length: the float path
+            (np.array([2**20 - 1, 0, 3]), ()),
+            (np.array([2**20, 1]), ()),
+            (np.array([1, 2, 3, 0], dtype=np.uint8), (2.0,)),
+            (np.array([1, 2, 3, 3], dtype=np.int32), (-3.0,)),
+            (np.array([-1, 0, 1], dtype=np.int8), ()),
+            (np.array([0, 1, 2], dtype=np.uint64), ()),
+            (np.array([5, 2**64 - 1], dtype=np.uint64), ()),
+            (np.array([1] * 10), (1 / 3,)),  # a non-integral prior: the loop rounds
+            (np.array([1, 0]), (-0.0,)),
+            (np.array([1, 1]), (2.0**53,)),  # the sum leaves float64's integers
+            (np.array([1, 1]), (-(2.0**53),)),
+            (np.array([1] * 7), (2.0**53 - 8,)),  # ... or stays just inside them
+            (np.array([1] * 8), (2.0**53 - 8,)),
+            (np.array([0]), (1e308, 1e308)),  # an overflowed (inf) sum
+            (np.array([], dtype=np.int64), (1.5,)),
+            (np.array([True, False, True]), ()),
+            (np.array([], dtype=bool), ()),
+        ],
+    )
+    def test_integer_path_edges(self, values, prior):
+        self._check(values, prior)
+
+    def test_counted_path_only_when_exact(self):
+        """Which integer arrays take the one-bincount path; the others
+        leave the histogram as it was, for the float path."""
+        h = Histogram("x", buckets=BOUNDS)
+        assert h._observe_counts(np.array([0, 1], dtype=np.uint32))
+        assert h._observe_counts(np.array([False]))
+        assert h._observe_counts(np.array([], dtype=np.int8))
+        assert h._observe_counts(np.arange(5, dtype=np.uint64)[::-1])
+        before = h.state_dict()
+        for values in (
+            np.array([2, 1]),  # the count table would outgrow the array
+            np.array([3, -1, 0, 0]),
+            np.array([2**63, 0, 1], dtype=np.uint64),
+        ):
+            assert not h._observe_counts(values)
+        h.sum = 2.0**53 - 4
+        assert not h._observe_counts(np.array([1, 0, 0, 1]))  # |sum| + 4 * max reaches 2**53
+        h.sum = 0.5
+        assert not h._observe_counts(np.array([1, 0]))
+        h.sum = before["sum"]
+        assert h.state_dict() == before
+        h.sum = 2.0**53 - 5
+        assert h._observe_counts(np.array([1, 0, 0, 1]))
+        assert h.sum == 2.0**53 - 3
+
     def test_first_seen_zero_wins(self):
         # np.min([0.0, -0.0]) is -0.0; the loop keeps the 0.0 it saw first.
         self._check(np.array([0.0, -0.0, 0.0]))

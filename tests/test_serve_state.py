@@ -287,6 +287,29 @@ class TestKernelParity:
             _assert_same_arrays(_outcome_arrays(out), snap)
 
     @pytest.mark.parametrize("kernel", [k for k in available_kernels() if k != "numpy"])
+    def test_caller_generator_sees_every_draw(self, graph, kernel):
+        """A PCG64 Generator passed as ``seed`` stays the caller's: the
+        arrivals are sampled from ``state.rng`` (as ``run_dynamic_saer``
+        samples them) and the caller draws from it between rounds, so
+        the compiled round writes its stepped state back every call."""
+        gens = {k: np.random.default_rng(2024) for k in ("numpy", kernel)}
+        ref = ServingState(graph, 1.5, 4, recovery=5, seed=gens["numpy"], kernel="numpy")
+        alt = ServingState(graph, 1.5, 4, recovery=5, seed=gens[kernel], kernel=kernel)
+        assert alt.rng is gens[kernel]
+        for _ in range(12):
+            for st in (ref, alt):
+                st.round_begin()
+                st.admit_counts(st.rng.poisson(0.6, graph.n_clients))
+            a, b = ref.route(), alt.route()
+            assert a.assigned == b.assigned
+            assert np.array_equal(a.assigned_servers, b.assigned_servers)
+            assert np.array_equal(a.latencies, b.latencies)
+            assert np.array_equal(ref.cum_received, alt.cum_received)
+            assert gens[kernel].bit_generator.state == gens["numpy"].bit_generator.state
+            assert gens[kernel].random() == gens["numpy"].random()
+        assert ref.assigned_total > 0
+
+    @pytest.mark.parametrize("kernel", [k for k in available_kernels() if k != "numpy"])
     def test_non_pcg64_generator_takes_numpy_route(self, graph, kernel):
         """A Generator over another bit generator has no compiled draws:
         every gate routes it exactly like the numpy gate."""
@@ -308,3 +331,78 @@ class TestKernelParity:
             assert np.array_equal(a.latencies, b.latencies)
             assert np.array_equal(ref.cum_received, alt.cum_received)
         assert np.array_equal(ref.rng.random(4), alt.rng.random(4))
+
+
+def _serve_round_args(n=5, n_s=4, n_clients=3) -> dict:
+    """Valid arguments for one compiled serving call: every client has
+    two servers, and the capacity takes every ball."""
+    return dict(
+        pcg=np.array([0, 1, 0, 3], dtype=np.uint64),
+        owners=np.arange(n, dtype=np.int64) % n_clients,
+        births=np.zeros(n, dtype=np.int64),
+        tags=np.arange(n, dtype=np.int64),
+        indptr=np.arange(0, 2 * n_clients + 1, 2, dtype=np.int64),
+        indices=np.arange(2 * n_clients, dtype=np.int64) % n_s,
+        cum_received=np.zeros(n_s, dtype=np.int64),
+        burned=np.zeros(n_s, dtype=bool),
+        capacity=2 * n,
+        round_no=0,
+        out=np.zeros((3, n), dtype=np.int64),
+        received=np.zeros(n_s, dtype=np.int64),
+        accepted=np.zeros(n_s, dtype=np.int64),
+    )
+
+
+#: What the C entry only reads; it writes every other array.
+_READ_ONLY = ("indptr", "indices")
+_ARRAYS = tuple(k for k, v in _serve_round_args().items() if isinstance(v, np.ndarray))
+
+
+@pytest.mark.skipif("cext" not in available_kernels(), reason="needs a working C compiler")
+class TestServeRoundCall:
+    """The compiled serving call hands C raw addresses, so it makes the
+    checks ctypes' typed pointers made (dtype, C order) plus
+    writability, then the size checks, all before C runs."""
+
+    @pytest.fixture(scope="class")
+    def call(self):
+        from repro.batch.kernels import resolve_kernel
+
+        return resolve_kernel("cext").serve_round_fn()
+
+    def test_valid_call_and_optional_arrays(self, call):
+        args = _serve_round_args()
+        for name in _READ_ONLY:
+            args[name].setflags(write=False)
+        assert call(**args) == 5
+        assert args["received"].sum() == args["accepted"].sum() == 5
+        assert args["pcg"][1] != 1  # stepped in place
+        args = _serve_round_args()
+        args.update(tags=None, received=None, accepted=None)
+        assert call(**args) == 5
+
+    @pytest.mark.parametrize("name", _ARRAYS)
+    def test_rejects_wrong_dtype_order_or_writability(self, call, name):
+        bad = {
+            "dtype": lambda a: a.astype(np.float64),
+            "strided": lambda a: np.stack([a, a], axis=-1)[..., 0],
+        }
+        if name not in _READ_ONLY:
+            bad["read-only"] = lambda a: np.frombuffer(a.tobytes(), a.dtype).reshape(a.shape)
+        for how, make in bad.items():
+            args = _serve_round_args()
+            args[name] = make(args[name])
+            with pytest.raises(TypeError):
+                call(**args)
+            assert args["pcg"].tolist() == [0, 1, 0, 3], how  # C never ran
+
+    @pytest.mark.parametrize(
+        "name", ["pcg", "births", "tags", "indices", "burned", "out", "received", "accepted"]
+    )
+    def test_rejects_mismatched_sizes(self, call, name):
+        args = _serve_round_args()
+        args[name] = np.append(args[name], args[name][..., :1], axis=-1)
+        with pytest.raises(ValueError, match="mismatched array sizes"):
+            call(**args)
+        assert args["cum_received"].sum() == 0
+
