@@ -21,9 +21,11 @@ __all__ = ["RewireChurn"]
 class RewireChurn:
     """Per-round full-neighborhood rewiring with probability ``rate``.
 
-    ``apply`` mutates the dynamic simulator's neighbor-list table in
-    place (the immutable :class:`~repro.graphs.bipartite.BipartiteGraph`
-    is never touched) and returns how many clients rewired.
+    ``apply(rng, indptr, indices, n_servers)`` rewrites each flipped
+    client's row of the serving state's CSR copy in place in
+    ``indices`` (every row keeps its degree, so ``indptr`` is only read;
+    the immutable :class:`~repro.graphs.bipartite.BipartiteGraph` is
+    never touched) and returns how many clients flipped.
     """
 
     rate: float
@@ -35,15 +37,15 @@ class RewireChurn:
     def apply(
         self,
         rng: np.random.Generator,
-        neighbor_lists: list[np.ndarray],
+        indptr: np.ndarray,
+        indices: np.ndarray,
         n_servers: int,
     ) -> int:
         if self.rate == 0.0:
             return 0
-        n_clients = len(neighbor_lists)
-        flips = np.flatnonzero(rng.random(n_clients) < self.rate)
-        for v in flips.tolist():
-            k = neighbor_lists[v].size
+        flips = np.flatnonzero(rng.random(indptr.size - 1) < self.rate)
+        for lo, hi in zip(indptr[flips].tolist(), indptr[flips + 1].tolist()):
+            k = hi - lo
             if k == 0 or k > n_servers:
                 continue
             # Distinct resample, degree preserved.  k is polylog-sized in
@@ -58,5 +60,5 @@ class RewireChurn:
                     )
                 if fresh.size > k:
                     fresh = rng.choice(fresh, size=k, replace=False)
-            neighbor_lists[v] = np.sort(fresh.astype(np.int64))
+            indices[lo:hi] = np.sort(fresh)
         return int(flips.size)

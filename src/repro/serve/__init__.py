@@ -13,9 +13,9 @@ Layers, bottom up:
 
 :mod:`~repro.serve.state`
     :class:`ServingState` — mutable server-side SAER state (cumulative
-    counts, burn/recovery clocks, churn-able neighborhoods, alive-ball
-    table), with the round step routed through the batched engine's
-    kernel gates.
+    counts, burn/recovery clocks, the client rows as one churn-able
+    CSR, alive-ball table), with the round step routed through the
+    batched engine's kernel gates.
 :mod:`~repro.serve.service`
     :class:`SaerService` — asyncio micro-batching loop over ball
     batches: ``submit_many`` ingests arrays of requests and each round

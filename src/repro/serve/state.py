@@ -2,11 +2,12 @@
 
 :class:`ServingState` owns everything that is *mutable* about a running
 dynamic-SAER system: the cumulative received counts and burned mask of
-the server side (with optional epoch recovery), the churn-able per-client
-neighborhoods and their flat CSR view, the alive-ball table (owner,
-birth round, optional caller tag), and the stream of protocol
-randomness.  One round of the §4 dynamic protocol is split into three
-verbs so both consumers can drive it:
+the server side (with optional epoch recovery), one int64 CSR copy of
+the client rows (churn rewrites a row in place; quarantine routes over
+a filtered copy), the alive-ball table (owner, birth round, optional
+caller tag), and the stream of protocol randomness.  One round of the
+§4 dynamic protocol is split into three verbs so both consumers can
+drive it:
 
 ``round_begin()``
     Burn recovery, then topology churn.
@@ -59,6 +60,14 @@ _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
 #: Checkpoint payload version; bump on incompatible layout changes.
 CHECKPOINT_VERSION = 1
+
+
+def _split_rows(indptr: np.ndarray, indices: np.ndarray) -> list[np.ndarray]:
+    """A CSR's rows as per-client arrays (the checkpoint's v1 layout),
+    viewing one private copy of ``indices``: churn rewrites the live rows."""
+    if indptr.size == 1:
+        return []  # np.split would return one empty row
+    return np.split(indices.copy(), indptr[1:-1])
 
 
 @dataclass
@@ -127,9 +136,10 @@ class ServingState:
         self.rng = make_rng(seed)
         self.n_clients = graph.n_clients
         self.n_servers = graph.n_servers
-        self.neighbor_lists = [
-            graph.neighbors_of_client(v).copy() for v in range(self.n_clients)
-        ]
+        self._set_rows(
+            np.array(graph.client_indptr, dtype=np.int64),
+            np.array(graph.client_indices, dtype=np.int64),
+        )
         self.track_tags = track_tags
         self.buffers = buffers if buffers is not None else EngineBuffers()
         self._bind_kernel(kernel)
@@ -156,15 +166,12 @@ class ServingState:
             None if faults is None else faults.materialize(self.n_clients, self.n_servers)
         )
         self.byz_absorbed = 0
-        # Quarantine: lazily activated so the no-quarantine path never
-        # pays for it.  ``_full_lists`` holds the unfiltered (churn-able)
-        # neighborhoods while any server is quarantined.
+        # Quarantine: ``None`` until some server is quarantined, then the
+        # per-server mask that :meth:`_refilter` routes around.
         self.quarantined: np.ndarray | None = None
-        self._full_lists: list[np.ndarray] | None = None
         # Per-server received/accepted counts on each RoundOutcome —
         # enabled by the service when a health tracker is attached.
         self.track_health = False
-        self._rebuild_flat()
 
     def _bind_kernel(self, kernel: str | None) -> None:
         """Resolve the round-kernel gate and what its compiled call reads."""
@@ -175,25 +182,15 @@ class ServingState:
 
     # -- topology ----------------------------------------------------------
 
-    def _rebuild_flat(self) -> None:
-        """Rebuild the flat CSR view of the (mutable) neighbor lists.
-
-        Called only when churn changes them — keeps the per-round
-        destination gather fully vectorized even with six-figure
-        backlogs.
-        """
-        degs = np.array([nl.size for nl in self.neighbor_lists], dtype=np.int64)
-        indptr = np.zeros(self.n_clients + 1, dtype=np.int64)
-        np.cumsum(degs, out=indptr[1:])
-        indices = (
-            np.concatenate(self.neighbor_lists).astype(np.int64, copy=False)
-            if indptr[-1]
-            else np.empty(0, dtype=np.int64)
-        )
-        self.degs, self.indptr, self.indices = degs, indptr, indices
+    def _set_rows(self, indptr: np.ndarray, indices: np.ndarray) -> None:
+        """Make the int64 CSR ``(indptr, indices)`` the full client rows
+        and route over them.  Churn rewrites ``indices`` in place and
+        keeps every degree, so ``indptr`` and ``degs`` never change."""
+        self._full_rows = (indptr, indices, np.diff(indptr))
+        self.indptr, self.indices, self.degs = self._full_rows
         # Admission looks for balls at isolated clients only when some
-        # client has degree 0.
-        self._isolated = not degs.all()
+        # client has degree 0.  The stranding guard keeps that set fixed.
+        self._isolated = not self.degs.all()
 
     # -- verbs -------------------------------------------------------------
 
@@ -213,17 +210,13 @@ class ServingState:
                 self.burn_clock[healed] = 0
         rewired = 0
         if self.churn is not None:
-            # With quarantine active, churn rewires the *full* lists (the
-            # topology does not care who is quarantined — and the RNG
-            # stream stays identical to the quarantine-free run), then
-            # the routable view is refiltered.
-            lists = self._full_lists if self._full_lists is not None else self.neighbor_lists
-            rewired = self.churn.apply(self.rng, lists, self.n_servers)
-            if rewired:
-                if self._full_lists is not None:
-                    self._refilter()
-                else:
-                    self._rebuild_flat()
+            # Churn rewires the *full* rows (the topology does not care
+            # who is quarantined, and the RNG stream stays identical to
+            # the quarantine-free run); quarantined routing refilters.
+            indptr, indices, _ = self._full_rows
+            rewired = self.churn.apply(self.rng, indptr, indices, self.n_servers)
+            if rewired and self.quarantined is not None:
+                self._refilter()
         return rewired
 
     def _grow(self, need: int) -> None:
@@ -424,7 +417,7 @@ class ServingState:
         u = scratch("serve.u", np.float64)
         self.rng.random(out=u)
         # Phase 1: every alive ball to a uniform current neighbor, via
-        # the flat CSR view (vectorized gather):
+        # the routed CSR rows (vectorized gather):
         # dest = indices[indptr[owner] + min(int(u * deg), deg - 1)].
         deg = np.take(self.degs, owners, out=scratch("serve.deg", np.int64), mode="clip")
         np.multiply(u, deg, out=u)
@@ -534,76 +527,79 @@ class ServingState:
     # -- quarantine --------------------------------------------------------
 
     def _refilter(self) -> None:
-        """Rebuild the routable neighborhoods = full lists − quarantined.
+        """Route over the full rows minus the quarantined servers.
 
-        Stranding guard: a client whose *entire* (non-empty) full
-        neighborhood is quarantined keeps its full list — every ball
-        that was routable stays routable, at the price of still sending
-        to suspect servers.  ``tests/test_serve_chaos.py`` pins this as
-        a property over random quarantine sets.
+        One mask over the full rows' edges.  Stranding guard, from the
+        per-row kept count: a client whose *entire* (non-empty) row is
+        quarantined keeps its full row — every ball that was routable
+        stays routable, at the price of still sending to suspect
+        servers.  ``tests/test_serve_chaos.py`` pins this as a property
+        over random quarantine sets and churn.
         """
-        q = self.quarantined
-        new_lists = []
-        for nl in self._full_lists:
-            kept = nl[~q[nl]] if nl.size else nl
-            new_lists.append(kept if kept.size or not nl.size else nl.copy())
-        self.neighbor_lists = new_lists
-        self._rebuild_flat()
+        indptr, indices, degs = self._full_rows
+        keep = ~self.quarantined[indices]
+        ends = np.zeros(indices.size + 1, dtype=np.int64)
+        np.cumsum(keep, out=ends[1:])
+        kept = np.diff(ends[indptr])
+        stranded = (kept == 0) & (degs > 0)
+        if stranded.any():
+            keep |= np.repeat(stranded, degs)
+            kept[stranded] = degs[stranded]
+        self.indptr = np.zeros_like(indptr)
+        np.cumsum(kept, out=self.indptr[1:])
+        self.indices, self.degs = indices[keep], kept
+
+    def _server_ids(self, servers, verb: str) -> np.ndarray:
+        servers = np.atleast_1d(np.asarray(servers, dtype=np.int64))
+        if servers.size and (servers.min() < 0 or servers.max() >= self.n_servers):
+            raise ServeError(f"{verb} server index out of range")
+        return servers
 
     def set_quarantine(self, servers) -> int:
         """Remove ``servers`` from every routable neighborhood.
 
         Idempotent, additive, and guarded against stranding (see
-        :meth:`_refilter`).  Returns the number of servers newly
-        quarantined.  The first call activates quarantine bookkeeping;
-        until then (and again after every server is readmitted) the
-        state runs the original zero-overhead path.
+        :meth:`_refilter`).  Returns the number of distinct servers
+        newly quarantined.  Until a call quarantines some server (and
+        again after the last is readmitted) the state routes over the
+        full rows with no quarantine bookkeeping.
         """
-        servers = np.atleast_1d(np.asarray(servers, dtype=np.int64))
-        if servers.size and (servers.min() < 0 or servers.max() >= self.n_servers):
-            raise ServeError("quarantine server index out of range")
-        if self.quarantined is None:
-            self.quarantined = np.zeros(self.n_servers, dtype=bool)
-            self._full_lists = self.neighbor_lists
-        newly = int(np.count_nonzero(~self.quarantined[servers]))
-        if newly == 0:
-            return 0
-        self.quarantined[servers] = True
-        self._refilter()
+        servers = self._server_ids(servers, "quarantine")
+        mask = self.quarantined
+        if mask is None:
+            mask = np.zeros(self.n_servers, dtype=bool)
+        before = int(np.count_nonzero(mask))
+        mask[servers] = True
+        newly = int(np.count_nonzero(mask)) - before
+        if newly:
+            self.quarantined = mask
+            self._refilter()
         return newly
 
     def readmit(self, servers) -> int:
         """Return quarantined ``servers`` to the routable pool.
 
-        Returns the number actually readmitted.  When the quarantine
-        set empties, the state collapses back to the untouched
-        fast path (full lists become the routable lists again).
+        Returns the number of distinct servers readmitted.  Readmitting
+        the last one switches routing back to the full rows.
         """
         if self.quarantined is None:
             return 0
-        servers = np.atleast_1d(np.asarray(servers, dtype=np.int64))
-        if servers.size and (servers.min() < 0 or servers.max() >= self.n_servers):
-            raise ServeError("readmit server index out of range")
-        freed = int(np.count_nonzero(self.quarantined[servers]))
-        if freed == 0:
-            return 0
+        servers = self._server_ids(servers, "readmit")
+        before = self.quarantined_count
         self.quarantined[servers] = False
-        if self.quarantined.any():
+        left = self.quarantined_count
+        if left == before:
+            return 0
+        if left:
             self._refilter()
         else:
-            self.neighbor_lists = self._full_lists
             self.quarantined = None
-            self._full_lists = None
-            self._rebuild_flat()
-        return freed
+            self.indptr, self.indices, self.degs = self._full_rows
+        return before - left
 
     @property
     def quarantined_count(self) -> int:
         return int(np.count_nonzero(self.quarantined)) if self.quarantined is not None else 0
-
-    @property
-    def quarantined_fraction(self) -> float:
-        return self.quarantined_count / self.n_servers if self.n_servers else 0.0
 
     # -- checkpoint / restore ----------------------------------------------
 
@@ -612,9 +608,9 @@ class ServingState:
         resumes with bit-identical accounting.
 
         Captures every piece of mutable state — protocol counters, the
-        alive-ball table, the churn-able neighborhoods (full and
-        filtered), quarantine, the protocol RNG's bit-generator state,
-        and the fault schedule plus its runtime RNG — but *not*
+        alive-ball table, the churned client rows (full and routed, as
+        per-client arrays), quarantine, the protocol RNG's bit-generator
+        state, and the fault schedule plus its runtime RNG — but *not*
         execution details (kernel gate, scratch buffers), which the
         restoring host chooses.
         """
@@ -627,11 +623,9 @@ class ServingState:
             "churn": self.churn,
             "n_clients": self.n_clients,
             "n_servers": self.n_servers,
-            "neighbor_lists": [nl.copy() for nl in self.neighbor_lists],
+            "neighbor_lists": _split_rows(self.indptr, self.indices),
             "full_lists": (
-                [nl.copy() for nl in self._full_lists]
-                if self._full_lists is not None
-                else None
+                _split_rows(*self._full_rows[:2]) if self.quarantined is not None else None
             ),
             "quarantined": (
                 self.quarantined.copy() if self.quarantined is not None else None
@@ -677,15 +671,15 @@ class ServingState:
         self.churn = ckpt["churn"]
         self.n_clients = int(ckpt["n_clients"])
         self.n_servers = int(ckpt["n_servers"])
-        self.neighbor_lists = [np.asarray(nl) for nl in ckpt["neighbor_lists"]]
-        self._full_lists = (
-            [np.asarray(nl) for nl in ckpt["full_lists"]]
-            if ckpt["full_lists"] is not None
-            else None
-        )
-        self.quarantined = (
-            np.asarray(ckpt["quarantined"]) if ckpt["quarantined"] is not None else None
-        )
+        # The full rows; a quarantined state refilters its routed rows below.
+        rows = ckpt["full_lists"] if ckpt["full_lists"] is not None else ckpt["neighbor_lists"]
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, rows), np.int64, len(rows)), out=indptr[1:])
+        self._set_rows(indptr, np.concatenate((_EMPTY_I64, *rows), dtype=np.int64))
+        # A copy, so states restored from one payload share no mask; an
+        # all-clear mask (or none) routes over the full rows.
+        mask = ckpt["quarantined"]
+        self.quarantined = np.array(mask, dtype=bool) if np.any(mask) else None
         self.track_tags = bool(ckpt["track_tags"])
         self.track_health = bool(ckpt["track_health"])
         self.buffers = buffers if buffers is not None else EngineBuffers()
@@ -723,7 +717,8 @@ class ServingState:
         else:
             self.faults = None
         self.byz_absorbed = int(ckpt["byz_absorbed"])
-        self._rebuild_flat()
+        if self.quarantined is not None:
+            self._refilter()
         return self
 
     def save(self, path) -> None:

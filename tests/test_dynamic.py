@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.batch import available_kernels
 from repro.dynamic import (
@@ -54,34 +56,94 @@ class TestArrivalProcesses:
             BatchArrivals(1, period=0)
 
 
+def _client_csr(graph, n_rows=None):
+    """A writable int64 copy of the first ``n_rows`` client rows."""
+    n = graph.n_clients if n_rows is None else n_rows
+    indptr = np.array(graph.client_indptr[: n + 1], dtype=np.int64)
+    return indptr, np.array(graph.client_indices[: indptr[-1]], dtype=np.int64)
+
+
+def _rewire_lists(rate, rng, neighbor_lists, n_servers):
+    """``RewireChurn.apply`` over a list of per-client arrays, kept as
+    the oracle for the rows it rewrites in place in a CSR."""
+    if rate == 0.0:
+        return 0
+    n_clients = len(neighbor_lists)
+    flips = np.flatnonzero(rng.random(n_clients) < rate)
+    for v in flips.tolist():
+        k = neighbor_lists[v].size
+        if k == 0 or k > n_servers:
+            continue
+        if k > n_servers // 8:
+            fresh = rng.permutation(n_servers)[:k]
+        else:
+            fresh = np.unique(rng.integers(0, n_servers, size=int(k * 1.3) + 8))
+            while fresh.size < k:
+                fresh = np.unique(
+                    np.concatenate([fresh, rng.integers(0, n_servers, size=k)])
+                )
+            if fresh.size > k:
+                fresh = rng.choice(fresh, size=k, replace=False)
+        neighbor_lists[v] = np.sort(fresh.astype(np.int64))
+    return int(flips.size)
+
+
 class TestChurn:
     def test_preserves_degrees(self, dyn_graph):
         rng = np.random.default_rng(1)
-        lists = [dyn_graph.neighbors_of_client(v).copy() for v in range(dyn_graph.n_clients)]
-        degrees = [len(x) for x in lists]
+        indptr, indices = _client_csr(dyn_graph)
+        before = indptr.copy()
         churn = RewireChurn(rate=1.0)
-        churn.apply(rng, lists, dyn_graph.n_servers)
-        assert [len(x) for x in lists] == degrees
-        for row in lists:
-            assert np.unique(row).size == row.size  # still distinct
+        churn.apply(rng, indptr, indices, dyn_graph.n_servers)
+        assert np.array_equal(indptr, before)
+        for v in range(dyn_graph.n_clients):
+            row = indices[indptr[v] : indptr[v + 1]]
+            assert np.all(np.diff(row) > 0)  # still sorted and distinct
             assert row.min() >= 0 and row.max() < dyn_graph.n_servers
 
     def test_zero_rate_no_op(self, dyn_graph):
         rng = np.random.default_rng(2)
-        lists = [dyn_graph.neighbors_of_client(v).copy() for v in range(8)]
-        before = [x.copy() for x in lists]
-        assert RewireChurn(0.0).apply(rng, lists, dyn_graph.n_servers) == 0
-        for a, b in zip(before, lists):
-            assert np.array_equal(a, b)
+        indptr, indices = _client_csr(dyn_graph, 8)
+        before = indices.copy()
+        assert RewireChurn(0.0).apply(rng, indptr, indices, dyn_graph.n_servers) == 0
+        assert np.array_equal(indices, before)
 
     def test_rate_one_rewires_all(self, dyn_graph):
         rng = np.random.default_rng(3)
-        lists = [dyn_graph.neighbors_of_client(v).copy() for v in range(16)]
-        assert RewireChurn(1.0).apply(rng, lists, dyn_graph.n_servers) == 16
+        indptr, indices = _client_csr(dyn_graph, 16)
+        assert RewireChurn(1.0).apply(rng, indptr, indices, dyn_graph.n_servers) == 16
 
     def test_rate_validation(self):
         with pytest.raises(ValueError):
             RewireChurn(1.5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_list_oracle(self, data):
+        """The in-place CSR rewrite gives the list-based churn's rows,
+        return value and Generator state, over rows of degree 0, rows on
+        the permutation branch (k > n_servers // 8) and a full row."""
+        n_s = data.draw(st.integers(min_value=1, max_value=64), label="n_servers")
+        drawn = data.draw(st.lists(st.integers(0, n_s), max_size=12), label="degrees")
+        degrees = data.draw(st.permutations(drawn + [0, n_s // 8 + 1, n_s]), label="order")
+        rate = data.draw(
+            st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.0, 1.0), label="rate"
+        )
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        pick = np.random.default_rng(seed)
+        lists = [np.sort(pick.choice(n_s, k, replace=False)) for k in degrees]
+        indptr = np.zeros(len(lists) + 1, dtype=np.int64)
+        np.cumsum([r.size for r in lists], out=indptr[1:])
+        indices = np.concatenate(lists).astype(np.int64)
+        before = indptr.copy()
+        churn = RewireChurn(rate)
+        ours, theirs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        for _ in range(data.draw(st.integers(1, 3), label="rounds")):
+            got = churn.apply(ours, indptr, indices, n_s)
+            assert got == _rewire_lists(rate, theirs, lists, n_s)
+            assert np.array_equal(indptr, before)
+            assert np.array_equal(indices, np.concatenate(lists))
+            assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 class TestDynamicSimulator:

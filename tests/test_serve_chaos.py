@@ -23,9 +23,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.batch import available_kernels
+from repro.dynamic import RewireChurn
 from repro.errors import CheckpointError
 from repro.faults import FaultSchedule, FaultSpec, HealthPolicy
-from repro.graphs import trust_subsets
+from repro.graphs import BipartiteGraph, trust_subsets
 from repro.serve import SaerService, ServeConfig, ServingState, serve_tcp
 from repro.serve.loadgen import (
     RetryPolicy,
@@ -53,6 +54,22 @@ def _state(graph, **kw):
     kw.setdefault("seed", 9)
     kw.setdefault("track_tags", True)
     return ServingState(graph, 2.0, 4, **kw)
+
+
+def _rows(indptr, indices):
+    """A CSR's rows as a list of per-client arrays."""
+    return [indices[indptr[v] : indptr[v + 1]] for v in range(indptr.size - 1)]
+
+
+def _refilter_lists(full_lists, quarantined):
+    """The list-based state's per-client ``_refilter``, kept as the
+    oracle for the masked CSR: each row minus the quarantined servers,
+    or the whole row when that would empty it."""
+    out = []
+    for nl in full_lists:
+        kept = nl[~quarantined[nl]] if nl.size else nl
+        out.append(kept if kept.size or not nl.size else nl.copy())
+    return out
 
 
 def _drive(svc, trace):
@@ -144,6 +161,112 @@ class TestStateCheckpoint:
             assert a.assigned == b.assigned > 0
             assert np.array_equal(a.assigned_servers, b.assigned_servers)
             assert state.rng.bit_generator.state == rest.rng.bit_generator.state
+
+    def test_payload_outlives_later_churn(self, graph):
+        """Churn rewrites the live rows in place: a payload taken before
+        some churn rounds pickles to the same bytes after them, and a
+        state restored from it then continues as the live state did."""
+        rng = np.random.default_rng(3)
+        trace = [rng.poisson(0.4, graph.n_clients).astype(np.int64) for _ in range(14)]
+        for kernel in KERNELS:
+            for quarantine in ([], [2, 9, 40]):
+                live = _state(graph, churn=RewireChurn(0.3), kernel=kernel)
+                live.set_quarantine(quarantine)
+                for counts in trace[:4]:
+                    live.round_begin()
+                    live.admit_counts(counts)
+                    live.route()
+                ckpt = live.checkpoint()
+                frozen = pickle.dumps(ckpt)
+                outcomes = []
+                for counts in trace[4:]:
+                    assert live.round_begin() > 0
+                    live.admit_counts(counts)
+                    outcomes.append(live.route())
+                assert pickle.dumps(ckpt) == frozen
+                rest = ServingState.from_checkpoint(ckpt, kernel=kernel)
+                for counts, want in zip(trace[4:], outcomes):
+                    rest.round_begin()
+                    rest.admit_counts(counts)
+                    got = rest.route()
+                    assert got.assigned == want.assigned
+                    assert np.array_equal(got.assigned_servers, want.assigned_servers)
+                    assert np.array_equal(got.assigned_tags, want.assigned_tags)
+                assert np.array_equal(rest.indptr, live.indptr)
+                assert np.array_equal(rest.indices, live.indices)
+                assert np.array_equal(rest.cum_received, live.cum_received)
+                assert rest.rng.bit_generator.state == live.rng.bit_generator.state
+
+    def test_restores_list_layout(self, graph):
+        """A payload laid out as the list-based state wrote it — every
+        row its own array, the routed rows from its per-client refilter,
+        the full rows beside them — restores and continues bit for bit;
+        and the CSR state writes that same layout."""
+        rng = np.random.default_rng(8)
+        trace = [rng.poisson(0.4, graph.n_clients).astype(np.int64) for _ in range(12)]
+        for kernel in KERNELS:
+            for quarantine in ([], [4, 5, 77], np.arange(0, 128, 2)):
+                live = _state(graph, churn=RewireChurn(0.2), kernel=kernel)
+                live.set_quarantine(quarantine)
+                for counts in trace[:5]:
+                    live.round_begin()
+                    live.admit_counts(counts)
+                    live.route()
+                ckpt = live.checkpoint()
+                mask = ckpt["quarantined"]
+                full = ckpt["full_lists"] if mask is not None else ckpt["neighbor_lists"]
+                full = [np.array(row) for row in full]
+                if mask is None:  # the list state's `set_quarantine([])`
+                    mask = np.zeros(graph.n_servers, dtype=bool)
+                routed = _refilter_lists(full, mask)
+                for a, b in zip(ckpt["neighbor_lists"], routed, strict=True):
+                    assert np.array_equal(a, b)
+                old = dict(ckpt, neighbor_lists=routed, full_lists=full, quarantined=mask)
+                old = pickle.loads(pickle.dumps(old))
+                rest = ServingState.from_checkpoint(old, kernel=kernel)
+                assert rest.quarantined_count == live.quarantined_count
+                for counts in trace[5:]:
+                    for st_ in (live, rest):
+                        st_.round_begin()
+                        st_.admit_counts(counts)
+                    a, b = live.route(), rest.route()
+                    assert a.assigned == b.assigned
+                    assert np.array_equal(a.assigned_servers, b.assigned_servers)
+                    assert np.array_equal(a.assigned_tags, b.assigned_tags)
+                assert np.array_equal(rest.indices, live.indices)
+                assert np.array_equal(rest.burned, live.burned)
+                assert rest.rng.bit_generator.state == live.rng.bit_generator.state
+
+    def test_zero_clients_round_trip(self):
+        graph = BipartiteGraph.from_csr(0, 4, [0], [])
+        for kernel in KERNELS:
+            state = ServingState(graph, 2.0, 4, seed=1, churn=RewireChurn(0.5), kernel=kernel)
+            state.set_quarantine([1])
+            ckpt = pickle.loads(pickle.dumps(state.checkpoint()))
+            assert ckpt["neighbor_lists"] == [] and ckpt["full_lists"] == []
+            rest = ServingState.from_checkpoint(ckpt, kernel=kernel)
+            assert rest.indptr.tolist() == [0] and rest.indices.size == 0
+            assert rest.quarantined_count == 1
+            for st_ in (state, rest):
+                assert st_.round_begin() == 0
+                assert st_.admit_counts(np.empty(0, dtype=np.int64)) == 0
+                assert st_.route().assigned == 0
+
+    def test_restored_states_share_no_quarantine_mask(self):
+        graph = trust_subsets(64, 64, 6, seed=2)
+        state = ServingState(graph, 2.0, 4, seed=1)
+        state.set_quarantine([3])
+        ckpt = state.checkpoint()
+        a = ServingState.from_checkpoint(ckpt)
+        b = ServingState.from_checkpoint(ckpt)
+        routed = b.indptr.copy(), b.indices.copy()
+        assert 7 in routed[1]
+        assert a.set_quarantine([7]) == 1
+        assert a.quarantined_count == 2 and 7 not in a.indices
+        assert b.quarantined_count == 1
+        assert np.array_equal(b.indptr, routed[0])
+        assert np.array_equal(b.indices, routed[1])
+        assert np.flatnonzero(ckpt["quarantined"]).tolist() == [3]
 
     def test_rejects_garbage(self):
         with pytest.raises(CheckpointError):
@@ -447,18 +570,44 @@ class TestBrownout:
 class TestQuarantine:
     def test_quarantine_and_readmit_cycle(self, graph):
         state = _state(graph)
-        original = [nl.copy() for nl in state.neighbor_lists]
+        indptr, indices = state.indptr.copy(), state.indices.copy()
         assert state.set_quarantine([5, 6]) == 2
         assert state.set_quarantine([5]) == 0  # idempotent
         assert state.quarantined_count == 2
-        for nl in state.neighbor_lists:
-            assert 5 not in nl and 6 not in nl
+        assert not np.isin(state.indices, [5, 6]).any()
+        assert np.array_equal(np.diff(state.indptr), state.degs)
         assert state.readmit([5]) == 1
         assert state.readmit([5]) == 0
         assert state.readmit([6]) == 1
         assert state.quarantined is None  # fast path restored
-        for a, b in zip(state.neighbor_lists, original):
-            assert np.array_equal(a, b)
+        assert np.array_equal(state.indptr, indptr)
+        assert np.array_equal(state.indices, indices)
+
+    def test_repeated_index_counts_once(self, graph):
+        state = _state(graph)
+        assert state.set_quarantine([5, 5]) == 1
+        assert state.quarantined_count == 1
+        assert state.set_quarantine([5, 6, 6]) == 1
+        assert state.readmit([5, 5]) == 1
+        assert state.readmit([6, 6, 5]) == 1
+        assert state.quarantined is None
+
+    def test_quarantining_nothing_new_keeps_full_rows(self, graph):
+        state = _state(graph)
+        full = state.indptr, state.indices, state.degs
+
+        def on_full_rows():
+            routed = state.indptr, state.indices, state.degs
+            return all(a is b for a, b in zip(routed, full))
+
+        assert state.set_quarantine([]) == 0
+        assert state.set_quarantine(np.empty(0, dtype=np.int64)) == 0
+        assert state.quarantined is None and on_full_rows()
+        assert state.set_quarantine([3]) == 1
+        assert state.set_quarantine([3, 3]) == 0
+        assert not on_full_rows()
+        assert state.readmit([3]) == 1
+        assert state.quarantined is None and on_full_rows()
 
     def test_quarantine_bounds_checked(self, graph):
         state = _state(graph)
@@ -475,14 +624,30 @@ class TestQuarantine:
     )
     @given(data=st.data())
     def test_quarantine_never_strands_a_routable_ball(self, data):
-        """Property: whatever gets quarantined (in any number of waves),
-        every client that could route a ball before still can."""
+        """Property: whatever gets quarantined (in any number of waves,
+        with churn rounds between them), every client that could route a
+        ball before still can, and the routed rows are the list-based
+        refilter of the full rows."""
         n_s = data.draw(st.integers(min_value=2, max_value=16), label="n_servers")
         n_c = data.draw(st.integers(min_value=1, max_value=16), label="n_clients")
-        k = data.draw(st.integers(min_value=1, max_value=n_s), label="degree")
+        degrees = data.draw(
+            st.lists(st.integers(0, n_s), min_size=n_c, max_size=n_c), label="degrees"
+        )
         seed = data.draw(st.integers(min_value=0, max_value=2**16), label="seed")
-        graph = trust_subsets(n_c, n_s, k, seed=seed)
-        state = ServingState(graph, 2.0, 4, seed=0, track_tags=True)
+        pick = np.random.default_rng(seed)
+        indptr = np.zeros(n_c + 1, dtype=np.int64)
+        np.cumsum(degrees, out=indptr[1:])
+        indices = np.concatenate(
+            [np.empty(0, np.int64)]
+            + [np.sort(pick.choice(n_s, k, replace=False)) for k in degrees]
+        )
+        graph = BipartiteGraph.from_csr(n_c, n_s, indptr, indices)
+        rate = data.draw(st.sampled_from([0.0, 0.3, 1.0]), label="churn")
+        churn = RewireChurn(rate) if rate else None
+        state = ServingState(graph, 2.0, 4, seed=0, track_tags=True, churn=churn)
+        # Churn draws do not depend on quarantine, so a twin that never
+        # quarantines routes over the full rows.
+        twin = ServingState(graph, 2.0, 4, seed=0, churn=churn)
         routable = np.flatnonzero(state.degs > 0)
         waves = data.draw(
             st.lists(
@@ -497,7 +662,13 @@ class TestQuarantine:
             label="waves",
         )
         for wave in waves:
+            for _ in range(data.draw(st.integers(0, 2), label="churn_rounds")):
+                assert state.round_begin() == twin.round_begin()
             if data.draw(st.booleans(), label="readmit_some"):
                 state.readmit(np.asarray(wave[:1], dtype=np.int64))
             state.set_quarantine(np.asarray(wave, dtype=np.int64))
             assert np.all(state.degs[routable] > 0)
+            want = _refilter_lists(_rows(twin.indptr, twin.indices), state.quarantined)
+            assert np.array_equal(state.degs, [r.size for r in want])
+            assert np.array_equal(state.indptr[1:], np.cumsum(state.degs))
+            assert np.array_equal(state.indices, np.concatenate([indices[:0], *want]))
